@@ -54,8 +54,7 @@ mod armed {
     use std::time::Duration;
 
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use smx::coproc::faults::{FaultPlan, RecoveryPolicy};
+    use rand::SeedableRng;
     use smx::failpoint::{self, Action, FailSchedule};
     use smx::prelude::*;
     use smx::server::proto::{read_frame, write_frame, Request, Response};
@@ -64,7 +63,7 @@ mod armed {
     use smx::{
         RetryConfig, Server, ServerConfig, ServerHandle, ShardSnapshot, SmxDevice, SupervisorConfig,
     };
-    use smx_bench::{header, quick_mode, scaled};
+    use smx_bench::{header, make_pair, percentile, quick_mode, scaled, storm_device};
 
     const CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
     const PAIR_LEN: usize = 64;
@@ -114,14 +113,6 @@ mod armed {
         Watchdog { _tx: tx }
     }
 
-    fn storm_device() -> SmxDevice {
-        let mut dev = must(SmxDevice::new(CONFIG, 2), "device");
-        // Device-level faults stay ON underneath the host-path chaos:
-        // the two fault planes must compose without breaking identity.
-        dev.enable_fault_injection(FaultPlan::new(42, 5e-4), RecoveryPolicy::default());
-        dev
-    }
-
     fn chaos_server(dir: &std::path::Path, resume: bool) -> ServerHandle {
         let cfg = ServerConfig {
             exec: ExecutorConfig {
@@ -143,23 +134,15 @@ mod armed {
             resume_sessions: resume,
             ..ServerConfig::default()
         };
-        must(Server::bind(storm_device(), cfg, "127.0.0.1:0"), "bind")
-    }
-
-    fn make_pair(rng: &mut StdRng, id: usize) -> Request {
-        const BASES: [char; 4] = ['A', 'C', 'G', 'T'];
-        let query: String = (0..PAIR_LEN).map(|_| BASES[rng.gen_range(0..4usize)]).collect();
-        let mut reference = query.clone();
-        let i = rng.gen_range(0..PAIR_LEN);
-        reference.replace_range(i..=i, "T");
-        Request::Pair { id, query, reference }
+        must(Server::bind(must(storm_device(CONFIG), "device"), cfg, "127.0.0.1:0"), "bind")
     }
 
     /// The shared workload every schedule runs, and its fault-free
     /// golden outcome (computed on a clean device, no fault plan).
     fn build_workload(pairs: usize) -> (Vec<Request>, Vec<(i32, String)>) {
         let mut rng = StdRng::seed_from_u64(7);
-        let workload: Vec<Request> = (0..pairs).map(|id| make_pair(&mut rng, id)).collect();
+        let workload: Vec<Request> =
+            (0..pairs).map(|id| make_pair(&mut rng, id, PAIR_LEN)).collect();
         let mut clean = must(SmxDevice::new(CONFIG, 2), "reference device");
         let mut reference = Vec::with_capacity(pairs);
         for req in &workload {
@@ -473,7 +456,7 @@ mod armed {
         ));
         let exec = must(
             BatchExecutor::new(
-                storm_device(),
+                must(storm_device(CONFIG), "device"),
                 ExecutorConfig {
                     jobs: 2,
                     queue_cap: 32,
@@ -489,7 +472,8 @@ mod armed {
         let mut rng = StdRng::seed_from_u64(11);
         let pairs: Vec<(Sequence, Sequence)> = (0..count)
             .map(|id| {
-                let Request::Pair { query, reference, .. } = make_pair(&mut rng, id) else {
+                let Request::Pair { query, reference, .. } = make_pair(&mut rng, id, PAIR_LEN)
+                else {
                     return must(Err::<(Sequence, Sequence), &str>("not a pair"), "workload");
                 };
                 (
@@ -540,14 +524,6 @@ mod armed {
         stats
     }
 
-    fn percentile(sorted: &[f64], p: f64) -> f64 {
-        if sorted.is_empty() {
-            return f64::NAN;
-        }
-        let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-        sorted.get(idx).copied().unwrap_or(f64::NAN)
-    }
-
     /// Sharded fleet for the shard phases: two fault domains of two
     /// workers each over a split device pool, a fast supervisor (5 ms
     /// samples, 40 ms stale window — judged on the frozen heartbeat
@@ -569,7 +545,7 @@ mod armed {
             supervisor,
             ..ServerConfig::default()
         };
-        must(Server::bind(storm_device(), cfg, "127.0.0.1:0"), "bind sharded")
+        must(Server::bind(must(storm_device(CONFIG), "device"), cfg, "127.0.0.1:0"), "bind sharded")
     }
 
     fn fast_supervisor(max_restarts: u32) -> SupervisorConfig {

@@ -27,23 +27,14 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smx::coproc::faults::{FaultPlan, RecoveryPolicy};
 use smx::prelude::*;
 use smx::server::proto::{read_frame, write_frame, Request, Response};
 use smx::server::tenant::{Priority, TenantPolicy};
-use smx::{RetryConfig, Server, ServerConfig, ServerHandle, SmxDevice};
-use smx_bench::{header, quick_mode, row};
+use smx::{RetryConfig, Server, ServerConfig, ServerHandle};
+use smx_bench::{header, make_pair, percentile, quick_mode, row, storm_device};
 
 const CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
 const PAIR_LEN: usize = 64;
-
-fn storm_device() -> SmxDevice {
-    let mut dev = SmxDevice::new(CONFIG, 2).expect("device");
-    // Fault injection stays ON for the whole storm: transient tile
-    // faults ride through retry/recovery, never to the client.
-    dev.enable_fault_injection(FaultPlan::new(42, 5e-4), RecoveryPolicy::default());
-    dev
-}
 
 fn storm_server(
     checkpoint: Option<std::path::PathBuf>,
@@ -69,7 +60,7 @@ fn storm_server(
         shards,
         ..ServerConfig::default()
     };
-    Server::bind(storm_device(), cfg, "127.0.0.1:0").expect("bind")
+    Server::bind(storm_device(CONFIG).expect("device"), cfg, "127.0.0.1:0").expect("bind")
 }
 
 /// One framed-TCP session split into a writer half and a reader half so
@@ -102,15 +93,6 @@ fn open_session(
         other => panic!("expected OK, got {other:?}"),
     }
     Session { wr, rd }
-}
-
-fn make_pair(rng: &mut StdRng, id: usize) -> Request {
-    const BASES: [char; 4] = ['A', 'C', 'G', 'T'];
-    let query: String = (0..PAIR_LEN).map(|_| BASES[rng.gen_range(0..4usize)]).collect();
-    let mut reference = query.clone();
-    let i = rng.gen_range(0..PAIR_LEN);
-    reference.replace_range(i..=i, "T");
-    Request::Pair { id, query, reference }
 }
 
 /// Terminal outcomes one tenant connection observed, with latencies for
@@ -170,7 +152,7 @@ fn drive_tenant(
 
         let mut rng = StdRng::seed_from_u64(seed);
         for id in 0..count {
-            let req = make_pair(&mut rng, id);
+            let req = make_pair(&mut rng, id, PAIR_LEN);
             sent.lock().unwrap().insert(id, Instant::now());
             write_frame(&mut sess.wr, &req.encode()).expect("storm write");
             // Exponential inter-arrival: open loop, no waiting on acks.
@@ -193,7 +175,7 @@ fn drive_slow_client(addr: std::net::SocketAddr, count: usize) -> TenantOutcome 
     let mut sess = open_session(addr, "-", "sloth", Priority::Normal);
     let mut rng = StdRng::seed_from_u64(0xfeed);
     for id in 0..count {
-        let req = make_pair(&mut rng, id);
+        let req = make_pair(&mut rng, id, PAIR_LEN);
         write_frame(&mut sess.wr, &req.encode()).expect("slow write");
     }
     // The adversarial pause: responses pile up server-side.
@@ -220,14 +202,6 @@ fn drive_slow_client(addr: std::net::SocketAddr, count: usize) -> TenantOutcome 
     }
     write_frame(&mut sess.wr, &Request::Bye.encode()).ok();
     out
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 struct LoadPoint {
@@ -295,7 +269,7 @@ fn crash_resume_pass() {
     let mut rng = StdRng::seed_from_u64(77);
     const PAIRS: usize = 32;
     const ACKS: usize = 10;
-    let reqs: Vec<Request> = (0..PAIRS).map(|id| make_pair(&mut rng, id)).collect();
+    let reqs: Vec<Request> = (0..PAIRS).map(|id| make_pair(&mut rng, id, PAIR_LEN)).collect();
     for req in &reqs {
         write_frame(&mut sess.wr, &req.encode()).expect("crash write");
     }

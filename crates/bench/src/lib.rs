@@ -6,6 +6,13 @@
 
 use std::fmt::Display;
 
+use rand::rngs::StdRng;
+use rand::Rng;
+use smx::align::{AlignError, AlignmentConfig};
+use smx::coproc::faults::{FaultPlan, RecoveryPolicy};
+use smx::server::proto::Request;
+use smx::SmxDevice;
+
 /// Prints a section header.
 pub fn header(title: &str) {
     println!();
@@ -70,6 +77,41 @@ pub fn scaled(full: usize, quick: usize) -> usize {
     }
 }
 
+/// Nearest-rank percentile `p` (in `[0, 1]`) of an ascending-sorted
+/// slice; `NaN` when the slice is empty. Bounds-safe: never panics.
+#[must_use]
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted.get(idx).copied().unwrap_or(f64::NAN)
+}
+
+/// One storm `PAIR` request: `len` random DNA bases as the query, and a
+/// reference equal to it except for one base set to `T`.
+pub fn make_pair(rng: &mut StdRng, id: usize, len: usize) -> Request {
+    const BASES: [char; 4] = ['A', 'C', 'G', 'T'];
+    let query: String = (0..len).map(|_| BASES[rng.gen_range(0..4usize)]).collect();
+    let mut reference = query.clone();
+    let i = rng.gen_range(0..len);
+    reference.replace_range(i..=i, "T");
+    Request::Pair { id, query, reference }
+}
+
+/// The storms' device: `config` with two coprocessor workers and
+/// device-level fault injection left on (seed 42, rate 5e-4), so
+/// transient tile faults ride through recovery underneath every storm.
+///
+/// # Errors
+///
+/// Device construction failures.
+pub fn storm_device(config: AlignmentConfig) -> Result<SmxDevice, AlignError> {
+    let mut dev = SmxDevice::new(config, 2)?;
+    dev.enable_fault_injection(FaultPlan::new(42, 5e-4), RecoveryPolicy::default());
+    Ok(dev)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +135,28 @@ mod tests {
         if std::env::var("SMX_BENCH_QUICK").is_err() {
             assert_eq!(scaled(1000, 10), 1000);
         }
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank_and_bounds_safe() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 0.5), 3.0);
+        assert_eq!(percentile(&sorted, 1.0), 5.0);
+        assert!(percentile(&sorted, 2.0).is_nan(), "out of range is NaN, not a panic");
+        assert!(percentile(&[], 0.5).is_nan());
+    }
+
+    #[test]
+    fn make_pair_differs_in_at_most_one_base() {
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(7);
+        let Request::Pair { id, query, reference } = make_pair(&mut rng, 3, 64) else {
+            panic!("make_pair builds a PAIR request");
+        };
+        assert_eq!((id, query.len(), reference.len()), (3, 64, 64));
+        let diffs = query.chars().zip(reference.chars()).filter(|(a, b)| a != b).count();
+        assert!(diffs <= 1, "{diffs} differing bases");
     }
 
     #[test]

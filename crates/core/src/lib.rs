@@ -64,6 +64,7 @@ pub mod orchestrator;
 pub mod pool;
 pub mod server;
 pub mod service;
+pub(crate) mod shard;
 pub mod testkit;
 
 pub use aligner::{Algorithm, BatchReport, PairReport, SmxAligner};

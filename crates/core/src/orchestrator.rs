@@ -358,9 +358,11 @@ impl SmxDevice {
     /// policy, an expired deadline) is recorded as a structured per-pair
     /// failure and the batch continues with the remaining pairs.
     ///
-    /// This is the single-device entry into the batch service layer; the
+    /// This is the single-device entry into the batch service layer. The
     /// multi-worker pool with backpressure, deadlines, and the circuit
-    /// breaker lives in [`crate::service::BatchExecutor`].
+    /// breaker is [`crate::service::BatchExecutor`], which runs the same
+    /// executor core as the server and is validated by
+    /// [`crate::service::ExecutorConfig`]'s shared check.
     pub fn align_batch(&mut self, pairs: &[(Sequence, Sequence)]) -> DeviceBatchReport {
         crate::service::device_batch(self, pairs)
     }

@@ -415,27 +415,8 @@ impl PoolHealth {
         self.slots[id].quarantined
     }
 
-    /// Final per-device stats and pool counters.
-    pub(crate) fn finish(self) -> (Vec<DeviceStats>, PoolCounters) {
-        let stats = self
-            .slots
-            .into_iter()
-            .map(|slot| DeviceStats {
-                health: slot.health,
-                quarantined: slot.quarantined,
-                breaker: slot
-                    .breaker
-                    .as_ref()
-                    .map(|b| BreakerSnapshot { state: b.state(), transitions: b.transitions() }),
-                ..slot.stats
-            })
-            .collect();
-        (stats, self.counters)
-    }
-
-    /// A non-consuming [`PoolHealth::finish`]: the same per-device stats
-    /// and counters, for live observability (the server's `/stats`)
-    /// while the pool keeps running.
+    /// Per-device stats and pool counters so far: the live view the
+    /// server's `/stats` reads and the final one a batch reports.
     pub(crate) fn snapshot(&self) -> (Vec<DeviceStats>, PoolCounters) {
         let stats = self
             .slots
@@ -475,6 +456,9 @@ pub(crate) struct DevicePool {
     /// Baseline kernel the audit's score pass runs on (inherited from the
     /// template device, like everything else pool-wide).
     baseline: Baseline,
+    /// The template with fault injection disabled: the trusted host path
+    /// every worker clones for its software baseline.
+    software: SmxDevice,
     /// Shared audit workspace; audits that would contend on it fall back
     /// to a fresh local workspace instead of serializing workers.
     simd_ws: Mutex<SimdWorkspace>,
@@ -485,25 +469,14 @@ pub(crate) struct DevicePool {
 const CANARY_LENS: [usize; 2] = [40, 56];
 
 impl DevicePool {
-    /// Builds a pool of `devices` clones of `template`. Device 0 keeps
-    /// the template's fault plan verbatim (a pool of one reproduces the
-    /// single-device service exactly); devices `i > 0` get the same plan
-    /// re-seeded so they fault independently but reproducibly.
-    pub(crate) fn new(
-        template: &SmxDevice,
-        devices: usize,
-        breaker_cfg: Option<BreakerConfig>,
-        quarantine: Option<QuarantineConfig>,
-    ) -> Result<DevicePool, AlignError> {
-        DevicePool::new_with_device_base(template, devices, 0, breaker_cfg, quarantine)
-    }
-
-    /// [`DevicePool::new`] for one shard of a partitioned fleet: this
-    /// pool's slot `i` is *global* device `device_base + i`, and fault
-    /// reseeding is a pure function of that global index. A fleet of N
-    /// shards therefore faults device-for-device identically to one
-    /// unsharded pool over the same devices, whatever the shard count —
-    /// only global device 0 keeps the template plan verbatim.
+    /// Builds a pool of `devices` clones of `template` for one shard of
+    /// a partitioned fleet: this pool's slot `i` is *global* device
+    /// `device_base + i`. Global device 0 keeps the template's fault plan
+    /// verbatim (a pool of one reproduces the single-device service
+    /// exactly); every other global device gets the same plan re-seeded
+    /// as a pure function of its global index, so it faults
+    /// independently but reproducibly, and a fleet of N shards faults
+    /// device-for-device identically to one pool over the same devices.
     pub(crate) fn new_with_device_base(
         template: &SmxDevice,
         devices: usize,
@@ -553,6 +526,7 @@ impl DevicePool {
             canaries,
             scheme,
             baseline: template.baseline(),
+            software: baseline,
             simd_ws: Mutex::new(SimdWorkspace::new()),
         })
     }
@@ -720,27 +694,28 @@ impl DevicePool {
         }
     }
 
-    /// Tears the pool down: per-device stats, pool counters, and the
-    /// recovery counters merged across every device.
-    pub(crate) fn finish(
-        self,
-    ) -> (Vec<DeviceStats>, PoolCounters, smx_coproc::faults::RecoveryStats) {
+    /// A worker-local software baseline: a fault-free clone of the
+    /// template, so audits never apply to it and its results are correct
+    /// by construction.
+    pub(crate) fn software_device(&self) -> SmxDevice {
+        self.software.clone()
+    }
+
+    /// Per-device stats and pool counters so far.
+    pub(crate) fn snapshot(&self) -> (Vec<DeviceStats>, PoolCounters) {
+        self.health_feedback().snapshot()
+    }
+
+    /// Tile-level recovery counters merged across every device.
+    pub(crate) fn recovery(&self) -> smx_coproc::faults::RecoveryStats {
         let mut recovery = smx_coproc::faults::RecoveryStats::default();
         for dev in &self.devices {
-            // Teardown is read-only over the counters; poison left by a
-            // panicked worker must not hide the stats of the others.
+            // Reading counters only: poison left by a panicked worker
+            // must not hide the stats of the others.
             let dev = dev.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             recovery.merge(&dev.recovery_stats());
         }
-        let (stats, counters) =
-            self.health.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner).finish();
-        (stats, counters, recovery)
-    }
-
-    /// Live per-device stats and pool counters without consuming the
-    /// pool (recovery stats are left to [`DevicePool::finish`]).
-    pub(crate) fn snapshot(&self) -> (Vec<DeviceStats>, PoolCounters) {
-        self.health_feedback().snapshot()
+        recovery
     }
 }
 
@@ -759,7 +734,7 @@ mod tests {
     fn every_corruption_shape_surfaces_as_integrity_violation() {
         let config = AlignmentConfig::DnaGap;
         let mut dev = SmxDevice::new(config, 2).unwrap();
-        let pool = DevicePool::new(&dev, 1, None, None).unwrap();
+        let pool = DevicePool::new_with_device_base(&dev, 1, 0, None, None).unwrap();
         let card = config.alphabet().cardinality() as u32;
         let seq = |stride: u32, off: u32| {
             let codes: Vec<u8> = (0..48u32).map(|i| ((i * stride + off) % card) as u8).collect();
@@ -820,7 +795,7 @@ mod tests {
     fn suboptimal_but_consistent_result_fails_the_score_audit() {
         let config = AlignmentConfig::DnaGap;
         let dev = SmxDevice::new(config, 2).unwrap();
-        let pool = DevicePool::new(&dev, 1, None, None).unwrap();
+        let pool = DevicePool::new_with_device_base(&dev, 1, 0, None, None).unwrap();
         let scheme = config.scoring();
         let codes: Vec<u8> = (0..32u32).map(|i| (i % 4) as u8).collect();
         let q = Sequence::from_codes(config.alphabet(), codes.clone()).unwrap();
@@ -899,7 +874,7 @@ mod tests {
             h.record(0, Route::Device, OutcomeEvents::default());
         }
         assert!(!h.is_quarantined(0));
-        let (stats, _) = h.finish();
+        let (stats, _) = h.snapshot();
         assert!(stats[0].health < 0.05, "health {:.4}", stats[0].health);
     }
 
@@ -935,7 +910,7 @@ mod tests {
         let due = h.claim_canary().unwrap().0;
         h.record_canary(due, true);
         assert!(!h.is_quarantined(0), "streak of {} readmits", cfg.canary_probes);
-        let (stats, _) = h.finish();
+        let (stats, _) = h.snapshot();
         assert_eq!(stats[0].quarantines, 1);
         assert_eq!(stats[0].readmissions, 1);
         assert_eq!(stats[0].canary_runs, 3);
@@ -952,7 +927,7 @@ mod tests {
             h.record(0, Route::Software, bad());
         }
         assert!(!h.is_quarantined(0));
-        let (stats, _) = h.finish();
+        let (stats, _) = h.snapshot();
         assert_eq!(stats[0].pairs, 0);
         assert_eq!(stats[0].health, 0.0);
     }
@@ -966,7 +941,7 @@ mod tests {
             h.record(0, Route::Device, deadline_only);
         }
         assert!(h.is_quarantined(0), "deadline storms quarantine the device");
-        let (stats, _) = h.finish();
+        let (stats, _) = h.snapshot();
         let snap = stats[0].breaker.expect("breaker configured");
         assert_eq!(snap.state, BreakerState::Closed, "deadlines never trip the breaker");
         assert_eq!(stats[0].deadline_events, 4);

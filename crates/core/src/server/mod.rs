@@ -2,10 +2,10 @@
 //!
 //! [`Server`] turns the batch-oriented resilience stack — device pool,
 //! per-device breakers, audit scoreboard, hedging, quarantine — into a
-//! long-running framed-TCP service. Every defense the batch executor has
-//! is reused through the same per-pair seam ([`crate::service`]); the
-//! server adds the concerns that only exist once the work arrives over a
-//! socket from parties that do not coordinate:
+//! long-running framed-TCP service. It runs the batch executor's own
+//! executor core (`crate::shard`), so every defense is the same code;
+//! the server adds the concerns that only exist once the work arrives
+//! over a socket from parties that do not coordinate:
 //!
 //! * **Admission control** — per-tenant token buckets and priority
 //!   classes in front of the bounded work queue. Every refusal is a
@@ -36,45 +36,28 @@ pub mod proto;
 pub mod session;
 pub mod tenant;
 
-use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smx_align_core::{AlignError, Alignment, Alphabet, Sequence};
+use smx_align_core::{AlignError, Alphabet, Sequence};
 use smx_coproc::control::CancelToken;
 
 use crate::orchestrator::SmxDevice;
-use crate::pool::{DevicePool, DeviceStats};
+use crate::pool::DeviceStats;
 use crate::service::{self, ExecutorConfig};
+use crate::shard::{self, relock, Done, Front, Phase, Plan, Shard};
 
 use proto::{read_frame, write_frame, FailKind, ProtoError, RejectReason, Request, Response};
 use session::{Session, SessionStore};
 use tenant::{BrownoutConfig, BrownoutLevel, Priority, TenantCounters, TenantPolicy, TenantTable};
 
-/// Bounded server-side retry budget for recoverable device faults.
-/// Retries go back through the normal dispatch seam, so the breaker and
-/// quarantine see every attempt — the budget bounds persistence, it does
-/// not bypass the defenses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Extra attempts after the first (0 disables retrying).
-    pub attempts: u32,
-    /// Base backoff between attempts; attempt `k` sleeps `k * backoff`,
-    /// clipped to the pair's remaining deadline.
-    pub backoff: Duration,
-}
-
-impl Default for RetryConfig {
-    fn default() -> RetryConfig {
-        RetryConfig { attempts: 2, backoff: Duration::from_millis(2) }
-    }
-}
+pub use crate::shard::RetryConfig;
 
 /// The supervisor's wedge-detection and containment budget.
 ///
@@ -267,173 +250,76 @@ struct Job {
     reply: mpsc::Sender<WriterMsg>,
 }
 
-/// One pair's outcome flowing from a worker to its connection's writer.
-struct Completion {
-    id: usize,
-    result: Result<Alignment, AlignError>,
-    degraded: bool,
-}
-
 /// Everything the per-connection writer thread serializes to the socket.
 enum WriterMsg {
     /// A pre-built response (OK / REJECT / STATS / ERR / FAIL-at-admission).
     Frame(Response),
     /// Replay pair `id` from the session manifest (already durable).
     Replay(usize),
-    /// A worker completion: record durably, then ack.
-    Done(Completion),
+    /// Pair `id` finished: record durably, then ack.
+    Done(usize, Done),
     /// Flush outstanding pairs, send `DONE`, and hang up.
     Bye,
 }
 
-/// Re-locks a mutex whose critical sections only mutate self-contained
-/// counter/registry state (queue depths, stats counters, tenant tables,
-/// join-handle lists). A panicking holder cannot leave these in a state
-/// worth failing other connections over — every update is a single
-/// field write or push — so poison is stripped rather than propagated.
-/// The session store is deliberately NOT accessed through this helper:
-/// its poison is handled as a typed connection teardown (see
-/// [`Shared::sessions`]).
-fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Three-class strict-priority bounded queue. Admission never blocks —
-/// a full queue is a typed reject, so backpressure is always visible to
-/// the client instead of stalling its connection.
-struct ServerQueue {
-    cap: usize,
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-}
-
-struct QueueInner {
-    classes: [VecDeque<Job>; 3],
-    len: usize,
-    max_depth: usize,
-}
-
-impl ServerQueue {
-    fn new(cap: usize) -> ServerQueue {
-        ServerQueue {
-            cap,
-            inner: Mutex::new(QueueInner {
-                classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                len: 0,
-                max_depth: 0,
-            }),
-            ready: Condvar::new(),
-        }
+impl shard::Job for Job {
+    fn class(&self) -> usize {
+        self.priority.class()
     }
 
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut inner = relock(&self.inner);
-        if inner.len >= self.cap {
-            return Err(job);
-        }
-        let class = job.priority.class();
-        // LINT: allow(panic) Priority::class() returns 0..3 and classes has exactly 3 entries
-        inner.classes[class].push_back(job);
-        inner.len += 1;
-        inner.max_depth = inner.max_depth.max(inner.len);
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Highest-priority job right now, without waiting (the steal and
-    /// drain-sweep entry point).
-    fn try_pop(&self) -> Option<Job> {
-        let mut inner = relock(&self.inner);
-        let job = inner.classes.iter_mut().find_map(VecDeque::pop_front)?;
-        inner.len -= 1;
-        Some(job)
-    }
-
-    /// Highest-priority job, waiting up to `timeout` for one to arrive.
-    /// Bounded so the shard worker loop keeps beating its heartbeat and
-    /// checking for steals, drain, and its own retirement.
-    fn pop_within(&self, timeout: Duration) -> Option<Job> {
-        let mut inner = relock(&self.inner);
-        if let Some(job) = inner.classes.iter_mut().find_map(VecDeque::pop_front) {
-            inner.len -= 1;
-            return Some(job);
-        }
-        let (mut inner, _) = self
-            .ready
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let job = inner.classes.iter_mut().find_map(VecDeque::pop_front)?;
-        inner.len -= 1;
-        Some(job)
-    }
-
-    fn depth(&self) -> usize {
-        relock(&self.inner).len
-    }
-
-    fn max_depth(&self) -> usize {
-        relock(&self.inner).max_depth
-    }
-
-    fn wake_all(&self) {
-        self.ready.notify_all();
+    fn deadline(&self) -> Option<(Instant, u64)> {
+        self.deadline
     }
 }
 
-/// One executor shard: a disjoint slice of the worker threads and the
-/// device pool behind its own bounded queue. Every field a sibling
-/// shard or the supervisor reads is atomic — a shard that wedges with
-/// its own queue lock held cannot stall anyone sampling its state.
-struct Shard {
-    id: usize,
-    queue: ServerQueue,
-    pool: DevicePool,
-    /// Worker threads this shard runs (the respawn count).
-    jobs: usize,
+/// One member of the fleet: an executor-core shard plus the atomics only
+/// the supervised server tracks about it.
+struct FleetShard {
+    core: Shard<Job>,
     /// Lifecycle: `SHARD_LIVE` → `SHARD_DEGRADED` → `SHARD_RESTARTING`
     /// → back to live, or `SHARD_QUARANTINED` once the restart budget
     /// is spent.
     state: AtomicU8,
-    /// Bumped on restart; workers exit when their spawn generation is
-    /// no longer current, so a wedged worker that finally wakes cannot
-    /// rejoin a shard that moved on without it.
-    generation: AtomicU64,
-    /// Bumped once per worker loop iteration — including idle
-    /// iterations, where the bounded queue wait wakes the worker every
-    /// 20 ms — so a frozen heartbeat alone is the supervisor's wedge
-    /// signal.
-    heartbeat: AtomicU64,
     dispatched: AtomicU64,
-    completed: AtomicU64,
-    /// Jobs popped but not yet finished (progress accounting).
-    inflight: AtomicUsize,
     stolen_from: AtomicU64,
     stolen_by: AtomicU64,
     restarts: AtomicU64,
     failovers: AtomicU64,
     last_failover_ms: AtomicU64,
-    /// Current-generation worker handles (swapped on restart).
+    /// Worker handles of every live generation, joined at wind-down. A
+    /// retired generation exits on its own once whatever wedged it
+    /// releases.
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Abandoned prior-generation workers, joined at wind-down: they
-    /// exit on their own once whatever wedged them releases.
-    retired: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Shard {
+impl FleetShard {
+    fn new(core: Shard<Job>) -> FleetShard {
+        FleetShard {
+            core,
+            state: AtomicU8::new(SHARD_LIVE),
+            dispatched: AtomicU64::new(0),
+            stolen_from: AtomicU64::new(0),
+            stolen_by: AtomicU64::new(0),
+            restarts: AtomicU64::new(0),
+            failovers: AtomicU64::new(0),
+            last_failover_ms: AtomicU64::new(0),
+            workers: Mutex::new(Vec::new()),
+        }
+    }
+
     fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
-            id: self.id,
+            id: self.core.id,
             state: shard_state_name(self.state.load(Ordering::SeqCst)),
             dispatched: self.dispatched.load(Ordering::SeqCst),
-            completed: self.completed.load(Ordering::SeqCst),
+            completed: self.core.completed.load(Ordering::SeqCst),
             stolen_from: self.stolen_from.load(Ordering::SeqCst),
             stolen_by: self.stolen_by.load(Ordering::SeqCst),
             restarts: self.restarts.load(Ordering::SeqCst),
             failovers: self.failovers.load(Ordering::SeqCst),
             last_failover_ms: self.last_failover_ms.load(Ordering::SeqCst),
-            queue_depth: self.queue.depth(),
-            max_queue_depth: self.queue.max_depth(),
+            queue_depth: self.core.queue.depth(),
+            max_queue_depth: self.core.queue.max_depth(),
         }
     }
 }
@@ -459,14 +345,11 @@ fn home_shard(tenant: &str, id: usize, shards: usize) -> usize {
 struct Shared {
     cfg: ServerConfig,
     alphabet: Alphabet,
-    shards: Vec<Shard>,
+    shards: Vec<FleetShard>,
     state: AtomicU8,
     /// Batch-wide token: cancelled on crash so in-flight pairs abort at
     /// the next tile boundary instead of finishing into the void.
     token: CancelToken,
-    /// Fault-disabled template device: cloned for respawned workers'
-    /// software path and the drain sweep.
-    template: Mutex<SmxDevice>,
     tenants: Mutex<TenantTable>,
     sessions: Mutex<SessionStore>,
     counters: Mutex<ServerCounters>,
@@ -492,8 +375,8 @@ impl Shared {
         let mut cap = 0;
         for s in &self.shards {
             if s.state.load(Ordering::SeqCst) != SHARD_QUARANTINED {
-                depth += s.queue.depth();
-                cap += s.queue.cap;
+                depth += s.core.queue.depth();
+                cap += s.core.queue.cap;
             }
         }
         (depth, cap)
@@ -523,14 +406,14 @@ impl Shared {
         let mut cap = 0;
         let mut max_depth = 0;
         for shard in &self.shards {
-            depth += shard.queue.depth();
-            cap += shard.queue.cap;
-            max_depth = max_depth.max(shard.queue.max_depth());
+            depth += shard.core.queue.depth();
+            cap += shard.core.queue.cap;
+            max_depth = max_depth.max(shard.core.queue.max_depth());
         }
         let mut pool_counters = crate::pool::PoolCounters::default();
         let mut devices = Vec::new();
         for shard in &self.shards {
-            let (d, c) = shard.pool.snapshot();
+            let (d, c) = shard.core.pool.snapshot();
             devices.extend(d);
             pool_counters.audits_run += c.audits_run;
             pool_counters.integrity_recomputed += c.integrity_recomputed;
@@ -566,7 +449,7 @@ impl Shared {
             pool_counters.hedges_won
         );
         for shard in &self.shards {
-            let _ = writeln!(s, "shard {}: {}", shard.id, shard_line(&shard.snapshot()));
+            let _ = writeln!(s, "shard {}: {}", shard.core.id, shard_line(&shard.snapshot()));
         }
         for (id, d) in devices.iter().enumerate() {
             let _ = writeln!(s, "device {id}: {}", device_line(d));
@@ -665,54 +548,21 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Invalid executor configuration (validated exactly as
-    /// [`crate::service::BatchExecutor::new`] does), pool construction
-    /// failures, and bind failures, all as typed [`AlignError`]s.
+    /// Invalid executor configuration ([`ExecutorConfig::validate`], as
+    /// in batch), an impossible shard plan, pool construction failures,
+    /// and bind failures, all as typed [`AlignError`]s.
     pub fn bind(
         device: SmxDevice,
         cfg: ServerConfig,
         addr: &str,
     ) -> Result<ServerHandle, AlignError> {
-        // Reuse the executor's validation so serve and batch agree on
-        // what a legal configuration is.
-        let _ = service::BatchExecutor::new(device.clone(), cfg.exec.clone())?;
+        cfg.exec.validate()?;
         let plan = service::ShardPlan::split(&cfg.exec, cfg.shards)?;
-        // Each shard gets an equal slice of the queue budget (at least
-        // one slot), so total fleet capacity tracks `queue_cap`.
-        let shard_cap = cfg.exec.queue_cap.div_ceil(cfg.shards).max(1);
-        let shards = plan
-            .jobs
-            .iter()
-            .zip(plan.devices.iter().zip(plan.device_base.iter()))
-            .enumerate()
-            .map(|(s, (&jobs, (&devices, &device_base)))| {
-                Ok(Shard {
-                    id: s,
-                    queue: ServerQueue::new(shard_cap),
-                    pool: DevicePool::new_with_device_base(
-                        &device,
-                        devices,
-                        device_base,
-                        cfg.exec.breaker,
-                        cfg.exec.quarantine,
-                    )?,
-                    jobs,
-                    state: AtomicU8::new(SHARD_LIVE),
-                    generation: AtomicU64::new(0),
-                    heartbeat: AtomicU64::new(0),
-                    dispatched: AtomicU64::new(0),
-                    completed: AtomicU64::new(0),
-                    inflight: AtomicUsize::new(0),
-                    stolen_from: AtomicU64::new(0),
-                    stolen_by: AtomicU64::new(0),
-                    restarts: AtomicU64::new(0),
-                    failovers: AtomicU64::new(0),
-                    last_failover_ms: AtomicU64::new(0),
-                    workers: Mutex::new(Vec::new()),
-                    retired: Mutex::new(Vec::new()),
-                })
-            })
-            .collect::<Result<Vec<Shard>, AlignError>>()?;
+        let token = CancelToken::new();
+        let shards = Shard::build(&plan, &device, &cfg.exec, cfg.retry, &token)?
+            .into_iter()
+            .map(FleetShard::new)
+            .collect();
         let listener = TcpListener::bind(addr)
             .map_err(|e| AlignError::Internal(format!("bind {addr}: {e}")))?;
         let local =
@@ -726,14 +576,11 @@ impl Server {
         }
         let sessions = SessionStore::new(cfg.checkpoint_dir.clone(), cfg.resume_sessions);
         let policy = cfg.policy;
-        let mut template = device.clone();
-        template.disable_fault_injection();
         let shared = Arc::new(Shared {
             alphabet: device.config().alphabet(),
             shards,
             state: AtomicU8::new(STATE_RUNNING),
-            token: CancelToken::new(),
-            template: Mutex::new(template),
+            token,
             tenants: Mutex::new(TenantTable::new(policy)),
             sessions: Mutex::new(sessions),
             counters: Mutex::new(ServerCounters::default()),
@@ -759,19 +606,23 @@ impl Server {
     }
 }
 
-/// Spawns one generation of workers for shard `s`, replacing the
-/// handle set. Each worker gets its own fault-disabled software
-/// device clone (the degraded/brownout path must never fault).
+/// Spawns one generation of workers for shard `s`. Each worker gets
+/// its own fault-disabled software device clone (the degraded/brownout
+/// path must never fault).
 fn spawn_shard_workers(shared: &Arc<Shared>, s: usize, generation: u64) {
     let Some(shard) = shared.shards.get(s) else { return };
-    let handles = (0..shard.jobs)
+    let handles: Vec<JoinHandle<()>> = (0..shard.core.jobs)
         .map(|_| {
             let shared = Arc::clone(shared);
-            let mut sw = relock(&shared.template).clone();
-            std::thread::spawn(move || worker_loop(&shared, s, generation, &mut sw))
+            let mut sw = shard.core.pool.software_device();
+            std::thread::spawn(move || {
+                if let Some(shard) = shared.shards.get(s) {
+                    shard::worker_loop(&*shared, &shard.core, generation, &mut sw);
+                }
+            })
         })
         .collect();
-    *relock(&shard.workers) = handles;
+    relock(&shard.workers).extend(handles);
 }
 
 /// A running server: its address, live stats, and the two ways down —
@@ -800,7 +651,7 @@ impl ServerHandle {
     /// harnesses' view of failovers while the server runs).
     #[must_use]
     pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shared.shards.iter().map(Shard::snapshot).collect()
+        self.shared.shards.iter().map(FleetShard::snapshot).collect()
     }
 
     /// Graceful drain: stop accepting, flush every in-flight and queued
@@ -816,8 +667,8 @@ impl ServerHandle {
             .collect();
         let mut totals = *relock(&shared.counters);
         totals.max_queue_depth =
-            shared.shards.iter().map(|s| s.queue.max_depth()).max().unwrap_or(0);
-        let per_shard = shared.shards.iter().map(Shard::snapshot).collect();
+            shared.shards.iter().map(|s| s.core.queue.max_depth()).max().unwrap_or(0);
+        let per_shard = shared.shards.iter().map(FleetShard::snapshot).collect();
         DrainReport { per_tenant, totals, per_shard }
     }
 
@@ -834,7 +685,7 @@ impl ServerHandle {
     fn wind_down(&mut self, state: u8) {
         self.shared.state.store(state, Ordering::SeqCst);
         for shard in &self.shared.shards {
-            shard.queue.wake_all();
+            shard.core.queue.wake_all();
         }
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -846,19 +697,16 @@ impl ServerHandle {
             for w in std::mem::take(&mut *relock(&shard.workers)) {
                 let _ = w.join();
             }
-            for w in std::mem::take(&mut *relock(&shard.retired)) {
-                let _ = w.join();
-            }
         }
         // Belt-and-braces drain sweep: if a restart/quarantine race left
         // a job queued anywhere after every worker exited, flush it on
         // the software baseline rather than strand its client. Crash
         // skips this — a dead process flushes nothing.
         if state == STATE_DRAINING {
-            let mut sw = relock(&self.shared.template).clone();
             for shard in &self.shared.shards {
-                while let Some(job) = shard.queue.try_pop() {
-                    run_job(&self.shared, shard, job, &mut sw);
+                let mut sw = shard.core.pool.software_device();
+                while let Some(job) = shard.core.queue.try_pop() {
+                    shard::run_job(&*self.shared, &shard.core, job, &mut sw);
                 }
             }
         }
@@ -906,168 +754,65 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Steals the highest-priority queued job from the deepest sibling
-/// queue. `sweep` widens the victim set to every shard regardless of
-/// state — the drain path, where flushing beats affinity.
-fn steal_job<'a>(shared: &'a Shared, thief: &Shard, sweep: bool) -> Option<Job> {
-    let mut victim: Option<(&'a Shard, usize)> = None;
-    for shard in &shared.shards {
-        if shard.id == thief.id {
-            continue;
-        }
-        if !sweep && shard.state.load(Ordering::SeqCst) == SHARD_QUARANTINED {
-            continue;
-        }
-        let depth = shard.queue.depth();
-        if depth > 0 && victim.is_none_or(|(_, best)| depth > best) {
-            victim = Some((shard, depth));
-        }
-    }
-    let (victim, _) = victim?;
-    let job = victim.queue.try_pop()?;
-    victim.stolen_from.fetch_add(1, Ordering::SeqCst);
-    thief.stolen_by.fetch_add(1, Ordering::SeqCst);
-    Some(job)
-}
+/// The server's side of every shard: brownout and dequeue-sequence audit
+/// sampling at dequeue, stealing between shards, and completions handed
+/// to the connection's writer.
+impl Front for Shared {
+    type Job = Job;
 
-/// One shard worker: beats the shard heartbeat, pops its own queue in
-/// priority order (stealing from overloaded siblings when idle), and
-/// exits when the server winds down or its spawn generation is retired
-/// by a shard restart.
-fn worker_loop(shared: &Shared, shard_id: usize, generation: u64, sw: &mut SmxDevice) {
-    let Some(shard) = shared.shards.get(shard_id) else { return };
-    loop {
-        if shard.generation.load(Ordering::SeqCst) != generation {
-            return;
-        }
-        match shared.state() {
-            STATE_CRASHED => return,
-            STATE_DRAINING => {
-                // Flush everything reachable — own queue first, then a
-                // fleet-wide sweep so a wedged sibling's queued pairs
-                // still make it out — and exit.
-                while let Some(job) =
-                    shard.queue.try_pop().or_else(|| steal_job(shared, shard, true))
-                {
-                    run_job(shared, shard, job, sw);
-                }
-                return;
-            }
-            _ => {}
-        }
-        // Failpoint `shard.heartbeat` (lane = shard id): an injected
-        // error swallows this beat — the worker idles without touching
-        // its queue or heartbeat, which is exactly what a wedged worker
-        // looks like to the supervisor. `delay` wedges by sleeping here
-        // (inside the registry), `kill` dies mid-beat for crash tests.
-        if smx_failpoint::hit_lane("shard.heartbeat", shard_id as u32).is_some() {
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
-        }
-        shard.heartbeat.fetch_add(1, Ordering::SeqCst);
-        let job = match shard.queue.pop_within(Duration::from_millis(20)) {
-            Some(job) => job,
-            None => {
-                if shared.cfg.steal {
-                    match steal_job(shared, shard, false) {
-                        Some(job) => job,
-                        None => continue,
-                    }
-                } else {
-                    continue;
-                }
-            }
-        };
-        run_job(shared, shard, job, sw);
+    fn pair<'a>(&'a self, job: &'a Job) -> (&'a Sequence, &'a Sequence) {
+        (&job.query, &job.reference)
     }
-}
 
-/// Runs one admitted pair to completion on shard `shard_id`: deadline
-/// at dequeue, the brownout ladder, the same dispatch seam the batch
-/// executor uses — breaker, audit, hedge, quarantine and all — plus a
-/// bounded retry budget on top.
-fn run_job(shared: &Shared, shard: &Shard, job: Job, sw: &mut SmxDevice) {
-    shard.inflight.fetch_add(1, Ordering::SeqCst);
-    let level = shared.brownout();
-    // A pair that expired while queued must not burn device time.
-    if let Some((at, budget_ms)) = job.deadline {
-        if Instant::now() >= at {
-            finish(
-                shared,
-                &job,
-                Completion {
-                    id: job.id,
-                    result: Err(AlignError::DeadlineExceeded { budget_ms }),
-                    degraded: false,
-                },
-                None,
-                0,
-            );
-            shard.completed.fetch_add(1, Ordering::SeqCst);
-            shard.inflight.fetch_sub(1, Ordering::SeqCst);
-            return;
+    fn phase(&self) -> Phase {
+        match self.state() {
+            STATE_RUNNING => Phase::Running,
+            STATE_DRAINING => Phase::Draining,
+            _ => Phase::Stopped,
         }
     }
-    let degraded = level >= BrownoutLevel::DegradingLow && job.priority == Priority::Low;
-    let mut cfg = shared.cfg.exec.clone();
-    if level >= BrownoutLevel::SheddingExtras {
-        // Shed the server's own luxuries before touching anyone's
-        // traffic: audits and hedges cost device/host time.
-        cfg.audit = None;
-        cfg.hedge = None;
+
+    fn plan(&self, job: &Job) -> Plan {
+        let level = self.brownout();
+        Plan {
+            audit_key: self.pair_seq.fetch_add(1, Ordering::SeqCst),
+            software: level >= BrownoutLevel::DegradingLow && job.priority == Priority::Low,
+            // Shed the server's own luxuries before touching anyone's
+            // traffic: audits and hedges cost device/host time.
+            extras: level < BrownoutLevel::SheddingExtras,
+        }
     }
-    let index = shared.pair_seq.fetch_add(1, Ordering::SeqCst);
-    let mut retries = 0u32;
-    let mut meta_route = None;
-    let result = loop {
-        let remaining = job.deadline.map(|(at, _)| at.saturating_duration_since(Instant::now()));
-        cfg.deadline = remaining;
-        let attempt = if degraded {
-            let token = match remaining {
-                Some(d) => shared.token.fork_with_deadline(d),
-                None => shared.token.clone(),
-            };
-            service::attempt_on_software(sw, &job.query, &job.reference, token)
-        } else {
-            let (r, meta) = service::run_pair(
-                &shard.pool,
-                sw,
-                index,
-                &job.query,
-                &job.reference,
-                &cfg,
-                &shared.token,
-            );
-            meta_route = Some(meta.route);
-            r
-        };
-        let retryable = attempt.as_ref().err().is_some_and(AlignError::is_recoverable_fault);
-        let expired = job.deadline.is_some_and(|(at, _)| Instant::now() >= at);
-        if retryable
-            && retries < shared.cfg.retry.attempts
-            && !expired
-            && shared.state() != STATE_CRASHED
-        {
-            let backoff = shared.cfg.retry.backoff * (retries + 1);
-            if let Some((at, budget_ms)) = job.deadline {
-                // Clip against the *remaining* deadline at this attempt,
-                // not just the first: if the backoff would sleep to (or
-                // past) the deadline, the retry is doomed before it
-                // starts — fail typed now instead of napping into a
-                // guaranteed deadline failure.
-                if backoff >= at.saturating_duration_since(Instant::now()) {
-                    break Err(AlignError::DeadlineExceeded { budget_ms });
-                }
+
+    /// Steals the highest-priority queued job from the deepest sibling
+    /// queue. `sweep` (the drain path) steals even with stealing off and
+    /// from shards in any state: flushing beats affinity.
+    fn steal(&self, thief: &Shard<Job>, sweep: bool) -> Option<Job> {
+        if !sweep && !self.cfg.steal {
+            return None;
+        }
+        let mut victim: Option<(&FleetShard, usize)> = None;
+        for shard in &self.shards {
+            let quarantined = shard.state.load(Ordering::SeqCst) == SHARD_QUARANTINED;
+            if shard.core.id == thief.id || (!sweep && quarantined) {
+                continue;
             }
-            retries += 1;
-            std::thread::sleep(backoff);
-            continue;
+            let depth = shard.core.queue.depth();
+            if depth > 0 && victim.is_none_or(|(_, best)| depth > best) {
+                victim = Some((shard, depth));
+            }
         }
-        break attempt;
-    };
-    finish(shared, &job, Completion { id: job.id, result, degraded }, meta_route, retries);
-    shard.completed.fetch_add(1, Ordering::SeqCst);
-    shard.inflight.fetch_sub(1, Ordering::SeqCst);
+        let (victim, _) = victim?;
+        let job = victim.core.queue.try_pop()?;
+        victim.stolen_from.fetch_add(1, Ordering::SeqCst);
+        if let Some(thief) = self.shards.get(thief.id) {
+            thief.stolen_by.fetch_add(1, Ordering::SeqCst);
+        }
+        Some(job)
+    }
+
+    fn complete(&self, job: Job, done: Done) {
+        finish(self, &job, done);
+    }
 }
 
 /// The supervisor: samples every shard's `(heartbeat, completed)`
@@ -1095,8 +840,10 @@ fn supervisor_loop(shared: &Arc<Shared>) {
             if state == SHARD_QUARANTINED || state == SHARD_RESTARTING {
                 continue;
             }
-            let beat =
-                (shard.heartbeat.load(Ordering::SeqCst), shard.completed.load(Ordering::SeqCst));
+            let beat = (
+                shard.core.heartbeat.load(Ordering::SeqCst),
+                shard.core.completed.load(Ordering::SeqCst),
+            );
             // A healthy worker beats on every loop iteration — even an
             // idle one wakes from its bounded queue wait (20 ms) and
             // beats again — so a frozen (heartbeat, completed) sample is
@@ -1135,7 +882,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn record_failover(shard: &Shard, wedged_since: &mut Option<Instant>) {
+fn record_failover(shard: &FleetShard, wedged_since: &mut Option<Instant>) {
     if let Some(t) = wedged_since.take() {
         shard.failovers.fetch_add(1, Ordering::SeqCst);
         shard
@@ -1168,17 +915,8 @@ fn restart_shard(shared: &Arc<Shared>, s: usize, wedged_since: &mut Option<Insta
 
     // Retire the wedged generation: whatever finally un-wedges those
     // workers, the generation check sends them straight to exit.
-    shard.generation.fetch_add(1, Ordering::SeqCst);
-    let handles = std::mem::take(&mut *relock(&shard.workers));
-    let mut retired = relock(&shard.retired);
-    for h in handles {
-        if h.is_finished() {
-            let _ = h.join();
-        } else {
-            retired.push(h);
-        }
-    }
-    drop(retired);
+    shard.core.generation.fetch_add(1, Ordering::SeqCst);
+    relock(&shard.workers).retain(|h| !h.is_finished());
 
     if restart_failed || restarts > u64::from(shared.cfg.supervisor.max_restarts) {
         if restarts > u64::from(shared.cfg.supervisor.max_restarts) {
@@ -1186,22 +924,16 @@ fn restart_shard(shared: &Arc<Shared>, s: usize, wedged_since: &mut Option<Insta
             // Anything the redistribute had to leave on this queue can
             // never be served here again: fail it typed so the client
             // can resubmit (it lands on a live shard next time).
-            while let Some(job) = shard.queue.try_pop() {
-                let completion = Completion {
-                    id: job.id,
-                    result: Err(AlignError::Internal(format!(
-                        "shard {s} quarantined; resubmit the pair"
-                    ))),
-                    degraded: false,
-                };
-                finish(shared, &job, completion, None, 0);
+            while let Some(job) = shard.core.queue.try_pop() {
+                let error = format!("shard {s} quarantined; resubmit the pair");
+                finish(shared, &job, Done::failed(AlignError::Internal(error)));
             }
         } else {
             shard.state.store(SHARD_DEGRADED, Ordering::SeqCst);
         }
         return;
     }
-    let generation = shard.generation.load(Ordering::SeqCst);
+    let generation = shard.core.generation.load(Ordering::SeqCst);
     spawn_shard_workers(shared, s, generation);
     shard.state.store(SHARD_LIVE, Ordering::SeqCst);
     record_failover(shard, wedged_since);
@@ -1212,7 +944,7 @@ fn restart_shard(shared: &Arc<Shared>, s: usize, wedged_since: &mut Option<Insta
 fn redistribute_queue(shared: &Shared, s: usize) {
     let Some(source) = shared.shards.get(s) else { return };
     let mut jobs = Vec::new();
-    while let Some(job) = source.queue.try_pop() {
+    while let Some(job) = source.core.queue.try_pop() {
         jobs.push(job);
     }
     'jobs: for mut job in jobs {
@@ -1220,47 +952,35 @@ fn redistribute_queue(shared: &Shared, s: usize) {
             if t == s || shard.state.load(Ordering::SeqCst) != SHARD_LIVE {
                 continue;
             }
-            match shard.queue.try_push(job) {
+            match shard.core.queue.push(job, false) {
                 Ok(()) => continue 'jobs,
                 Err(back) => job = back,
             }
         }
         // No live sibling had room: back onto our own queue, which we
         // just emptied, so this cannot fail for more jobs than fit.
-        if let Err(job) = source.queue.try_push(job) {
-            let completion = Completion {
-                id: job.id,
-                result: Err(AlignError::Internal(format!(
-                    "shard {s} restart could not requeue the pair; resubmit"
-                ))),
-                degraded: false,
-            };
-            finish(shared, &job, completion, None, 0);
+        if let Err(job) = source.core.queue.push(job, false) {
+            let error = format!("shard {s} restart could not requeue the pair; resubmit");
+            finish(shared, &job, Done::failed(AlignError::Internal(error)));
         }
     }
 }
 
-/// Books a completion into the global counters and hands it to the
+/// Books a finished pair into the global counters and hands it to the
 /// connection's writer (which does the durable ack).
-fn finish(
-    shared: &Shared,
-    job: &Job,
-    completion: Completion,
-    route: Option<service::Route>,
-    retries: u32,
-) {
+fn finish(shared: &Shared, job: &Job, done: Done) {
     shared.bump(|c| {
-        c.retries += u64::from(retries);
-        if completion.degraded {
+        c.retries += u64::from(done.retries);
+        if done.software {
             c.degraded_software += 1;
             c.software_pairs += 1;
         }
-        match route {
+        match done.meta.map(|m| m.route) {
             Some(service::Route::Software) => c.software_pairs += 1,
             Some(_) => c.device_pairs += 1,
             None => {}
         }
-        match &completion.result {
+        match &done.result {
             Ok(_) => c.completed += 1,
             Err(AlignError::DeadlineExceeded { .. }) => {
                 c.failed += 1;
@@ -1275,7 +995,7 @@ fn finish(
     });
     // A send failure means the connection is gone; the pair's outcome is
     // simply unacked (and therefore recomputable on resume).
-    let _ = job.reply.send(WriterMsg::Done(completion));
+    let _ = job.reply.send(WriterMsg::Done(job.id, done));
 }
 
 /// Per-connection reader: the protocol state machine and the admission
@@ -1538,7 +1258,7 @@ fn admit(
             continue;
         }
         // LINT: allow(panic) job is refilled on every Err(back) below, so it is Some here
-        match shard.queue.try_push(job.take().unwrap()) {
+        match shard.core.queue.push(job.take().unwrap(), false) {
             Ok(()) => {
                 shard.dispatched.fetch_add(1, Ordering::SeqCst);
                 shared.bump(|c| c.admitted += 1);
@@ -1627,14 +1347,14 @@ fn writer_loop(
                     }
                 }
             }
-            WriterMsg::Done(c) => {
+            WriterMsg::Done(id, c) => {
                 outstanding.fetch_sub(1, Ordering::SeqCst);
                 match c.result {
-                    Ok(a) => match session.record(c.id, &a) {
+                    Ok(a) => match session.record(id, &a) {
                         Ok(()) => {
                             local.0 += 1;
                             shared.tenant_bump(tenant, |t| t.completed += 1);
-                            if c.degraded {
+                            if c.software {
                                 shared.tenant_bump(tenant, |t| t.degraded_software += 1);
                             }
                             // Failpoint `session.ack`: die between the
@@ -1650,7 +1370,7 @@ fn writer_loop(
                             if write_frame(
                                 &mut out,
                                 &Response::Result {
-                                    id: c.id,
+                                    id,
                                     score: a.score,
                                     cigar: a.cigar.to_string(),
                                     resumed: false,
@@ -1673,7 +1393,7 @@ fn writer_loop(
                             let _ = write_frame(
                                 &mut out,
                                 &Response::Fail {
-                                    id: c.id,
+                                    id,
                                     kind: FailKind::Error,
                                     detail: format!("checkpoint write failed: {e}"),
                                 }
@@ -1691,12 +1411,8 @@ fn writer_loop(
                         });
                         let _ = write_frame(
                             &mut out,
-                            &Response::Fail {
-                                id: c.id,
-                                kind: fail_kind(&e),
-                                detail: e.to_string(),
-                            }
-                            .encode(),
+                            &Response::Fail { id, kind: fail_kind(&e), detail: e.to_string() }
+                                .encode(),
                         );
                     }
                 }
@@ -1833,6 +1549,56 @@ mod tests {
         assert_eq!(report.per_tenant.len(), 1);
         assert_eq!(report.per_tenant[0].0, "acme");
         assert_eq!(report.per_tenant[0].1.completed, 2);
+    }
+
+    /// Both front ends drive one executor core: the same seeded pairs
+    /// through `BatchExecutor::run` and through a one-shard server with
+    /// the same executor config come back byte-identical, and each side
+    /// audits exactly the pairs it completed.
+    #[test]
+    fn batch_and_server_drive_one_core() {
+        use crate::pool::AuditConfig;
+        use crate::service::BatchExecutor;
+        use smx_datagen::{Dataset, ErrorProfile};
+        let config = AlignmentConfig::DnaEdit;
+        let data = Dataset::synthetic(config, 120, 16, ErrorProfile::moderate(), 5);
+        let pairs: Vec<(Sequence, Sequence)> =
+            data.pairs.iter().map(|p| (p.query.clone(), p.reference.clone())).collect();
+        let exec = ExecutorConfig {
+            jobs: 2,
+            audit: Some(AuditConfig::full()),
+            ..ExecutorConfig::default()
+        };
+        let dev = SmxDevice::new(config, 4).unwrap();
+        let batch = BatchExecutor::new(dev.clone(), exec.clone()).unwrap().run(&pairs);
+        assert!(batch.all_succeeded(), "{}", batch.failure_summary());
+        assert_eq!(batch.stats.audits_run, batch.stats.completed);
+
+        let serve = ServerConfig { exec, shards: 1, ..ServerConfig::default() };
+        let h = Server::bind(dev, serve, "127.0.0.1:0").unwrap();
+        let shared = Arc::clone(&h.shared);
+        let mut c = Client::connect(h.addr()).unwrap();
+        hello(&mut c, "-", "t", Priority::Normal, 0);
+        for (i, (q, r)) in pairs.iter().enumerate() {
+            c.send(&Request::Pair { id: i, query: q.to_text(), reference: r.to_text() }).unwrap();
+        }
+        let mut got = HashMap::new();
+        for _ in 0..pairs.len() {
+            match c.recv().unwrap().unwrap() {
+                Response::Result { id, score, cigar, .. } => {
+                    got.insert(id, (score, cigar));
+                }
+                other => panic!("expected RESULT, got {other:?}"),
+            }
+        }
+        for i in 0..pairs.len() {
+            let a = batch.alignment(i).unwrap();
+            assert_eq!(got[&i], (a.score, a.cigar.to_string()), "pair {i}");
+        }
+        let report = h.drain();
+        assert_eq!(report.totals.completed, pairs.len() as u64);
+        let (_, counters) = shared.shards[0].core.pool.snapshot();
+        assert_eq!(counters.audits_run, report.totals.completed);
     }
 
     #[test]
@@ -2150,8 +1916,8 @@ mod tests {
             &Arc::new(AtomicUsize::new(0)),
         );
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-            WriterMsg::Done(completion) => {
-                assert_eq!(completion.id, id);
+            WriterMsg::Done(done_id, completion) => {
+                assert_eq!(done_id, id);
                 assert!(completion.result.is_ok(), "{:?}", completion.result);
             }
             _ => panic!("expected the spilled pair to complete"),
@@ -2163,8 +1929,8 @@ mod tests {
         // worker generation first (the realistic shape — a degraded
         // shard is degraded *because* its workers stopped moving), so
         // only a steal can serve the queued pair.
-        shared.shards[0].generation.fetch_add(1, Ordering::SeqCst);
-        shared.shards[0].queue.wake_all();
+        shared.shards[0].core.generation.fetch_add(1, Ordering::SeqCst);
+        shared.shards[0].core.queue.wake_all();
         for handle in std::mem::take(&mut *relock(&shared.shards[0].workers)) {
             handle.join().unwrap();
         }
@@ -2177,9 +1943,9 @@ mod tests {
             deadline: None,
             reply: tx,
         };
-        shared.shards[0].queue.try_push(job).unwrap_or_else(|_| panic!("queue has room"));
+        shared.shards[0].core.queue.push(job, false).unwrap_or_else(|_| panic!("queue has room"));
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-            WriterMsg::Done(completion) => assert!(completion.result.is_ok()),
+            WriterMsg::Done(_, completion) => assert!(completion.result.is_ok()),
             _ => panic!("expected the stolen pair to complete"),
         }
         assert!(shared.shards[0].stolen_from.load(Ordering::SeqCst) >= 1);
@@ -2193,7 +1959,7 @@ mod tests {
     fn park_workers(shared: &Arc<Shared>) {
         shared.state.store(STATE_CRASHED, Ordering::SeqCst);
         for shard in &shared.shards {
-            shard.queue.wake_all();
+            shard.core.queue.wake_all();
         }
         for shard in &shared.shards {
             for handle in std::mem::take(&mut *relock(&shard.workers)) {
@@ -2227,8 +1993,9 @@ mod tests {
         const K: usize = 24;
         for id in 0..K {
             shared.shards[0]
+                .core
                 .queue
-                .try_push(parked_job(id, &tx))
+                .push(parked_job(id, &tx), false)
                 .unwrap_or_else(|_| panic!("job {id} must fit the shard queue"));
         }
         // Race the restart's requeue sweep against a sibling stealing
@@ -2246,17 +2013,17 @@ mod tests {
         let mut stolen = Vec::new();
         gate.arrive(1);
         while !restarter.is_finished() {
-            if let Some(job) = steal_job(&shared, &shared.shards[1], false) {
+            if let Some(job) = shared.steal(&shared.shards[1].core, false) {
                 stolen.push(job.id);
             }
         }
         restarter.join().unwrap();
-        while let Some(job) = steal_job(&shared, &shared.shards[1], false) {
+        while let Some(job) = shared.steal(&shared.shards[1].core, false) {
             stolen.push(job.id);
         }
         let mut seen = stolen;
         for shard in &shared.shards {
-            while let Some(job) = shard.queue.try_pop() {
+            while let Some(job) = shard.core.queue.try_pop() {
                 seen.push(job.id);
             }
         }
@@ -2280,18 +2047,19 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for id in 0..3 {
             shared.shards[0]
+                .core
                 .queue
-                .try_push(parked_job(id, &tx))
+                .push(parked_job(id, &tx), false)
                 .unwrap_or_else(|_| panic!("job {id} must fit the shard queue"));
         }
         let max = u64::from(shared.cfg.supervisor.max_restarts);
         shared.shards[0].restarts.store(max, Ordering::SeqCst);
         restart_shard(&shared, 0, &mut None);
         assert_eq!(shared.shards[0].state.load(Ordering::SeqCst), SHARD_QUARANTINED);
-        assert_eq!(shared.shards[0].queue.depth(), 0, "nothing may rot on a dead queue");
+        assert_eq!(shared.shards[0].core.queue.depth(), 0, "nothing may rot on a dead queue");
         for _ in 0..3 {
             match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                WriterMsg::Done(completion) => match completion.result {
+                WriterMsg::Done(_, completion) => match completion.result {
                     Err(AlignError::Internal(msg)) => {
                         assert!(msg.contains("quarantined"), "typed for resubmission: {msg}");
                     }
@@ -2304,8 +2072,8 @@ mod tests {
         // brownout) is computed over live shards only.
         shared.shards[1].state.store(SHARD_LIVE, Ordering::SeqCst);
         let (_, live_cap) = shared.live_occupancy();
-        let total_cap: usize = shared.shards.iter().map(|s| s.queue.cap).sum();
-        assert_eq!(live_cap, shared.shards[1].queue.cap, "only live capacity counts");
+        let total_cap: usize = shared.shards.iter().map(|s| s.core.queue.cap).sum();
+        assert_eq!(live_cap, shared.shards[1].core.queue.cap, "only live capacity counts");
         assert!(live_cap < total_cap, "quarantined capacity must not dilute occupancy");
         // Dispatch routes around the quarantined home shard.
         shared.state.store(STATE_RUNNING, Ordering::SeqCst);

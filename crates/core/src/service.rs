@@ -1,9 +1,10 @@
 //! Resilient batch-alignment service layer (DESIGN.md §5).
 //!
-//! [`BatchExecutor`] runs a batch of pairs through a pool of
-//! [`SmxDevice`] workers fed from a bounded work queue with
-//! backpressure: submitters either block until a slot frees or shed the
-//! pair, per the [`AdmissionPolicy`]. Each pair runs under a cooperative
+//! [`BatchExecutor`] runs a batch of pairs as one in-process shard of
+//! the executor core (`crate::shard`, the same core the server's
+//! fleet runs): a pool of [`SmxDevice`] workers fed from a bounded work
+//! queue with backpressure, where submitters either block until a slot
+//! frees or shed the pair, per the [`AdmissionPolicy`]. Each pair runs under a cooperative
 //! cancellation token with an optional wall-clock deadline, checked at
 //! tile boundaries inside the coprocessor. A circuit [`Breaker`] tracks
 //! the fault rate over a sliding window of device outcomes and, when it
@@ -31,18 +32,17 @@
 //! cannot change the output either — only which counters tick.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use smx_align_core::{AlignError, Alignment, Sequence};
 use smx_coproc::control::CancelToken;
 use smx_coproc::faults::RecoveryStats;
 
 use crate::orchestrator::{BatchFailure, DeviceBatchReport, SmxDevice};
-use crate::pool::{
-    AuditConfig, DevicePool, DeviceStats, Dispatch, HedgeConfig, OutcomeEvents, QuarantineConfig,
-};
+use crate::pool::{AuditConfig, DeviceStats, HedgeConfig, QuarantineConfig};
+use crate::shard::{self, Done, Front, Job, Phase, Plan, RetryConfig, Shard};
 
 /// What a submitter does when the work queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -307,16 +307,79 @@ impl Default for ExecutorConfig {
     }
 }
 
+impl ExecutorConfig {
+    /// The one definition of a legal executor configuration, shared by
+    /// [`BatchExecutor::new`] and [`crate::server::Server::bind`] so
+    /// batch and serve reject the same configs with the same text.
+    ///
+    /// # Errors
+    ///
+    /// The first invalid setting, as [`AlignError::Internal`].
+    pub(crate) fn validate(&self) -> Result<(), AlignError> {
+        if self.jobs == 0 {
+            return Err(AlignError::Internal("executor needs at least one job".into()));
+        }
+        if self.queue_cap == 0 {
+            return Err(AlignError::Internal("queue capacity must be at least 1".into()));
+        }
+        if let Some(b) = &self.breaker {
+            if !(b.threshold > 0.0 && b.threshold <= 1.0) {
+                return Err(AlignError::Internal(format!(
+                    "breaker threshold {} outside (0, 1]",
+                    b.threshold
+                )));
+            }
+            if b.min_samples == 0 || b.window < b.min_samples {
+                return Err(AlignError::Internal(format!(
+                    "breaker window {} must be >= min_samples {} >= 1",
+                    b.window, b.min_samples
+                )));
+            }
+            if b.probes == 0 {
+                return Err(AlignError::Internal("breaker needs at least one probe".into()));
+            }
+        }
+        if let Some(a) = &self.audit {
+            if !(a.rate.is_finite() && (0.0..=1.0).contains(&a.rate)) {
+                return Err(AlignError::Internal(format!("audit rate {} outside [0, 1]", a.rate)));
+            }
+        }
+        if let Some(q) = &self.quarantine {
+            if !(q.alpha > 0.0 && q.alpha <= 1.0 && q.threshold > 0.0 && q.threshold <= 1.0) {
+                return Err(AlignError::Internal(format!(
+                    "quarantine alpha {} and threshold {} must lie in (0, 1]",
+                    q.alpha, q.threshold
+                )));
+            }
+            if q.canary_period == 0 || q.canary_probes == 0 {
+                return Err(AlignError::Internal(
+                    "quarantine needs a nonzero canary period and probe count".into(),
+                ));
+            }
+        }
+        if let Some(h) = &self.hedge {
+            if let crate::pool::HedgeTrigger::P95 { multiplier, .. } = h.trigger {
+                if !(multiplier.is_finite() && multiplier > 0.0) {
+                    return Err(AlignError::Internal(format!(
+                        "hedge p95 multiplier {multiplier} must be positive"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// How one executor configuration splits into N independent shards —
-/// the fault-domain partition the sharded server fronts (DESIGN.md §12).
+/// the fault-domain partition of the executor core (DESIGN.md §12). The
+/// batch executor runs a plan of one shard; the server fronts N.
 ///
 /// Each shard owns a disjoint slice of the worker threads and the device
 /// pool, so a wedged worker, poisoned lock, or sick device is contained
 /// to its shard instead of stalling the fleet. The split is computed
-/// once, up front, and validated the same way [`BatchExecutor::new`]
-/// validates the executor itself: a plan that would leave a shard with
-/// no worker or no device is a configuration error, not a runtime
-/// surprise.
+/// once, up front, and checked like [`ExecutorConfig::validate`] checks
+/// the executor itself: a plan that would leave a shard with no worker
+/// or no device is a configuration error, not a runtime surprise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Worker threads per shard, indexed by shard id.
@@ -546,64 +609,15 @@ pub struct BatchExecutor {
 }
 
 impl BatchExecutor {
-    /// Builds an executor over `device` with `cfg`.
+    /// Builds an executor over `device` with `cfg`. Only validates and
+    /// stores: the shard, its device pool, and its workers are built per
+    /// run.
     ///
     /// # Errors
     ///
-    /// Rejects zero jobs, a zero-capacity queue, and malformed breaker
-    /// settings (threshold outside `(0, 1]`, window smaller than
-    /// `min_samples`, zero probes).
+    /// Any configuration [`ExecutorConfig::validate`] rejects.
     pub fn new(device: SmxDevice, cfg: ExecutorConfig) -> Result<BatchExecutor, AlignError> {
-        if cfg.jobs == 0 {
-            return Err(AlignError::Internal("executor needs at least one job".into()));
-        }
-        if cfg.queue_cap == 0 {
-            return Err(AlignError::Internal("queue capacity must be at least 1".into()));
-        }
-        if let Some(b) = &cfg.breaker {
-            if !(b.threshold > 0.0 && b.threshold <= 1.0) {
-                return Err(AlignError::Internal(format!(
-                    "breaker threshold {} outside (0, 1]",
-                    b.threshold
-                )));
-            }
-            if b.min_samples == 0 || b.window < b.min_samples {
-                return Err(AlignError::Internal(format!(
-                    "breaker window {} must be >= min_samples {} >= 1",
-                    b.window, b.min_samples
-                )));
-            }
-            if b.probes == 0 {
-                return Err(AlignError::Internal("breaker needs at least one probe".into()));
-            }
-        }
-        if let Some(a) = &cfg.audit {
-            if !(a.rate.is_finite() && (0.0..=1.0).contains(&a.rate)) {
-                return Err(AlignError::Internal(format!("audit rate {} outside [0, 1]", a.rate)));
-            }
-        }
-        if let Some(q) = &cfg.quarantine {
-            if !(q.alpha > 0.0 && q.alpha <= 1.0 && q.threshold > 0.0 && q.threshold <= 1.0) {
-                return Err(AlignError::Internal(format!(
-                    "quarantine alpha {} and threshold {} must lie in (0, 1]",
-                    q.alpha, q.threshold
-                )));
-            }
-            if q.canary_period == 0 || q.canary_probes == 0 {
-                return Err(AlignError::Internal(
-                    "quarantine needs a nonzero canary period and probe count".into(),
-                ));
-            }
-        }
-        if let Some(h) = &cfg.hedge {
-            if let crate::pool::HedgeTrigger::P95 { multiplier, .. } = h.trigger {
-                if !(multiplier.is_finite() && multiplier > 0.0) {
-                    return Err(AlignError::Internal(format!(
-                        "hedge p95 multiplier {multiplier} must be positive"
-                    )));
-                }
-            }
-        }
+        cfg.validate()?;
         Ok(BatchExecutor { device, cfg })
     }
 
@@ -640,117 +654,92 @@ impl BatchExecutor {
         }
         let todo: Vec<usize> = (0..n).filter(|&i| outcomes[i].is_none()).collect();
 
-        let batch_token = opts.cancel.clone().unwrap_or_default();
-        let n_devices = if self.cfg.devices == 0 { self.cfg.jobs } else { self.cfg.devices };
-        let pool =
-            match DevicePool::new(&self.device, n_devices, self.cfg.breaker, self.cfg.quarantine) {
-                Ok(pool) => pool,
-                Err(e) => {
-                    // Pool construction failing (canary golden could not be
-                    // computed) fails the whole batch closed with the typed
-                    // error rather than panicking.
-                    for index in todo {
-                        outcomes[index] = Some(PairOutcome::Failed(e.clone()));
-                        stats.failed += 1;
-                    }
-                    let outcomes = outcomes
-                        .into_iter()
-                        // LINT: allow(panic) the shed loop above fills every remaining None slot
-                        .map(|o| o.expect("every pair has an outcome"))
-                        .collect();
-                    return ServiceBatchReport { outcomes, stats };
+        // One in-process shard per run — no socket, no supervisor, and
+        // no retries: a batch reports a faulted pair as failed.
+        let token = opts.cancel.clone().unwrap_or_default();
+        let no_retry = RetryConfig { attempts: 0, ..RetryConfig::default() };
+        let built = ShardPlan::split(&self.cfg, 1)
+            .and_then(|plan| Shard::build(&plan, &self.device, &self.cfg, no_retry, &token));
+        match built {
+            // A one-shard plan: the loop body runs once.
+            Ok(shards) => {
+                for shard in shards {
+                    self.drive(shard, pairs, &todo, &mut outcomes, &mut stats, &mut opts);
                 }
-            };
-
-        if self.cfg.jobs == 1 {
-            // Inline path: deterministic order, no queue, no shedding.
-            let mut sw = self.software_baseline();
-            for index in todo {
-                let (q, r) = &pairs[index];
-                let (result, meta) = run_pair(&pool, &mut sw, index, q, r, &self.cfg, &batch_token);
-                tally(&mut stats, &meta, &result);
-                if let (Ok(a), Some(cb)) = (&result, opts.on_result.as_mut()) {
-                    cb(index, a);
-                }
-                outcomes[index] = Some(match result {
-                    Ok(a) => PairOutcome::Aligned(a),
-                    Err(e) => PairOutcome::Failed(e),
-                });
             }
-        } else {
-            let queue = JobQueue::new(self.cfg.queue_cap);
-            let (tx, rx) = mpsc::channel::<WorkerMsg>();
-            std::thread::scope(|scope| {
-                for _ in 0..self.cfg.jobs {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let pool = &pool;
-                    let batch_token = batch_token.clone();
-                    let cfg = &self.cfg;
-                    let this = &self;
-                    scope.spawn(move || {
-                        let mut sw = this.software_baseline();
-                        while let Some(index) = queue.pop() {
-                            let (q, r) = &pairs[index];
-                            let (result, meta) =
-                                run_pair(pool, &mut sw, index, q, r, cfg, &batch_token);
-                            let _ = tx.send(WorkerMsg::Pair { index, result, meta });
-                        }
-                        let _ = tx.send(WorkerMsg::Done);
-                    });
+            // Pool construction failing (canary golden could not be
+            // computed) fails the whole batch closed with the typed error
+            // rather than panicking.
+            Err(e) => {
+                for &index in &todo {
+                    outcomes[index] = Some(PairOutcome::Failed(e.clone()));
                 }
-                drop(tx);
-
-                let mut dispatched = 0usize;
-                for index in todo {
-                    match self.cfg.admission {
-                        AdmissionPolicy::Block => {
-                            queue.push_blocking(index);
-                            dispatched += 1;
-                        }
-                        AdmissionPolicy::Shed => {
-                            if queue.try_push(index) {
-                                dispatched += 1;
-                            } else {
-                                outcomes[index] = Some(PairOutcome::Shed);
-                                stats.shed += 1;
-                            }
-                        }
-                    }
-                }
-                queue.close();
-
-                let mut pairs_seen = 0usize;
-                let mut workers_done = 0usize;
-                while pairs_seen < dispatched || workers_done < self.cfg.jobs {
-                    // LINT: allow(panic) workers_done < jobs means at least one worker still holds a sender
-                    match rx.recv().expect("workers outlive the channel") {
-                        WorkerMsg::Pair { index, result, meta } => {
-                            pairs_seen += 1;
-                            tally(&mut stats, &meta, &result);
-                            if let (Ok(a), Some(cb)) = (&result, opts.on_result.as_mut()) {
-                                cb(index, a);
-                            }
-                            outcomes[index] = Some(match result {
-                                Ok(a) => PairOutcome::Aligned(a),
-                                Err(e) => PairOutcome::Failed(e),
-                            });
-                        }
-                        WorkerMsg::Done => workers_done += 1,
-                    }
-                }
-                stats.max_queue_depth = queue.max_depth();
-            });
+            }
         }
 
+        let lost = || PairOutcome::Failed(AlignError::Internal("pair lost by a worker".into()));
+        let outcomes: Vec<PairOutcome> =
+            outcomes.into_iter().map(|o| o.unwrap_or_else(lost)).collect();
         stats.completed =
-            outcomes.iter().flatten().filter(|o| matches!(o, PairOutcome::Aligned(_))).count()
-                as u64;
+            outcomes.iter().filter(|o| matches!(o, PairOutcome::Aligned(_))).count() as u64;
         stats.failed =
-            outcomes.iter().flatten().filter(|o| matches!(o, PairOutcome::Failed(_))).count()
-                as u64;
-        let (per_device, counters, recovery) = pool.finish();
-        stats.recovery = recovery;
+            outcomes.iter().filter(|o| matches!(o, PairOutcome::Failed(_))).count() as u64;
+        ServiceBatchReport { outcomes, stats }
+    }
+
+    /// Feeds `todo` through `shard`, booking completions on the caller's
+    /// thread: inline in input order for `jobs == 1`, else via workers.
+    fn drive(
+        &self,
+        shard: Shard<usize>,
+        pairs: &[(Sequence, Sequence)],
+        todo: &[usize],
+        outcomes: &mut [Option<PairOutcome>],
+        stats: &mut ServiceStats,
+        opts: &mut RunOptions<'_>,
+    ) {
+        let (tx, rx) = mpsc::channel();
+        let draining = AtomicBool::new(false);
+        let front = BatchFront { pairs, draining: &draining, done: tx };
+        if shard.jobs == 1 {
+            // Inline path: input order on the caller's thread, no queue,
+            // no shedding.
+            let mut sw = shard.pool.software_device();
+            for &index in todo {
+                shard::run_job(&front, &shard, index, &mut sw);
+                for (index, done) in rx.try_iter() {
+                    settle(stats, outcomes, &mut opts.on_result, index, done);
+                }
+            }
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..shard.jobs {
+                    let front = BatchFront { done: front.done.clone(), ..front };
+                    let mut sw = shard.pool.software_device();
+                    let shard = &shard;
+                    scope.spawn(move || shard::worker_loop(&front, shard, 0, &mut sw));
+                }
+                // The workers hold the only senders left, so the collector
+                // below ends when the last of them exits.
+                drop(front);
+                let block = self.cfg.admission == AdmissionPolicy::Block;
+                for &index in todo {
+                    if shard.queue.push(index, block).is_err() {
+                        outcomes[index] = Some(PairOutcome::Shed);
+                        stats.shed += 1;
+                    }
+                }
+                draining.store(true, Ordering::SeqCst);
+                shard.queue.wake_all();
+                for (index, done) in rx {
+                    settle(stats, outcomes, &mut opts.on_result, index, done);
+                }
+            });
+            stats.max_queue_depth = shard.queue.max_depth();
+        }
+
+        let (per_device, counters) = shard.pool.snapshot();
+        stats.recovery = shard.pool.recovery();
         stats.audits_run = counters.audits_run;
         stats.integrity_recomputed = counters.integrity_recomputed;
         stats.hedges_launched = counters.hedges_launched;
@@ -762,252 +751,80 @@ impl BatchExecutor {
         stats.canary_failures = per_device.iter().map(|d| d.canary_failures).sum();
         stats.breaker = per_device.first().and_then(|d| d.breaker);
         stats.per_device = per_device;
-        let outcomes =
-            // LINT: allow(panic) every dispatched index received a Pair message or was marked Shed above
-            outcomes.into_iter().map(|o| o.expect("every pair has an outcome")).collect();
-        ServiceBatchReport { outcomes, stats }
-    }
-
-    /// A worker-local clone of the template running the trusted host
-    /// path: fault injection disabled, so audits never apply to it and
-    /// its results are correct by construction.
-    fn software_baseline(&self) -> SmxDevice {
-        let mut dev = self.device.clone();
-        dev.disable_fault_injection();
-        dev
     }
 }
 
-/// Per-pair metadata flowing from workers to the collector.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PairMeta {
-    pub(crate) route: Route,
-    pub(crate) faulted: bool,
+/// A batch job is the pair's input index, never a copy of its sequences.
+impl Job for usize {}
+
+/// The batch side of its shard: audits sample by input index, and
+/// completions flow back over a channel to the caller's thread.
+struct BatchFront<'a> {
+    pairs: &'a [(Sequence, Sequence)],
+    draining: &'a AtomicBool,
+    done: mpsc::Sender<(usize, Done)>,
 }
 
-enum WorkerMsg {
-    Pair { index: usize, result: Result<Alignment, AlignError>, meta: PairMeta },
-    Done,
-}
+impl Front for BatchFront<'_> {
+    type Job = usize;
 
-/// One attempt on pool device `id` under `token`. Returns the result
-/// plus whether the attempt counts as faulted for breaker/health
-/// purposes: the device injected at least one detectable fault while it
-/// ran, or it failed with a recoverable device fault. Deadline and
-/// cancellation failures are *not* faults — breaking on them would mask
-/// overload as device sickness.
-fn attempt_on_device(
-    pool: &DevicePool,
-    id: usize,
-    q: &Sequence,
-    r: &Sequence,
-    token: CancelToken,
-) -> (Result<Alignment, AlignError>, bool) {
-    let mut dev = match pool.device(id) {
-        Ok(dev) => dev,
-        // The device mutex is poisoned (another worker panicked inside
-        // align): fail this pair typed. Not a fault — breaking the
-        // breaker on a poisoned lock would misread a process-level bug
-        // as device sickness.
-        Err(e) => return (Err(e), false),
-    };
-    // Failpoint `pool.dispatch` (lane = device id): the dispatch path
-    // to this device fails before work starts. Surfaced as a
-    // recoverable TileCorrupted fault so the breaker, EWMA health, and
-    // quarantine ladder all react exactly as they would to real device
-    // sickness — which is what chaos schedules poison a device with.
-    if smx_failpoint::hit_lane("pool.dispatch", id as u32).is_some() {
-        return (Err(AlignError::TileCorrupted { ti: 0, tj: 0 }), true);
+    fn pair<'a>(&'a self, index: &'a usize) -> (&'a Sequence, &'a Sequence) {
+        // LINT: allow(panic) every queued index comes from 0..pairs.len()
+        let (q, r) = &self.pairs[*index];
+        (q, r)
     }
-    dev.set_cancel_token(Some(token));
-    let before = dev.recovery_stats();
-    // LINT: allow(lock-order) the device guard must stay held across its own DP by design: the mutex IS the device's execution slot
-    let result = dev.align(q, r);
-    let after = dev.recovery_stats();
-    dev.set_cancel_token(None);
-    let faulted = after.faults_injected > before.faults_injected
-        || result.as_ref().err().is_some_and(AlignError::is_recoverable_fault);
-    (result, faulted)
-}
 
-/// One attempt on the worker-local software baseline under `token`.
-pub(crate) fn attempt_on_software(
-    sw: &mut SmxDevice,
-    q: &Sequence,
-    r: &Sequence,
-    token: CancelToken,
-) -> Result<Alignment, AlignError> {
-    sw.set_cancel_token(Some(token));
-    let result = sw.align_software(q, r);
-    sw.set_cancel_token(None);
-    result
-}
+    fn phase(&self) -> Phase {
+        if self.draining.load(Ordering::SeqCst) {
+            Phase::Draining
+        } else {
+            Phase::Running
+        }
+    }
 
-/// Forks a token carrying whatever remains of the pair's deadline, or a
-/// plain clone of the batch token when no deadline is configured.
-fn remaining_token(
-    batch_token: &CancelToken,
-    deadline: Option<Duration>,
-    start: Instant,
-) -> CancelToken {
-    match deadline {
-        Some(d) => batch_token.fork_with_deadline(d.saturating_sub(start.elapsed())),
-        None => batch_token.clone(),
+    fn plan(&self, index: &usize) -> Plan {
+        Plan { audit_key: *index, software: false, extras: true }
+    }
+
+    fn complete(&self, index: usize, done: Done) {
+        let _ = self.done.send((index, done));
     }
 }
 
-/// Runs one pair through the pool: canary duty, dispatch, the primary
-/// attempt under `min(deadline, hedge trigger)`, the hedge backup, the
-/// audit retry-then-recompute ladder, and the health feedback — in that
-/// order. Whatever path wins, the alignment content is byte-identical.
-pub(crate) fn run_pair(
-    pool: &DevicePool,
-    sw: &mut SmxDevice,
+/// Books one completion: counters, the result hook, and the outcome slot.
+fn settle(
+    stats: &mut ServiceStats,
+    outcomes: &mut [Option<PairOutcome>],
+    on_result: &mut Option<ResultHook<'_>>,
     index: usize,
-    q: &Sequence,
-    r: &Sequence,
-    cfg: &ExecutorConfig,
-    batch_token: &CancelToken,
-) -> (Result<Alignment, AlignError>, PairMeta) {
-    // Quarantined devices are re-probed opportunistically by whichever
-    // worker passes by next, so requalification needs no extra thread.
-    pool.run_due_canaries();
-    // `dispatch_pair` confines the health guard to the pool call. The
-    // previous `match pool.health().dispatch()` kept the pool-wide
-    // health lock alive through every arm below (scrutinee temporaries
-    // live to the end of the match) — including the Software arm's
-    // full baseline DP, serializing every other worker behind it.
-    let dispatch = match pool.dispatch_pair() {
-        Ok(d) => d,
-        Err(e) => return (Err(e), PairMeta { route: Route::Software, faulted: false }),
-    };
-    let (id, route) = match dispatch {
-        Dispatch::Device { id, route } => (id, route),
-        Dispatch::Software => {
-            // The whole pool is quarantined: serve from the baseline.
-            let token = remaining_token(batch_token, cfg.deadline, Instant::now());
-            let result = attempt_on_software(sw, q, r, token);
-            return (result, PairMeta { route: Route::Software, faulted: false });
-        }
-    };
-    if route == Route::Software {
-        // This device's breaker is open; its cooldown already advanced.
-        let token = remaining_token(batch_token, cfg.deadline, Instant::now());
-        let result = attempt_on_software(sw, q, r, token);
-        return (result, PairMeta { route, faulted: false });
-    }
-
-    let start = Instant::now();
-    let hedge_after = cfg.hedge.as_ref().and_then(|h| pool.hedge_threshold(h));
-    // The hedge trigger is implemented by capping the primary attempt's
-    // token budget: a primary that would run past the trigger cancels
-    // itself at the next tile boundary, and the backup takes over with
-    // the remainder of the real deadline (DESIGN.md §6).
-    let hedge_armed = hedge_after.is_some_and(|h| cfg.deadline.is_none_or(|d| h < d));
-    let primary_budget = match (cfg.deadline, hedge_after) {
-        (Some(d), Some(h)) => Some(d.min(h)),
-        (Some(d), None) => Some(d),
-        (None, h) => h,
-    };
-    let token = match primary_budget {
-        Some(b) => batch_token.fork_with_deadline(b),
-        None => batch_token.clone(),
-    };
-    let mut ev = OutcomeEvents::default();
-    let (mut result, faulted) = attempt_on_device(pool, id, q, r, token);
-    ev.faulted = faulted;
-
-    if matches!(result, Err(AlignError::DeadlineExceeded { .. })) {
-        ev.deadline = true;
-        let remaining = cfg.deadline.map(|d| d.saturating_sub(start.elapsed()));
-        if hedge_armed && remaining != Some(Duration::ZERO) {
-            // The primary hit the hedge trigger, not the real deadline:
-            // launch the backup on the always-healthy baseline with the
-            // remaining budget. Byte-identity makes the winner
-            // indistinguishable in the output.
-            ev.hedge_launched = true;
-            let backup_token = match remaining {
-                Some(rem) => batch_token.fork_with_deadline(rem),
-                None => batch_token.clone(),
-            };
-            let backup = attempt_on_software(sw, q, r, backup_token);
-            ev.hedge_won = backup.is_ok();
-            result = backup;
-        }
-    } else if result.is_ok() {
-        pool.record_latency(start.elapsed());
-    }
-
-    if cfg.audit.as_ref().is_some_and(|a| a.samples(index)) {
-        if let Ok(a) = &result {
-            if !ev.hedge_won {
-                ev.audits += 1;
-                if pool.audit(id, a, q, r).is_err() {
-                    ev.integrity += 1;
-                    result = audit_recovery(pool, sw, id, q, r, cfg, batch_token, start, &mut ev);
-                }
+    done: Done,
+) {
+    if let Some(meta) = done.meta {
+        match meta.route {
+            Route::Device => stats.device_pairs += 1,
+            Route::Probe => {
+                stats.device_pairs += 1;
+                stats.probe_pairs += 1;
             }
+            Route::Software => stats.software_pairs += 1,
         }
+        stats.faulted_pairs += u64::from(meta.faulted);
     }
-
-    pool.record_outcome(id, route, ev);
-    (result, PairMeta { route, faulted: ev.faulted })
-}
-
-/// The scoreboard's recovery ladder after a failed audit: retry once on
-/// the same device (re-auditing the retry), then recompute on the
-/// software baseline. The corrupt alignment is never returned.
-#[allow(clippy::too_many_arguments)]
-fn audit_recovery(
-    pool: &DevicePool,
-    sw: &mut SmxDevice,
-    id: usize,
-    q: &Sequence,
-    r: &Sequence,
-    cfg: &ExecutorConfig,
-    batch_token: &CancelToken,
-    start: Instant,
-    ev: &mut OutcomeEvents,
-) -> Result<Alignment, AlignError> {
-    let (retry, retry_faulted) =
-        attempt_on_device(pool, id, q, r, remaining_token(batch_token, cfg.deadline, start));
-    ev.faulted |= retry_faulted;
-    match retry {
+    match &done.result {
         Ok(a) => {
-            ev.audits += 1;
-            match pool.audit(id, &a, q, r) {
-                Ok(()) => return Ok(a),
-                Err(e) => {
-                    ev.integrity += 1;
-                    if cfg.integrity_fail_closed {
-                        return Err(e);
-                    }
-                }
+            if let Some(cb) = on_result.as_mut() {
+                cb(index, a);
             }
         }
-        Err(e) if cfg.integrity_fail_closed => return Err(e),
-        Err(_) => {}
-    }
-    ev.recomputed = true;
-    attempt_on_software(sw, q, r, remaining_token(batch_token, cfg.deadline, start))
-}
-
-fn tally(stats: &mut ServiceStats, meta: &PairMeta, result: &Result<Alignment, AlignError>) {
-    match meta.route {
-        Route::Device => stats.device_pairs += 1,
-        Route::Probe => {
-            stats.device_pairs += 1;
-            stats.probe_pairs += 1;
-        }
-        Route::Software => stats.software_pairs += 1,
-    }
-    if meta.faulted {
-        stats.faulted_pairs += 1;
-    }
-    match result {
         Err(AlignError::DeadlineExceeded { .. }) => stats.deadline_exceeded += 1,
         Err(AlignError::Cancelled) => stats.cancelled += 1,
-        _ => {}
+        Err(_) => {}
+    }
+    if let Some(slot) = outcomes.get_mut(index) {
+        *slot = Some(match done.result {
+            Ok(a) => PairOutcome::Aligned(a),
+            Err(e) => PairOutcome::Failed(e),
+        });
     }
 }
 
@@ -1030,81 +847,6 @@ pub(crate) fn device_batch(
         }
     }
     DeviceBatchReport { alignments, failures, recovery: dev.recovery_stats() }
-}
-
-/// Bounded MPMC work queue: `Mutex<VecDeque>` + two condvars, closing
-/// semantics for shutdown, and a depth high-water mark for the counters.
-#[derive(Debug)]
-struct JobQueue {
-    cap: usize,
-    inner: Mutex<QueueInner>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-#[derive(Debug)]
-struct QueueInner {
-    jobs: VecDeque<usize>,
-    closed: bool,
-    max_depth: usize,
-}
-
-impl JobQueue {
-    fn new(cap: usize) -> JobQueue {
-        JobQueue {
-            cap,
-            inner: Mutex::new(QueueInner { jobs: VecDeque::new(), closed: false, max_depth: 0 }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a slot frees (the backpressure point).
-    fn push_blocking(&self, index: usize) {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        while inner.jobs.len() >= self.cap {
-            inner = self.not_full.wait(inner).expect("queue lock poisoned");
-        }
-        inner.jobs.push_back(index);
-        inner.max_depth = inner.max_depth.max(inner.jobs.len());
-        self.not_empty.notify_one();
-    }
-
-    /// Non-blocking push; `false` means the pair was shed.
-    fn try_push(&self, index: usize) -> bool {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        if inner.jobs.len() >= self.cap {
-            return false;
-        }
-        inner.jobs.push_back(index);
-        inner.max_depth = inner.max_depth.max(inner.jobs.len());
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Blocks for work; `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<usize> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
-        loop {
-            if let Some(index) = inner.jobs.pop_front() {
-                self.not_full.notify_one();
-                return Some(index);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("queue lock poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("queue lock poisoned").closed = true;
-        self.not_empty.notify_all();
-    }
-
-    fn max_depth(&self) -> usize {
-        self.inner.lock().expect("queue lock poisoned").max_depth
-    }
 }
 
 #[cfg(test)]
@@ -1368,36 +1110,36 @@ mod tests {
         assert_eq!(report.outcomes, full.outcomes, "byte-identical to the full run");
     }
 
+    /// Batch and serve share one validation: every invalid config is
+    /// rejected by both front ends, with the same error text.
     #[test]
     fn executor_config_validation() {
+        use crate::server::{Server, ServerConfig};
         let config = AlignmentConfig::DnaEdit;
         let dev = SmxDevice::new(config, 1).unwrap();
-        assert!(BatchExecutor::new(
-            dev.clone(),
-            ExecutorConfig { jobs: 0, ..ExecutorConfig::default() }
-        )
-        .is_err());
-        assert!(BatchExecutor::new(
-            dev.clone(),
-            ExecutorConfig { queue_cap: 0, ..ExecutorConfig::default() }
-        )
-        .is_err());
-        assert!(BatchExecutor::new(
-            dev.clone(),
+        let invalid = [
+            ExecutorConfig { jobs: 0, ..ExecutorConfig::default() },
+            ExecutorConfig { queue_cap: 0, ..ExecutorConfig::default() },
             ExecutorConfig {
                 breaker: Some(BreakerConfig { threshold: 1.5, ..BreakerConfig::default() }),
                 ..ExecutorConfig::default()
-            }
-        )
-        .is_err());
-        assert!(BatchExecutor::new(
-            dev,
+            },
             ExecutorConfig {
                 breaker: Some(BreakerConfig { probes: 0, ..BreakerConfig::default() }),
                 ..ExecutorConfig::default()
+            },
+        ];
+        for exec in invalid {
+            let batch = BatchExecutor::new(dev.clone(), exec.clone()).unwrap_err();
+            let serve = ServerConfig { exec, ..ServerConfig::default() };
+            match Server::bind(dev.clone(), serve, "127.0.0.1:0") {
+                Err(e) => assert_eq!(e.to_string(), batch.to_string()),
+                Ok(h) => {
+                    h.drain();
+                    panic!("Server::bind accepted a config BatchExecutor rejects: {batch}");
+                }
             }
-        )
-        .is_err());
+        }
     }
 
     #[test]
@@ -1746,13 +1488,13 @@ mod tests {
         assert_eq!(breaker.state(), BreakerState::Open);
         assert_eq!(breaker.route(), Route::Software);
 
-        let queue = JobQueue::new(1);
+        let queue = crate::shard::ShardQueue::new(1);
         let gate = Gate::new();
-        let breaker = Mutex::new(breaker);
+        let breaker = std::sync::Mutex::new(breaker);
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| {
                 gate.wait_for(1); // the queue is full
-                let index = queue.pop().expect("job 0 is queued");
+                let index = queue.try_pop().expect("job 0 is queued");
                 assert_eq!(index, 0);
                 let route = breaker.lock().unwrap().route();
                 assert_eq!(route, Route::Probe, "cooldown expired: this pair is the probe");
@@ -1761,13 +1503,16 @@ mod tests {
                 breaker.lock().unwrap().record(route, false);
                 gate.arrive(4);
             });
-            assert!(queue.try_push(0));
+            assert!(queue.push(0, false).is_ok());
             gate.arrive(1);
             gate.wait_for(2);
             // The probe is in flight. Refill the freed seat, then shed
             // against the full queue while the breaker is mid-probe.
-            assert!(queue.try_push(1));
-            assert!(!queue.try_push(2), "the full queue sheds while the probe is in flight");
+            assert!(queue.push(1, false).is_ok());
+            assert!(
+                queue.push(2, false).is_err(),
+                "the full queue sheds while the probe is in flight"
+            );
             assert_eq!(breaker.lock().unwrap().state(), BreakerState::HalfOpen);
             gate.arrive(3);
             gate.wait_for(4);
