@@ -1,10 +1,10 @@
-//! Multi-device pool with result auditing, health scoring, quarantine,
-//! and canary requalification (DESIGN.md §6).
+//! Multi-device pool with result auditing and one per-device health
+//! state machine (DESIGN.md §6).
 //!
 //! The service layer of PR 2 supervised exactly one [`SmxDevice`]. This
 //! module generalizes it to a pool of N simulated devices, each with its
-//! own independently seeded fault plan and its own circuit breaker, and
-//! adds the two defenses a lone breaker cannot provide:
+//! own independently seeded fault plan, and adds the defenses a lone
+//! device cannot provide:
 //!
 //! * **A result scoreboard** — every device-produced alignment can be
 //!   re-verified on the host ([`Alignment::verify`]: CIGAR
@@ -12,17 +12,21 @@
 //!   at a configurable sampling rate. The audit is the only defense
 //!   against *silent* readout corruption, which by construction passes
 //!   every device-side checksum.
-//! * **Health quarantine** — each device carries an EWMA health score
-//!   over fault/integrity/deadline events. A device whose score crosses
-//!   the quarantine threshold is removed from dispatch and periodically
-//!   re-probed with canary pairs (known-answer alignments); only a
-//!   streak of clean canaries readmits it.
+//! * **One health ladder per device** — a single state machine decides
+//!   every routing verdict. Its circuit-breaker rungs (closed, open,
+//!   half-open) watch a sliding window of fault verdicts and send pairs
+//!   to the software baseline while the device cools down. Above them,
+//!   an EWMA health score over fault/integrity/deadline events
+//!   quarantines the device from any rung; it is then periodically
+//!   re-probed with canary pairs (known-answer alignments), and only a
+//!   streak of clean canaries readmits it, reset to closed.
 //!
 //! The pool decides *where* a pair runs, never *what* it computes: every
 //! path (any device, with or without recovery, or the software baseline)
 //! produces byte-identical alignments, so routing, quarantine, and
 //! hedging are invisible in the output.
 
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -30,7 +34,7 @@ use smx_algos::simd::{self, Baseline, SimdWorkspace};
 use smx_align_core::{AlignError, Alignment, ScoringScheme, Sequence};
 
 use crate::orchestrator::SmxDevice;
-use crate::service::{Breaker, BreakerConfig, BreakerSnapshot, Route};
+use crate::service::{BreakerConfig, BreakerSnapshot, BreakerState, BreakerTransitions};
 
 /// Result-audit (scoreboard) tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,23 +165,23 @@ pub struct DeviceStats {
     pub health: f64,
     /// Whether the device ended the batch quarantined.
     pub quarantined: bool,
-    /// Final state of this device's breaker, when one was configured.
+    /// Final state of this device's breaker, when one was configured
+    /// (for a quarantined device, its state when it was quarantined).
     pub breaker: Option<BreakerSnapshot>,
 }
 
 /// Where the pool routed one pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Dispatch {
-    /// A device was selected; `route` is its breaker's verdict (device,
-    /// half-open probe, or software while the breaker is open).
-    Device {
-        /// Pool index of the selected device.
-        id: usize,
-        /// The selected device's breaker route for this pair.
-        route: Route,
-    },
-    /// Every device is quarantined: the pair runs on the software
-    /// baseline unconditionally.
+pub(crate) enum Route {
+    /// The normal path on the device at this pool index: its breaker is
+    /// closed (or absent).
+    Device(usize),
+    /// A half-open probe on device `id`. `epoch` is the device's
+    /// half-open count when the probe was granted; a verdict carrying
+    /// any other epoch is stale and ignored.
+    Probe { id: usize, epoch: u64 },
+    /// The software baseline: the selected device is cooling down (or
+    /// out of probe slots), or every device is quarantined.
     Software,
 }
 
@@ -218,7 +222,7 @@ pub(crate) struct PoolCounters {
 #[derive(Debug)]
 pub(crate) struct PoolHealth {
     slots: Vec<Slot>,
-    breaker_cfg: Option<BreakerConfig>,
+    breaker: Option<BreakerConfig>,
     quarantine: Option<QuarantineConfig>,
     rr: usize,
     dispatches: u64,
@@ -227,15 +231,115 @@ pub(crate) struct PoolHealth {
     lat_next: usize,
 }
 
-#[derive(Debug)]
+/// One device's rung on the health ladder (DESIGN.md §6.2). The first
+/// three are the circuit breaker; `Quarantined` is entered from any of
+/// them and left only by a clean canary streak, which resets the slot.
+#[derive(Debug, Default)]
+enum State {
+    /// Pairs run on the device; verdicts feed the breaker window.
+    #[default]
+    Closed,
+    /// Pairs run on software until `cooldown_left` more have been served.
+    Open { cooldown_left: u64 },
+    /// `granted` probes went to the device; `clean` came back clean.
+    HalfOpen { granted: u64, clean: u64 },
+    /// Out of rotation behind canary probes. `breaker` is the breaker
+    /// state at the moment of quarantine, which the snapshot reports.
+    Quarantined { streak: u64, next_canary_at: u64, breaker: BreakerState },
+}
+
+/// One device's health: its ladder state, the breaker window, the EWMA
+/// score, and its counters. Readmission resets everything but `stats`.
+#[derive(Debug, Default)]
 struct Slot {
-    breaker: Option<Breaker>,
+    state: State,
+    /// The last `window` fault verdicts seen while closed (a bounded ring).
+    window: VecDeque<bool>,
+    faulted_in_window: usize,
+    transitions: BreakerTransitions,
     health: f64,
     samples: u64,
-    quarantined: bool,
-    canary_streak: u64,
-    next_canary_at: u64,
     stats: DeviceStats,
+}
+
+impl Slot {
+    /// The breaker's view of the ladder (frozen while quarantined).
+    fn breaker_state(&self) -> BreakerState {
+        match self.state {
+            State::Closed => BreakerState::Closed,
+            State::Open { .. } => BreakerState::Open,
+            State::HalfOpen { .. } => BreakerState::HalfOpen,
+            State::Quarantined { breaker, .. } => breaker,
+        }
+    }
+
+    /// Where device `id`'s next pair runs, advancing the cooldown and
+    /// probe accounting. Cooldown is counted in pairs served, not wall
+    /// time, so the machine is exactly reproducible in tests.
+    fn route(&mut self, id: usize, cfg: &BreakerConfig) -> Route {
+        match &mut self.state {
+            State::Closed => Route::Device(id),
+            State::Open { cooldown_left } if *cooldown_left > 0 => {
+                *cooldown_left -= 1;
+                Route::Software
+            }
+            State::Open { .. } => {
+                self.state = State::HalfOpen { granted: 1, clean: 0 };
+                self.transitions.half_opened += 1;
+                Route::Probe { id, epoch: self.transitions.half_opened }
+            }
+            State::HalfOpen { granted, .. } if *granted < cfg.probes => {
+                *granted += 1;
+                Route::Probe { id, epoch: self.transitions.half_opened }
+            }
+            // Probes are in flight; keep the rest of the traffic safe
+            // until they deliver a verdict. (Dispatch never routes a
+            // quarantined slot.)
+            State::HalfOpen { .. } | State::Quarantined { .. } => Route::Software,
+        }
+    }
+
+    /// Feeds one device verdict to the breaker rungs. `probe` is the
+    /// epoch of a half-open probe, `None` for a normal device pair.
+    fn feed(&mut self, cfg: &BreakerConfig, probe: Option<u64>, faulted: bool) {
+        match (&mut self.state, probe) {
+            (State::Closed, None) => {
+                if self.window.len() == cfg.window && self.window.pop_front() == Some(true) {
+                    self.faulted_in_window -= 1;
+                }
+                self.window.push_back(faulted);
+                self.faulted_in_window += usize::from(faulted);
+                if self.window.len() >= cfg.min_samples
+                    && self.faulted_in_window as f64 >= cfg.threshold * self.window.len() as f64
+                {
+                    self.trip(cfg);
+                }
+            }
+            // Only a probe of the current half-open decides it; one from
+            // before a re-trip (or an earlier half-open) is stale.
+            (State::HalfOpen { clean, .. }, Some(epoch))
+                if epoch == self.transitions.half_opened =>
+            {
+                if faulted {
+                    self.trip(cfg);
+                } else {
+                    *clean += 1;
+                    if *clean >= cfg.probes {
+                        self.state = State::Closed;
+                        self.transitions.closed += 1;
+                        self.window.clear();
+                        self.faulted_in_window = 0;
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn trip(&mut self, cfg: &BreakerConfig) {
+        self.state = State::Open { cooldown_left: cfg.cooldown_pairs };
+        self.transitions.opened += 1;
+    }
 }
 
 /// Completion latencies retained for the p95 hedge trigger.
@@ -244,23 +348,12 @@ const LATENCY_WINDOW: usize = 128;
 impl PoolHealth {
     pub(crate) fn new(
         devices: usize,
-        breaker_cfg: Option<BreakerConfig>,
+        breaker: Option<BreakerConfig>,
         quarantine: Option<QuarantineConfig>,
     ) -> PoolHealth {
-        let slots = (0..devices)
-            .map(|_| Slot {
-                breaker: breaker_cfg.map(Breaker::new),
-                health: 0.0,
-                samples: 0,
-                quarantined: false,
-                canary_streak: 0,
-                next_canary_at: 0,
-                stats: DeviceStats::default(),
-            })
-            .collect();
         PoolHealth {
-            slots,
-            breaker_cfg,
+            slots: (0..devices).map(|_| Slot::default()).collect(),
+            breaker,
             quarantine,
             rr: 0,
             dispatches: 0,
@@ -271,42 +364,40 @@ impl PoolHealth {
     }
 
     /// Picks the next pair's device round-robin over non-quarantined
-    /// devices, and lets its breaker choose the route.
-    pub(crate) fn dispatch(&mut self) -> Dispatch {
+    /// devices, and lets its breaker rungs choose the route.
+    pub(crate) fn dispatch(&mut self) -> Route {
         self.dispatches += 1;
         let n = self.slots.len();
         for k in 0..n {
             let id = (self.rr + k) % n;
-            // LINT: allow(panic) id = (rr + k) % slots.len() is always in bounds
-            if self.slots[id].quarantined {
+            let Some(slot) = self.slots.get_mut(id) else { break };
+            if matches!(slot.state, State::Quarantined { .. }) {
                 continue;
             }
             self.rr = (id + 1) % n;
-            // LINT: allow(panic) id = (rr + k) % slots.len() is always in bounds
-            let route = match &mut self.slots[id].breaker {
-                Some(b) => b.route(),
-                None => Route::Device,
+            return match &self.breaker {
+                Some(cfg) => slot.route(id, cfg),
+                None => Route::Device(id),
             };
-            return Dispatch::Device { id, route };
         }
-        Dispatch::Software
+        Route::Software
     }
 
     /// Feeds one pair's outcome back: breaker window, EWMA health,
     /// per-device and pool counters, and the quarantine decision.
-    pub(crate) fn record(&mut self, id: usize, route: Route, ev: OutcomeEvents) {
+    pub(crate) fn record(&mut self, route: Route, ev: OutcomeEvents) {
         self.counters.audits_run += u64::from(ev.audits);
         self.counters.integrity_recomputed += u64::from(ev.recomputed);
         self.counters.hedges_launched += u64::from(ev.hedge_launched);
         self.counters.hedges_won += u64::from(ev.hedge_won);
-        if route == Route::Software {
-            // The pair never touched the device; its outcome says
-            // nothing about device health.
-            return;
-        }
-        let q = self.quarantine;
-        // LINT: allow(panic) id comes from Dispatch::Device, produced by dispatch() from slots indices
-        let slot = &mut self.slots[id];
+        let (id, probe) = match route {
+            Route::Device(id) => (id, None),
+            Route::Probe { id, epoch } => (id, Some(epoch)),
+            // The pair never touched a device; its outcome says nothing
+            // about device health.
+            Route::Software => return,
+        };
+        let Some(slot) = self.slots.get_mut(id) else { return };
         slot.stats.pairs += 1;
         if ev.faulted {
             slot.stats.faulted_pairs += 1;
@@ -315,68 +406,71 @@ impl PoolHealth {
         if ev.deadline {
             slot.stats.deadline_events += 1;
         }
-        if let Some(b) = &mut slot.breaker {
+        if let Some(cfg) = &self.breaker {
             // Integrity violations are device sickness; deadlines are
             // not (breaking on overload would mask it as device failure,
             // the documented invariant from PR 2).
-            b.record(route, ev.faulted || ev.integrity > 0);
+            slot.feed(cfg, probe, ev.faulted || ev.integrity > 0);
         }
-        let q = match q {
+        let q = match self.quarantine {
             Some(q) => q,
             None => return,
         };
         let bad = ev.faulted || ev.integrity > 0 || ev.deadline;
         slot.health = q.alpha * f64::from(u8::from(bad)) + (1.0 - q.alpha) * slot.health;
         slot.samples += 1;
-        if !slot.quarantined && slot.samples >= q.min_samples && slot.health >= q.threshold {
-            slot.quarantined = true;
+        if !matches!(slot.state, State::Quarantined { .. })
+            && slot.samples >= q.min_samples
+            && slot.health >= q.threshold
+        {
+            slot.state = State::Quarantined {
+                streak: 0,
+                next_canary_at: self.dispatches + q.canary_period,
+                breaker: slot.breaker_state(),
+            };
             slot.stats.quarantines += 1;
-            slot.canary_streak = 0;
-            slot.next_canary_at = self.dispatches + q.canary_period;
         }
     }
 
     /// Claims a quarantined device that is due for a canary probe,
     /// advancing its next-probe clock so concurrent workers cannot claim
-    /// it twice. Returns `(device, canary rotation index)`.
-    pub(crate) fn claim_canary(&mut self) -> Option<(usize, u64)> {
+    /// it twice. Returns `(device, canary rotation index, epoch)`; the
+    /// epoch (the device's quarantine count) ties the verdict to this
+    /// quarantine.
+    pub(crate) fn claim_canary(&mut self) -> Option<(usize, u64, u64)> {
         let q = self.quarantine?;
         let now = self.dispatches;
-        for (id, slot) in self.slots.iter_mut().enumerate() {
-            if slot.quarantined && now >= slot.next_canary_at {
-                slot.next_canary_at = now + q.canary_period;
-                let rotation = slot.stats.canary_runs;
+        self.slots.iter_mut().enumerate().find_map(|(id, slot)| match &mut slot.state {
+            State::Quarantined { next_canary_at, .. } if now >= *next_canary_at => {
+                *next_canary_at = now + q.canary_period;
                 slot.stats.canary_runs += 1;
-                return Some((id, rotation));
+                Some((id, slot.stats.canary_runs - 1, slot.stats.quarantines))
             }
-        }
-        None
+            _ => None,
+        })
     }
 
     /// Feeds back one canary verdict; a streak of clean canaries
-    /// readmits the device with fresh health and a fresh breaker.
-    pub(crate) fn record_canary(&mut self, id: usize, passed: bool) {
-        let q = match self.quarantine {
-            Some(q) => q,
-            None => return,
-        };
-        let breaker_cfg = self.breaker_cfg;
-        // LINT: allow(panic) id comes from claim_canary's enumerate over slots
-        let slot = &mut self.slots[id];
-        if !passed {
-            slot.stats.canary_failures += 1;
-            slot.canary_streak = 0;
+    /// readmits the device, reset to a fresh closed slot. A verdict
+    /// counts only in the quarantine it was claimed in (`epoch`): one
+    /// arriving after a readmission or a later re-quarantine is stale.
+    pub(crate) fn record_canary(&mut self, id: usize, epoch: u64, passed: bool) {
+        let Some(q) = self.quarantine else { return };
+        let Some(slot) = self.slots.get_mut(id) else { return };
+        slot.stats.canary_failures += u64::from(!passed);
+        let State::Quarantined { streak, .. } = &mut slot.state else { return };
+        if slot.stats.quarantines != epoch {
             return;
         }
-        slot.canary_streak += 1;
-        if slot.canary_streak >= q.canary_probes {
-            slot.quarantined = false;
-            slot.health = 0.0;
-            slot.samples = 0;
-            slot.stats.readmissions += 1;
-            // A stale pre-quarantine fault window must not instantly
-            // re-trip the breaker on readmission.
-            slot.breaker = breaker_cfg.map(Breaker::new);
+        *streak = if passed { *streak + 1 } else { 0 };
+        if *streak >= q.canary_probes {
+            // Fresh health, samples, and breaker: a stale pre-quarantine
+            // fault window must not instantly re-trip it on readmission.
+            let stats = std::mem::take(&mut slot.stats);
+            *slot = Slot {
+                stats: DeviceStats { readmissions: stats.readmissions + 1, ..stats },
+                ..Slot::default()
+            };
         }
     }
 
@@ -412,7 +506,7 @@ impl PoolHealth {
     /// Whether device `id` is currently quarantined.
     #[cfg(test)]
     pub(crate) fn is_quarantined(&self, id: usize) -> bool {
-        self.slots[id].quarantined
+        matches!(self.slots[id].state, State::Quarantined { .. })
     }
 
     /// Per-device stats and pool counters so far: the live view the
@@ -423,11 +517,11 @@ impl PoolHealth {
             .iter()
             .map(|slot| DeviceStats {
                 health: slot.health,
-                quarantined: slot.quarantined,
-                breaker: slot
-                    .breaker
-                    .as_ref()
-                    .map(|b| BreakerSnapshot { state: b.state(), transitions: b.transitions() }),
+                quarantined: matches!(slot.state, State::Quarantined { .. }),
+                breaker: self.breaker.map(|_| BreakerSnapshot {
+                    state: slot.breaker_state(),
+                    transitions: slot.transitions,
+                }),
                 ..slot.stats.clone()
             })
             .collect();
@@ -481,7 +575,7 @@ impl DevicePool {
         template: &SmxDevice,
         devices: usize,
         device_base: usize,
-        breaker_cfg: Option<BreakerConfig>,
+        breaker: Option<BreakerConfig>,
         quarantine: Option<QuarantineConfig>,
     ) -> Result<DevicePool, AlignError> {
         let fault_setup = template.fault_plan().zip(template.fault_policy());
@@ -522,7 +616,7 @@ impl DevicePool {
             .collect::<Result<Vec<Canary>, AlignError>>()?;
         Ok(DevicePool {
             devices: pool_devices,
-            health: Mutex::new(PoolHealth::new(devices, breaker_cfg, quarantine)),
+            health: Mutex::new(PoolHealth::new(devices, breaker, quarantine)),
             canaries,
             scheme,
             baseline: template.baseline(),
@@ -568,13 +662,13 @@ impl DevicePool {
     /// scrutinee would keep the pool-wide health lock alive through
     /// every match arm (Rust's temporary-lifetime rule), serializing
     /// all workers behind one pair's DP.
-    pub(crate) fn dispatch_pair(&self) -> Result<Dispatch, AlignError> {
+    pub(crate) fn dispatch_pair(&self) -> Result<Route, AlignError> {
         Ok(self.health()?.dispatch())
     }
 
-    /// Feeds one pair's outcome back into breaker/health/quarantine.
-    pub(crate) fn record_outcome(&self, id: usize, route: Route, ev: OutcomeEvents) {
-        self.health_feedback().record(id, route, ev);
+    /// Feeds one pair's outcome back into the health state machine.
+    pub(crate) fn record_outcome(&self, route: Route, ev: OutcomeEvents) {
+        self.health_feedback().record(route, ev);
     }
 
     /// Records one successful primary completion latency.
@@ -662,11 +756,11 @@ impl DevicePool {
             // dropped before the probe runs (a `while let` scrutinee
             // guard would live across the body and self-deadlock).
             let due = self.health_feedback().claim_canary();
-            let Some((id, rotation)) = due else { return };
+            let Some((id, rotation, epoch)) = due else { return };
             // LINT: allow(panic) index is reduced mod canaries.len(), and canaries is non-empty by construction
             let canary = &self.canaries[(rotation as usize) % self.canaries.len()];
             let passed = self.run_canary(id, canary);
-            self.health_feedback().record_canary(id, passed);
+            self.health_feedback().record_canary(id, epoch, passed);
         }
     }
 
@@ -836,17 +930,14 @@ mod tests {
         let mut h = PoolHealth::new(3, None, Some(quarantine_cfg()));
         // Sicken device 1 until it quarantines.
         for _ in 0..4 {
-            h.record(1, Route::Device, bad());
+            h.record(Route::Device(1), bad());
         }
         assert!(h.is_quarantined(1));
         let mut seen = Vec::new();
         for _ in 0..4 {
             match h.dispatch() {
-                Dispatch::Device { id, route } => {
-                    assert_eq!(route, Route::Device);
-                    seen.push(id);
-                }
-                Dispatch::Software => panic!("healthy devices remain"),
+                Route::Device(id) => seen.push(id),
+                other => panic!("healthy devices remain on the device path: {other:?}"),
             }
         }
         assert!(!seen.contains(&1), "{seen:?}");
@@ -858,10 +949,10 @@ mod tests {
         let mut h = PoolHealth::new(2, None, Some(quarantine_cfg()));
         for id in 0..2 {
             for _ in 0..4 {
-                h.record(id, Route::Device, bad());
+                h.record(Route::Device(id), bad());
             }
         }
-        assert_eq!(h.dispatch(), Dispatch::Software);
+        assert_eq!(h.dispatch(), Route::Software);
     }
 
     #[test]
@@ -869,9 +960,9 @@ mod tests {
         let mut h = PoolHealth::new(1, None, Some(quarantine_cfg()));
         // One bad pair then a run of clean ones: EWMA decays, no
         // quarantine at min_samples.
-        h.record(0, Route::Device, bad());
+        h.record(Route::Device(0), bad());
         for _ in 0..6 {
-            h.record(0, Route::Device, OutcomeEvents::default());
+            h.record(Route::Device(0), OutcomeEvents::default());
         }
         assert!(!h.is_quarantined(0));
         let (stats, _) = h.snapshot();
@@ -884,7 +975,7 @@ mod tests {
         let breaker = BreakerConfig { window: 4, min_samples: 2, ..BreakerConfig::default() };
         let mut h = PoolHealth::new(2, Some(breaker), Some(cfg));
         for _ in 0..4 {
-            h.record(0, Route::Device, bad());
+            h.record(Route::Device(0), bad());
         }
         assert!(h.is_quarantined(0));
         // Not due yet: the canary clock is measured in dispatches.
@@ -892,23 +983,23 @@ mod tests {
         for _ in 0..cfg.canary_period {
             h.dispatch();
         }
-        let (id, rotation) = h.claim_canary().expect("canary due");
-        assert_eq!((id, rotation), (0, 0));
+        let (id, rotation, epoch) = h.claim_canary().expect("canary due");
+        assert_eq!((id, rotation, epoch), (0, 0, 1));
         // Claiming again immediately is a no-op (clock advanced).
         assert_eq!(h.claim_canary(), None);
         // A failed canary resets the streak.
-        h.record_canary(0, false);
+        h.record_canary(0, epoch, false);
         for _ in 0..cfg.canary_period {
             h.dispatch();
         }
-        let due = h.claim_canary().unwrap().0;
-        h.record_canary(due, true);
+        let (due, _, epoch) = h.claim_canary().unwrap();
+        h.record_canary(due, epoch, true);
         assert!(h.is_quarantined(0), "one clean canary is not enough");
         for _ in 0..cfg.canary_period {
             h.dispatch();
         }
-        let due = h.claim_canary().unwrap().0;
-        h.record_canary(due, true);
+        let (due, _, epoch) = h.claim_canary().unwrap();
+        h.record_canary(due, epoch, true);
         assert!(!h.is_quarantined(0), "streak of {} readmits", cfg.canary_probes);
         let (stats, _) = h.snapshot();
         assert_eq!(stats[0].quarantines, 1);
@@ -920,11 +1011,81 @@ mod tests {
         assert_eq!(snap.state, BreakerState::Closed, "readmission resets the breaker");
     }
 
+    /// A canary verdict counts only in the quarantine it was claimed in.
+    /// Three canaries are claimed during one quarantine; the first two
+    /// readmit the device, whose breaker then trips on live traffic. The
+    /// third, late pass must not readmit it a second time, close its
+    /// breaker, or wipe its health.
+    #[test]
+    fn stale_canary_verdict_after_readmission_is_ignored() {
+        let cfg = QuarantineConfig { min_samples: 8, ..quarantine_cfg() };
+        let breaker = BreakerConfig { window: 4, min_samples: 2, ..BreakerConfig::default() };
+        let mut h = PoolHealth::new(1, Some(breaker), Some(cfg));
+        for _ in 0..8 {
+            h.record(Route::Device(0), bad());
+        }
+        assert!(h.is_quarantined(0));
+        let mut claims = Vec::new();
+        for _ in 0..3 {
+            for _ in 0..cfg.canary_period {
+                h.dispatch();
+            }
+            claims.push(h.claim_canary().expect("canary due"));
+        }
+        for &(id, _, epoch) in &claims[..2] {
+            h.record_canary(id, epoch, true);
+        }
+        assert!(!h.is_quarantined(0), "two clean canaries readmit");
+        for _ in 0..2 {
+            h.record(Route::Device(0), bad());
+        }
+        let (live, _) = h.snapshot();
+        assert_eq!(live[0].breaker.expect("breaker configured").state, BreakerState::Open);
+        assert_eq!((live[0].readmissions, live[0].health), (1, 0.75));
+
+        let (id, _, epoch) = claims[2];
+        h.record_canary(id, epoch, true);
+        let (after, _) = h.snapshot();
+        assert_eq!(after, live, "the stale pass changed nothing");
+    }
+
+    /// A half-open probe verdict counts only in the half-open it was
+    /// granted in: a clean probe left over from before a re-trip must not
+    /// help close the next half-open.
+    #[test]
+    fn stale_probe_verdict_from_an_earlier_half_open_is_ignored() {
+        let breaker = BreakerConfig {
+            window: 4,
+            min_samples: 2,
+            threshold: 0.5,
+            cooldown_pairs: 1,
+            probes: 2,
+        };
+        let mut h = PoolHealth::new(1, Some(breaker), None);
+        for _ in 0..2 {
+            assert_eq!(h.dispatch(), Route::Device(0));
+            h.record(Route::Device(0), bad());
+        }
+        assert_eq!(h.dispatch(), Route::Software, "cooldown");
+        let p1 = h.dispatch();
+        let p2 = h.dispatch();
+        assert_eq!((p1, p2), (Route::Probe { id: 0, epoch: 1 }, Route::Probe { id: 0, epoch: 1 }));
+        h.record(p2, bad());
+        assert_eq!(h.dispatch(), Route::Software, "cooldown after the re-trip");
+        let p3 = h.dispatch();
+        assert_eq!(p3, Route::Probe { id: 0, epoch: 2 });
+        h.record(p1, OutcomeEvents::default());
+        h.record(p3, OutcomeEvents::default());
+        let snap = h.snapshot().0[0].breaker.expect("breaker configured");
+        assert_eq!(snap.state, BreakerState::HalfOpen, "one fresh clean probe of two");
+        assert_eq!(snap.transitions, BreakerTransitions { opened: 2, half_opened: 2, closed: 0 });
+    }
+
     #[test]
     fn software_outcomes_do_not_touch_device_health() {
         let mut h = PoolHealth::new(1, None, Some(quarantine_cfg()));
         for _ in 0..16 {
-            h.record(0, Route::Software, bad());
+            h.record(Route::Software, bad());
         }
         assert!(!h.is_quarantined(0));
         let (stats, _) = h.snapshot();
@@ -938,7 +1099,7 @@ mod tests {
         let mut h = PoolHealth::new(1, Some(breaker), Some(quarantine_cfg()));
         let deadline_only = OutcomeEvents { deadline: true, ..OutcomeEvents::default() };
         for _ in 0..4 {
-            h.record(0, Route::Device, deadline_only);
+            h.record(Route::Device(0), deadline_only);
         }
         assert!(h.is_quarantined(0), "deadline storms quarantine the device");
         let (stats, _) = h.snapshot();

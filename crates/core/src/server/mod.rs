@@ -49,7 +49,7 @@ use smx_align_core::{AlignError, Alphabet, Sequence};
 use smx_coproc::control::CancelToken;
 
 use crate::orchestrator::SmxDevice;
-use crate::pool::DeviceStats;
+use crate::pool::{DeviceStats, Route};
 use crate::service::{self, ExecutorConfig};
 use crate::shard::{self, relock, Done, Front, Phase, Plan, Shard};
 
@@ -976,7 +976,7 @@ fn finish(shared: &Shared, job: &Job, done: Done) {
             c.software_pairs += 1;
         }
         match done.meta.map(|m| m.route) {
-            Some(service::Route::Software) => c.software_pairs += 1,
+            Some(Route::Software) => c.software_pairs += 1,
             Some(_) => c.device_pairs += 1,
             None => {}
         }

@@ -15,8 +15,8 @@ use smx_align_core::{AlignError, Alignment, Sequence};
 use smx_coproc::control::CancelToken;
 
 use crate::orchestrator::SmxDevice;
-use crate::pool::{DevicePool, Dispatch, OutcomeEvents};
-use crate::service::{ExecutorConfig, Route, ShardPlan};
+use crate::pool::{DevicePool, OutcomeEvents, Route};
+use crate::service::{ExecutorConfig, ShardPlan};
 
 /// Bounded retry budget for recoverable device faults. Retries go back
 /// through the normal dispatch seam, so the breaker and quarantine see
@@ -403,10 +403,10 @@ impl<J> Shard<J> {
         // call, so no arm below — not even a full baseline DP — runs with
         // it held.
         let (id, route) = match pool.dispatch_pair() {
-            Ok(Dispatch::Device { id, route }) if route != Route::Software => (id, route),
+            Ok(route @ (Route::Device(id) | Route::Probe { id, .. })) => (id, route),
             // The whole pool is quarantined, or this device's breaker is
             // open (its cooldown already advanced): serve from the baseline.
-            Ok(_) => {
+            Ok(Route::Software) => {
                 let result = attempt_on_software(sw, q, r, budgeted(&self.token, deadline));
                 return (result, PairMeta { route: Route::Software, faulted: false });
             }
@@ -459,7 +459,7 @@ impl<J> Shard<J> {
             }
         }
 
-        pool.record_outcome(id, route, ev);
+        pool.record_outcome(route, ev);
         (result, PairMeta { route, faulted: ev.faulted })
     }
 
