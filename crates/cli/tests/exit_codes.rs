@@ -134,3 +134,52 @@ fn resume_reports_torn_tail_byte_offset() {
         "expected torn-tail warning with byte offset {clean_len}, got: {stderr}"
     );
 }
+
+/// The `align --fault-rate` contract, independent of which batch engine
+/// runs it: recovered faults leave stdout byte-identical to the clean run
+/// (the README's recovery invariant), and a strict, non-degrading run
+/// whose every tile faults fails each pair closed with exit code 2
+/// (`EXIT_GENERIC`).
+#[test]
+fn fault_injected_align_is_byte_identical_or_fails_closed() {
+    let dir = tempdir("faults");
+    let (q, r) = write_pairs(&dir, 6, 200);
+
+    let clean = run(&["align", &q, &r]);
+    assert!(clean.status.success(), "stderr: {}", String::from_utf8_lossy(&clean.stderr));
+    let faulty = run(&["align", "--fault-rate", "0.05", "--fault-seed", "7", &q, &r]);
+    let stderr = String::from_utf8_lossy(&faulty.stderr);
+    assert!(faulty.status.success(), "stderr: {stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&faulty.stdout),
+        String::from_utf8_lossy(&clean.stdout),
+        "recovered faults changed stdout; stderr: {stderr}"
+    );
+    let injected: u64 = stderr
+        .lines()
+        .find(|l| l.starts_with("# faults:"))
+        .and_then(|l| l.split_whitespace().find_map(|w| w.strip_prefix("injected=")))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no `# faults: ... injected=N` line in stderr: {stderr}"));
+    assert!(injected > 0, "the fault plan injected nothing; stderr: {stderr}");
+
+    let failed = run(&[
+        "align",
+        "--fault-rate",
+        "1.0",
+        "--max-retries",
+        "0",
+        "--strict",
+        "--no-degrade",
+        &q,
+        &r,
+    ]);
+    let stderr = String::from_utf8_lossy(&failed.stderr);
+    assert_eq!(failed.status.code(), Some(2), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&failed.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 6, "stdout: {stdout}");
+    for (i, line) in lines.iter().enumerate() {
+        assert!(line.starts_with(&format!("q{i}\tr{i}\tfailed")), "line {i}: {line:?}");
+    }
+}
