@@ -90,20 +90,24 @@ configs:    dna-edit | dna-gap | protein | ascii
 algorithms: full | banded | adaptive | xdrop | hirschberg | window
 engines:    software | simd | dpx | gmx | smx-1d | smx-2d | smx | gact
 
-fault injection (align): --fault-rate > 0 runs the functional SMX device
-with a seeded deterministic fault plan; faulty tiles are retried
-(--max-retries, --backoff cycles) and then recomputed in software unless
---strict; --no-degrade fails a poisoned pair closed with a structured
-error instead of falling back to a full software alignment. --strict
-also exits non-zero when any pair in a batch fails.
+fault injection (align): --fault-rate > 0 runs the batch through the
+batch executor (one job, in input order, unless --jobs says otherwise)
+on a functional SMX device with a seeded deterministic fault plan;
+faulty tiles are retried (--max-retries, --backoff cycles) and then
+recomputed in software unless --strict; --no-degrade fails a poisoned
+pair closed with a structured error instead of falling back to a full
+software alignment. A failed pair prints `failed: <error>`; stderr
+carries the `# service:` / `# routing:` / `# faults:` footer. --strict also
+exits non-zero when any pair in a batch fails.
 
-batch service (align): --jobs > 1 runs the batch through a worker pool
-of device clones fed from a bounded queue (--queue-cap); a full queue
-blocks the submitter unless --shed drops the pair. --deadline-ms bounds
-each pair's wall-clock time, enforced at tile boundaries. --breaker
-(tuned by --breaker-window/-threshold/-cooldown/-probes) trips the pool
-to the software baseline when the device fault rate spikes, probing its
-way back. --checkpoint appends completed pairs to a crash-safe manifest;
+batch service (align): --jobs N runs the batch on N worker threads that
+share the --devices pool (default 1 device), fed from a bounded queue
+(--queue-cap); a full queue blocks the submitter unless --shed drops
+the pair. --deadline-ms bounds each pair's wall-clock time, enforced at
+tile boundaries. --breaker (tuned by
+--breaker-window/-threshold/-cooldown/-probes) trips the pool to the
+software baseline when the device fault rate spikes, probing its way
+back. --checkpoint appends completed pairs to a crash-safe manifest;
 --resume skips pairs already recorded there, byte-identically.
 
 integrity + fleet health (align): --devices N spreads the batch over a
@@ -232,11 +236,8 @@ pub fn align(args: &Args) -> Result<(), CliError> {
     }
 
     let fault_rate = args.get_num("fault-rate", 0.0f64).map_err(|e| e.to_string())?;
-    if service_requested(args) {
+    if service_requested(args) || fault_rate > 0.0 {
         return align_service(args, &named, config, workers, fault_rate);
-    }
-    if fault_rate > 0.0 {
-        return align_resilient(args, &named, config, workers, fault_rate);
     }
 
     let mut aligner = SmxAligner::new(config);
@@ -273,7 +274,7 @@ pub fn align(args: &Args) -> Result<(), CliError> {
 }
 
 /// Whether any batch-service flag was given, routing `align` through the
-/// [`BatchExecutor`] instead of the plain sequential paths.
+/// [`BatchExecutor`] instead of the plain [`SmxAligner`] path.
 fn service_requested(args: &Args) -> bool {
     args.get("jobs").is_some()
         || args.get("queue-cap").is_some()
@@ -304,13 +305,13 @@ fn quarantine_requested(args: &Args) -> bool {
         || args.get("quarantine-probes").is_some()
 }
 
-/// The software-baseline kernel selection shared by the device paths.
+/// The software-baseline kernel selection for the device path.
 fn parse_baseline(args: &Args) -> Result<Baseline, String> {
     let name = args.get_or("baseline", "auto");
     Baseline::parse(name).ok_or_else(|| format!("unknown baseline {name:?} (scalar|simd|auto)"))
 }
 
-/// The tile-recovery policy shared by the resilient and service paths.
+/// The tile-recovery policy for a fault-injected device.
 fn recovery_policy(args: &Args) -> Result<RecoveryPolicy, String> {
     Ok(RecoveryPolicy {
         max_retries: args.get_num("max-retries", 2u32).map_err(|e| e.to_string())?,
@@ -443,8 +444,9 @@ enum StrictFailure<'a> {
     Shed,
 }
 
-/// Batch-service path for `align`: worker pool, backpressure, deadlines,
-/// circuit breaker, and crash-safe checkpoint/resume.
+/// Batch-service path for `align`, taken for every fault-injected run
+/// too: worker pool, backpressure, deadlines, circuit breaker, fault
+/// recovery, and crash-safe checkpoint/resume.
 fn align_service(
     args: &Args,
     named: &[smx_io::pairs::NamedPair],
@@ -603,61 +605,6 @@ fn align_service(
                 ),
             });
         }
-    }
-    Ok(())
-}
-
-/// Fault-injection path for `align`: runs the functional SMX device with a
-/// seeded fault plan and the tile-retry / software-fallback recovery stack,
-/// failing poisoned pairs closed with a per-batch summary.
-fn align_resilient(
-    args: &Args,
-    named: &[smx_io::pairs::NamedPair],
-    config: AlignmentConfig,
-    workers: usize,
-    fault_rate: f64,
-) -> Result<(), CliError> {
-    let seed = args.get_num("fault-seed", 42u64).map_err(|e| e.to_string())?;
-    let mut dev = SmxDevice::new(config, workers).map_err(|e| e.to_string())?;
-    dev.set_baseline(parse_baseline(args)?);
-    dev.enable_fault_injection(FaultPlan::new(seed, fault_rate), recovery_policy(args)?);
-    dev.set_graceful_degradation(!args.switch("no-degrade"));
-
-    let pairs: Vec<(Sequence, Sequence)> =
-        named.iter().map(|p| (p.query.clone(), p.reference.clone())).collect();
-    let report = dev.align_batch(&pairs);
-
-    for (p, outcome) in named.iter().zip(&report.alignments) {
-        match outcome {
-            Some(a) => {
-                println!("{}\t{}\tscore={}\tcigar={}", p.query_id, p.reference_id, a.score, a.cigar)
-            }
-            None => println!("{}\t{}\tfailed", p.query_id, p.reference_id),
-        }
-    }
-    if !report.failures.is_empty() {
-        eprintln!("{}", report.failure_summary());
-    }
-    let s = &report.recovery;
-    eprintln!(
-        "# faults: rate={fault_rate:.1e} seed={seed} injected={} detected={} retries={} \
-         fallbacks={} software-alignments={} cycles-lost={}",
-        s.faults_injected,
-        s.faults_detected,
-        s.retries,
-        s.fallbacks,
-        s.software_alignments,
-        s.cycles_lost
-    );
-    if args.switch("strict") && !report.all_succeeded() {
-        let code = strict_exit_code(report.failures.iter().map(|f| StrictFailure::Error(&f.error)));
-        return Err(CliError {
-            code,
-            message: format!(
-                "batch completed with {} failed pairs under --strict",
-                report.failures.len()
-            ),
-        });
     }
     Ok(())
 }
@@ -1154,7 +1101,7 @@ mod tests {
         let rp = dir.join("r.fa");
         std::fs::write(&qp, ">q0\nGATTACAGATTACAGATTACAGATTACA\n").unwrap();
         std::fs::write(&rp, ">r0\nGATTACACATTACAGATTACAGATTACA\n").unwrap();
-        // The resilient path routes degraded scoring through the selected
+        // The fault-injected path routes degraded scoring through the selected
         // kernel; all three names must be accepted and behave identically.
         for baseline in ["scalar", "simd", "auto"] {
             let a = Args::parse(

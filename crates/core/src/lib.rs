@@ -68,7 +68,7 @@ pub(crate) mod shard;
 pub mod testkit;
 
 pub use aligner::{Algorithm, BatchReport, PairReport, SmxAligner};
-pub use orchestrator::{AffineDevice, BatchFailure, DeviceBatchReport, SmxDevice};
+pub use orchestrator::{AffineDevice, BatchFailure, SmxDevice};
 pub use pool::{AuditConfig, DeviceStats, HedgeConfig, HedgeTrigger, QuarantineConfig};
 pub use server::{
     Client, DrainReport, RetryConfig, Server, ServerConfig, ServerCounters, ServerHandle,

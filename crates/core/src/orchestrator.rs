@@ -109,8 +109,8 @@ impl SmxDevice {
 
     /// Whether an unrecoverable device fault degrades the whole alignment
     /// to the core's software path (default `true`). With degradation off
-    /// the structured fault error escalates to the caller — the
-    /// fail-closed batch mode records it per pair.
+    /// the structured fault error escalates to the caller, and a
+    /// [`crate::service::BatchExecutor`] batch fails that pair closed.
     pub fn set_graceful_degradation(&mut self, yes: bool) {
         self.degrade = yes;
     }
@@ -352,20 +352,6 @@ impl SmxDevice {
             Err(e) => Err(e),
         }
     }
-
-    /// Aligns every pair in a batch, failing closed: a pair that cannot
-    /// be aligned (poisoned input, unrecoverable fault under a strict
-    /// policy, an expired deadline) is recorded as a structured per-pair
-    /// failure and the batch continues with the remaining pairs.
-    ///
-    /// This is the single-device entry into the batch service layer. The
-    /// multi-worker pool with backpressure, deadlines, and the circuit
-    /// breaker is [`crate::service::BatchExecutor`], which runs the same
-    /// executor core as the server and is validated by
-    /// [`crate::service::ExecutorConfig`]'s shared check.
-    pub fn align_batch(&mut self, pairs: &[(Sequence, Sequence)]) -> DeviceBatchReport {
-        crate::service::device_batch(self, pairs)
-    }
 }
 
 /// One pair's structured failure inside a batch.
@@ -375,62 +361,6 @@ pub struct BatchFailure {
     pub index: usize,
     /// The structured error that poisoned it.
     pub error: AlignError,
-}
-
-/// Outcome of [`SmxDevice::align_batch`]: per-pair results (aligned
-/// positionally with the input), the failures, and the device's recovery
-/// counters after the batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceBatchReport {
-    /// One entry per input pair; `None` where the pair failed.
-    pub alignments: Vec<Option<Alignment>>,
-    /// Structured per-pair failures, in input order.
-    pub failures: Vec<BatchFailure>,
-    /// Recovery counters accumulated on the device (zero when fault
-    /// injection is disabled).
-    pub recovery: RecoveryStats,
-}
-
-impl DeviceBatchReport {
-    /// Number of pairs that aligned successfully.
-    #[must_use]
-    pub fn succeeded(&self) -> usize {
-        self.alignments.iter().filter(|a| a.is_some()).count()
-    }
-
-    /// Whether every pair aligned.
-    #[must_use]
-    pub fn all_succeeded(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line-per-failure summary for logs and the CLI, with an
-    /// aggregate cause breakdown (deadlines and cancellations called out
-    /// so operators can tell overload from bad input).
-    #[must_use]
-    pub fn failure_summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!(
-            "{}/{} pairs aligned, {} failed",
-            self.succeeded(),
-            self.alignments.len(),
-            self.failures.len()
-        );
-        let deadline = self
-            .failures
-            .iter()
-            .filter(|f| matches!(f.error, AlignError::DeadlineExceeded { .. }))
-            .count();
-        let cancelled =
-            self.failures.iter().filter(|f| matches!(f.error, AlignError::Cancelled)).count();
-        if deadline + cancelled > 0 {
-            let _ = write!(s, " ({deadline} deadline-exceeded, {cancelled} cancelled)");
-        }
-        for f in &self.failures {
-            let _ = write!(s, "\n  pair {}: {}", f.index, f.error);
-        }
-        s
-    }
 }
 
 /// The gap-affine heterogeneous device ("SMX-A"): the extension
@@ -723,28 +653,6 @@ mod tests {
         let mut dev = SmxDevice::new(config, 2).unwrap();
         dev.enable_fault_injection(FaultPlan::new(3, 0.3), RecoveryPolicy::default());
         assert_eq!(dev.score(&q, &r).unwrap(), clean);
-    }
-
-    #[test]
-    fn batch_fails_closed_on_poisoned_pair() {
-        let config = AlignmentConfig::DnaGap;
-        let (q, r) = seqs(config, 60);
-        let poisoned = Sequence::from_text(smx_align_core::Alphabet::Protein, "WYVAC").unwrap();
-        let mut dev = SmxDevice::new(config, 2).unwrap();
-        dev.enable_fault_injection(FaultPlan::new(1, 1e-2), RecoveryPolicy::default());
-        let pairs =
-            vec![(q.clone(), r.clone()), (poisoned.clone(), r.clone()), (r.clone(), q.clone())];
-        let report = dev.align_batch(&pairs);
-        assert_eq!(report.succeeded(), 2);
-        assert!(!report.all_succeeded());
-        assert!(report.alignments[0].is_some());
-        assert!(report.alignments[1].is_none());
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].index, 1);
-        assert!(matches!(report.failures[0].error, AlignError::AlphabetMismatch));
-        let summary = report.failure_summary();
-        assert!(summary.contains("2/3 pairs aligned"), "{summary}");
-        assert!(summary.contains("pair 1:"), "{summary}");
     }
 
     #[test]

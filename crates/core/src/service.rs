@@ -41,7 +41,7 @@ use smx_align_core::{AlignError, Alignment, Sequence};
 use smx_coproc::control::CancelToken;
 use smx_coproc::faults::RecoveryStats;
 
-use crate::orchestrator::{BatchFailure, DeviceBatchReport, SmxDevice};
+use crate::orchestrator::{BatchFailure, SmxDevice};
 use crate::pool::{AuditConfig, DeviceStats, HedgeConfig, QuarantineConfig, Route};
 use crate::shard::{self, Done, Front, Job, Phase, Plan, RetryConfig, Shard};
 
@@ -415,8 +415,9 @@ impl ServiceBatchReport {
             .collect()
     }
 
-    /// One-line-per-failure summary with the aggregate cause breakdown,
-    /// mirroring [`DeviceBatchReport::failure_summary`].
+    /// One-line-per-failure summary for logs and the CLI, with the
+    /// aggregate cause breakdown (deadlines and cancellations called out
+    /// so operators can tell overload from bad input).
     #[must_use]
     pub fn failure_summary(&self) -> String {
         use std::fmt::Write as _;
@@ -692,27 +693,6 @@ fn settle(
             Err(e) => PairOutcome::Failed(e),
         });
     }
-}
-
-/// Sequential fail-closed batch on one device: the engine behind
-/// [`SmxDevice::align_batch`]. Runs on the caller's device (stats
-/// accumulate there) with whatever token the caller installed.
-pub(crate) fn device_batch(
-    dev: &mut SmxDevice,
-    pairs: &[(Sequence, Sequence)],
-) -> DeviceBatchReport {
-    let mut alignments = Vec::with_capacity(pairs.len());
-    let mut failures = Vec::new();
-    for (index, (q, r)) in pairs.iter().enumerate() {
-        match dev.align(q, r) {
-            Ok(a) => alignments.push(Some(a)),
-            Err(error) => {
-                alignments.push(None);
-                failures.push(BatchFailure { index, error });
-            }
-        }
-    }
-    DeviceBatchReport { alignments, failures, recovery: dev.recovery_stats() }
 }
 
 #[cfg(test)]
@@ -1031,14 +1011,29 @@ mod tests {
         let mut batch = pairs(config, 6, 50);
         let poisoned = Sequence::from_text(smx_align_core::Alphabet::Protein, "WYVAC").unwrap();
         batch[3] = (poisoned, batch[3].1.clone());
-        let dev = SmxDevice::new(config, 2).unwrap();
-        let exec = BatchExecutor::new(dev, ExecutorConfig { jobs: 3, ..ExecutorConfig::default() })
-            .unwrap();
-        let report = exec.run(&batch);
-        assert_eq!(report.stats.failed, 1);
-        assert_eq!(report.stats.completed, 5);
-        assert!(matches!(report.outcomes[3], PairOutcome::Failed(AlignError::AlphabetMismatch)));
-        assert!(report.failure_summary().contains("pair 3:"));
+        // Inline (jobs 1) and worker-pool (jobs 3) runs fail the same pair
+        // closed while recovered faults keep the rest aligned.
+        for jobs in [1, 3] {
+            let mut dev = SmxDevice::new(config, 2).unwrap();
+            dev.enable_fault_injection(FaultPlan::new(1, 1e-2), RecoveryPolicy::default());
+            let exec =
+                BatchExecutor::new(dev, ExecutorConfig { jobs, ..ExecutorConfig::default() })
+                    .unwrap();
+            let report = exec.run(&batch);
+            assert_eq!(report.stats.failed, 1, "jobs {jobs}");
+            assert_eq!(report.stats.completed, 5, "jobs {jobs}");
+            assert!(!report.all_succeeded(), "jobs {jobs}");
+            assert!(
+                matches!(report.outcomes[3], PairOutcome::Failed(AlignError::AlphabetMismatch)),
+                "jobs {jobs}"
+            );
+            let failures = report.failures();
+            assert_eq!(failures.len(), 1, "jobs {jobs}");
+            assert_eq!(failures[0].index, 3, "jobs {jobs}");
+            let summary = report.failure_summary();
+            assert!(summary.starts_with("5/6 pairs aligned"), "jobs {jobs}: {summary}");
+            assert!(summary.contains("pair 3:"), "jobs {jobs}: {summary}");
+        }
     }
 
     /// The PR-3 acceptance scenario: a fault plan that *silently*
