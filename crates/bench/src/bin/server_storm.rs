@@ -477,18 +477,7 @@ fn main() {
              {base_knee} pairs/s"
         );
         for s in &fleet.per_shard {
-            println!(
-                "shard {}: state={} dispatched={} completed={} stolen_from={} stolen_by={} \
-                 restarts={} failovers={}",
-                s.id,
-                s.state,
-                s.dispatched,
-                s.completed,
-                s.stolen_from,
-                s.stolen_by,
-                s.restarts,
-                s.failovers
-            );
+            println!("{s}");
         }
     }
 

@@ -97,8 +97,10 @@ faulty tiles are retried (--max-retries, --backoff cycles) and then
 recomputed in software unless --strict; --no-degrade fails a poisoned
 pair closed with a structured error instead of falling back to a full
 software alignment. A failed pair prints `failed: <error>`; stderr
-carries the `# service:` / `# routing:` / `# faults:` footer. --strict also
-exits non-zero when any pair in a batch fails.
+carries the service footer — `# pairs:`, `# failures:`, `# routing:`,
+`# defenses:`, `# pool:`, `# faults:` and one `# device N:` line per
+device, the format `serve` prints at drain. --strict also exits
+non-zero when any pair in a batch fails.
 
 batch service (align): --jobs N runs the batch on N worker threads that
 share the --devices pool (default 1 device), fed from a bounded queue
@@ -460,15 +462,6 @@ fn align_service(
 
     let dev = service_device(args, config, workers, fault_rate)?;
     let cfg = executor_config(args)?;
-    let (jobs, queue_cap) = (cfg.jobs, cfg.queue_cap);
-    let devices = cfg.devices.max(1);
-    let audit = cfg.audit;
-    let hedge = cfg.hedge;
-    let quarantine = cfg.quarantine;
-    // Re-read the raw knobs for the stats footer.
-    let audit_rate = args.get_num("audit-rate", 0.0f64).map_err(|e| e.to_string())?;
-    let hedge_after_ms = args.get_num("hedge-after-ms", 0u64).map_err(|e| e.to_string())?;
-    let silent_rate = args.get_num("silent-rate", 0.0f64).map_err(|e| e.to_string())?;
     let exec = BatchExecutor::new(dev, cfg).map_err(|e| e.to_string())?;
 
     let resume_map = match args.get("resume") {
@@ -524,71 +517,7 @@ fn align_service(
     }
 
     let s = &report.stats;
-    eprintln!(
-        "# service: jobs={jobs} queue-cap={queue_cap} max-depth={} completed={} failed={} \
-         shed={} resumed={} deadline-exceeded={} cancelled={}",
-        s.max_queue_depth,
-        s.completed,
-        s.failed,
-        s.shed,
-        s.resumed,
-        s.deadline_exceeded,
-        s.cancelled
-    );
-    eprintln!(
-        "# routing: device={} software={} probes={} faulted-pairs={}",
-        s.device_pairs, s.software_pairs, s.probe_pairs, s.faulted_pairs
-    );
-    if let Some(b) = &s.breaker {
-        eprintln!(
-            "# breaker: state={} opened={} half-opened={} closed={}",
-            b.state, b.transitions.opened, b.transitions.half_opened, b.transitions.closed
-        );
-    }
-    if audit.is_some() {
-        eprintln!(
-            "# integrity: audit-rate={audit_rate} audits={} violations={} recomputed={}",
-            s.audits_run, s.integrity_violations, s.integrity_recomputed
-        );
-    }
-    if hedge.is_some() {
-        eprintln!(
-            "# hedge: after-ms={hedge_after_ms} launched={} won={}",
-            s.hedges_launched, s.hedges_won
-        );
-    }
-    if devices > 1 || quarantine.is_some() {
-        eprintln!(
-            "# pool: devices={devices} quarantines={} readmissions={} canaries={} \
-             canary-failures={}",
-            s.quarantines, s.readmissions, s.canary_runs, s.canary_failures
-        );
-        for (id, d) in s.per_device.iter().enumerate() {
-            eprintln!(
-                "# device {id}: pairs={} faulted={} violations={} deadline={} health={:.3}{}",
-                d.pairs,
-                d.faulted_pairs,
-                d.integrity_violations,
-                d.deadline_events,
-                d.health,
-                if d.quarantined { " quarantined" } else { "" }
-            );
-        }
-    }
-    if fault_rate > 0.0 || silent_rate > 0.0 {
-        let r = &s.recovery;
-        eprintln!(
-            "# faults: rate={fault_rate:.1e} injected={} detected={} retries={} fallbacks={} \
-             software-alignments={} silent-corruptions={} cycles-lost={}",
-            r.faults_injected,
-            r.faults_detected,
-            r.retries,
-            r.fallbacks,
-            r.software_alignments,
-            r.silent_corruptions,
-            r.cycles_lost
-        );
-    }
+    footer(s);
     if !report.all_succeeded() {
         eprintln!("{}", report.failure_summary());
         if args.switch("strict") {
@@ -607,6 +536,14 @@ fn align_service(
         }
     }
     Ok(())
+}
+
+/// Prints a tally's `Display` text to stderr, one `# `-prefixed footer
+/// line per line: the batch and drain footers share its format.
+fn footer(tally: &impl std::fmt::Display) {
+    for line in tally.to_string().lines() {
+        eprintln!("# {line}");
+    }
 }
 
 /// Minimal signal latch for graceful drain: a raw `signal(2)` handler
@@ -780,49 +717,14 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
         }
     };
     for (tenant, c) in &report.per_tenant {
-        eprintln!(
-            "# drain: tenant={tenant} admitted={} completed={} failed={} resumed={} \
-             rejected={} degraded={}",
-            c.admitted,
-            c.completed,
-            c.failed,
-            c.resumed,
-            c.rejected(),
-            c.degraded_software
-        );
+        eprintln!("# drain: tenant={tenant} {c}");
     }
-    let t = &report.totals;
-    eprintln!(
-        "# drain: totals admitted={} completed={} failed={} rejected={} resumed={} \
-         deadline-exceeded={} degraded={} max-depth={}",
-        t.admitted,
-        t.completed,
-        t.failed,
-        t.rejected,
-        t.resumed,
-        t.deadline_exceeded,
-        t.degraded_software,
-        t.max_queue_depth
-    );
-    let mut quarantined = 0usize;
+    eprintln!("# drain: totals");
+    footer(&report.totals);
     for s in &report.per_shard {
-        eprintln!(
-            "# drain: shard={} state={} dispatched={} completed={} stolen-from={} \
-             stolen-by={} restarts={} failovers={} last-failover-ms={}",
-            s.id,
-            s.state,
-            s.dispatched,
-            s.completed,
-            s.stolen_from,
-            s.stolen_by,
-            s.restarts,
-            s.failovers,
-            s.last_failover_ms
-        );
-        if s.state == "quarantined" {
-            quarantined += 1;
-        }
+        eprintln!("# drain: {s}");
     }
+    let quarantined = report.per_shard.iter().filter(|s| s.state == "quarantined").count();
     if quarantined > 0 {
         // The drain itself was clean (every acked pair is durable), but
         // the fleet ended the run short a shard for good: surface it as

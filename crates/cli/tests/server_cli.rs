@@ -180,6 +180,36 @@ fn sigterm_drains_gracefully_and_reports_per_tenant_counts() {
     proc_.child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
     assert!(stderr.contains("# drain: totals"), "missing drain totals in stderr: {stderr}");
     assert!(stderr.contains("tenant=itest"), "missing per-tenant drain line: {stderr}");
+
+    // One format: a batch run of the same pair prints its footer through
+    // the same tally renderer, so its `# routing:` and `# defenses:`
+    // lines carry exactly the drain footer's keys.
+    let dir = std::env::temp_dir().join(format!("smx-serve-footer-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let Request::Pair { query, reference, .. } = pair(0) else { unreachable!() };
+    let (q, r) = (dir.join("q.fa"), dir.join("r.fa"));
+    std::fs::write(&q, format!(">q0\n{query}\n")).unwrap();
+    std::fs::write(&r, format!(">r0\n{reference}\n")).unwrap();
+    let batch = Command::new(env!("CARGO_BIN_EXE_smx-cli"))
+        .args(["align", "--config", "dna-edit", "--jobs", "2"])
+        .args([&q, &r])
+        .output()
+        .expect("run smx-cli align");
+    let batch_err = String::from_utf8_lossy(&batch.stderr);
+    assert!(batch.status.success(), "batch align failed: {batch_err}");
+    let keys = |text: &str, head: &str| -> Vec<String> {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(head))
+            .unwrap_or_else(|| panic!("no {head:?} line in:\n{text}"));
+        line.split_whitespace()
+            .filter_map(|w| w.split_once('=').map(|(k, _)| k.to_string()))
+            .collect()
+    };
+    for head in ["# routing:", "# defenses:"] {
+        assert_eq!(keys(&batch_err, head), keys(&stderr, head), "{head} keys differ");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A second SIGTERM while the drain is still grinding through a slow

@@ -71,8 +71,8 @@ pub use aligner::{Algorithm, BatchReport, PairReport, SmxAligner};
 pub use orchestrator::{AffineDevice, BatchFailure, SmxDevice};
 pub use pool::{AuditConfig, DeviceStats, HedgeConfig, HedgeTrigger, QuarantineConfig};
 pub use server::{
-    Client, DrainReport, RetryConfig, Server, ServerConfig, ServerCounters, ServerHandle,
-    ShardSnapshot, SupervisorConfig,
+    Client, DrainReport, RetryConfig, Server, ServerConfig, ServerHandle, ShardSnapshot,
+    SupervisorConfig,
 };
 pub use service::{
     AdmissionPolicy, BatchExecutor, BreakerConfig, BreakerSnapshot, BreakerState,

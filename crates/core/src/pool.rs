@@ -140,7 +140,8 @@ impl HedgeConfig {
     }
 }
 
-/// Per-device counters and final state, reported in `ServiceStats`.
+/// Per-device counters and final state: one `device N:` line of the
+/// `ServiceStats` tally, in batch and server mode alike.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceStats {
     /// Pairs that ran on this device (primary attempts and probes).
@@ -168,6 +169,30 @@ pub struct DeviceStats {
     /// Final state of this device's breaker, when one was configured
     /// (for a quarantined device, its state when it was quarantined).
     pub breaker: Option<BreakerSnapshot>,
+}
+
+/// One `key=value` line; `breaker=none` (and zero transitions) when no
+/// breaker was configured. Quarantine and canary counts are summed on
+/// the tally's `pool:` line instead.
+impl std::fmt::Display for DeviceStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.breaker.map_or_else(|| "none".to_string(), |b| b.state.to_string());
+        let t = self.breaker.map(|b| b.transitions).unwrap_or_default();
+        write!(
+            f,
+            "pairs={} faulted={} integrity_violations={} deadline_events={} health={:.3} \
+             quarantined={} breaker={state} opened={} half_opened={} closed={}",
+            self.pairs,
+            self.faulted_pairs,
+            self.integrity_violations,
+            self.deadline_events,
+            self.health,
+            self.quarantined,
+            t.opened,
+            t.half_opened,
+            t.closed
+        )
+    }
 }
 
 /// Where the pool routed one pair.

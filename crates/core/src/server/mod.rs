@@ -49,8 +49,7 @@ use smx_align_core::{AlignError, Alphabet, Sequence};
 use smx_coproc::control::CancelToken;
 
 use crate::orchestrator::SmxDevice;
-use crate::pool::{DeviceStats, Route};
-use crate::service::{self, ExecutorConfig};
+use crate::service::{self, ExecutorConfig, ServiceStats};
 use crate::shard::{self, relock, Done, Front, Phase, Plan, Shard};
 
 use proto::{read_frame, write_frame, FailKind, ProtoError, RejectReason, Request, Response};
@@ -150,44 +149,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// Global service counters, mirroring the batch `ServiceStats` for the
-/// open-ended server case.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCounters {
-    /// Pairs admitted to the work queue.
-    pub admitted: u64,
-    /// Pairs that aligned.
-    pub completed: u64,
-    /// Pairs that failed after admission.
-    pub failed: u64,
-    /// Typed rejections of every flavor.
-    pub rejected: u64,
-    /// Pairs replayed from session manifests.
-    pub resumed: u64,
-    /// Failures from an expired deadline (queued or at tile boundary).
-    pub deadline_exceeded: u64,
-    /// Failures from cancellation (crash/shutdown).
-    pub cancelled: u64,
-    /// Pairs served on the software baseline because brownout degraded
-    /// their priority class.
-    pub degraded_software: u64,
-    /// Retry attempts spent on recoverable faults.
-    pub retries: u64,
-    /// Pairs that took the device path (incl. probes).
-    pub device_pairs: u64,
-    /// Pairs the breaker/pool routed to the software baseline.
-    pub software_pairs: u64,
-    /// High-water mark of the work queue.
-    pub max_queue_depth: usize,
-}
-
 /// Per-tenant counts handed back when the server drains.
 #[derive(Debug, Clone)]
 pub struct DrainReport {
     /// Tenants in name order with their final counters.
     pub per_tenant: Vec<(String, TenantCounters)>,
-    /// Global counters at drain.
-    pub totals: ServerCounters,
+    /// The global tally at drain, every shard's pool folded in.
+    pub totals: ServiceStats,
     /// Per-shard counters at drain, in shard-id order.
     pub per_shard: Vec<ShardSnapshot>,
 }
@@ -218,6 +186,27 @@ pub struct ShardSnapshot {
     pub queue_depth: usize,
     /// Queue high-water mark.
     pub max_queue_depth: usize,
+}
+
+impl std::fmt::Display for ShardSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "shard {}: state={} dispatched={} completed={} stolen_from={} stolen_by={} \
+             restarts={} failovers={} last_failover_ms={} queue_depth={} max_queue_depth={}",
+            self.id,
+            self.state,
+            self.dispatched,
+            self.completed,
+            self.stolen_from,
+            self.stolen_by,
+            self.restarts,
+            self.failovers,
+            self.last_failover_ms,
+            self.queue_depth,
+            self.max_queue_depth
+        )
+    }
 }
 
 const STATE_RUNNING: u8 = 0;
@@ -352,7 +341,8 @@ struct Shared {
     token: CancelToken,
     tenants: Mutex<TenantTable>,
     sessions: Mutex<SessionStore>,
-    counters: Mutex<ServerCounters>,
+    /// The global tally, booked at ack by the connection writers.
+    counters: Mutex<ServiceStats>,
     /// Monotone pair sequence for deterministic audit sampling.
     pair_seq: AtomicUsize,
     conns: AtomicUsize,
@@ -389,12 +379,12 @@ impl Shared {
         level
     }
 
-    /// The `/stats` text: global counters, brownout, pool devices, and
-    /// one line per tenant — everything an operator needs to see which
-    /// rung of the degradation ladder the service is standing on.
+    /// The `/stats` text: lifecycle, queue and brownout, the global
+    /// tally, then one line per shard and per tenant — everything an
+    /// operator needs to see which rung of the degradation ladder the
+    /// service is standing on.
     fn stats_text(&self) -> String {
         use std::fmt::Write as _;
-        let c = *relock(&self.counters);
         let state = match self.state() {
             STATE_RUNNING => "running",
             STATE_DRAINING => "draining",
@@ -402,73 +392,48 @@ impl Shared {
         };
         let level = self.brownout();
         let peak = self.brownout_peak.load(Ordering::Relaxed);
-        let mut depth = 0;
-        let mut cap = 0;
-        let mut max_depth = 0;
-        for shard in &self.shards {
-            depth += shard.core.queue.depth();
-            cap += shard.core.queue.cap;
-            max_depth = max_depth.max(shard.core.queue.max_depth());
-        }
-        let mut pool_counters = crate::pool::PoolCounters::default();
-        let mut devices = Vec::new();
-        for shard in &self.shards {
-            let (d, c) = shard.core.pool.snapshot();
-            devices.extend(d);
-            pool_counters.audits_run += c.audits_run;
-            pool_counters.integrity_recomputed += c.integrity_recomputed;
-            pool_counters.hedges_launched += c.hedges_launched;
-            pool_counters.hedges_won += c.hedges_won;
-        }
+        let (depth, cap) = self.live_occupancy();
+        let totals = self.totals();
         let mut s = String::new();
         let _ = writeln!(s, "state: {state}");
         let _ = writeln!(s, "connections: {}", self.conns.load(Ordering::SeqCst));
-        let _ = writeln!(s, "queue_depth: {depth}/{cap} (max {max_depth})");
+        let _ = writeln!(s, "queue_depth: {depth}/{cap} (max {})", totals.max_queue_depth);
         let _ = writeln!(s, "brownout: {level} (peak rank {peak})");
-        let _ = writeln!(
-            s,
-            "pairs: admitted={} completed={} failed={} rejected={} resumed={}",
-            c.admitted, c.completed, c.failed, c.rejected, c.resumed
-        );
-        let _ = writeln!(
-            s,
-            "failures: deadline_exceeded={} cancelled={}",
-            c.deadline_exceeded, c.cancelled
-        );
-        let _ = writeln!(
-            s,
-            "routing: device_pairs={} software_pairs={} degraded_software={} retries={}",
-            c.device_pairs, c.software_pairs, c.degraded_software, c.retries
-        );
-        let _ = writeln!(
-            s,
-            "defenses: audits_run={} integrity_recomputed={} hedges_launched={} hedges_won={}",
-            pool_counters.audits_run,
-            pool_counters.integrity_recomputed,
-            pool_counters.hedges_launched,
-            pool_counters.hedges_won
-        );
+        let _ = write!(s, "{totals}");
         for shard in &self.shards {
-            let _ = writeln!(s, "shard {}: {}", shard.core.id, shard_line(&shard.snapshot()));
-        }
-        for (id, d) in devices.iter().enumerate() {
-            let _ = writeln!(s, "device {id}: {}", device_line(d));
+            let _ = writeln!(s, "{}", shard.snapshot());
         }
         for (name, t) in relock(&self.tenants).sorted() {
-            let _ =
-                writeln!(s, "tenant {name}: priority={} {}", t.priority, tenant_line(&t.counters));
+            let _ = writeln!(s, "tenant {name}: priority={} {}", t.priority, t.counters);
         }
         s
     }
 
-    fn bump<F: FnOnce(&mut ServerCounters)>(&self, f: F) {
-        f(&mut relock(&self.counters));
+    /// The global tally with every shard's pool and queue high-water
+    /// mark folded in: what `STATS` and the drain report print.
+    fn totals(&self) -> ServiceStats {
+        let mut totals = relock(&self.counters).clone();
+        for shard in &self.shards {
+            totals.add_pool(&shard.core.pool);
+            totals.max_queue_depth = totals.max_queue_depth.max(shard.core.queue.max_depth());
+        }
+        totals
     }
 
-    fn tenant_bump<F: FnOnce(&mut TenantCounters)>(&self, tenant: &str, f: F) {
-        if let Some(c) = relock(&self.tenants).counters_mut(tenant) {
-            f(c);
-        }
+    /// Books one event into the global tally, the tenant's counters and,
+    /// for an acked pair, the session's `DONE` counts together, so they
+    /// agree by construction. Takes `tenants` before `counters`, the
+    /// order lint.toml declares.
+    fn book(
+        &self,
+        tenant: &str,
+        session: Option<&mut TenantCounters>,
+        global: impl FnOnce(&mut ServiceStats),
+        local: impl Fn(&mut TenantCounters),
+    ) {
+        let mut tenants = relock(&self.tenants);
+        global(&mut relock(&self.counters));
+        tenants.counters_mut(tenant).into_iter().chain(session).for_each(local);
     }
 
     /// The session store, with poison surfaced as a typed error.
@@ -482,51 +447,6 @@ impl Shared {
     fn sessions(&self) -> Result<std::sync::MutexGuard<'_, SessionStore>, AlignError> {
         self.sessions.lock().map_err(|_| AlignError::Internal("session store lock poisoned".into()))
     }
-}
-
-fn shard_line(s: &ShardSnapshot) -> String {
-    format!(
-        "state={} dispatched={} completed={} stolen_from={} stolen_by={} \
-         restarts={} failovers={} last_failover_ms={} queue_depth={} (max {})",
-        s.state,
-        s.dispatched,
-        s.completed,
-        s.stolen_from,
-        s.stolen_by,
-        s.restarts,
-        s.failovers,
-        s.last_failover_ms,
-        s.queue_depth,
-        s.max_queue_depth
-    )
-}
-
-fn device_line(d: &DeviceStats) -> String {
-    let breaker = d.breaker.map_or_else(|| "none".to_string(), |b| b.state.to_string());
-    format!(
-        "pairs={} faulted={} integrity={} deadline_events={} health={:.3} quarantined={} breaker={breaker}",
-        d.pairs, d.faulted_pairs, d.integrity_violations, d.deadline_events, d.health, d.quarantined
-    )
-}
-
-fn tenant_line(c: &TenantCounters) -> String {
-    format!(
-        "admitted={} completed={} failed={} resumed={} rejected={} \
-         (rate={} queue={} brownout={} draining={} overloaded={}) \
-         deadline_exceeded={} degraded={}",
-        c.admitted,
-        c.completed,
-        c.failed,
-        c.resumed,
-        c.rejected(),
-        c.rejected_rate,
-        c.rejected_queue,
-        c.rejected_brownout,
-        c.rejected_draining,
-        c.rejected_overloaded,
-        c.deadline_exceeded,
-        c.degraded_software
-    )
 }
 
 fn fail_kind(e: &AlignError) -> FailKind {
@@ -583,7 +503,7 @@ impl Server {
             token,
             tenants: Mutex::new(TenantTable::new(policy)),
             sessions: Mutex::new(sessions),
-            counters: Mutex::new(ServerCounters::default()),
+            counters: Mutex::new(ServiceStats::default()),
             pair_seq: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
             conn_threads: Mutex::new(Vec::new()),
@@ -665,9 +585,7 @@ impl ServerHandle {
             .into_iter()
             .map(|(name, t)| (name.to_string(), t.counters))
             .collect();
-        let mut totals = *relock(&shared.counters);
-        totals.max_queue_depth =
-            shared.shards.iter().map(|s| s.core.queue.max_depth()).max().unwrap_or(0);
+        let totals = shared.totals();
         let per_shard = shared.shards.iter().map(FleetShard::snapshot).collect();
         DrainReport { per_tenant, totals, per_shard }
     }
@@ -811,7 +729,7 @@ impl Front for Shared {
     }
 
     fn complete(&self, job: Job, done: Done) {
-        finish(self, &job, done);
+        finish(&job, done);
     }
 }
 
@@ -926,7 +844,7 @@ fn restart_shard(shared: &Arc<Shared>, s: usize, wedged_since: &mut Option<Insta
             // can resubmit (it lands on a live shard next time).
             while let Some(job) = shard.core.queue.try_pop() {
                 let error = format!("shard {s} quarantined; resubmit the pair");
-                finish(shared, &job, Done::failed(AlignError::Internal(error)));
+                finish(&job, Done::failed(AlignError::Internal(error)));
             }
         } else {
             shard.state.store(SHARD_DEGRADED, Ordering::SeqCst);
@@ -961,38 +879,14 @@ fn redistribute_queue(shared: &Shared, s: usize) {
         // just emptied, so this cannot fail for more jobs than fit.
         if let Err(job) = source.core.queue.push(job, false) {
             let error = format!("shard {s} restart could not requeue the pair; resubmit");
-            finish(shared, &job, Done::failed(AlignError::Internal(error)));
+            finish(&job, Done::failed(AlignError::Internal(error)));
         }
     }
 }
 
-/// Books a finished pair into the global counters and hands it to the
-/// connection's writer (which does the durable ack).
-fn finish(shared: &Shared, job: &Job, done: Done) {
-    shared.bump(|c| {
-        c.retries += u64::from(done.retries);
-        if done.software {
-            c.degraded_software += 1;
-            c.software_pairs += 1;
-        }
-        match done.meta.map(|m| m.route) {
-            Some(Route::Software) => c.software_pairs += 1,
-            Some(_) => c.device_pairs += 1,
-            None => {}
-        }
-        match &done.result {
-            Ok(_) => c.completed += 1,
-            Err(AlignError::DeadlineExceeded { .. }) => {
-                c.failed += 1;
-                c.deadline_exceeded += 1;
-            }
-            Err(AlignError::Cancelled) => {
-                c.failed += 1;
-                c.cancelled += 1;
-            }
-            Err(_) => c.failed += 1,
-        }
-    });
+/// Hands a finished pair to the connection's writer, which records it
+/// durably, books it, and acks it.
+fn finish(job: &Job, done: Done) {
     // A send failure means the connection is gone; the pair's outcome is
     // simply unacked (and therefore recomputable on resume).
     let _ = job.reply.send(WriterMsg::Done(job.id, done));
@@ -1177,14 +1071,7 @@ fn admit(
     outstanding: &Arc<AtomicUsize>,
 ) {
     let reject = |reason: RejectReason, retry_after_ms: u64| {
-        shared.bump(|c| c.rejected += 1);
-        shared.tenant_bump(tenant, |c| match reason {
-            RejectReason::RateLimit => c.rejected_rate += 1,
-            RejectReason::QueueFull => c.rejected_queue += 1,
-            RejectReason::Brownout => c.rejected_brownout += 1,
-            RejectReason::Draining => c.rejected_draining += 1,
-            RejectReason::Overloaded => c.rejected_overloaded += 1,
-        });
+        shared.book(tenant, None, |c| c.rejected += 1, |t| t.reject(reason));
         let _ = tx.send(WriterMsg::Frame(Response::Reject { id, reason, retry_after_ms }));
     };
     if shared.state() != STATE_RUNNING {
@@ -1261,8 +1148,7 @@ fn admit(
         match shard.core.queue.push(job.take().unwrap(), false) {
             Ok(()) => {
                 shard.dispatched.fetch_add(1, Ordering::SeqCst);
-                shared.bump(|c| c.admitted += 1);
-                shared.tenant_bump(tenant, |c| c.admitted += 1);
+                shared.book(tenant, None, |c| c.admitted += 1, |t| t.admitted += 1);
                 return;
             }
             Err(back) => job = Some(back),
@@ -1293,18 +1179,21 @@ fn writer_loop(
     let kill_socket = |out: &BufWriter<TcpStream>| {
         let _ = out.get_ref().shutdown(std::net::Shutdown::Both);
     };
-    let mut local = (0u64, 0u64, 0u64, 0u64); // completed, failed, rejected, resumed
+    // This session's share of the tally: its `DONE` counts.
+    let mut local = TenantCounters::default();
     let mut byeing = false;
     loop {
         if shared.state() == STATE_CRASHED {
             return; // no further acks, exactly like a dead process
         }
         if byeing && outstanding.load(Ordering::SeqCst) == 0 {
-            let (completed, failed, rejected, resumed) = local;
-            let _ = write_frame(
-                &mut out,
-                &Response::Done { completed, failed, rejected, resumed }.encode(),
-            );
+            let done = Response::Done {
+                completed: local.completed,
+                failed: local.failed,
+                rejected: local.rejected(),
+                resumed: local.resumed,
+            };
+            let _ = write_frame(&mut out, &done.encode());
             let _ = out.flush();
             return;
         }
@@ -1319,8 +1208,8 @@ fn writer_loop(
         };
         match msg {
             WriterMsg::Frame(resp) => {
-                if matches!(resp, Response::Reject { .. }) {
-                    local.2 += 1;
+                if let Response::Reject { reason, .. } = resp {
+                    local.reject(reason);
                 }
                 if write_frame(&mut out, &resp.encode()).is_err() {
                     // Dead socket (peer gone, or an injected torn
@@ -1338,83 +1227,60 @@ fn writer_loop(
                         cigar: a.cigar.to_string(),
                         resumed: true,
                     };
-                    local.3 += 1;
-                    shared.bump(|c| c.resumed += 1);
-                    shared.tenant_bump(tenant, |c| c.resumed += 1);
+                    shared.book(tenant, Some(&mut local), |c| c.resumed += 1, |t| t.resumed += 1);
                     if write_frame(&mut out, &frame.encode()).is_err() {
                         kill_socket(&out);
                         return;
                     }
                 }
             }
-            WriterMsg::Done(id, c) => {
+            WriterMsg::Done(id, mut done) => {
                 outstanding.fetch_sub(1, Ordering::SeqCst);
-                match c.result {
-                    Ok(a) => match session.record(id, &a) {
-                        Ok(()) => {
-                            local.0 += 1;
-                            shared.tenant_bump(tenant, |t| t.completed += 1);
-                            if c.software {
-                                shared.tenant_bump(tenant, |t| t.degraded_software += 1);
-                            }
-                            // Failpoint `session.ack`: die between the
-                            // fsynced record and the RESULT frame — the
-                            // recorded-but-unacked window. Dropping the
-                            // connection here must never lose the pair:
-                            // resume replays it (at-least-once), which
-                            // is exactly what chaos_storm asserts.
-                            if smx_failpoint::hit("session.ack").is_some() {
-                                kill_socket(&out);
-                                return;
-                            }
-                            if write_frame(
-                                &mut out,
-                                &Response::Result {
-                                    id,
-                                    score: a.score,
-                                    cigar: a.cigar.to_string(),
-                                    resumed: false,
-                                }
-                                .encode(),
-                            )
-                            .is_err()
-                            {
-                                // Recorded but the ack never reached the
-                                // wire: same recoverable window as above.
-                                kill_socket(&out);
-                                return;
-                            }
-                        }
-                        Err(e) => {
-                            // The manifest write failed: the pair is NOT
-                            // acked (the client must treat it as lost).
-                            local.1 += 1;
-                            shared.tenant_bump(tenant, |t| t.failed += 1);
-                            let _ = write_frame(
-                                &mut out,
-                                &Response::Fail {
-                                    id,
-                                    kind: FailKind::Error,
-                                    detail: format!("checkpoint write failed: {e}"),
-                                }
-                                .encode(),
-                            );
-                        }
+                let frame = match &done.result {
+                    Ok(a) => match session.record(id, a) {
+                        Ok(()) => Response::Result {
+                            id,
+                            score: a.score,
+                            cigar: a.cigar.to_string(),
+                            resumed: false,
+                        },
+                        // The manifest write failed: the pair is NOT
+                        // acked (the client must treat it as lost), so it
+                        // is booked as failed too.
+                        Err(e) => Response::Fail {
+                            id,
+                            kind: FailKind::Error,
+                            detail: format!("checkpoint write failed: {e}"),
+                        },
                     },
-                    Err(e) => {
-                        local.1 += 1;
-                        shared.tenant_bump(tenant, |t| {
-                            t.failed += 1;
-                            if matches!(e, AlignError::DeadlineExceeded { .. }) {
-                                t.deadline_exceeded += 1;
-                            }
-                        });
-                        let _ = write_frame(
-                            &mut out,
-                            &Response::Fail { id, kind: fail_kind(&e), detail: e.to_string() }
-                                .encode(),
-                        );
+                    Err(e) => Response::Fail { id, kind: fail_kind(e), detail: e.to_string() },
+                };
+                if let Response::Fail { detail, .. } = &frame {
+                    if done.result.is_ok() {
+                        done.result = Err(AlignError::Internal(detail.clone()));
                     }
+                }
+                // Booked once, at ack: the global tally, the tenant and
+                // this session's `DONE` counts all take the pair as
+                // `record` classifies it.
+                let mut pair = ServiceStats::default();
+                pair.record(&done);
+                shared.book(tenant, Some(&mut local), |c| c.record(&done), |t| t.add(&pair));
+                let acked = matches!(frame, Response::Result { .. });
+                // Failpoint `session.ack`: die between the fsynced record
+                // and the RESULT frame — the recorded-but-unacked window.
+                // Dropping the connection here must never lose the pair:
+                // resume replays it (at-least-once), which is exactly what
+                // chaos_storm asserts.
+                if acked && smx_failpoint::hit("session.ack").is_some() {
+                    kill_socket(&out);
+                    return;
+                }
+                if write_frame(&mut out, &frame.encode()).is_err() && acked {
+                    // Recorded but the ack never reached the wire: same
+                    // recoverable window as above.
+                    kill_socket(&out);
+                    return;
                 }
             }
             WriterMsg::Bye => byeing = true,
@@ -1553,8 +1419,8 @@ mod tests {
 
     /// Both front ends drive one executor core: the same seeded pairs
     /// through `BatchExecutor::run` and through a one-shard server with
-    /// the same executor config come back byte-identical, and each side
-    /// audits exactly the pairs it completed.
+    /// the same executor config come back byte-identical, each side
+    /// audits exactly the pairs it completed, and the two tallies agree.
     #[test]
     fn batch_and_server_drive_one_core() {
         use crate::pool::AuditConfig;
@@ -1576,7 +1442,6 @@ mod tests {
 
         let serve = ServerConfig { exec, shards: 1, ..ServerConfig::default() };
         let h = Server::bind(dev, serve, "127.0.0.1:0").unwrap();
-        let shared = Arc::clone(&h.shared);
         let mut c = Client::connect(h.addr()).unwrap();
         hello(&mut c, "-", "t", Priority::Normal, 0);
         for (i, (q, r)) in pairs.iter().enumerate() {
@@ -1597,8 +1462,19 @@ mod tests {
         }
         let report = h.drain();
         assert_eq!(report.totals.completed, pairs.len() as u64);
-        let (_, counters) = shared.shards[0].core.pool.snapshot();
-        assert_eq!(counters.audits_run, report.totals.completed);
+        assert_eq!(report.totals.audits_run, report.totals.completed);
+        let tally = |s: &ServiceStats| {
+            (
+                s.completed,
+                s.failed,
+                s.device_pairs,
+                s.software_pairs,
+                s.audits_run,
+                s.integrity_violations,
+                s.hedges_launched,
+            )
+        };
+        assert_eq!(tally(&batch.stats), tally(&report.totals), "batch and server tallies differ");
     }
 
     #[test]

@@ -13,6 +13,9 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use super::proto::RejectReason;
+use crate::service::ServiceStats;
+
 /// Priority class carried in `HELLO`. Order matters: the work queue
 /// serves `High` before `Normal` before `Low`, and brownout degrades in
 /// the opposite order.
@@ -152,6 +155,49 @@ impl TenantCounters {
             + self.rejected_brownout
             + self.rejected_draining
             + self.rejected_overloaded
+    }
+
+    /// Adds one acked pair's outcome, as [`ServiceStats::record`] booked
+    /// it into `pair`.
+    pub(crate) fn add(&mut self, pair: &ServiceStats) {
+        self.completed += pair.completed;
+        self.failed += pair.failed;
+        self.deadline_exceeded += pair.deadline_exceeded;
+        self.degraded_software += pair.degraded_software;
+    }
+
+    /// Books one typed rejection under its flavor.
+    pub(crate) fn reject(&mut self, reason: RejectReason) {
+        match reason {
+            RejectReason::RateLimit => self.rejected_rate += 1,
+            RejectReason::QueueFull => self.rejected_queue += 1,
+            RejectReason::Brownout => self.rejected_brownout += 1,
+            RejectReason::Draining => self.rejected_draining += 1,
+            RejectReason::Overloaded => self.rejected_overloaded += 1,
+        }
+    }
+}
+
+impl std::fmt::Display for TenantCounters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "admitted={} completed={} failed={} resumed={} rejected={} rejected_rate={} \
+             rejected_queue={} rejected_brownout={} rejected_draining={} \
+             rejected_overloaded={} deadline_exceeded={} degraded_software={}",
+            self.admitted,
+            self.completed,
+            self.failed,
+            self.resumed,
+            self.rejected(),
+            self.rejected_rate,
+            self.rejected_queue,
+            self.rejected_brownout,
+            self.rejected_draining,
+            self.rejected_overloaded,
+            self.deadline_exceeded,
+            self.degraded_software
+        )
     }
 }
 

@@ -42,7 +42,7 @@ use smx_coproc::control::CancelToken;
 use smx_coproc::faults::RecoveryStats;
 
 use crate::orchestrator::{BatchFailure, SmxDevice};
-use crate::pool::{AuditConfig, DeviceStats, HedgeConfig, QuarantineConfig, Route};
+use crate::pool::{AuditConfig, DevicePool, DeviceStats, HedgeConfig, QuarantineConfig, Route};
 use crate::shard::{self, Done, Front, Job, Phase, Plan, RetryConfig, Shard};
 
 /// What a submitter does when the work queue is full.
@@ -317,19 +317,24 @@ pub enum PairOutcome {
     Shed,
 }
 
-/// Structured counters for one batch run.
+/// The one outcome tally, for a batch run and for a server alike: pairs
+/// are booked by [`ServiceStats::record`], device pools folded in by
+/// [`ServiceStats::add_pool`], and the `Display` impl is the one text
+/// format (the CLI footers and the server's `STATS` reply).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
-    /// Pairs in the input batch.
-    pub submitted: u64,
-    /// Pairs that aligned (including resumed ones).
+    /// Pairs that aligned in this run (resumed pairs excluded).
     pub completed: u64,
     /// Pairs that failed with an error.
     pub failed: u64,
-    /// Pairs shed at admission.
+    /// Pairs shed at admission (batch).
     pub shed: u64,
     /// Pairs satisfied from a resume manifest without running.
     pub resumed: u64,
+    /// Pairs admitted to a work queue (server).
+    pub admitted: u64,
+    /// Typed rejections of every flavor (server).
+    pub rejected: u64,
     /// Failures caused by an expired per-pair deadline.
     pub deadline_exceeded: u64,
     /// Failures caused by batch cancellation.
@@ -342,6 +347,11 @@ pub struct ServiceStats {
     pub probe_pairs: u64,
     /// Pairs during which the device injected at least one fault.
     pub faulted_pairs: u64,
+    /// Pairs served on the software baseline because brownout degraded
+    /// their priority class (server).
+    pub degraded_software: u64,
+    /// Retry attempts spent on recoverable faults (server).
+    pub retries: u64,
     /// High-water mark of the bounded work queue.
     pub max_queue_depth: usize,
     /// Host-side result audits run (scoreboard checks).
@@ -374,6 +384,133 @@ pub struct ServiceStats {
     pub per_device: Vec<DeviceStats>,
     /// Tile-level recovery counters aggregated across the device pool.
     pub recovery: RecoveryStats,
+}
+
+impl ServiceStats {
+    /// Books one finished pair: its route, retries and outcome. The only
+    /// place a pair becomes counters — the batch collector and the
+    /// server's writer (at ack) both call it.
+    pub(crate) fn record(&mut self, done: &Done) {
+        self.retries += u64::from(done.retries);
+        if done.software {
+            self.degraded_software += 1;
+            self.software_pairs += 1;
+        }
+        if let Some(meta) = done.meta {
+            match meta.route {
+                Route::Device(_) => self.device_pairs += 1,
+                Route::Probe { .. } => {
+                    self.device_pairs += 1;
+                    self.probe_pairs += 1;
+                }
+                Route::Software => self.software_pairs += 1,
+            }
+            self.faulted_pairs += u64::from(meta.faulted);
+        }
+        match &done.result {
+            Ok(_) => self.completed += 1,
+            Err(e) => {
+                self.failed += 1;
+                match e {
+                    AlignError::DeadlineExceeded { .. } => self.deadline_exceeded += 1,
+                    AlignError::Cancelled => self.cancelled += 1,
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// Folds one device pool into the tally: per-device stats, the pool
+    /// counters, and tile recovery. A batch folds its one pool, a server
+    /// each shard's.
+    pub(crate) fn add_pool(&mut self, pool: &DevicePool) {
+        let (per_device, counters) = pool.snapshot();
+        self.recovery.merge(&pool.recovery());
+        self.audits_run += counters.audits_run;
+        self.integrity_recomputed += counters.integrity_recomputed;
+        self.hedges_launched += counters.hedges_launched;
+        self.hedges_won += counters.hedges_won;
+        for d in &per_device {
+            self.integrity_violations += d.integrity_violations;
+            self.quarantines += d.quarantines;
+            self.readmissions += d.readmissions;
+            self.canary_runs += d.canary_runs;
+            self.canary_failures += d.canary_failures;
+        }
+        self.breaker = self.breaker.or_else(|| per_device.first().and_then(|d| d.breaker));
+        self.per_device.extend(per_device);
+    }
+}
+
+/// `key=value` lines under fixed heads, every head always printed, then
+/// one `device N:` line per pool device. The destructuring is
+/// exhaustive, so a field added to the tally cannot miss the renderer.
+impl std::fmt::Display for ServiceStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ServiceStats {
+            completed,
+            failed,
+            shed,
+            resumed,
+            admitted,
+            rejected,
+            deadline_exceeded,
+            cancelled,
+            device_pairs,
+            software_pairs,
+            probe_pairs,
+            faulted_pairs,
+            degraded_software,
+            retries,
+            max_queue_depth,
+            audits_run,
+            integrity_violations,
+            integrity_recomputed,
+            hedges_launched,
+            hedges_won,
+            quarantines,
+            readmissions,
+            canary_runs,
+            canary_failures,
+            // Device 0's breaker; its `device 0:` line prints it.
+            breaker: _,
+            per_device,
+            recovery,
+        } = self;
+        let RecoveryStats {
+            tiles_computed: _,
+            faults_injected,
+            faults_detected,
+            retries: tile_retries,
+            fallbacks,
+            software_alignments,
+            cycles_lost,
+            silent_corruptions,
+        } = recovery;
+        let devices = per_device.len();
+        writeln!(
+            f,
+            "pairs: completed={completed} failed={failed} resumed={resumed} shed={shed} \
+             admitted={admitted} rejected={rejected} max_queue_depth={max_queue_depth}\n\
+             failures: deadline_exceeded={deadline_exceeded} cancelled={cancelled}\n\
+             routing: device_pairs={device_pairs} software_pairs={software_pairs} \
+             probe_pairs={probe_pairs} faulted_pairs={faulted_pairs} \
+             degraded_software={degraded_software} retries={retries}\n\
+             defenses: audits_run={audits_run} integrity_violations={integrity_violations} \
+             integrity_recomputed={integrity_recomputed} hedges_launched={hedges_launched} \
+             hedges_won={hedges_won}\n\
+             pool: devices={devices} quarantines={quarantines} readmissions={readmissions} \
+             canary_runs={canary_runs} canary_failures={canary_failures}\n\
+             faults: injected={faults_injected} detected={faults_detected} \
+             retries={tile_retries} fallbacks={fallbacks} \
+             software_alignments={software_alignments} \
+             silent_corruptions={silent_corruptions} cycles_lost={cycles_lost}"
+        )?;
+        for (id, d) in per_device.iter().enumerate() {
+            writeln!(f, "device {id}: {d}")?;
+        }
+        Ok(())
+    }
 }
 
 /// Outcome of [`BatchExecutor::run`]: per-pair outcomes positionally
@@ -423,7 +560,7 @@ impl ServiceBatchReport {
         use std::fmt::Write as _;
         let mut s = format!(
             "{}/{} pairs aligned, {} failed, {} shed",
-            self.stats.completed,
+            self.stats.completed + self.stats.resumed,
             self.outcomes.len(),
             self.stats.failed,
             self.stats.shed,
@@ -509,7 +646,7 @@ impl BatchExecutor {
     ) -> ServiceBatchReport {
         let n = pairs.len();
         let mut outcomes: Vec<Option<PairOutcome>> = vec![None; n];
-        let mut stats = ServiceStats { submitted: n as u64, ..ServiceStats::default() };
+        let mut stats = ServiceStats::default();
 
         if let Some(manifest) = opts.resume {
             for (&index, alignment) in manifest {
@@ -527,30 +664,26 @@ impl BatchExecutor {
         let no_retry = RetryConfig { attempts: 0, ..RetryConfig::default() };
         let built = ShardPlan::split(&self.cfg, 1)
             .and_then(|plan| Shard::build(&plan, &self.device, &self.cfg, no_retry, &token));
-        match built {
+        let missing = match built {
             // A one-shard plan: the loop body runs once.
             Ok(shards) => {
                 for shard in shards {
                     self.drive(shard, pairs, &todo, &mut outcomes, &mut stats, &mut opts);
                 }
+                AlignError::Internal("pair lost by a worker".into())
             }
             // Pool construction failing (canary golden could not be
             // computed) fails the whole batch closed with the typed error
             // rather than panicking.
-            Err(e) => {
-                for &index in &todo {
-                    outcomes[index] = Some(PairOutcome::Failed(e.clone()));
-                }
+            Err(e) => e,
+        };
+        for &index in &todo {
+            if outcomes[index].is_none() {
+                settle(&mut stats, &mut outcomes, &mut None, index, Done::failed(missing.clone()));
             }
         }
-
-        let lost = || PairOutcome::Failed(AlignError::Internal("pair lost by a worker".into()));
-        let outcomes: Vec<PairOutcome> =
-            outcomes.into_iter().map(|o| o.unwrap_or_else(lost)).collect();
-        stats.completed =
-            outcomes.iter().filter(|o| matches!(o, PairOutcome::Aligned(_))).count() as u64;
-        stats.failed =
-            outcomes.iter().filter(|o| matches!(o, PairOutcome::Failed(_))).count() as u64;
+        // Every slot is filled by now: resumed, shed, settled, or failed.
+        let outcomes = outcomes.into_iter().flatten().collect();
         ServiceBatchReport { outcomes, stats }
     }
 
@@ -605,19 +738,7 @@ impl BatchExecutor {
             stats.max_queue_depth = shard.queue.max_depth();
         }
 
-        let (per_device, counters) = shard.pool.snapshot();
-        stats.recovery = shard.pool.recovery();
-        stats.audits_run = counters.audits_run;
-        stats.integrity_recomputed = counters.integrity_recomputed;
-        stats.hedges_launched = counters.hedges_launched;
-        stats.hedges_won = counters.hedges_won;
-        stats.integrity_violations = per_device.iter().map(|d| d.integrity_violations).sum();
-        stats.quarantines = per_device.iter().map(|d| d.quarantines).sum();
-        stats.readmissions = per_device.iter().map(|d| d.readmissions).sum();
-        stats.canary_runs = per_device.iter().map(|d| d.canary_runs).sum();
-        stats.canary_failures = per_device.iter().map(|d| d.canary_failures).sum();
-        stats.breaker = per_device.first().and_then(|d| d.breaker);
-        stats.per_device = per_device;
+        stats.add_pool(&shard.pool);
     }
 }
 
@@ -666,26 +787,9 @@ fn settle(
     index: usize,
     done: Done,
 ) {
-    if let Some(meta) = done.meta {
-        match meta.route {
-            Route::Device(_) => stats.device_pairs += 1,
-            Route::Probe { .. } => {
-                stats.device_pairs += 1;
-                stats.probe_pairs += 1;
-            }
-            Route::Software => stats.software_pairs += 1,
-        }
-        stats.faulted_pairs += u64::from(meta.faulted);
-    }
-    match &done.result {
-        Ok(a) => {
-            if let Some(cb) = on_result.as_mut() {
-                cb(index, a);
-            }
-        }
-        Err(AlignError::DeadlineExceeded { .. }) => stats.deadline_exceeded += 1,
-        Err(AlignError::Cancelled) => stats.cancelled += 1,
-        Err(_) => {}
+    stats.record(&done);
+    if let (Ok(a), Some(cb)) = (&done.result, on_result.as_mut()) {
+        cb(index, a);
     }
     if let Some(slot) = outcomes.get_mut(index) {
         *slot = Some(match done.result {
@@ -971,6 +1075,26 @@ mod tests {
         computed.sort_unstable();
         assert_eq!(computed, vec![1, 3, 5, 7, 9], "only missing pairs recompute");
         assert_eq!(report.outcomes, full.outcomes, "byte-identical to the full run");
+    }
+
+    /// `completed` counts pairs aligned in this run, as the server's
+    /// tally does; resumed pairs are counted apart, and the summary's
+    /// `N/M pairs aligned` adds them back.
+    #[test]
+    fn resumed_pairs_are_not_completed_in_this_run() {
+        let config = AlignmentConfig::DnaEdit;
+        let batch = pairs(config, 6, 40);
+        let exec =
+            BatchExecutor::new(SmxDevice::new(config, 2).unwrap(), ExecutorConfig::default())
+                .unwrap();
+        let full = exec.run(&batch);
+        let manifest: HashMap<usize, Alignment> =
+            [0, 4].into_iter().map(|i| (i, expect_aligned(&full, i).clone())).collect();
+        let report =
+            exec.run_with(&batch, RunOptions { resume: Some(&manifest), ..RunOptions::default() });
+        let s = &report.stats;
+        assert_eq!((s.completed, s.resumed, s.failed, s.shed), (4, 2, 0, 0));
+        assert!(report.failure_summary().starts_with("6/6 pairs aligned"));
     }
 
     /// Batch and serve share one validation: every invalid config is

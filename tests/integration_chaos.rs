@@ -433,3 +433,77 @@ fn permanent_wedge_is_quarantined_and_the_fleet_keeps_serving() {
     assert_eq!(report.per_shard.len(), 2);
     assert_eq!(report.per_shard[0].state, "quarantined");
 }
+
+/// A pair whose checkpoint record fails is never acked, and it is booked
+/// as failed everywhere: the drain totals, the tenant counters, the
+/// session's `DONE` frame and the client's RESULT/FAIL frames all agree.
+#[test]
+fn failed_checkpoint_write_books_the_pair_failed_everywhere() {
+    let _guard = registry_lock();
+    let dir = std::env::temp_dir().join(format!("smx-chaos-ckpt-books-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    const ARMED: u64 = 3;
+    failpoint::install(FailSchedule::new(3).rule(
+        "ckpt.write",
+        None,
+        Action::Error,
+        1.0,
+        Some(ARMED),
+    ));
+    let dev = SmxDevice::new(AlignmentConfig::DnaEdit, 4).unwrap();
+    let h = Server::bind(
+        dev,
+        ServerConfig {
+            exec: ExecutorConfig { jobs: 2, ..ExecutorConfig::default() },
+            checkpoint_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut c = Client::connect(h.addr()).unwrap();
+    c.send(&Request::Hello {
+        session: "books".into(),
+        tenant: "acme".into(),
+        priority: Priority::Normal,
+        deadline_ms: 0,
+    })
+    .unwrap();
+    assert!(matches!(c.recv().unwrap().unwrap(), Response::Ok { .. }));
+    let pairs = chaos_pairs(12);
+    for (i, (q, r)) in pairs.iter().enumerate() {
+        c.send(&Request::Pair { id: i, query: q.clone(), reference: r.clone() }).unwrap();
+    }
+    let (mut results, mut fails) = (0u64, 0u64);
+    for _ in 0..pairs.len() {
+        match c.recv().unwrap().unwrap() {
+            Response::Result { .. } => results += 1,
+            Response::Fail { detail, .. } => {
+                assert!(detail.contains("checkpoint write failed"), "unexpected FAIL: {detail}");
+                fails += 1;
+            }
+            other => panic!("expected RESULT or FAIL, got {other:?}"),
+        }
+    }
+    assert_eq!(fails, ARMED, "every armed checkpoint write must fail its pair");
+    c.send(&Request::Bye).unwrap();
+    match c.recv().unwrap().unwrap() {
+        Response::Done { completed, failed, .. } => {
+            assert_eq!((completed, failed), (results, fails), "DONE vs client frames");
+        }
+        other => panic!("expected DONE, got {other:?}"),
+    }
+    let report = h.drain();
+    let tenants = report
+        .per_tenant
+        .iter()
+        .fold((0, 0), |(done, failed), (_, t)| (done + t.completed, failed + t.failed));
+    assert_eq!(
+        (report.totals.completed, report.totals.failed),
+        tenants,
+        "drain totals vs tenant counters: {:?}",
+        report.totals
+    );
+    assert_eq!(tenants, (results, fails), "tenant counters vs client frames");
+    let _ = std::fs::remove_dir_all(&dir);
+}
