@@ -79,9 +79,12 @@ impl Cigar {
     }
 
     /// Reverses the operation order in place (tracebacks are produced
-    /// end-to-start).
+    /// end-to-start). This is a traceback's last step, so it also drops
+    /// the spare capacity the pushes left: a batch keeps every result's
+    /// CIGAR until the batch ends.
     pub fn reverse(&mut self) {
         self.runs.reverse();
+        self.runs.shrink_to_fit();
     }
 
     /// Run-length view.

@@ -1,0 +1,13 @@
+//! The one process-wide kernel switch: every crate with a vectorised
+//! kernel (the host SIMD baseline, the SMX-2D tile kernel) consults
+//! [`force_scalar`] before taking its vector path.
+
+use std::sync::OnceLock;
+
+/// Whether `SMX_FORCE_SCALAR` (any value but `0`) pins every vectorised
+/// kernel to its scalar twin (checked once per process).
+#[must_use]
+pub fn force_scalar() -> bool {
+    static FORCED: OnceLock<bool> = OnceLock::new();
+    *FORCED.get_or_init(|| std::env::var("SMX_FORCE_SCALAR").is_ok_and(|v| v != "0"))
+}

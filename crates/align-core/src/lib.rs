@@ -27,6 +27,7 @@
 pub mod alphabet;
 pub mod cigar;
 pub mod config;
+pub mod dispatch;
 pub mod dp;
 pub mod dp_affine;
 pub mod dp_local;

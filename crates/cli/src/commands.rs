@@ -127,8 +127,9 @@ pair on the software baseline when the device attempt exceeds N ms.
 server (serve): runs the batch-service stack as a long-lived framed-TCP
 front door (4-byte big-endian length prefix + tab-separated text). Each
 connection opens with HELLO <tenant> <priority> <session> <deadline-ms>;
-pairs are admitted through a per-tenant token bucket (--rate/--burst)
-into a three-class strict-priority queue. Overload walks a brownout
+pairs are admitted through a per-tenant token bucket into a three-class
+strict-priority queue; the bucket is off unless --rate F (pairs/s) is
+given, and --burst F defaults to the rate. Overload walks a brownout
 ladder (--brownout-shed/-degrade/-refuse occupancy thresholds): shed
 audit/hedge extras, degrade low-priority tenants to the software
 baseline, then refuse low-priority work with a typed REJECT carrying a
@@ -614,16 +615,16 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     let dev = service_device(args, config, workers, fault_rate)?;
     let exec = executor_config(args)?;
 
-    let pd = TenantPolicy::default();
+    // The bucket is off (infinite rate) unless --rate is given; --burst
+    // then defaults to one second's worth of the rate.
+    let rate = args.get_num("rate", TenantPolicy::default().rate).map_err(|e| e.to_string())?;
+    let burst = args.get_num("burst", rate).map_err(|e| e.to_string())?;
     let bd = BrownoutConfig::default();
     let rd = RetryConfig::default();
     let sd = SupervisorConfig::default();
     let cfg = ServerConfig {
         exec,
-        policy: TenantPolicy {
-            rate: args.get_num("rate", pd.rate).map_err(|e| e.to_string())?,
-            burst: args.get_num("burst", pd.burst).map_err(|e| e.to_string())?,
-        },
+        policy: TenantPolicy { rate, burst },
         brownout: BrownoutConfig {
             shed_extras_at: args
                 .get_num("brownout-shed", bd.shed_extras_at)

@@ -656,6 +656,20 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     );
                     continue;
                 }
+                // Reap the connections that ended first: an exited thread
+                // keeps its stack and malloc arena until it is joined, so
+                // a long-lived server would otherwise grow with every
+                // connection it ever accepted.
+                let ended: Vec<JoinHandle<()>> = {
+                    let mut threads = relock(&shared.conn_threads);
+                    let (ended, live) =
+                        std::mem::take(&mut *threads).into_iter().partition(|h| h.is_finished());
+                    *threads = live;
+                    ended
+                };
+                for h in ended {
+                    let _ = h.join();
+                }
                 shared.conns.fetch_add(1, Ordering::SeqCst);
                 let shared2 = Arc::clone(shared);
                 let handle = std::thread::spawn(move || {
@@ -1415,6 +1429,28 @@ mod tests {
         assert_eq!(report.per_tenant.len(), 1);
         assert_eq!(report.per_tenant[0].0, "acme");
         assert_eq!(report.per_tenant[0].1.completed, 2);
+    }
+
+    #[test]
+    fn ended_connection_threads_are_reaped() {
+        let h = server(ServerConfig::default());
+        for k in 0..6 {
+            let mut c = Client::connect(h.addr()).unwrap();
+            hello(&mut c, "-", "acme", Priority::Normal, 0);
+            c.send(&Request::Bye).unwrap();
+            assert!(matches!(c.recv().unwrap().unwrap(), Response::Done { .. }), "conn {k}");
+            drop(c);
+            let t0 = Instant::now();
+            while h.shared.conns.load(Ordering::SeqCst) > 0 {
+                assert!(t0.elapsed() < Duration::from_secs(10), "conn {k} never ended");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // Each accept joins the connections that ended before it, so only
+        // the last connection and the one before it can still be registered.
+        let registered = relock(&h.shared.conn_threads).len();
+        assert!(registered <= 2, "{registered} connection threads still registered");
+        h.drain();
     }
 
     /// Both front ends drive one executor core: the same seeded pairs

@@ -66,8 +66,8 @@ impl std::fmt::Display for Priority {
 }
 
 /// Per-tenant token-bucket tuning: a sustained rate plus a burst
-/// allowance. The default is deliberately generous — admission control
-/// is opt-in pressure relief, not a default throttle.
+/// allowance. The default admits every pair (infinite rate and burst) —
+/// admission control is opt-in pressure relief, not a default throttle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantPolicy {
     /// Sustained admission rate, pairs per second.
@@ -78,7 +78,7 @@ pub struct TenantPolicy {
 
 impl Default for TenantPolicy {
     fn default() -> TenantPolicy {
-        TenantPolicy { rate: 10_000.0, burst: 10_000.0 }
+        TenantPolicy { rate: f64::INFINITY, burst: f64::INFINITY }
     }
 }
 
@@ -104,6 +104,11 @@ impl TokenBucket {
     ///
     /// The `Duration` until the bucket will hold a full token again.
     pub fn try_take(&mut self, now: Instant) -> Result<(), Duration> {
+        // An infinite rate admits everything; returning early also keeps
+        // the refill below from computing 0 × ∞ = NaN.
+        if self.policy.rate == f64::INFINITY {
+            return Ok(());
+        }
         let dt = now.saturating_duration_since(self.refilled).as_secs_f64();
         self.tokens = (self.tokens + dt * self.policy.rate).min(self.policy.burst);
         self.refilled = now;
@@ -349,6 +354,15 @@ mod tests {
         assert!(wait > Duration::from_millis(50) && wait <= Duration::from_millis(100), "{wait:?}");
         // After enough simulated time, tokens are back (capped at burst).
         assert!(b.try_take(t0 + Duration::from_secs(10)).is_ok());
+    }
+
+    #[test]
+    fn default_bucket_admits_everything() {
+        let mut b = TokenBucket::new(TenantPolicy::default());
+        let t0 = Instant::now();
+        for _ in 0..1_000_000 {
+            assert!(b.try_take(t0).is_ok());
+        }
     }
 
     #[test]

@@ -713,12 +713,14 @@ impl BatchExecutor {
             }
         } else {
             std::thread::scope(|scope| {
-                for _ in 0..shard.jobs {
-                    let front = BatchFront { done: front.done.clone(), ..front };
-                    let mut sw = shard.pool.software_device();
-                    let shard = &shard;
-                    scope.spawn(move || shard::worker_loop(&front, shard, 0, &mut sw));
-                }
+                let workers: Vec<_> = (0..shard.jobs)
+                    .map(|_| {
+                        let front = BatchFront { done: front.done.clone(), ..front };
+                        let mut sw = shard.pool.software_device();
+                        let shard = &shard;
+                        scope.spawn(move || shard::worker_loop(&front, shard, 0, &mut sw))
+                    })
+                    .collect();
                 // The workers hold the only senders left, so the collector
                 // below ends when the last of them exits.
                 drop(front);
@@ -733,6 +735,16 @@ impl BatchExecutor {
                 shard.queue.wake_all();
                 for (index, done) in rx {
                     settle(stats, outcomes, &mut opts.on_result, index, done);
+                }
+                // Join explicitly: the scope's implicit join returns once
+                // the closures finish, while the OS threads may still be
+                // exiting and holding their malloc arenas, so back-to-back
+                // runs would race new arenas into existence (peak RSS).
+                // A worker panic propagates, as the implicit join would.
+                for worker in workers {
+                    if let Err(panic) = worker.join() {
+                        std::panic::resume_unwind(panic);
+                    }
                 }
             });
             stats.max_queue_depth = shard.queue.max_depth();

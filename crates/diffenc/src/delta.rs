@@ -77,6 +77,19 @@ impl DeltaBlock {
         Ok(DeltaBlock { m, n, dv, dh })
     }
 
+    /// Wraps an interior computed elsewhere (row-major `m × n` Δv′ and
+    /// Δh′ values), e.g. by a fast tile kernel proven equal to
+    /// [`DeltaBlock::compute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either buffer does not hold `m · n` values.
+    #[must_use]
+    pub fn from_interior(m: usize, n: usize, dv: Vec<u8>, dh: Vec<u8>) -> DeltaBlock {
+        assert!(dv.len() == m * n && dh.len() == m * n, "interior must hold {m}×{n} values");
+        DeltaBlock { m, n, dv, dh }
+    }
+
     /// Fresh borders (all-zero shifted deltas) for an `m × n` block
     /// anchored at the DP-matrix origin.
     #[must_use]

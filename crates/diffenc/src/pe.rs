@@ -109,6 +109,45 @@ pub fn pe_chain(ew: ElementWidth, dv_col_in: &[u8], dh_top: u8, s_col: &[u8]) ->
     (dv_out, dh)
 }
 
+/// One Myers/Hyyrö block step in Edlib's operation order: the
+/// bit-parallel form of a column of unit-cost edit PEs.
+///
+/// Bit `i` of `(pv, mv)` marks a vertical edit-distance delta of +1 / −1
+/// at row `i`; `eq` marks the rows whose query code matches the column's
+/// reference code; `hin ∈ {−1, 0, +1}` is the horizontal delta entering
+/// the top row. Advances `(pv, mv)` to this column and returns its
+/// horizontal delta words `(ph, mh)` (bit `i`: row `i`'s horizontal
+/// delta is +1 / −1). Carries only move upward, so a column of fewer
+/// than 64 rows ignores the bits above it and reads its bottom row at
+/// bit `rows − 1`.
+#[inline]
+#[must_use]
+pub fn myers_step(pv: &mut u64, mv: &mut u64, eq: u64, hin: i32) -> (u64, u64) {
+    // Edlib's canonical operation order: Xv is derived from the *raw*
+    // match mask, before the incoming horizontal delta folds into bit 0 of
+    // Eq for the Xh carry chain. (When hin < 0 the adjusted bit 0 is
+    // masked out of the Pv'/Mv' update by the forced Mh bit below, so the
+    // distinction is unobservable — but matching the reference ordering
+    // keeps the high-bit carry reasoning auditable against Edlib.)
+    let xv = eq | *mv;
+    let mut eq = eq;
+    if hin < 0 {
+        eq |= 1;
+    }
+    let xh = (((eq & *pv).wrapping_add(*pv)) ^ *pv) | eq;
+    let ph = *mv | !(xh | *pv);
+    let mh = *pv & xh;
+    let (mut phs, mut mhs) = (ph << 1, mh << 1);
+    if hin < 0 {
+        mhs |= 1;
+    } else if hin > 0 {
+        phs |= 1;
+    }
+    *pv = mhs | !(xv | phs);
+    *mv = phs & xv;
+    (ph, mh)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,6 +8,7 @@
 //! KSW2-style SIMD model in `timing`.
 
 use smx_align_core::AlignError;
+use smx_diffenc::pe::myers_step;
 
 const HIGH_BIT: u64 = 1 << 63;
 
@@ -35,42 +36,12 @@ impl PatternEq {
     }
 }
 
-/// One Myers block step (Edlib's `calculateBlock`): updates the vertical
-/// delta words `(pv, mv)` for a block given the symbol mask and the
-/// incoming horizontal delta `hin ∈ {-1, 0, +1}`; returns the outgoing
-/// horizontal delta.
+/// One Myers block step (Edlib's `calculateBlock`) over a full 64-row
+/// word: the shared [`myers_step`], with the outgoing horizontal delta
+/// `hout ∈ {-1, 0, +1}` read at the top bit.
 fn step(pv: &mut u64, mv: &mut u64, eq: u64, hin: i32) -> i32 {
-    // Edlib's canonical operation order: Xv is derived from the *raw*
-    // match mask, before the incoming horizontal delta folds into bit 0 of
-    // Eq for the Xh carry chain. (When hin < 0 the adjusted bit 0 is
-    // masked out of the Pv'/Mv' update by the forced Mh bit below, so the
-    // distinction is unobservable — but matching the reference ordering
-    // keeps the high-bit carry reasoning auditable against Edlib.)
-    let xv = eq | *mv;
-    let mut eq = eq;
-    if hin < 0 {
-        eq |= 1;
-    }
-    let xh = (((eq & *pv).wrapping_add(*pv)) ^ *pv) | eq;
-    let mut ph = *mv | !(xh | *pv);
-    let mut mh = *pv & xh;
-    let hout = if ph & HIGH_BIT != 0 {
-        1
-    } else if mh & HIGH_BIT != 0 {
-        -1
-    } else {
-        0
-    };
-    ph <<= 1;
-    mh <<= 1;
-    if hin < 0 {
-        mh |= 1;
-    } else if hin > 0 {
-        ph |= 1;
-    }
-    *pv = mh | !(xv | ph);
-    *mv = ph & xv;
-    hout
+    let (ph, mh) = myers_step(pv, mv, eq, hin);
+    i32::from(ph & HIGH_BIT != 0) - i32::from(mh & HIGH_BIT != 0)
 }
 
 /// Global edit distance via blocked bit-parallel DP.

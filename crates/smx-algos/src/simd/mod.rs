@@ -39,7 +39,6 @@ mod scalar;
 mod wavefront;
 
 use smx_align_core::ScoringScheme;
-use std::sync::OnceLock;
 
 /// Which kernel services score-only baseline work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -169,12 +168,9 @@ impl SimdWorkspace {
 }
 
 /// Whether `SMX_FORCE_SCALAR` pins [`Baseline::Auto`] to the scalar
-/// kernel (checked once per process).
-#[must_use]
-pub fn force_scalar() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("SMX_FORCE_SCALAR").is_ok_and(|v| v != "0"))
-}
+/// kernel; the switch lives in `smx-align-core` so the SMX-2D tile
+/// kernel honours the same one.
+pub use smx_align_core::dispatch::force_scalar;
 
 /// Whether the AVX2 instantiation of the vectorized kernel is available
 /// on this host.

@@ -192,14 +192,17 @@ fn compute_block_inner(
             borders.cols()
         )));
     }
-    let scheme = engine.scheme().clone();
+    let scheme = engine.scheme();
     let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
     let vl = engine.tile_dim();
     let t_rows = m.div_ceil(vl);
     let t_cols = n.div_ceil(vl);
 
+    // The carried borders, advanced in place tile by tile: `dh_carry`
+    // ends as the block's bottom row, and each tile row's slice of
+    // `right_dv` starts as the block's left border and ends as its right.
     let mut dh_carry: Vec<u8> = borders.top_dh.clone();
-    let mut right_dv: Vec<u8> = Vec::with_capacity(m);
+    let mut right_dv: Vec<u8> = borders.left_dv.clone();
     let mut inputs: Vec<TileInput> = Vec::new();
     let mut anchors: Vec<i32> = Vec::new();
     let keep = mode == BlockMode::Traceback;
@@ -215,8 +218,7 @@ fn compute_block_inner(
         let r0 = ti * vl;
         let rows = (m - r0).min(vl);
         let q_seg = &query[r0..r0 + rows];
-        // Δv′ entering the leftmost tile of this row from the block border.
-        let mut dv_carry: Vec<u8> = borders.left_dv[r0..r0 + rows].to_vec();
+        let dv_carry = &mut right_dv[r0..r0 + rows];
         let mut anchor = left_anchor;
         for tj in 0..t_cols {
             // Tile boundary: the cooperative cancellation / deadline hook
@@ -227,22 +229,30 @@ fn compute_block_inner(
             let c0 = tj * vl;
             let cols = (n - c0).min(vl);
             let r_seg = &reference[c0..c0 + cols];
-            let tin =
-                TileInput { dv_left: dv_carry.clone(), dh_top: dh_carry[c0..c0 + cols].to_vec() };
+            let dh_top = &mut dh_carry[c0..c0 + cols];
+            // The tile's input borders, copied once, only when the
+            // traceback store keeps them or the fault session runs from
+            // them.
+            let tin = (keep || session.is_some())
+                .then(|| TileInput { dv_left: dv_carry.to_vec(), dh_top: dh_top.to_vec() });
             if keep {
-                inputs.push(tin.clone());
                 anchors.push(anchor);
             }
             // Advance the anchor across this tile's top edge.
-            anchor += tin.dh_top.iter().map(|&d| i32::from(d) + gd).sum::<i32>();
-            let TileOutput { dv_right, dh_bottom } = match session.as_mut() {
-                Some(s) => s.run_tile(engine, q_seg, r_seg, &tin, epoch, ti, tj)?,
-                None => engine.compute_tile(q_seg, r_seg, &tin)?,
-            };
-            dh_carry[c0..c0 + cols].copy_from_slice(&dh_bottom);
-            dv_carry = dv_right;
+            anchor += dh_top.iter().map(|&d| i32::from(d) + gd).sum::<i32>();
+            match (session.as_mut(), &tin) {
+                (Some(s), Some(tin)) => {
+                    let TileOutput { dv_right, dh_bottom } =
+                        s.run_tile(engine, q_seg, r_seg, tin, epoch, ti, tj)?;
+                    dv_carry.copy_from_slice(&dv_right);
+                    dh_top.copy_from_slice(&dh_bottom);
+                }
+                _ => engine.compute_tile_in_place(q_seg, r_seg, dv_carry, dh_top)?,
+            }
+            if keep {
+                inputs.extend(tin);
+            }
         }
-        right_dv.extend_from_slice(&dv_carry);
         // Advance the left anchor down this tile-row's left edge.
         left_anchor +=
             borders.left_dv[r0..r0 + rows].iter().map(|&d| i32::from(d) + gi).sum::<i32>();

@@ -2,6 +2,7 @@
 //! `VL × VL` DP-tile per cycle, with per-EW geometry (32×32, 16×16,
 //! 10×10, 8×8) and the pipeline depths of the 1 GHz design point.
 
+use crate::kernel::{self, Interior};
 use crate::tile::{TileInput, TileOutput};
 use smx_align_core::{AlignError, ElementWidth, ScoringScheme};
 use smx_diffenc::delta::DeltaBlock;
@@ -72,8 +73,29 @@ impl SmxEngine {
         r_seg: &[u8],
         input: &TileInput,
     ) -> Result<TileOutput, AlignError> {
-        let blk = self.compute_tile_full(q_seg, r_seg, input)?;
-        Ok(TileOutput { dv_right: blk.right_dv(), dh_bottom: blk.bottom_dh() })
+        let mut out =
+            TileOutput { dv_right: input.dv_left.clone(), dh_bottom: input.dh_top.clone() };
+        self.compute_tile_in_place(q_seg, r_seg, &mut out.dv_right, &mut out.dh_bottom)?;
+        Ok(out)
+    }
+
+    /// [`SmxEngine::compute_tile`] over caller-owned borders: `dv` enters
+    /// as the left border and leaves as the right one, `dh` enters as the
+    /// top border and leaves as the bottom one. Allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SmxEngine::compute_tile`].
+    pub(crate) fn compute_tile_in_place(
+        &self,
+        q_seg: &[u8],
+        r_seg: &[u8],
+        dv: &mut [u8],
+        dh: &mut [u8],
+    ) -> Result<(), AlignError> {
+        self.check_tile(q_seg, r_seg, dv.len(), dh.len())?;
+        kernel::tile(self.ew, &self.scheme, q_seg, r_seg, dv, dh, None);
+        Ok(())
     }
 
     /// Computes one tile keeping the full interior (the traceback
@@ -88,6 +110,24 @@ impl SmxEngine {
         r_seg: &[u8],
         input: &TileInput,
     ) -> Result<DeltaBlock, AlignError> {
+        self.check_tile(q_seg, r_seg, input.rows(), input.cols())?;
+        let (m, n) = (q_seg.len(), r_seg.len());
+        let (mut dv, mut dh) = (vec![0u8; m * n], vec![0u8; m * n]);
+        let (mut left, mut top) = (input.dv_left.clone(), input.dh_top.clone());
+        let mut interior = Interior { dv: &mut dv, dh: &mut dh, n };
+        kernel::tile(self.ew, &self.scheme, q_seg, r_seg, &mut left, &mut top, Some(&mut interior));
+        Ok(DeltaBlock::from_interior(m, n, dv, dh))
+    }
+
+    /// Checks a tile's segments against `VL` and its border lengths. The
+    /// scheme itself was validated once, in [`SmxEngine::new`].
+    fn check_tile(
+        &self,
+        q_seg: &[u8],
+        r_seg: &[u8],
+        rows: usize,
+        cols: usize,
+    ) -> Result<(), AlignError> {
         let vl = self.tile_dim();
         if q_seg.len() > vl || r_seg.len() > vl {
             return Err(AlignError::Internal(format!(
@@ -96,16 +136,14 @@ impl SmxEngine {
                 r_seg.len()
             )));
         }
-        if input.rows() != q_seg.len() || input.cols() != r_seg.len() {
+        if rows != q_seg.len() || cols != r_seg.len() {
             return Err(AlignError::Internal(format!(
-                "tile borders ({}, {}) do not match segments ({}, {})",
-                input.rows(),
-                input.cols(),
+                "tile borders ({rows}, {cols}) do not match segments ({}, {})",
                 q_seg.len(),
                 r_seg.len()
             )));
         }
-        DeltaBlock::compute(self.ew, q_seg, r_seg, &self.scheme, &input.dh_top, &input.dv_left)
+        Ok(())
     }
 }
 
@@ -148,6 +186,34 @@ mod tests {
         let out = e.compute_tile(&q, &r, &TileInput::fresh(3, 2)).unwrap();
         assert_eq!(out.dv_right.len(), 3);
         assert_eq!(out.dh_bottom.len(), 2);
+    }
+
+    #[test]
+    fn out_of_range_border_bits_are_masked_like_pe_exact() {
+        for cfg in AlignmentConfig::ALL {
+            let e = engine(cfg);
+            let (vl, mask) = (e.tile_dim(), cfg.element_width().max_value() as u8);
+            let q: Vec<u8> = (0..vl).map(|i| (i % 3) as u8).collect();
+            let r: Vec<u8> = (0..vl).map(|i| (i % 2) as u8).collect();
+            let raw = TileInput {
+                dv_left: (0..vl).map(|i| (i * 37 + 200) as u8).collect(),
+                dh_top: (0..vl).map(|i| (i * 53 + 100) as u8).collect(),
+            };
+            let masked = TileInput {
+                dv_left: raw.dv_left.iter().map(|&x| x & mask).collect(),
+                dh_top: raw.dh_top.iter().map(|&x| x & mask).collect(),
+            };
+            assert_eq!(
+                e.compute_tile(&q, &r, &raw).unwrap(),
+                e.compute_tile(&q, &r, &masked).unwrap(),
+                "{cfg}"
+            );
+            assert_eq!(
+                e.compute_tile_full(&q, &r, &raw).unwrap(),
+                e.compute_tile_full(&q, &r, &masked).unwrap(),
+                "{cfg}"
+            );
+        }
     }
 
     #[test]

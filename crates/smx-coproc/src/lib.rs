@@ -33,6 +33,7 @@ pub mod control;
 pub mod coproc;
 pub mod engine;
 pub mod faults;
+mod kernel;
 pub mod tile;
 pub mod traceback;
 pub mod worker;

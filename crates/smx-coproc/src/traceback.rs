@@ -3,9 +3,9 @@
 //! The coprocessor stores only tile borders; the traceback walks from the
 //! block's bottom-right corner, recomputing the interior of exactly the
 //! tiles the optimal path crosses (green tiles in Fig. 8a) and skipping
-//! the rest. Each recomputed tile is converted to absolute scores using
-//! its stored corner anchor, then walked with the global tie-break
-//! (diagonal ≻ insert ≻ delete).
+//! the rest. Each recomputed tile is walked with the global tie-break
+//! (diagonal ≻ insert ≻ delete), comparing neighbouring scores through
+//! the tile's deltas.
 
 use crate::block::TileBorderStore;
 use crate::control::CancelToken;
@@ -100,7 +100,7 @@ fn traceback_block_inner(
             reference.len()
         )));
     }
-    let scheme = engine.scheme().clone();
+    let scheme = engine.scheme();
     let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
     let vl = store.vl();
     let epoch = session.as_mut().map_or(0, |s| s.begin_epoch());
@@ -142,39 +142,29 @@ fn traceback_block_inner(
         stats.tiles += 1;
         stats.elements += (rows * cols) as u64;
 
-        // Absolute tile matrix (rows+1) x (cols+1) anchored at the tile's
-        // top-left corner.
-        let anchor = store.anchor(ti, tj);
-        let mut abs = vec![0i32; (rows + 1) * (cols + 1)];
-        let at = |i: usize, j: usize| i * (cols + 1) + j;
-        abs[at(0, 0)] = anchor;
-        for j in 1..=cols {
-            abs[at(0, j)] = abs[at(0, j - 1)] + i32::from(tin.dh_top[j - 1]) + gd;
-        }
-        for i in 1..=rows {
-            abs[at(i, 0)] = abs[at(i - 1, 0)] + i32::from(tin.dv_left[i - 1]) + gi;
-        }
-        for j in 1..=cols {
-            for i in 1..=rows {
-                abs[at(i, j)] = abs[at(i - 1, j)] + i32::from(blk.dv(i - 1, j - 1)) + gi;
-            }
-        }
-
         // Walk within the tile until we leave through its top or left edge.
+        // The tie-break compares absolute scores, but every comparison is
+        // a difference of neighbours, i.e. the tile's own deltas:
+        // M(i,j) − M(i−1,j) = Δv′ + I, M(i,j) − M(i,j−1) = Δh′ + D, and
+        // M(i,j) − M(i−1,j−1) = (Δv′ + I) + (Δh′ above + D), where the
+        // row above the first is the tile's top border.
         let mut li = gi_pos - rspan.start;
         let mut lj = gj_pos - cspan.start;
         while li > 0 && lj > 0 {
             stats.steps += 1;
-            let here = abs[at(li, lj)];
             let (qc, rc) = (q_seg[li - 1], r_seg[lj - 1]);
-            if here == abs[at(li - 1, lj - 1)] + scheme.score(qc, rc) {
+            let dv = i32::from(blk.dv(li - 1, lj - 1));
+            let dh = i32::from(blk.dh(li - 1, lj - 1));
+            let dh_above =
+                i32::from(if li == 1 { tin.dh_top[lj - 1] } else { blk.dh(li - 2, lj - 1) });
+            if dv + gi + dh_above + gd == scheme.score(qc, rc) {
                 cigar.push(if qc == rc { Op::Match } else { Op::Mismatch });
                 li -= 1;
                 lj -= 1;
-            } else if here == abs[at(li - 1, lj)] + gi {
+            } else if dv == 0 {
                 cigar.push(Op::Insert);
                 li -= 1;
-            } else if here == abs[at(li, lj - 1)] + gd {
+            } else if dh == 0 {
                 cigar.push(Op::Delete);
                 lj -= 1;
             } else {

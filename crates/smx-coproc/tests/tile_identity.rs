@@ -1,0 +1,142 @@
+//! Byte identity of the fast SMX-2D tile kernels against the reference
+//! `DeltaBlock::compute` (a row-major `pe_exact` sweep).
+//!
+//! Covers every `AlignmentConfig` plus element-width/scheme pairings the
+//! configs do not use (a 32-row lane tile, the edit scheme on wider
+//! elements, a matrix scheme on W8), random partial tiles, and borders
+//! in `[0, θ]` or, in a quarter of the cases, anywhere in `[0, 2^EW)`.
+//! Run it as well under `SMX_FORCE_SCALAR=1` to cover the scalar twins.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use smx_align_core::{AlignmentConfig, Cigar, ElementWidth, Op, ScoringScheme, SubstMatrix};
+use smx_coproc::block::{compute_block, BlockMode};
+use smx_coproc::traceback::traceback_block;
+use smx_coproc::{SmxEngine, TileInput};
+use smx_diffenc::boundary::BlockBorders;
+use smx_diffenc::delta::DeltaBlock;
+
+/// `(element width, scheme, alphabet cardinality)` under test.
+fn setups() -> Vec<(ElementWidth, ScoringScheme, u8)> {
+    let mut out: Vec<_> = AlignmentConfig::ALL
+        .iter()
+        .map(|c| (c.element_width(), c.scoring(), c.alphabet().cardinality() as u8))
+        .collect();
+    out.push((ElementWidth::W2, ScoringScheme::linear(1, -1, -1).unwrap(), 4));
+    out.push((ElementWidth::W4, ScoringScheme::edit(), 4));
+    out.push((ElementWidth::W6, ScoringScheme::edit(), 26));
+    out.push((ElementWidth::W8, ScoringScheme::matrix(SubstMatrix::blosum62(), -5).unwrap(), 26));
+    out
+}
+
+fn codes(rng: &mut StdRng, len: usize, card: u8) -> Vec<u8> {
+    (0..len).map(|_| rng.gen_range(0..card)).collect()
+}
+
+/// Borders in `[0, θ]`, or in a quarter of the draws in `[0, 2^EW)`.
+fn border(rng: &mut StdRng, len: usize, ew: ElementWidth, theta: u8) -> Vec<u8> {
+    let hi = if rng.gen_range(0..4u32) == 0 { ew.max_value() as u8 } else { theta };
+    (0..len).map(|_| rng.gen_range(0..=hi)).collect()
+}
+
+#[test]
+fn random_tiles_match_reference() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_711E);
+    for (ew, scheme, card) in setups() {
+        let engine = SmxEngine::new(ew, &scheme).unwrap();
+        let (vl, theta) = (ew.vl(), scheme.theta() as u8);
+        for case in 0..1500 {
+            let (rows, cols) = (rng.gen_range(1..=vl), rng.gen_range(1..=vl));
+            let q = codes(&mut rng, rows, card);
+            let r = codes(&mut rng, cols, card);
+            let tin = TileInput {
+                dv_left: border(&mut rng, rows, ew, theta),
+                dh_top: border(&mut rng, cols, ew, theta),
+            };
+            let reference =
+                DeltaBlock::compute(ew, &q, &r, &scheme, &tin.dh_top, &tin.dv_left).unwrap();
+            let ctx = || format!("{ew} {scheme:?} case {case}: q={q:?} r={r:?} {tin:?}");
+            let out = engine.compute_tile(&q, &r, &tin).unwrap();
+            assert_eq!(out.dv_right, reference.right_dv(), "right Δv′, {}", ctx());
+            assert_eq!(out.dh_bottom, reference.bottom_dh(), "bottom Δh′, {}", ctx());
+            let full = engine.compute_tile_full(&q, &r, &tin).unwrap();
+            assert_eq!(full, reference, "interior, {}", ctx());
+        }
+    }
+}
+
+/// Reference traceback over a whole block's `pe_exact` interior, with
+/// the global tie-break (diagonal ≻ insert ≻ delete).
+fn reference_cigar(blk: &DeltaBlock, q: &[u8], r: &[u8], scheme: &ScoringScheme) -> Cigar {
+    let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
+    let (m, n) = (q.len(), r.len());
+    let at = |i: usize, j: usize| i * (n + 1) + j;
+    let mut abs = vec![0i32; (m + 1) * (n + 1)];
+    for j in 1..=n {
+        abs[at(0, j)] = abs[at(0, j - 1)] + gd;
+    }
+    for i in 1..=m {
+        abs[at(i, 0)] = abs[at(i - 1, 0)] + gi;
+        for j in 1..=n {
+            abs[at(i, j)] = abs[at(i - 1, j)] + i32::from(blk.dv(i - 1, j - 1)) + gi;
+        }
+    }
+    let (mut i, mut j) = (m, n);
+    let mut cigar = Cigar::new();
+    while i > 0 && j > 0 {
+        let here = abs[at(i, j)];
+        if here == abs[at(i - 1, j - 1)] + scheme.score(q[i - 1], r[j - 1]) {
+            cigar.push(if q[i - 1] == r[j - 1] { Op::Match } else { Op::Mismatch });
+            (i, j) = (i - 1, j - 1);
+        } else if here == abs[at(i - 1, j)] + gi {
+            cigar.push(Op::Insert);
+            i -= 1;
+        } else {
+            assert_eq!(here, abs[at(i, j - 1)] + gd, "broken reference walk at ({i}, {j})");
+            cigar.push(Op::Delete);
+            j -= 1;
+        }
+    }
+    cigar.push_run(Op::Insert, i as u32);
+    cigar.push_run(Op::Delete, j as u32);
+    cigar.reverse();
+    cigar
+}
+
+#[test]
+fn random_blocks_and_tracebacks_match_reference() {
+    let mut rng = StdRng::seed_from_u64(0xB10C_4A11);
+    for (ew, scheme, card) in setups() {
+        let engine = SmxEngine::new(ew, &scheme).unwrap();
+        let (vl, theta) = (ew.vl(), scheme.theta() as u8);
+        for case in 0..40 {
+            let (m, n) = (rng.gen_range(1..=3 * vl + 3), rng.gen_range(1..=3 * vl + 3));
+            let q = codes(&mut rng, m, card);
+            let r = codes(&mut rng, n, card);
+            let ctx = format!("{ew} {scheme:?} case {case} ({m}×{n})");
+
+            // Fresh block, both modes, plus the traceback CIGAR.
+            let (top, left) = DeltaBlock::fresh_borders(m, n);
+            let whole = DeltaBlock::compute(ew, &q, &r, &scheme, &top, &left).unwrap();
+            for mode in [BlockMode::ScoreOnly, BlockMode::Traceback] {
+                let out = compute_block(&engine, &q, &r, None, mode).unwrap();
+                assert_eq!(out.right_dv, whole.right_dv(), "{ctx} {mode:?}");
+                assert_eq!(out.bottom_dh, whole.bottom_dh(), "{ctx} {mode:?}");
+                assert_eq!(out.score, whole.absolute_at(0, &scheme, &left, m - 1, n - 1), "{ctx}");
+                if let Some(store) = out.borders.as_ref() {
+                    let (cigar, _) = traceback_block(&engine, &q, &r, store).unwrap();
+                    assert_eq!(cigar, reference_cigar(&whole, &q, &r, &scheme), "{ctx}");
+                }
+            }
+
+            // A block inside a larger matrix: random in-range borders.
+            let top = border(&mut rng, n, ew, theta);
+            let left = border(&mut rng, m, ew, theta);
+            let whole = DeltaBlock::compute(ew, &q, &r, &scheme, &top, &left).unwrap();
+            let bb = BlockBorders::from_neighbors(top, left);
+            let out = compute_block(&engine, &q, &r, Some(&bb), BlockMode::ScoreOnly).unwrap();
+            assert_eq!(out.right_dv, whole.right_dv(), "{ctx} bordered");
+            assert_eq!(out.bottom_dh, whole.bottom_dh(), "{ctx} bordered");
+        }
+    }
+}
