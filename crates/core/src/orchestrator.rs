@@ -248,14 +248,14 @@ impl SmxDevice {
     /// The device-side alignment flow (offload + traceback), routed
     /// through the fault session when one is active.
     fn align_device(&mut self, q: &[u8], r: &[u8]) -> Result<Alignment, AlignError> {
-        let out = match self.faults.as_mut() {
-            Some(s) => self.coproc.compute_block_resilient(q, r, None, BlockMode::Traceback, s)?,
-            None => self.coproc.compute_block(q, r, None, BlockMode::Traceback)?,
-        };
-        let (cigar, stats) = match self.faults.as_mut() {
-            Some(s) => self.coproc.traceback_resilient(q, r, &out, s)?,
-            None => self.coproc.traceback(q, r, &out)?,
-        };
+        let out = self.coproc.compute_block_resilient(
+            q,
+            r,
+            None,
+            BlockMode::Traceback,
+            self.faults.as_mut(),
+        )?;
+        let (cigar, stats) = self.coproc.traceback_resilient(q, r, &out, self.faults.as_mut())?;
         self.recompute.tiles += stats.tiles;
         self.recompute.elements += stats.elements;
         self.recompute.steps += stats.steps;
@@ -329,13 +329,10 @@ impl SmxDevice {
         }
         let q = self.pack(query)?;
         let r = self.pack(reference)?;
-        let device = match self.faults.as_mut() {
-            Some(s) => self
-                .coproc
-                .compute_block_resilient(&q, &r, None, BlockMode::ScoreOnly, s)
-                .map(|out| out.score),
-            None => self.coproc.compute_block(&q, &r, None, BlockMode::ScoreOnly).map(|o| o.score),
-        };
+        let device = self
+            .coproc
+            .compute_block_resilient(&q, &r, None, BlockMode::ScoreOnly, self.faults.as_mut())
+            .map(|out| out.score);
         match device {
             Ok(score) => Ok(score),
             Err(e) if e.is_recoverable_fault() && self.faults.is_some() && self.degrade => {

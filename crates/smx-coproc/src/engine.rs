@@ -2,8 +2,7 @@
 //! `VL × VL` DP-tile per cycle, with per-EW geometry (32×32, 16×16,
 //! 10×10, 8×8) and the pipeline depths of the 1 GHz design point.
 
-use crate::kernel::{self, Interior};
-use crate::tile::{TileInput, TileOutput};
+use crate::kernel::{self, Interior, MAX_VL};
 use smx_align_core::{AlignError, ElementWidth, ScoringScheme};
 use smx_diffenc::delta::DeltaBlock;
 use smx_isa::config::SmxConfig;
@@ -61,32 +60,15 @@ impl SmxEngine {
         (self.tile_dim() * self.tile_dim()) as u32
     }
 
-    /// Computes one tile's output borders.
+    /// Computes one tile over caller-owned borders: `dv` enters as the
+    /// left border and leaves as the right one, `dh` enters as the top
+    /// border and leaves as the bottom one. Allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`AlignError::Internal`] if the segment lengths disagree
-    /// with the input borders or exceed `VL`.
+    /// with the borders or exceed `VL`.
     pub fn compute_tile(
-        &self,
-        q_seg: &[u8],
-        r_seg: &[u8],
-        input: &TileInput,
-    ) -> Result<TileOutput, AlignError> {
-        let mut out =
-            TileOutput { dv_right: input.dv_left.clone(), dh_bottom: input.dh_top.clone() };
-        self.compute_tile_in_place(q_seg, r_seg, &mut out.dv_right, &mut out.dh_bottom)?;
-        Ok(out)
-    }
-
-    /// [`SmxEngine::compute_tile`] over caller-owned borders: `dv` enters
-    /// as the left border and leaves as the right one, `dh` enters as the
-    /// top border and leaves as the bottom one. Allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SmxEngine::compute_tile`].
-    pub(crate) fn compute_tile_in_place(
         &self,
         q_seg: &[u8],
         r_seg: &[u8],
@@ -98,8 +80,8 @@ impl SmxEngine {
         Ok(())
     }
 
-    /// Computes one tile keeping the full interior (the traceback
-    /// recompute path).
+    /// Computes one tile from its input borders keeping the full interior
+    /// (the traceback recompute path).
     ///
     /// # Errors
     ///
@@ -108,20 +90,24 @@ impl SmxEngine {
         &self,
         q_seg: &[u8],
         r_seg: &[u8],
-        input: &TileInput,
+        dv_left: &[u8],
+        dh_top: &[u8],
     ) -> Result<DeltaBlock, AlignError> {
-        self.check_tile(q_seg, r_seg, input.rows(), input.cols())?;
+        self.check_tile(q_seg, r_seg, dv_left.len(), dh_top.len())?;
         let (m, n) = (q_seg.len(), r_seg.len());
         let (mut dv, mut dh) = (vec![0u8; m * n], vec![0u8; m * n]);
-        let (mut left, mut top) = (input.dv_left.clone(), input.dh_top.clone());
+        let (mut left, mut top) = ([0u8; MAX_VL], [0u8; MAX_VL]);
+        let (left, top) = (&mut left[..m], &mut top[..n]);
+        left.copy_from_slice(dv_left);
+        top.copy_from_slice(dh_top);
         let mut interior = Interior { dv: &mut dv, dh: &mut dh, n };
-        kernel::tile(self.ew, &self.scheme, q_seg, r_seg, &mut left, &mut top, Some(&mut interior));
+        kernel::tile(self.ew, &self.scheme, q_seg, r_seg, left, top, Some(&mut interior));
         Ok(DeltaBlock::from_interior(m, n, dv, dh))
     }
 
     /// Checks a tile's segments against `VL` and its border lengths. The
     /// scheme itself was validated once, in [`SmxEngine::new`].
-    fn check_tile(
+    pub(crate) fn check_tile(
         &self,
         q_seg: &[u8],
         r_seg: &[u8],
@@ -170,11 +156,12 @@ mod tests {
         let e = engine(cfg);
         let q: Vec<u8> = (0..32).map(|i| (i % 4) as u8).collect();
         let r: Vec<u8> = (0..32).map(|i| (i % 3) as u8).collect();
-        let out = e.compute_tile(&q, &r, &TileInput::fresh(32, 32)).unwrap();
+        let (mut dv, mut dh) = (vec![0u8; 32], vec![0u8; 32]);
+        e.compute_tile(&q, &r, &mut dv, &mut dh).unwrap();
         let scheme = cfg.scoring();
         // Reconstruct score from borders and compare to golden.
         let score: i32 = r.len() as i32 * scheme.gap_delete()
-            + out.dv_right.iter().map(|&d| i32::from(d) + scheme.gap_insert()).sum::<i32>();
+            + dv.iter().map(|&d| i32::from(d) + scheme.gap_insert()).sum::<i32>();
         assert_eq!(score, dp::score_only(&q, &r, &scheme));
     }
 
@@ -183,9 +170,10 @@ mod tests {
         let e = engine(AlignmentConfig::Protein);
         let q = [7u8, 4, 0];
         let r = [15u8, 0];
-        let out = e.compute_tile(&q, &r, &TileInput::fresh(3, 2)).unwrap();
-        assert_eq!(out.dv_right.len(), 3);
-        assert_eq!(out.dh_bottom.len(), 2);
+        let (mut dv, mut dh) = (vec![0u8; 3], vec![0u8; 2]);
+        e.compute_tile(&q, &r, &mut dv, &mut dh).unwrap();
+        let full = e.compute_tile_full(&q, &r, &[0; 3], &[0; 2]).unwrap();
+        assert_eq!((dv, dh), (full.right_dv(), full.bottom_dh()));
     }
 
     #[test]
@@ -195,22 +183,19 @@ mod tests {
             let (vl, mask) = (e.tile_dim(), cfg.element_width().max_value() as u8);
             let q: Vec<u8> = (0..vl).map(|i| (i % 3) as u8).collect();
             let r: Vec<u8> = (0..vl).map(|i| (i % 2) as u8).collect();
-            let raw = TileInput {
-                dv_left: (0..vl).map(|i| (i * 37 + 200) as u8).collect(),
-                dh_top: (0..vl).map(|i| (i * 53 + 100) as u8).collect(),
+            let raw_dv: Vec<u8> = (0..vl).map(|i| (i * 37 + 200) as u8).collect();
+            let raw_dh: Vec<u8> = (0..vl).map(|i| (i * 53 + 100) as u8).collect();
+            let masked_dv: Vec<u8> = raw_dv.iter().map(|&x| x & mask).collect();
+            let masked_dh: Vec<u8> = raw_dh.iter().map(|&x| x & mask).collect();
+            let tile = |dv: &[u8], dh: &[u8]| {
+                let (mut dv, mut dh) = (dv.to_vec(), dh.to_vec());
+                e.compute_tile(&q, &r, &mut dv, &mut dh).unwrap();
+                (dv, dh)
             };
-            let masked = TileInput {
-                dv_left: raw.dv_left.iter().map(|&x| x & mask).collect(),
-                dh_top: raw.dh_top.iter().map(|&x| x & mask).collect(),
-            };
+            assert_eq!(tile(&raw_dv, &raw_dh), tile(&masked_dv, &masked_dh), "{cfg}");
             assert_eq!(
-                e.compute_tile(&q, &r, &raw).unwrap(),
-                e.compute_tile(&q, &r, &masked).unwrap(),
-                "{cfg}"
-            );
-            assert_eq!(
-                e.compute_tile_full(&q, &r, &raw).unwrap(),
-                e.compute_tile_full(&q, &r, &masked).unwrap(),
+                e.compute_tile_full(&q, &r, &raw_dv, &raw_dh).unwrap(),
+                e.compute_tile_full(&q, &r, &masked_dv, &masked_dh).unwrap(),
                 "{cfg}"
             );
         }
@@ -221,7 +206,8 @@ mod tests {
         let e = engine(AlignmentConfig::Ascii); // VL = 8
         let q = vec![0u8; 9];
         let r = vec![0u8; 8];
-        assert!(e.compute_tile(&q, &r, &TileInput::fresh(9, 8)).is_err());
+        assert!(e.compute_tile(&q, &r, &mut [0; 9], &mut [0; 8]).is_err());
+        assert!(e.compute_tile_full(&q, &r, &[0; 9], &[0; 8]).is_err());
     }
 
     #[test]
@@ -229,6 +215,7 @@ mod tests {
         let e = engine(AlignmentConfig::DnaEdit);
         let q = vec![0u8; 4];
         let r = vec![0u8; 4];
-        assert!(e.compute_tile(&q, &r, &TileInput::fresh(3, 4)).is_err());
+        assert!(e.compute_tile(&q, &r, &mut [0; 3], &mut [0; 4]).is_err());
+        assert!(e.compute_tile_full(&q, &r, &[0; 4], &[0; 5]).is_err());
     }
 }

@@ -28,7 +28,7 @@
 use std::fmt;
 
 use crate::engine::SmxEngine;
-use crate::tile::{TileInput, TileOutput};
+use crate::kernel::MAX_VL;
 use smx_align_core::{AlignError, Alignment, Cigar, Op};
 
 /// The failure modes the plan can inject.
@@ -561,7 +561,10 @@ impl FaultSession {
 
     /// Runs one tile computation under the fault plan: compute, checksum
     /// at the engine output, transfer (where corruption strikes), verify,
-    /// and retry or fall back per the policy.
+    /// and retry or fall back per the policy. Like
+    /// [`SmxEngine::compute_tile`], `dv`/`dh` enter as the left/top input
+    /// borders and leave as the right/bottom outputs; every attempt
+    /// restarts from a copy of the inputs.
     ///
     /// # Errors
     ///
@@ -573,25 +576,32 @@ impl FaultSession {
         engine: &SmxEngine,
         q_seg: &[u8],
         r_seg: &[u8],
-        input: &TileInput,
+        dv: &mut [u8],
+        dh: &mut [u8],
         epoch: u64,
         ti: usize,
         tj: usize,
-    ) -> Result<TileOutput, AlignError> {
+    ) -> Result<(), AlignError> {
+        let (rows, cols) = (dv.len(), dh.len());
+        engine.check_tile(q_seg, r_seg, rows, cols)?;
+        let (mut dv_in, mut dh_in) = ([0u8; MAX_VL], [0u8; MAX_VL]);
+        dv_in[..rows].copy_from_slice(dv);
+        dh_in[..cols].copy_from_slice(dh);
+        let compute = |dv: &mut [u8], dh: &mut [u8]| {
+            dv.copy_from_slice(&dv_in[..rows]);
+            dh.copy_from_slice(&dh_in[..cols]);
+            engine.compute_tile(q_seg, r_seg, dv, dh)
+        };
         self.stats.tiles_computed += 1;
         let latency = Self::tile_latency(engine);
         let mut attempt: u32 = 0;
         loop {
             let kind = match self.plan.draw(epoch, ti, tj, attempt) {
                 None => {
-                    // Fault-free attempt: compute, checksum at the source,
-                    // verify after the (clean) transfer.
-                    let out = engine.compute_tile(q_seg, r_seg, input)?;
+                    // Fault-free attempt: the transfer is clean.
+                    compute(dv, dh)?;
                     self.cycle += latency;
-                    let source = border_checksum(&out.dv_right, &out.dh_bottom);
-                    let received = border_checksum(&out.dv_right, &out.dh_bottom);
-                    debug_assert_eq!(source, received);
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(kind) => kind,
             };
@@ -603,11 +613,11 @@ impl FaultSession {
                     self.stats.cycles_lost += self.policy.watchdog_cycles;
                 }
                 FaultKind::BorderCorrupt | FaultKind::L2BitFlip => {
-                    let mut out = engine.compute_tile(q_seg, r_seg, input)?;
-                    let source = border_checksum(&out.dv_right, &out.dh_bottom);
+                    compute(dv, dh)?;
+                    let source = border_checksum(dv, dh);
                     let h = self.plan.hash(epoch, ti, tj, SALT_CORRUPT ^ u64::from(attempt));
-                    corrupt_borders(&mut out.dv_right, &mut out.dh_bottom, kind, h);
-                    let received = border_checksum(&out.dv_right, &out.dh_bottom);
+                    corrupt_borders(dv, dh, kind, h);
+                    let received = border_checksum(dv, dh);
                     if received == source {
                         // Unreachable with the corruptions above; a passing
                         // checksum on corrupted data would be silent
@@ -627,36 +637,44 @@ impl FaultSession {
                 s.stats.fallbacks += 1;
             })?;
             if attempt == u32::MAX {
-                return engine.compute_tile(q_seg, r_seg, input);
+                return compute(dv, dh);
             }
         }
     }
 
     /// Re-reads a stored tile input border through the (possibly faulty)
-    /// L2 port, verifying it against the checksum recorded when the
-    /// worker stored it. The fallback path re-fetches through the core's
-    /// coherent load path, which bypasses the L2 fault site.
+    /// L2 port into `dv`/`dh`, verifying it against the checksum recorded
+    /// when the worker stored it. The fallback path re-fetches through the
+    /// core's coherent load path, which bypasses the L2 fault site.
     ///
     /// # Errors
     ///
     /// Returns [`AlignError::RecoveryExhausted`] when retries run out and
     /// the policy forbids the fallback path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dv`/`dh` differ in length from `stored_dv`/`stored_dh`.
+    #[allow(clippy::too_many_arguments)] // the fault site plus the stored and fetched borders
     pub fn fetch_input(
         &mut self,
         epoch: u64,
         ti: usize,
         tj: usize,
-        stored: &TileInput,
-    ) -> Result<TileInput, AlignError> {
-        let source = border_checksum(&stored.dv_left, &stored.dh_top);
+        stored_dv: &[u8],
+        stored_dh: &[u8],
+        dv: &mut [u8],
+        dh: &mut [u8],
+    ) -> Result<(), AlignError> {
+        let source = border_checksum(stored_dv, stored_dh);
         let mut attempt: u32 = 0;
         loop {
+            dv.copy_from_slice(stored_dv);
+            dh.copy_from_slice(stored_dh);
             let kind = match self.plan.draw(epoch, ti, tj, attempt) {
                 None => {
-                    let fetched = stored.clone();
                     self.cycle += 1;
-                    debug_assert_eq!(border_checksum(&fetched.dv_left, &fetched.dh_top), source);
-                    return Ok(fetched);
+                    return Ok(());
                 }
                 Some(kind) => kind,
             };
@@ -668,10 +686,9 @@ impl FaultSession {
                     self.stats.cycles_lost += self.policy.watchdog_cycles;
                 }
                 FaultKind::BorderCorrupt | FaultKind::L2BitFlip => {
-                    let mut fetched = stored.clone();
                     let h = self.plan.hash(epoch, ti, tj, SALT_CORRUPT ^ u64::from(attempt));
-                    corrupt_borders(&mut fetched.dv_left, &mut fetched.dh_top, kind, h);
-                    if border_checksum(&fetched.dv_left, &fetched.dh_top) == source {
+                    corrupt_borders(dv, dh, kind, h);
+                    if border_checksum(dv, dh) == source {
                         return Err(AlignError::Internal(format!(
                             "corrupted border read ({ti}, {tj}) passed its checksum"
                         )));
@@ -685,7 +702,9 @@ impl FaultSession {
                 s.stats.fallbacks += 1;
             })?;
             if attempt == u32::MAX {
-                return Ok(stored.clone());
+                dv.copy_from_slice(stored_dv);
+                dh.copy_from_slice(stored_dh);
+                return Ok(());
             }
         }
     }
@@ -827,13 +846,14 @@ mod tests {
         let engine = SmxEngine::new(cfg.element_width(), &cfg.scoring()).unwrap();
         let q: Vec<u8> = (0..16).map(|i| (i % 4) as u8).collect();
         let r: Vec<u8> = (0..16).map(|i| (i % 3) as u8).collect();
-        let tin = TileInput::fresh(16, 16);
-        let clean = engine.compute_tile(&q, &r, &tin).unwrap();
+        let (mut clean_dv, mut clean_dh) = ([0u8; 16], [0u8; 16]);
+        engine.compute_tile(&q, &r, &mut clean_dv, &mut clean_dh).unwrap();
         // Force the fault to fire every attempt so the fallback engages.
         let plan = FaultPlan::new(11, 1.0).with_persistence(1.0);
         let mut session = FaultSession::new(plan, RecoveryPolicy::default());
-        let out = session.run_tile(&engine, &q, &r, &tin, 1, 0, 0).unwrap();
-        assert_eq!(out, clean);
+        let (mut dv, mut dh) = ([0u8; 16], [0u8; 16]);
+        session.run_tile(&engine, &q, &r, &mut dv, &mut dh, 1, 0, 0).unwrap();
+        assert_eq!((dv, dh), (clean_dv, clean_dh));
         let stats = session.stats();
         assert_eq!(stats.fallbacks, 1);
         assert_eq!(stats.retries, u64::from(RecoveryPolicy::default().max_retries));
@@ -847,21 +867,21 @@ mod tests {
         let cfg = AlignmentConfig::DnaGap;
         let engine = SmxEngine::new(cfg.element_width(), &cfg.scoring()).unwrap();
         let q = vec![0u8; 8];
-        let tin = TileInput::fresh(8, 8);
         let plan = FaultPlan::new(5, 1.0).with_persistence(1.0);
         let mut session = FaultSession::new(plan, RecoveryPolicy::strict());
-        let err = session.run_tile(&engine, &q, &q, &tin, 1, 2, 3).unwrap_err();
+        let err = session.run_tile(&engine, &q, &q, &mut [0; 8], &mut [0; 8], 1, 2, 3).unwrap_err();
         assert!(matches!(err, AlignError::RecoveryExhausted { ti: 2, tj: 3, .. }));
         assert!(err.is_recoverable_fault());
     }
 
     #[test]
     fn fetch_input_recovers_stored_borders() {
-        let stored = TileInput { dv_left: vec![1, 2, 3, 4], dh_top: vec![5, 6, 7] };
+        let (stored_dv, stored_dh) = ([1u8, 2, 3, 4], [5u8, 6, 7]);
         let plan = FaultPlan::new(21, 1.0).with_persistence(1.0);
         let mut session = FaultSession::new(plan, RecoveryPolicy::default());
-        let fetched = session.fetch_input(1, 0, 0, &stored).unwrap();
-        assert_eq!(fetched, stored);
+        let (mut dv, mut dh) = ([0u8; 4], [0u8; 3]);
+        session.fetch_input(1, 0, 0, &stored_dv, &stored_dh, &mut dv, &mut dh).unwrap();
+        assert_eq!((dv, dh), (stored_dv, stored_dh));
         assert!(session.stats().invariants_hold());
     }
 
@@ -870,13 +890,14 @@ mod tests {
         let cfg = AlignmentConfig::DnaGap;
         let engine = SmxEngine::new(cfg.element_width(), &cfg.scoring()).unwrap();
         let q = vec![0u8; 8];
-        let tin = TileInput::fresh(8, 8);
-        let clean = engine.compute_tile(&q, &q, &tin).unwrap();
+        let (mut clean_dv, mut clean_dh) = ([0u8; 8], [0u8; 8]);
+        engine.compute_tile(&q, &q, &mut clean_dv, &mut clean_dh).unwrap();
         // Fires on attempt 0, never persists: one retry suffices.
         let plan = FaultPlan::new(13, 1.0).with_persistence(0.0);
         let mut session = FaultSession::new(plan, RecoveryPolicy::default());
-        let out = session.run_tile(&engine, &q, &q, &tin, 1, 0, 0).unwrap();
-        assert_eq!(out, clean);
+        let (mut dv, mut dh) = ([0u8; 8], [0u8; 8]);
+        session.run_tile(&engine, &q, &q, &mut dv, &mut dh, 1, 0, 0).unwrap();
+        assert_eq!((dv, dh), (clean_dv, clean_dh));
         let stats = session.stats();
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.fallbacks, 0);

@@ -35,7 +35,7 @@ use std::arch::x86_64::*;
 /// Tile rows one lane vector holds.
 const LANES: usize = 16;
 /// Largest tile side (the W2 geometry).
-const MAX_VL: usize = 32;
+pub(crate) const MAX_VL: usize = 32;
 /// Anti-diagonals of the largest band (`LANES + MAX_VL − 1`).
 const MAX_DIAGS: usize = LANES + MAX_VL - 1;
 /// The edit scheme's θ: borders above it leave the edit-word kernel.

@@ -34,7 +34,6 @@ pub mod coproc;
 pub mod engine;
 pub mod faults;
 mod kernel;
-pub mod tile;
 pub mod traceback;
 pub mod worker;
 
@@ -43,5 +42,4 @@ pub use control::CancelToken;
 pub use coproc::SmxCoprocessor;
 pub use engine::SmxEngine;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultSession, RecoveryPolicy, RecoveryStats};
-pub use tile::{TileInput, TileOutput};
 pub use worker::TransferStats;

@@ -11,7 +11,7 @@ use crate::block::TileBorderStore;
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
-use crate::tile::TileInput;
+use crate::kernel::MAX_VL;
 use smx_align_core::{AlignError, Cigar, Op};
 
 /// Work performed by a traceback (for Fig. 2's cells-computed accounting
@@ -30,61 +30,20 @@ pub struct RecomputeStats {
 /// mode.
 ///
 /// `query`/`reference` must be the same slices the block was computed
-/// from. Returns the CIGAR (left-to-right) and recomputation statistics.
+/// from. With a `session`, every stored border the traceback re-reads
+/// crosses the (possibly faulty) L2 port and is verified against the
+/// checksum recorded when the worker stored it (see [`crate::faults`]);
+/// `control` is checked before every tile recomputation. Returns the CIGAR
+/// (left-to-right) and recomputation statistics.
 ///
 /// # Errors
 ///
 /// Returns [`AlignError::Internal`] if the store is inconsistent with the
-/// sequences or the walk breaks (both indicate a bug upstream).
-pub fn traceback_block(
-    engine: &SmxEngine,
-    query: &[u8],
-    reference: &[u8],
-    store: &TileBorderStore,
-) -> Result<(Cigar, RecomputeStats), AlignError> {
-    traceback_block_inner(engine, query, reference, store, None, None)
-}
-
-/// [`traceback_block`] with optional fault injection and cooperative
-/// control: `control` is checked before every tile recomputation.
-///
-/// # Errors
-///
-/// Same conditions as [`traceback_block_resilient`], plus
-/// [`AlignError::Cancelled`] / [`AlignError::DeadlineExceeded`] when the
-/// token fires.
-pub fn traceback_block_controlled(
-    engine: &SmxEngine,
-    query: &[u8],
-    reference: &[u8],
-    store: &TileBorderStore,
-    session: Option<&mut FaultSession>,
-    control: Option<&CancelToken>,
-) -> Result<(Cigar, RecomputeStats), AlignError> {
-    traceback_block_inner(engine, query, reference, store, session, control)
-}
-
-/// [`traceback_block`] under an active fault-injection session: every
-/// stored border the traceback re-reads crosses the (possibly faulty) L2
-/// port and is verified against the checksum recorded when the worker
-/// stored it (see [`crate::faults`]).
-///
-/// # Errors
-///
-/// Same conditions as [`traceback_block`], plus
+/// sequences or the walk breaks (both indicate a bug upstream);
 /// [`AlignError::RecoveryExhausted`] when a border read cannot be
-/// recovered under the session's policy.
-pub fn traceback_block_resilient(
-    engine: &SmxEngine,
-    query: &[u8],
-    reference: &[u8],
-    store: &TileBorderStore,
-    session: &mut FaultSession,
-) -> Result<(Cigar, RecomputeStats), AlignError> {
-    traceback_block_inner(engine, query, reference, store, Some(session), None)
-}
-
-fn traceback_block_inner(
+/// recovered under the session's policy, and [`AlignError::Cancelled`] /
+/// [`AlignError::DeadlineExceeded`] when the token fires.
+pub fn traceback_block(
     engine: &SmxEngine,
     query: &[u8],
     reference: &[u8],
@@ -128,17 +87,19 @@ fn traceback_block_inner(
         let tj = (gj_pos - 1) / vl;
         let (rspan, cspan) = store.tile_span(ti, tj);
         let (rows, cols) = (rspan.len(), cspan.len());
-        let fetched: TileInput;
-        let tin: &TileInput = match session.as_mut() {
+        let (mut dv_read, mut dh_read) = ([0u8; MAX_VL], [0u8; MAX_VL]);
+        let (dv_left, dh_top) = match session.as_mut() {
             Some(s) => {
-                fetched = s.fetch_input(epoch, ti, tj, store.input(ti, tj))?;
-                &fetched
+                let (dv, dh) = store.input(ti, tj);
+                let (dv_read, dh_read) = (&mut dv_read[..rows], &mut dh_read[..cols]);
+                s.fetch_input(epoch, ti, tj, dv, dh, dv_read, dh_read)?;
+                (&*dv_read, &*dh_read)
             }
             None => store.input(ti, tj),
         };
         let q_seg = &query[rspan.clone()];
         let r_seg = &reference[cspan.clone()];
-        let blk = engine.compute_tile_full(q_seg, r_seg, tin)?;
+        let blk = engine.compute_tile_full(q_seg, r_seg, dv_left, dh_top)?;
         stats.tiles += 1;
         stats.elements += (rows * cols) as u64;
 
@@ -155,8 +116,7 @@ fn traceback_block_inner(
             let (qc, rc) = (q_seg[li - 1], r_seg[lj - 1]);
             let dv = i32::from(blk.dv(li - 1, lj - 1));
             let dh = i32::from(blk.dh(li - 1, lj - 1));
-            let dh_above =
-                i32::from(if li == 1 { tin.dh_top[lj - 1] } else { blk.dh(li - 2, lj - 1) });
+            let dh_above = i32::from(if li == 1 { dh_top[lj - 1] } else { blk.dh(li - 2, lj - 1) });
             if dv + gi + dh_above + gd == scheme.score(qc, rc) {
                 cigar.push(if qc == rc { Op::Match } else { Op::Mismatch });
                 li -= 1;
@@ -201,9 +161,9 @@ mod tests {
     fn roundtrip(cfg: AlignmentConfig, q: &[u8], r: &[u8]) {
         let e = engine(cfg);
         let scheme = cfg.scoring();
-        let out = compute_block(&e, q, r, None, BlockMode::Traceback).unwrap();
+        let out = compute_block(&e, q, r, None, BlockMode::Traceback, None, None).unwrap();
         let store = out.borders.as_ref().unwrap();
-        let (cigar, stats) = traceback_block(&e, q, r, store).unwrap();
+        let (cigar, stats) = traceback_block(&e, q, r, store, None, None).unwrap();
         let golden = dp::align_codes(q, r, &scheme);
         assert_eq!(out.score, golden.score, "{cfg}: score");
         let rescored = cigar.score(q, r, &scheme).unwrap();
@@ -243,9 +203,9 @@ mod tests {
         let cfg = AlignmentConfig::DnaEdit; // VL = 32
         let e = engine(cfg);
         let q = seq(cfg, 128, 7);
-        let out = compute_block(&e, &q, &q, None, BlockMode::Traceback).unwrap();
+        let out = compute_block(&e, &q, &q, None, BlockMode::Traceback, None, None).unwrap();
         let store = out.borders.as_ref().unwrap();
-        let (cigar, stats) = traceback_block(&e, &q, &q, store).unwrap();
+        let (cigar, stats) = traceback_block(&e, &q, &q, store, None, None).unwrap();
         assert_eq!(cigar.to_string(), "128=");
         assert_eq!(stats.tiles, 4, "only the 4 diagonal tiles");
         // 16 tiles exist; we recomputed a quarter of the block.
@@ -261,9 +221,9 @@ mod tests {
             let e = engine(cfg);
             let q = seq(cfg, 70, 7);
             let r = seq(cfg, 61, 5);
-            let out = compute_block(&e, &q, &r, None, BlockMode::Traceback).unwrap();
+            let out = compute_block(&e, &q, &r, None, BlockMode::Traceback, None, None).unwrap();
             let store = out.borders.as_ref().unwrap();
-            let (cigar, _) = traceback_block(&e, &q, &r, store).unwrap();
+            let (cigar, _) = traceback_block(&e, &q, &r, store, None, None).unwrap();
             let golden = dp::align_codes(&q, &r, &cfg.scoring());
             assert_eq!(cigar.to_string(), golden.cigar.to_string(), "{cfg}");
         }
@@ -276,12 +236,12 @@ mod tests {
         let e = engine(cfg);
         let q = seq(cfg, 70, 7);
         let r = seq(cfg, 61, 5);
-        let out = compute_block(&e, &q, &r, None, BlockMode::Traceback).unwrap();
+        let out = compute_block(&e, &q, &r, None, BlockMode::Traceback, None, None).unwrap();
         let store = out.borders.as_ref().unwrap();
-        let (clean, _) = traceback_block(&e, &q, &r, store).unwrap();
+        let (clean, _) = traceback_block(&e, &q, &r, store, None, None).unwrap();
         for rate in [0.01, 0.2, 1.0] {
             let mut s = FaultSession::new(FaultPlan::new(17, rate), RecoveryPolicy::default());
-            let (cigar, _) = traceback_block_resilient(&e, &q, &r, store, &mut s).unwrap();
+            let (cigar, _) = traceback_block(&e, &q, &r, store, Some(&mut s), None).unwrap();
             assert_eq!(cigar.to_string(), clean.to_string(), "rate {rate}");
             assert!(s.stats().invariants_hold(), "rate {rate}: {:?}", s.stats());
         }
@@ -292,9 +252,9 @@ mod tests {
         let cfg = AlignmentConfig::DnaEdit;
         let e = engine(cfg);
         let q = seq(cfg, 16, 3);
-        let out = compute_block(&e, &q, &q, None, BlockMode::Traceback).unwrap();
+        let out = compute_block(&e, &q, &q, None, BlockMode::Traceback, None, None).unwrap();
         let store = out.borders.unwrap();
-        assert!(traceback_block(&e, &q[..8], &q, &store).is_err());
+        assert!(traceback_block(&e, &q[..8], &q, &store, None, None).is_err());
     }
 
     proptest! {
@@ -307,9 +267,9 @@ mod tests {
             let cfg = AlignmentConfig::DnaGap;
             let e = engine(cfg);
             let scheme = cfg.scoring();
-            let out = compute_block(&e, &q, &r, None, BlockMode::Traceback).unwrap();
+            let out = compute_block(&e, &q, &r, None, BlockMode::Traceback, None, None).unwrap();
             let store = out.borders.as_ref().unwrap();
-            let (cigar, _) = traceback_block(&e, &q, &r, store).unwrap();
+            let (cigar, _) = traceback_block(&e, &q, &r, store, None, None).unwrap();
             let golden = dp::score_only(&q, &r, &scheme);
             prop_assert_eq!(out.score, golden);
             prop_assert_eq!(cigar.score(&q, &r, &scheme).unwrap(), golden);

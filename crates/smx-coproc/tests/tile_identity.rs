@@ -5,14 +5,15 @@
 //! configs do not use (a 32-row lane tile, the edit scheme on wider
 //! elements, a matrix scheme on W8), random partial tiles, and borders
 //! in `[0, θ]` or, in a quarter of the cases, anywhere in `[0, 2^EW)`.
-//! Run it as well under `SMX_FORCE_SCALAR=1` to cover the scalar twins.
+//! Every fresh block is also run under a fault session, which must
+//! reproduce the clean borders, border store and CIGAR. Run it as well under `SMX_FORCE_SCALAR=1` to cover the scalar twins.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smx_align_core::{AlignmentConfig, Cigar, ElementWidth, Op, ScoringScheme, SubstMatrix};
 use smx_coproc::block::{compute_block, BlockMode};
 use smx_coproc::traceback::traceback_block;
-use smx_coproc::{SmxEngine, TileInput};
+use smx_coproc::{FaultPlan, FaultSession, RecoveryPolicy, SmxEngine, TileBorderStore};
 use smx_diffenc::boundary::BlockBorders;
 use smx_diffenc::delta::DeltaBlock;
 
@@ -49,17 +50,16 @@ fn random_tiles_match_reference() {
             let (rows, cols) = (rng.gen_range(1..=vl), rng.gen_range(1..=vl));
             let q = codes(&mut rng, rows, card);
             let r = codes(&mut rng, cols, card);
-            let tin = TileInput {
-                dv_left: border(&mut rng, rows, ew, theta),
-                dh_top: border(&mut rng, cols, ew, theta),
-            };
-            let reference =
-                DeltaBlock::compute(ew, &q, &r, &scheme, &tin.dh_top, &tin.dv_left).unwrap();
-            let ctx = || format!("{ew} {scheme:?} case {case}: q={q:?} r={r:?} {tin:?}");
-            let out = engine.compute_tile(&q, &r, &tin).unwrap();
-            assert_eq!(out.dv_right, reference.right_dv(), "right Δv′, {}", ctx());
-            assert_eq!(out.dh_bottom, reference.bottom_dh(), "bottom Δh′, {}", ctx());
-            let full = engine.compute_tile_full(&q, &r, &tin).unwrap();
+            let dv_left = border(&mut rng, rows, ew, theta);
+            let dh_top = border(&mut rng, cols, ew, theta);
+            let reference = DeltaBlock::compute(ew, &q, &r, &scheme, &dh_top, &dv_left).unwrap();
+            let ctx =
+                || format!("{ew} {scheme:?} case {case}: q={q:?} r={r:?} {dv_left:?} {dh_top:?}");
+            let (mut dv, mut dh) = (dv_left.clone(), dh_top.clone());
+            engine.compute_tile(&q, &r, &mut dv, &mut dh).unwrap();
+            assert_eq!(dv, reference.right_dv(), "right Δv′, {}", ctx());
+            assert_eq!(dh, reference.bottom_dh(), "bottom Δh′, {}", ctx());
+            let full = engine.compute_tile_full(&q, &r, &dv_left, &dh_top).unwrap();
             assert_eq!(full, reference, "interior, {}", ctx());
         }
     }
@@ -103,30 +103,68 @@ fn reference_cigar(blk: &DeltaBlock, q: &[u8], r: &[u8], scheme: &ScoringScheme)
     cigar
 }
 
+/// Asserts that every stored tile input equals the neighbouring cells of
+/// the fresh block's reference interior (zero on the block edges).
+fn assert_store_matches(store: &TileBorderStore, whole: &DeltaBlock, ctx: &str) {
+    for ti in 0..store.tile_rows() {
+        for tj in 0..store.tile_cols() {
+            let (rs, cs) = store.tile_span(ti, tj);
+            let dv: Vec<u8> = (rs.clone())
+                .map(|i| if cs.start == 0 { 0 } else { whole.dv(i, cs.start - 1) })
+                .collect();
+            let dh: Vec<u8> = (cs.clone())
+                .map(|j| if rs.start == 0 { 0 } else { whole.dh(rs.start - 1, j) })
+                .collect();
+            assert_eq!(store.input(ti, tj), (&dv[..], &dh[..]), "{ctx} tile ({ti}, {tj})");
+        }
+    }
+}
+
 #[test]
 fn random_blocks_and_tracebacks_match_reference() {
     let mut rng = StdRng::seed_from_u64(0xB10C_4A11);
     for (ew, scheme, card) in setups() {
         let engine = SmxEngine::new(ew, &scheme).unwrap();
         let (vl, theta) = (ew.vl(), scheme.theta() as u8);
-        for case in 0..40 {
+        let mut faults_injected = 0;
+        for case in 0..40u64 {
             let (m, n) = (rng.gen_range(1..=3 * vl + 3), rng.gen_range(1..=3 * vl + 3));
             let q = codes(&mut rng, m, card);
             let r = codes(&mut rng, n, card);
             let ctx = format!("{ew} {scheme:?} case {case} ({m}×{n})");
 
-            // Fresh block, both modes, plus the traceback CIGAR.
+            // Fresh block, both modes, plus the stored borders and the
+            // traceback CIGAR; then the same block under a fault session
+            // must reproduce the clean run's borders, store and CIGAR.
             let (top, left) = DeltaBlock::fresh_borders(m, n);
             let whole = DeltaBlock::compute(ew, &q, &r, &scheme, &top, &left).unwrap();
             for mode in [BlockMode::ScoreOnly, BlockMode::Traceback] {
-                let out = compute_block(&engine, &q, &r, None, mode).unwrap();
+                let out = compute_block(&engine, &q, &r, None, mode, None, None).unwrap();
                 assert_eq!(out.right_dv, whole.right_dv(), "{ctx} {mode:?}");
                 assert_eq!(out.bottom_dh, whole.bottom_dh(), "{ctx} {mode:?}");
                 assert_eq!(out.score, whole.absolute_at(0, &scheme, &left, m - 1, n - 1), "{ctx}");
-                if let Some(store) = out.borders.as_ref() {
-                    let (cigar, _) = traceback_block(&engine, &q, &r, store).unwrap();
+                let cigar = out.borders.as_ref().map(|store| {
+                    assert_store_matches(store, &whole, &ctx);
+                    let (cigar, _) = traceback_block(&engine, &q, &r, store, None, None).unwrap();
                     assert_eq!(cigar, reference_cigar(&whole, &q, &r, &scheme), "{ctx}");
+                    cigar
+                });
+
+                let plan = FaultPlan::new(case, 0.3);
+                let mut session = FaultSession::new(plan, RecoveryPolicy::default());
+                let faulty =
+                    compute_block(&engine, &q, &r, None, mode, Some(&mut session), None).unwrap();
+                assert_eq!(faulty.right_dv, out.right_dv, "{ctx} {mode:?} faulted");
+                assert_eq!(faulty.bottom_dh, out.bottom_dh, "{ctx} {mode:?} faulted");
+                assert_eq!(faulty.borders, out.borders, "{ctx} {mode:?} faulted");
+                if let Some(store) = faulty.borders.as_ref() {
+                    let (faulty_cigar, _) =
+                        traceback_block(&engine, &q, &r, store, Some(&mut session), None).unwrap();
+                    assert_eq!(Some(faulty_cigar), cigar, "{ctx} faulted");
                 }
+                let stats = session.stats();
+                assert!(stats.invariants_hold(), "{ctx} {mode:?}: {stats:?}");
+                faults_injected += stats.faults_injected;
             }
 
             // A block inside a larger matrix: random in-range borders.
@@ -134,9 +172,11 @@ fn random_blocks_and_tracebacks_match_reference() {
             let left = border(&mut rng, m, ew, theta);
             let whole = DeltaBlock::compute(ew, &q, &r, &scheme, &top, &left).unwrap();
             let bb = BlockBorders::from_neighbors(top, left);
-            let out = compute_block(&engine, &q, &r, Some(&bb), BlockMode::ScoreOnly).unwrap();
+            let out = compute_block(&engine, &q, &r, Some(&bb), BlockMode::ScoreOnly, None, None)
+                .unwrap();
             assert_eq!(out.right_dv, whole.right_dv(), "{ctx} bordered");
             assert_eq!(out.bottom_dh, whole.bottom_dh(), "{ctx} bordered");
         }
+        assert!(faults_injected > 0, "{ew} {scheme:?}: the fault sessions never fired");
     }
 }

@@ -198,8 +198,8 @@ fn border_store_memory_matches_ledger() {
         let mut elements = 0usize;
         for ti in 0..store.tile_rows() {
             for tj in 0..store.tile_cols() {
-                let t = store.input(ti, tj);
-                elements += t.rows() + t.cols();
+                let (dv, dh) = store.input(ti, tj);
+                elements += dv.len() + dh.len();
             }
         }
         let ledger_bits = out.stats.border_bytes_stored * 8;
