@@ -1,13 +1,38 @@
-//! Criterion microbenchmarks of the functional SMX kernels: the bit-exact
-//! PE, lane packing, the SMX-1D column kernel, SMX-2D tile/block compute,
-//! and the golden-model DP they are all validated against.
+//! Microbenchmarks of the functional SMX kernels: the bit-exact PE, lane
+//! packing, the SMX-1D column kernel, SMX-2D tile/block compute, and the
+//! golden-model DP they are all validated against. Run with `cargo bench
+//! -p smx-bench`; each row prints as `group/name: N ns/iter  X Melem/s`,
+//! the best mean over three rounds of five calls.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use smx::align::{dp, AlignmentConfig};
+use std::hint::black_box;
+
+use smx::algos::adaptive;
+use smx::algos::baselines::{myers, wfa};
+use smx::align::dp_affine::AffineScheme;
+use smx::align::{dp, AlignmentConfig, ElementWidth, ScoringScheme};
+use smx::coproc::affine::AffineEngine;
 use smx::coproc::block::BlockMode;
 use smx::coproc::SmxCoprocessor;
+use smx::diffenc::affine::AffinePenalties;
 use smx::diffenc::{pack::PackedSeq, pe};
 use smx::isa::{kernels, Smx1dUnit};
+use smx::sim::coproc::{BlockShape, CoprocSim, CoprocTimingConfig};
+use smx_bench::time;
+
+/// Times `f` and prints its row; `elems` (elements processed per call)
+/// adds the throughput column.
+fn bench<T>(group: &str, name: &str, elems: Option<u64>, mut f: impl FnMut() -> T) {
+    const ITERS: u32 = 5;
+    let secs = time(3, || {
+        for _ in 0..ITERS {
+            black_box(f());
+        }
+    });
+    let ns = ((secs * 1e9 / f64::from(ITERS)) as u64).max(1);
+    let rate =
+        elems.map_or(String::new(), |n| format!("  {:.3} Melem/s", n as f64 * 1e3 / ns as f64));
+    println!("{group}/{name}: {ns} ns/iter{rate}");
+}
 
 fn seq(len: usize, seed: u64, card: u64) -> Vec<u8> {
     let mut x = seed | 1;
@@ -21,120 +46,66 @@ fn seq(len: usize, seed: u64, card: u64) -> Vec<u8> {
         .collect()
 }
 
-fn bench_pe(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pe");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("pe_exact_w2", |b| {
-        b.iter(|| pe::pe_exact(smx::align::ElementWidth::W2, std::hint::black_box(1), 2, 2))
-    });
-    g.bench_function("pe_reference", |b| {
-        b.iter(|| pe::pe_reference(std::hint::black_box(1), 2, 2))
-    });
-    g.finish();
-}
+fn main() {
+    let ew2 = ElementWidth::W2;
+    bench("pe", "pe_exact_w2", Some(1), || pe::pe_exact(ew2, black_box(1), 2, 2));
+    bench("pe", "pe_reference", Some(1), || pe::pe_reference(black_box(1), 2, 2));
 
-fn bench_pack(c: &mut Criterion) {
     let codes = seq(4096, 7, 4);
-    let mut g = c.benchmark_group("pack");
-    g.throughput(Throughput::Elements(codes.len() as u64));
-    g.bench_function("packed_seq_w2", |b| {
-        b.iter(|| PackedSeq::from_codes(smx::align::ElementWidth::W2, std::hint::black_box(&codes)))
+    bench("pack", "packed_seq_w2", Some(codes.len() as u64), || {
+        PackedSeq::from_codes(ew2, black_box(&codes))
     });
-    g.finish();
-}
 
-fn bench_block_kernels(c: &mut Criterion) {
     let cfg = AlignmentConfig::DnaEdit;
     let scheme = cfg.scoring();
-    let q = seq(512, 3, 4);
-    let r = seq(512, 11, 4);
-    let mut g = c.benchmark_group("block_512x512");
-    g.throughput(Throughput::Elements((q.len() * r.len()) as u64));
-    g.bench_function("golden_score", |b| {
-        b.iter(|| dp::score_only(std::hint::black_box(&q), &r, &scheme))
-    });
-    g.bench_function("smx1d_score", |b| {
-        b.iter_batched(
-            || Smx1dUnit::configure(cfg.element_width(), &scheme).unwrap(),
-            |mut unit| kernels::score_block(&mut unit, std::hint::black_box(&q), &r, None).unwrap(),
-            BatchSize::SmallInput,
-        )
+    let (q, r) = (seq(512, 3, 4), seq(512, 11, 4));
+    let cells = Some((q.len() * r.len()) as u64);
+    let g = "block_512x512";
+    bench(g, "golden_score", cells, || dp::score_only(black_box(&q), &r, &scheme));
+    let mut unit = Smx1dUnit::configure(cfg.element_width(), &scheme).unwrap();
+    bench(g, "smx1d_score", cells, || {
+        kernels::score_block(&mut unit, black_box(&q), &r, None).unwrap()
     });
     let coproc = SmxCoprocessor::new(cfg.element_width(), &scheme, 4).unwrap();
-    g.bench_function("smx2d_score", |b| {
-        b.iter(|| {
-            coproc.compute_block(std::hint::black_box(&q), &r, None, BlockMode::ScoreOnly).unwrap()
-        })
+    bench(g, "smx2d_score", cells, || {
+        coproc.compute_block(black_box(&q), &r, None, BlockMode::ScoreOnly).unwrap()
     });
-    g.bench_function("smx2d_traceback", |b| {
-        b.iter(|| {
-            let out = coproc
-                .compute_block(std::hint::black_box(&q), &r, None, BlockMode::Traceback)
-                .unwrap();
-            coproc.traceback(&q, &r, &out).unwrap()
-        })
+    bench(g, "smx2d_traceback", cells, || {
+        let out = coproc.compute_block(black_box(&q), &r, None, BlockMode::Traceback).unwrap();
+        coproc.traceback(&q, &r, &out).unwrap()
     });
-    g.finish();
-}
 
-fn bench_software_baselines(c: &mut Criterion) {
-    use smx::algos::baselines::{myers, wfa};
-    let r = seq(4096, 21, 4);
-    let mut q = r.clone();
-    q[1000] ^= 1;
-    q.remove(3000);
-    let mut g = c.benchmark_group("edit_4k");
-    g.throughput(Throughput::Elements((q.len() * r.len()) as u64));
-    g.bench_function("myers_bitparallel", |b| {
-        b.iter(|| myers::edit_distance(std::hint::black_box(&q), &r, 4).unwrap())
-    });
-    g.bench_function("wfa", |b| {
-        b.iter(|| wfa::edit_distance(std::hint::black_box(&q), &r).unwrap())
-    });
-    g.finish();
-}
+    {
+        let r = seq(4096, 21, 4);
+        let mut q = r.clone();
+        q[1000] ^= 1;
+        q.remove(3000);
+        let cells = Some((q.len() * r.len()) as u64);
+        bench("edit_4k", "myers_bitparallel", cells, || {
+            myers::edit_distance(black_box(&q), &r, 4).unwrap()
+        });
+        bench("edit_4k", "wfa", cells, || wfa::edit_distance(black_box(&q), &r).unwrap());
+    }
 
-fn bench_extensions(c: &mut Criterion) {
-    use smx::algos::adaptive;
-    use smx::align::dp_affine::AffineScheme;
-    use smx::align::ScoringScheme;
-    use smx::coproc::affine::AffineEngine;
-    use smx::diffenc::affine::AffinePenalties;
-    let q = seq(1024, 5, 4);
-    let mut r = q.clone();
-    r.remove(512);
-    let mut g = c.benchmark_group("extensions_1k");
-    g.throughput(Throughput::Elements((q.len() * r.len()) as u64));
-    let pen = AffinePenalties::from_scheme(&AffineScheme::minimap2()).unwrap();
-    let engine = AffineEngine::new(smx::align::ElementWidth::W4, pen).unwrap();
-    g.bench_function("affine_engine_score", |b| {
-        b.iter(|| engine.score_block(std::hint::black_box(&q), &r).unwrap())
-    });
-    let scheme = ScoringScheme::edit();
-    g.bench_function("adaptive_band_w33", |b| {
-        b.iter(|| adaptive::adaptive_banded_align(std::hint::black_box(&q), &r, &scheme, 33, false))
-    });
-    g.finish();
-}
+    {
+        let q = seq(1024, 5, 4);
+        let mut r = q.clone();
+        r.remove(512);
+        let cells = Some((q.len() * r.len()) as u64);
+        let pen = AffinePenalties::from_scheme(&AffineScheme::minimap2()).unwrap();
+        let engine = AffineEngine::new(ElementWidth::W4, pen).unwrap();
+        bench("extensions_1k", "affine_engine_score", cells, || {
+            engine.score_block(black_box(&q), &r).unwrap()
+        });
+        let scheme = ScoringScheme::edit();
+        bench("extensions_1k", "adaptive_band_w33", cells, || {
+            adaptive::adaptive_banded_align(black_box(&q), &r, &scheme, 33, false)
+        });
+    }
 
-fn bench_timing_sim(c: &mut Criterion) {
-    use smx::sim::coproc::{BlockShape, CoprocSim, CoprocTimingConfig};
-    let mut g = c.benchmark_group("timing_sim");
-    let shape = BlockShape::from_dims(10_000, 10_000, smx::align::ElementWidth::W2, false);
-    g.bench_function("coproc_10k_block", |b| {
-        let sim = CoprocSim::new(CoprocTimingConfig::for_ew(smx::align::ElementWidth::W2, 4));
-        b.iter(|| sim.simulate_uniform(std::hint::black_box(shape), 4))
-    });
-    g.finish();
+    {
+        let shape = BlockShape::from_dims(10_000, 10_000, ew2, false);
+        let sim = CoprocSim::new(CoprocTimingConfig::for_ew(ew2, 4));
+        bench("timing_sim", "coproc_10k_block", None, || sim.simulate_uniform(black_box(shape), 4));
+    }
 }
-
-criterion_group!(
-    benches,
-    bench_pe,
-    bench_pack,
-    bench_block_kernels,
-    bench_software_baselines,
-    bench_extensions,
-    bench_timing_sim
-);
-criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! **Chaos storm: seeded failpoint schedules against the full stack.**
 //!
-//! Peer of `server_storm`/`integrity_storm`, but the faults live in the
+//! Peer of `server_storm`/`fault_storm`, but the faults live in the
 //! *host* paths instead of the simulated device: checkpoint write/fsync,
 //! the framed-TCP codec, pool dispatch, the session ack (see DESIGN.md
 //! §10). Each run installs one seeded [`FailSchedule`], drives the full
@@ -50,7 +50,6 @@ fn main() {
 mod armed {
     use std::collections::HashMap;
     use std::io::Write as _;
-    use std::net::TcpStream;
     use std::time::Duration;
 
     use rand::rngs::StdRng;
@@ -63,7 +62,7 @@ mod armed {
     use smx::{
         RetryConfig, Server, ServerConfig, ServerHandle, ShardSnapshot, SmxDevice, SupervisorConfig,
     };
-    use smx_bench::{header, make_pair, percentile, quick_mode, scaled, storm_device};
+    use smx_bench::{header, make_pair, percentile, quick_mode, scaled, storm_device, Session};
 
     const CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
     const PAIR_LEN: usize = 64;
@@ -194,39 +193,14 @@ mod armed {
         s
     }
 
-    /// One framed session split into writer and reader halves, both with
-    /// short timeouts so an injected dead connection surfaces as an
-    /// error, never a hang.
-    struct Session {
-        wr: TcpStream,
-        rd: TcpStream,
-    }
-
     /// Opens a session, retrying: the HELLO exchange itself runs through
     /// the proto failpoints, and a just-dropped predecessor connection
-    /// may still hold the session busy for a beat.
+    /// may still hold the session busy for a beat. Short timeouts make an
+    /// injected dead connection surface as an error, never a hang.
     fn try_open(addr: std::net::SocketAddr, session: &str) -> Option<Session> {
+        let timeout = Duration::from_secs(2);
         for _ in 0..40 {
-            let attempt = (|| -> Result<Session, ()> {
-                let mut wr = TcpStream::connect(addr).map_err(|_| ())?;
-                wr.set_nodelay(true).ok();
-                wr.set_write_timeout(Some(Duration::from_secs(2))).ok();
-                let mut rd = wr.try_clone().map_err(|_| ())?;
-                rd.set_read_timeout(Some(Duration::from_secs(2))).ok();
-                let hello = Request::Hello {
-                    session: session.to_string(),
-                    tenant: "chaos".to_string(),
-                    priority: Priority::Normal,
-                    deadline_ms: 0,
-                };
-                write_frame(&mut wr, &hello.encode()).map_err(|_| ())?;
-                let reply = read_frame(&mut rd).map_err(|_| ())?.ok_or(())?;
-                match Response::parse(&reply).map_err(|_| ())? {
-                    Response::Ok { .. } => Ok(Session { wr, rd }),
-                    _ => Err(()),
-                }
-            })();
-            if let Ok(sess) = attempt {
+            if let Ok(sess) = Session::open(addr, session, "chaos", Priority::Normal, timeout) {
                 return Some(sess);
             }
             std::thread::sleep(Duration::from_millis(25));

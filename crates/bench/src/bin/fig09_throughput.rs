@@ -10,13 +10,11 @@
 use smx::algos::timing::{estimate, BatchWork};
 use smx::datagen::ErrorProfile;
 use smx::prelude::*;
-use smx_bench::{csv_artifact, csv_row, header, row, scaled};
+use smx_bench::{header, row, scaled};
 
 fn main() {
     let sizes: Vec<(usize, usize)> = vec![(100, 16), (1000, 8), (scaled(10_000, 2_000), 4)];
     let engines = [EngineKind::Simd, EngineKind::Smx1d, EngineKind::Smx2d, EngineKind::Smx];
-    let mut csv = csv_artifact("fig09_throughput");
-    csv_row(&mut csv, &[&"mode", &"config", &"size", &"simd", &"smx1d", &"smx2d", &"smx"]);
     for score_only in [true, false] {
         header(&format!(
             "Figure 9 ({}): DP-blocks/s at 1 GHz",
@@ -44,18 +42,6 @@ fn main() {
                 let cycles: Vec<f64> =
                     engines.iter().map(|&e| estimate(e, &work, 4).cycles / count as f64).collect();
                 let bps = |c: f64| format!("{:.3e}", 1e9 / c);
-                csv_row(
-                    &mut csv,
-                    &[
-                        &if score_only { "score" } else { "alignment" },
-                        &config.name(),
-                        &len,
-                        &bps(cycles[0]),
-                        &bps(cycles[1]),
-                        &bps(cycles[2]),
-                        &bps(cycles[3]),
-                    ],
-                );
                 row(
                     &[
                         &config.name(),

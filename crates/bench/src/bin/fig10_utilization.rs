@@ -7,12 +7,10 @@
 
 use smx::align::{AlignmentConfig, ElementWidth};
 use smx::sim::coproc::{BlockShape, CoprocSim, CoprocTimingConfig};
-use smx_bench::{csv_artifact, csv_row, header, pct, row, scaled};
+use smx_bench::{header, pct, row, scaled};
 
 fn main() {
     let sizes = [100usize, 1000, scaled(10_000, 4000)];
-    let mut csv = csv_artifact("fig10_utilization");
-    csv_row(&mut csv, &[&"config", &"block", &"workers", &"utilization", &"port"]);
     header("Figure 10: SMX-engine utilization by worker count (score-only)");
     row(
         &[&"config", &"block", &"w=1", &"w=2", &"w=3", &"w=4", &"w=6", &"w=8", &"L2@4"],
@@ -32,9 +30,6 @@ fn main() {
                 if workers == 4 {
                     port4 = r.port_utilization;
                 }
-            }
-            for (w, u) in [1usize, 2, 3, 4, 6, 8].iter().zip(&utils) {
-                csv_row(&mut csv, &[&config.name(), &len, w, u, &port4]);
             }
             row(
                 &[

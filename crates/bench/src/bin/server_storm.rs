@@ -21,7 +21,6 @@
 
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -31,10 +30,12 @@ use smx::prelude::*;
 use smx::server::proto::{read_frame, write_frame, Request, Response};
 use smx::server::tenant::{Priority, TenantPolicy};
 use smx::{RetryConfig, Server, ServerConfig, ServerHandle};
-use smx_bench::{header, make_pair, percentile, quick_mode, row, storm_device};
+use smx_bench::{header, make_pair, percentile, quick_mode, row, storm_device, Session};
 
 const CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
 const PAIR_LEN: usize = 64;
+/// Bounds every connect, read and write of a storm session.
+const SESSION_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn storm_server(
     checkpoint: Option<std::path::PathBuf>,
@@ -63,38 +64,6 @@ fn storm_server(
     Server::bind(storm_device(CONFIG).expect("device"), cfg, "127.0.0.1:0").expect("bind")
 }
 
-/// One framed-TCP session split into a writer half and a reader half so
-/// the submitter never blocks on responses (true open loop).
-struct Session {
-    wr: TcpStream,
-    rd: TcpStream,
-}
-
-fn open_session(
-    addr: std::net::SocketAddr,
-    session: &str,
-    tenant: &str,
-    prio: Priority,
-) -> Session {
-    let mut wr = TcpStream::connect(addr).expect("connect");
-    wr.set_nodelay(true).ok();
-    let mut rd = wr.try_clone().expect("clone stream");
-    rd.set_read_timeout(Some(Duration::from_secs(30))).ok();
-    let hello = Request::Hello {
-        session: session.to_string(),
-        tenant: tenant.to_string(),
-        priority: prio,
-        deadline_ms: 0,
-    };
-    write_frame(&mut wr, &hello.encode()).expect("hello");
-    let reply = read_frame(&mut rd).expect("hello reply").expect("hello frame");
-    match Response::parse(&reply).expect("parse hello reply") {
-        Response::Ok { .. } => {}
-        other => panic!("expected OK, got {other:?}"),
-    }
-    Session { wr, rd }
-}
-
 /// Terminal outcomes one tenant connection observed, with latencies for
 /// the completed pairs.
 #[derive(Debug, Default)]
@@ -115,7 +84,7 @@ fn drive_tenant(
     count: usize,
     seed: u64,
 ) -> TenantOutcome {
-    let mut sess = open_session(addr, "-", tenant, prio);
+    let mut sess = Session::open(addr, "-", tenant, prio, SESSION_TIMEOUT).expect("open session");
     let sent: Mutex<HashMap<usize, Instant>> = Mutex::new(HashMap::new());
     let mut out = TenantOutcome::default();
 
@@ -172,7 +141,8 @@ fn drive_tenant(
 /// with typed REJECT overloaded frames — never an unbounded buffer or a
 /// hang.
 fn drive_slow_client(addr: std::net::SocketAddr, count: usize) -> TenantOutcome {
-    let mut sess = open_session(addr, "-", "sloth", Priority::Normal);
+    let mut sess =
+        Session::open(addr, "-", "sloth", Priority::Normal, SESSION_TIMEOUT).expect("open session");
     let mut rng = StdRng::seed_from_u64(0xfeed);
     for id in 0..count {
         let req = make_pair(&mut rng, id, PAIR_LEN);
@@ -265,7 +235,8 @@ fn crash_resume_pass() {
 
     let handle = storm_server(Some(dir.clone()), false, 1);
     let addr = handle.addr();
-    let mut sess = open_session(addr, "storm", "crash", Priority::Normal);
+    let mut sess = Session::open(addr, "storm", "crash", Priority::Normal, SESSION_TIMEOUT)
+        .expect("open session");
     let mut rng = StdRng::seed_from_u64(77);
     const PAIRS: usize = 32;
     const ACKS: usize = 10;
@@ -283,7 +254,9 @@ fn crash_resume_pass() {
     handle.crash();
 
     let handle = storm_server(Some(dir.clone()), true, 1);
-    let mut sess = open_session(handle.addr(), "storm", "crash", Priority::Normal);
+    let mut sess =
+        Session::open(handle.addr(), "storm", "crash", Priority::Normal, SESSION_TIMEOUT)
+            .expect("open session");
     for req in &reqs {
         write_frame(&mut sess.wr, &req.encode()).expect("resume write");
     }

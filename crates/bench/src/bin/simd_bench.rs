@@ -19,25 +19,18 @@
 //! workload for CI.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use smx::algos::simd::{self, Baseline, ScoreProfile, SimdWorkspace};
 use smx::align::dp;
 use smx::datagen::{Dataset, ErrorProfile};
 use smx::prelude::*;
-use smx_bench::{csv_artifact, csv_row, header, ratio, row, scaled};
+use smx_bench::{header, ratio, row, scaled, time};
 
 fn main() {
     let len = scaled(1024, 160);
     let count = scaled(48, 10);
     let reps = scaled(3, 1);
     let seed = 7u64;
-
-    let mut csv = csv_artifact("simd_bench");
-    csv_row(
-        &mut csv,
-        &[&"config", &"engine", &"kernel", &"ms", &"gcups", &"vs_full_dp", &"vs_scalar"],
-    );
 
     header(&format!(
         "simd streaming score kernel: {count} pairs x {len} bp per config, {reps} reps, seed {seed}"
@@ -133,18 +126,6 @@ fn main() {
                 ],
                 &widths,
             );
-            csv_row(
-                &mut csv,
-                &[
-                    &config,
-                    &engine,
-                    &kname,
-                    &format!("{:.3}", t * 1e3),
-                    &format!("{gcups:.3}"),
-                    &format!("{:.2}", t_full / t.max(1e-12)),
-                    &format!("{:.2}", t_scalar / t.max(1e-12)),
-                ],
-            );
         }
         speedups.push((config, t_full / t_simd.max(1e-12), t_scalar / t_simd.max(1e-12)));
     }
@@ -159,15 +140,4 @@ fn main() {
     println!("\nall kernel profiles byte-identical to the golden DP on every pair");
     // Keep the type in the public signature exercised so doc moves get caught.
     let _: ScoreProfile = ScoreProfile::default();
-}
-
-/// Best-of-`reps` wall time for one full pass over the workload.
-fn time<T>(reps: usize, mut pass: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        black_box(pass());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
 }

@@ -5,7 +5,7 @@
 
 use smx::align::dp;
 use smx::prelude::*;
-use smx_bench::{csv_artifact, csv_row, header, pct, row, scaled};
+use smx_bench::{header, pct, row, scaled};
 
 fn main() {
     let len = scaled(4000, 1200);
@@ -18,8 +18,6 @@ fn main() {
         .map(|p| dp::score_only(p.query.codes(), p.reference.codes(), &scheme))
         .collect();
 
-    let mut csv = csv_artifact("sweep_band");
-    csv_row(&mut csv, &[&"kind", &"band", &"recall", &"cells", &"smx_cycles"]);
     header(&format!(
         "Band sweep on ONT-profile reads (~{len} bp, {} pairs, edit model)",
         ds.pairs.len()
@@ -36,7 +34,6 @@ fn main() {
                 .run_batch(&ds.pairs)
                 .unwrap();
             let recall = rep.recall(&optimal);
-            csv_row(&mut csv, &[&kind, &band, &recall, &rep.work.cells, &rep.timing.cycles]);
             row(
                 &[
                     &kind,

@@ -5,12 +5,15 @@
 //! them with `cargo run -p smx-bench --release --bin <name>`.
 
 use std::fmt::Display;
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use smx::align::{AlignError, AlignmentConfig};
 use smx::coproc::faults::{FaultPlan, RecoveryPolicy};
-use smx::server::proto::Request;
+use smx::server::proto::{read_frame, write_frame, ProtoError, Request, Response};
+use smx::server::tenant::Priority;
 use smx::SmxDevice;
 
 /// Prints a section header.
@@ -38,26 +41,6 @@ pub fn ratio(a: f64, b: f64) -> String {
 #[must_use]
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
-}
-
-/// Opens a CSV artifact file for a harness when `SMX_BENCH_CSV` names a
-/// directory, so results can be post-processed; returns `None` (and the
-/// harness stays print-only) otherwise.
-#[must_use]
-pub fn csv_artifact(name: &str) -> Option<std::fs::File> {
-    let dir = std::env::var("SMX_BENCH_CSV").ok()?;
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-    std::fs::File::create(path).ok()
-}
-
-/// Writes one CSV row (no quoting — harness values are plain tokens).
-pub fn csv_row(file: &mut Option<std::fs::File>, cells: &[&dyn Display]) {
-    use std::io::Write;
-    if let Some(f) = file {
-        let line: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(f, "{}", line.join(","));
-    }
 }
 
 /// Whether the harness should run in quick mode (smaller instances),
@@ -88,6 +71,17 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted.get(idx).copied().unwrap_or(f64::NAN)
 }
 
+/// Best-of-`reps` wall time, in seconds, of one call to `pass`.
+pub fn time<T>(reps: usize, mut pass: impl FnMut() -> T) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let t0 = Instant::now();
+        std::hint::black_box(pass());
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}
+
 /// One storm `PAIR` request: `len` random DNA bases as the query, and a
 /// reference equal to it except for one base set to `T`.
 pub fn make_pair(rng: &mut StdRng, id: usize, len: usize) -> Request {
@@ -110,6 +104,59 @@ pub fn storm_device(config: AlignmentConfig) -> Result<SmxDevice, AlignError> {
     let mut dev = SmxDevice::new(config, 2)?;
     dev.enable_fault_injection(FaultPlan::new(42, 5e-4), RecoveryPolicy::default());
     Ok(dev)
+}
+
+/// One framed-protocol session, split into a writer half and a reader
+/// half so a submitter never blocks on responses.
+#[derive(Debug)]
+pub struct Session {
+    /// Request half.
+    pub wr: TcpStream,
+    /// Response half.
+    pub rd: TcpStream,
+}
+
+impl Session {
+    /// Connects to `addr`, sends HELLO for `session` (`-` for none) as
+    /// `tenant` at `priority`, and expects `OK`. `timeout` bounds the
+    /// connect and every read and write on both halves, so a dead or
+    /// draining server surfaces as an error, never a hang. Never panics.
+    ///
+    /// # Errors
+    ///
+    /// Socket and framing errors; a connection closed before the reply
+    /// as [`ProtoError::Io`]; any reply other than `OK` as
+    /// [`ProtoError::Malformed`].
+    pub fn open(
+        addr: SocketAddr,
+        session: &str,
+        tenant: &str,
+        priority: Priority,
+        timeout: Duration,
+    ) -> Result<Session, ProtoError> {
+        let mut wr = TcpStream::connect_timeout(&addr, timeout)?;
+        wr.set_nodelay(true)?;
+        wr.set_write_timeout(Some(timeout))?;
+        let mut rd = wr.try_clone()?;
+        rd.set_read_timeout(Some(timeout))?;
+        let hello = Request::Hello {
+            session: session.to_string(),
+            tenant: tenant.to_string(),
+            priority,
+            deadline_ms: 0,
+        };
+        write_frame(&mut wr, &hello.encode())?;
+        let reply = read_frame(&mut rd)?.ok_or_else(|| {
+            ProtoError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed before the HELLO reply",
+            ))
+        })?;
+        match Response::parse(&reply)? {
+            Response::Ok { .. } => Ok(Session { wr, rd }),
+            other => Err(ProtoError::Malformed(format!("expected OK to HELLO, got {other:?}"))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -160,11 +207,54 @@ mod tests {
     }
 
     #[test]
-    fn csv_artifact_disabled_without_env() {
-        if std::env::var("SMX_BENCH_CSV").is_err() {
-            assert!(csv_artifact("unit-test").is_none());
-            let mut none = None;
-            csv_row(&mut none, &[&1, &2]); // must be a no-op
+    fn time_runs_each_rep_and_at_least_once() {
+        let mut calls = 0;
+        let secs = time(3, || calls += 1);
+        assert_eq!(calls, 3);
+        assert!(secs.is_finite() && secs >= 0.0);
+        let mut once = 0;
+        time(0, || once += 1);
+        assert_eq!(once, 1, "zero reps still runs once");
+    }
+
+    #[test]
+    fn session_aligns_then_fails_fast_after_drain() {
+        use smx::align::{Alphabet, Sequence};
+        use smx::{Server, ServerConfig};
+
+        let config = AlignmentConfig::DnaEdit;
+        let handle = Server::bind(
+            SmxDevice::new(config, 2).unwrap(),
+            ServerConfig::default(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let addr = handle.addr();
+        let timeout = Duration::from_secs(5);
+        let mut sess = Session::open(addr, "-", "unit", Priority::Normal, timeout).unwrap();
+        let (query, reference) = ("GATTACAGATTACA", "GATTACACATTACA");
+        let pair = Request::Pair { id: 7, query: query.into(), reference: reference.into() };
+        write_frame(&mut sess.wr, &pair.encode()).unwrap();
+        let reply = read_frame(&mut sess.rd).unwrap().expect("a RESULT frame");
+        let golden = SmxDevice::new(config, 2)
+            .unwrap()
+            .align(
+                &Sequence::from_text(Alphabet::Dna2, query).unwrap(),
+                &Sequence::from_text(Alphabet::Dna2, reference).unwrap(),
+            )
+            .unwrap();
+        match Response::parse(&reply).unwrap() {
+            Response::Result { id, score, cigar, .. } => {
+                assert_eq!((id, score, cigar), (7, golden.score, golden.cigar.to_string()));
+            }
+            other => panic!("expected RESULT, got {other:?}"),
         }
+        drop(sess);
+
+        let _ = handle.drain();
+        let t0 = Instant::now();
+        let refused = Session::open(addr, "-", "unit", Priority::Normal, timeout);
+        assert!(refused.is_err(), "a drained server accepted a session");
+        assert!(t0.elapsed() < timeout + Duration::from_secs(1), "open outlived its timeout");
     }
 }

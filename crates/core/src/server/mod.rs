@@ -1303,8 +1303,8 @@ fn writer_loop(
 }
 
 /// A minimal blocking client for the framed protocol — shared by the
-/// server's own tests, the CLI integration tests, and the load
-/// generator, so every consumer speaks through the same encoder.
+/// server's own tests and the workspace and CLI integration tests, so
+/// every consumer speaks through the same encoder.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,

@@ -1622,8 +1622,8 @@ mod tests {
     }
 
     /// The breaker and the quarantine ladder together, pinned end to
-    /// end: one deterministic two-device batch (integrity_storm's
-    /// tuning) in which every arc fires — trip, half-open, close,
+    /// end: one deterministic two-device batch (fault_storm's
+    /// breaker and quarantine tuning) in which every arc fires — trip, half-open, close,
     /// quarantine, and canary readmission — with the exact routing
     /// counters and per-device reports recorded before the two
     /// mechanisms were merged into one state machine.

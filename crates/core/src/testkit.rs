@@ -6,7 +6,7 @@
 //! a bare `unwrap`. Centralizing the checks keeps the panic messages
 //! descriptive and identical everywhere the byte-identity invariant is
 //! asserted — the unit tests, the proptest harnesses, and the
-//! `integrity_storm` bench all call the same code.
+//! `fault_storm` bench all call the same code.
 
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;

@@ -22,7 +22,7 @@
 //!
 //! Faults are drawn from a seeded counter-based hash over
 //! `(seed, epoch, tile, attempt)`, so a given plan replays identically
-//! regardless of scheduling — the property the `fault_sweep` bench and
+//! regardless of scheduling — the property the `fault_storm` bench and
 //! the recovery property tests rely on.
 
 use std::fmt;
