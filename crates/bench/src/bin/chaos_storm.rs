@@ -515,7 +515,6 @@ mod armed {
             policy: TenantPolicy { rate: 1e6, burst: 1e6 },
             retry: RetryConfig::default(),
             shards: 2,
-            steal: true,
             supervisor,
             ..ServerConfig::default()
         };

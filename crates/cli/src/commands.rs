@@ -78,7 +78,7 @@ commands:
            [--retry-attempts N] [--retry-backoff-ms N]
            [--brownout-shed F] [--brownout-degrade F] [--brownout-refuse F]
            [--checkpoint-dir DIR] [--resume-sessions]
-           [--shards N] [--steal on|off] [--supervisor-interval-ms N]
+           [--shards N] [--supervisor-interval-ms N]
            [--supervisor-stale N] [--supervisor-max-restarts N]
   datagen  --config <cfg> --len N --count N [--profile perfect|moderate|hifi|ont]
            [--sv N] [--seed N] --out <pairs.fa>
@@ -143,15 +143,16 @@ the drain report) for per-tenant admission/shed/deadline counters.
 sharded fleet (serve): --shards N splits the executor into N
 independent fault domains, each with a disjoint slice of the worker
 threads and device pool behind its own bounded queue. A dispatcher
-hashes (tenant, pair) to a home shard; idle workers steal from
-overloaded or degraded siblings unless --steal off. A supervisor
-samples per-shard heartbeats every --supervisor-interval-ms and walks
-a containment ladder on any shard whose heartbeat and completion
-counters both freeze for --supervisor-stale consecutive samples (a
-healthy worker beats even while idle): degrade (steal-only) -> drain-and-restart
-in place (queued pairs requeued to live shards first) -> permanent
-quarantine after --supervisor-max-restarts restarts, with the lost
-capacity re-advertised to admission and brownout.
+hashes (tenant, pair) to a home shard and overflows to the next live
+shard in ring order; idle workers steal from the deepest sibling queue
+that is not quarantined. A supervisor samples per-shard heartbeats
+every --supervisor-interval-ms and walks a containment ladder on any
+shard whose heartbeat and completion counters both freeze for
+--supervisor-stale consecutive samples (a healthy worker beats even
+while idle): degrade (steal-only) -> drain-and-restart in place
+(queued pairs requeued to live shards first) -> permanent quarantine
+after --supervisor-max-restarts restarts, with the lost capacity
+re-advertised to admission and brownout.
 
 exit codes: see the README table. 0 success; 2 generic error. Under
 --strict, typed codes rank the worst failure in the batch: 3 pairs
@@ -647,11 +648,6 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
         checkpoint_dir: args.get("checkpoint-dir").map(std::path::PathBuf::from),
         resume_sessions: args.switch("resume-sessions"),
         shards: args.get_num("shards", 1usize).map_err(|e| e.to_string())?,
-        steal: match args.get_or("steal", "on") {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--steal takes on|off, got {other:?}").into()),
-        },
         supervisor: SupervisorConfig {
             interval: Duration::from_millis(
                 args.get_num("supervisor-interval-ms", 50u64).map_err(|e| e.to_string())?,

@@ -32,6 +32,7 @@
 //! brownout, retries, and routing decide *where* and *whether* a pair
 //! runs — never *what* it computes.
 
+mod fleet;
 pub mod proto;
 pub mod session;
 pub mod tenant;
@@ -39,9 +40,9 @@ pub mod tenant;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -52,46 +53,13 @@ use crate::orchestrator::SmxDevice;
 use crate::service::{self, ExecutorConfig, ServiceStats};
 use crate::shard::{self, relock, Done, Front, Phase, Plan, Shard};
 
+use fleet::{home_shard, Fleet, ShardState, Step};
 use proto::{read_frame, write_frame, FailKind, ProtoError, RejectReason, Request, Response};
 use session::{Session, SessionStore};
 use tenant::{BrownoutConfig, BrownoutLevel, Priority, TenantCounters, TenantPolicy, TenantTable};
 
 pub use crate::shard::RetryConfig;
-
-/// The supervisor's wedge-detection and containment budget.
-///
-/// A shard is *stagnant* when neither its heartbeat nor its
-/// completion counter moved across `stale_intervals` consecutive
-/// samples — the chaos storm's "no progress" watchdog criterion,
-/// made unconditional because a healthy worker beats even while
-/// idle (an idle wedged shard would otherwise black-hole every
-/// pair later dispatched to it). The
-/// containment ladder is: mark degraded (steal-only, no new
-/// dispatch) → drain-and-restart in place → permanent quarantine
-/// once `max_restarts` in-place restarts have been burned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Time between supervisor samples of every shard's progress.
-    pub interval: Duration,
-    /// Consecutive no-progress samples before the ladder advances a
-    /// rung. The product `interval * stale_intervals` is the shard's
-    /// heartbeat budget and must exceed the worst-case single-pair
-    /// latency, or a shard busy with one huge pair reads as wedged.
-    pub stale_intervals: u32,
-    /// In-place restarts granted before the shard is quarantined for
-    /// the life of the process.
-    pub max_restarts: u32,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            interval: Duration::from_millis(50),
-            stale_intervals: 8,
-            max_restarts: 2,
-        }
-    }
-}
+pub use fleet::{ShardSnapshot, SupervisorConfig};
 
 /// Server tuning on top of the executor configuration it fronts.
 #[derive(Debug, Clone)]
@@ -124,9 +92,6 @@ pub struct ServerConfig {
     /// its own bounded queue, so one wedged shard is a capacity dip,
     /// not an outage. `1` reproduces the single-executor server.
     pub shards: usize,
-    /// Whether idle workers steal queued pairs from overloaded or
-    /// degraded sibling shards.
-    pub steal: bool,
     /// Wedge-detection and containment budget for the supervisor.
     pub supervisor: SupervisorConfig,
 }
@@ -143,7 +108,6 @@ impl Default for ServerConfig {
             checkpoint_dir: None,
             resume_sessions: false,
             shards: 1,
-            steal: true,
             supervisor: SupervisorConfig::default(),
         }
     }
@@ -160,72 +124,9 @@ pub struct DrainReport {
     pub per_shard: Vec<ShardSnapshot>,
 }
 
-/// One shard's observable state: the supervisor's view, exported to
-/// `STATS`, the drain report, and the storm harnesses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Shard id (also the dispatcher's home-shard index).
-    pub id: usize,
-    /// Lifecycle state: `live`, `degraded`, `restarting`, `quarantined`.
-    pub state: &'static str,
-    /// Pairs dispatched to this shard as its home.
-    pub dispatched: u64,
-    /// Pairs completed by this shard's workers (own or stolen).
-    pub completed: u64,
-    /// Queued pairs other shards stole from this one.
-    pub stolen_from: u64,
-    /// Queued pairs this shard's workers stole from siblings.
-    pub stolen_by: u64,
-    /// In-place restarts the supervisor executed on this shard.
-    pub restarts: u64,
-    /// Completed wedge→live failovers (restart or self-heal).
-    pub failovers: u64,
-    /// Duration of the most recent failover, in milliseconds.
-    pub last_failover_ms: u64,
-    /// Current queue depth.
-    pub queue_depth: usize,
-    /// Queue high-water mark.
-    pub max_queue_depth: usize,
-}
-
-impl std::fmt::Display for ShardSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {}: state={} dispatched={} completed={} stolen_from={} stolen_by={} \
-             restarts={} failovers={} last_failover_ms={} queue_depth={} max_queue_depth={}",
-            self.id,
-            self.state,
-            self.dispatched,
-            self.completed,
-            self.stolen_from,
-            self.stolen_by,
-            self.restarts,
-            self.failovers,
-            self.last_failover_ms,
-            self.queue_depth,
-            self.max_queue_depth
-        )
-    }
-}
-
 const STATE_RUNNING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_CRASHED: u8 = 2;
-
-const SHARD_LIVE: u8 = 0;
-const SHARD_DEGRADED: u8 = 1;
-const SHARD_RESTARTING: u8 = 2;
-const SHARD_QUARANTINED: u8 = 3;
-
-fn shard_state_name(state: u8) -> &'static str {
-    match state {
-        SHARD_LIVE => "live",
-        SHARD_DEGRADED => "degraded",
-        SHARD_RESTARTING => "restarting",
-        _ => "quarantined",
-    }
-}
 
 /// One admitted pair flowing to the workers.
 struct Job {
@@ -261,80 +162,21 @@ impl shard::Job for Job {
     }
 }
 
-/// One member of the fleet: an executor-core shard plus the atomics only
-/// the supervised server tracks about it.
-struct FleetShard {
-    core: Shard<Job>,
-    /// Lifecycle: `SHARD_LIVE` → `SHARD_DEGRADED` → `SHARD_RESTARTING`
-    /// → back to live, or `SHARD_QUARANTINED` once the restart budget
-    /// is spent.
-    state: AtomicU8,
-    dispatched: AtomicU64,
-    stolen_from: AtomicU64,
-    stolen_by: AtomicU64,
-    restarts: AtomicU64,
-    failovers: AtomicU64,
-    last_failover_ms: AtomicU64,
-    /// Worker handles of every live generation, joined at wind-down. A
-    /// retired generation exits on its own once whatever wedged it
-    /// releases.
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl FleetShard {
-    fn new(core: Shard<Job>) -> FleetShard {
-        FleetShard {
-            core,
-            state: AtomicU8::new(SHARD_LIVE),
-            dispatched: AtomicU64::new(0),
-            stolen_from: AtomicU64::new(0),
-            stolen_by: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            last_failover_ms: AtomicU64::new(0),
-            workers: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            id: self.core.id,
-            state: shard_state_name(self.state.load(Ordering::SeqCst)),
-            dispatched: self.dispatched.load(Ordering::SeqCst),
-            completed: self.core.completed.load(Ordering::SeqCst),
-            stolen_from: self.stolen_from.load(Ordering::SeqCst),
-            stolen_by: self.stolen_by.load(Ordering::SeqCst),
-            restarts: self.restarts.load(Ordering::SeqCst),
-            failovers: self.failovers.load(Ordering::SeqCst),
-            last_failover_ms: self.last_failover_ms.load(Ordering::SeqCst),
-            queue_depth: self.core.queue.depth(),
-            max_queue_depth: self.core.queue.max_depth(),
-        }
-    }
-}
-
-/// The dispatcher's home-shard hash: FNV-1a over `(tenant, pair id)`,
-/// a pure function so a tenant's pairs land on a stable shard and any
-/// replayed run dispatches identically.
-fn home_shard(tenant: &str, id: usize, shards: usize) -> usize {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in tenant.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    for b in (id as u64).to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h % shards.max(1) as u64) as usize
-}
-
 /// State shared by the accept loop, workers, supervisor, and
 /// connection threads.
 struct Shared {
     cfg: ServerConfig,
     alphabet: Alphabet,
-    shards: Vec<FleetShard>,
+    shards: Vec<Shard<Job>>,
+    /// Worker handles with their shard id, joined at wind-down. A
+    /// retired generation exits on its own once whatever wedged it
+    /// releases.
+    workers: Mutex<Vec<(usize, JoinHandle<()>)>>,
+    /// Every shard-lifecycle and routing decision. Held only for a
+    /// decision and what it drives at once (a dispatch's non-blocking
+    /// queue pushes, a restart's worker spawn), never across a queue
+    /// wait, a pair, a sleep or a join.
+    fleet: Mutex<Fleet>,
     state: AtomicU8,
     /// Batch-wide token: cancelled on crash so in-flight pairs abort at
     /// the next tile boundary instead of finishing into the void.
@@ -361,15 +203,27 @@ impl Shared {
     /// so losing a shard makes the survivors brown out earlier instead
     /// of the fleet pretending it still has the dead capacity.
     fn live_occupancy(&self) -> (usize, usize) {
-        let mut depth = 0;
-        let mut cap = 0;
-        for s in &self.shards {
-            if s.state.load(Ordering::SeqCst) != SHARD_QUARANTINED {
-                depth += s.core.queue.depth();
-                cap += s.core.queue.cap;
-            }
-        }
-        (depth, cap)
+        let fleet = self.fleet();
+        self.shards
+            .iter()
+            .filter(|s| fleet.counts_capacity(s.id))
+            .fold((0, 0), |(depth, cap), s| (depth + s.queue.depth(), cap + s.queue.cap))
+    }
+
+    fn fleet(&self) -> MutexGuard<'_, Fleet> {
+        relock(&self.fleet)
+    }
+
+    /// Every shard's snapshot, in shard-id order.
+    fn snapshots(&self) -> Vec<ShardSnapshot> {
+        let fleet = self.fleet();
+        let snap = |s: &Shard<Job>| ShardSnapshot {
+            completed: s.completed.load(Ordering::SeqCst),
+            queue_depth: s.queue.depth(),
+            max_queue_depth: s.queue.max_depth(),
+            ..fleet.snapshot(s.id)
+        };
+        self.shards.iter().map(snap).collect()
     }
 
     fn brownout(&self) -> BrownoutLevel {
@@ -400,8 +254,8 @@ impl Shared {
         let _ = writeln!(s, "queue_depth: {depth}/{cap} (max {})", totals.max_queue_depth);
         let _ = writeln!(s, "brownout: {level} (peak rank {peak})");
         let _ = write!(s, "{totals}");
-        for shard in &self.shards {
-            let _ = writeln!(s, "{}", shard.snapshot());
+        for shard in self.snapshots() {
+            let _ = writeln!(s, "{shard}");
         }
         for (name, t) in relock(&self.tenants).sorted() {
             let _ = writeln!(s, "tenant {name}: priority={} {}", t.priority, t.counters);
@@ -414,8 +268,8 @@ impl Shared {
     fn totals(&self) -> ServiceStats {
         let mut totals = relock(&self.counters).clone();
         for shard in &self.shards {
-            totals.add_pool(&shard.core.pool);
-            totals.max_queue_depth = totals.max_queue_depth.max(shard.core.queue.max_depth());
+            totals.add_pool(&shard.pool);
+            totals.max_queue_depth = totals.max_queue_depth.max(shard.queue.max_depth());
         }
         totals
     }
@@ -479,29 +333,23 @@ impl Server {
         cfg.exec.validate()?;
         let plan = service::ShardPlan::split(&cfg.exec, cfg.shards)?;
         let token = CancelToken::new();
-        let shards = Shard::build(&plan, &device, &cfg.exec, cfg.retry, &token)?
-            .into_iter()
-            .map(FleetShard::new)
-            .collect();
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| AlignError::Internal(format!("bind {addr}: {e}")))?;
-        let local =
-            listener.local_addr().map_err(|e| AlignError::Internal(format!("local addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| AlignError::Internal(format!("nonblocking listener: {e}")))?;
+        let shards = Shard::build(&plan, &device, &cfg.exec, cfg.retry, &token)?;
+        let io = |at: String| move |e: std::io::Error| AlignError::Internal(format!("{at}: {e}"));
+        let listener = TcpListener::bind(addr).map_err(io(format!("bind {addr}")))?;
+        let local = listener.local_addr().map_err(io("local addr".into()))?;
+        listener.set_nonblocking(true).map_err(io("nonblocking listener".into()))?;
         if let Some(dir) = &cfg.checkpoint_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| AlignError::Internal(format!("checkpoint dir: {e}")))?;
+            std::fs::create_dir_all(dir).map_err(io("checkpoint dir".into()))?;
         }
         let sessions = SessionStore::new(cfg.checkpoint_dir.clone(), cfg.resume_sessions);
-        let policy = cfg.policy;
         let shared = Arc::new(Shared {
             alphabet: device.config().alphabet(),
+            fleet: Mutex::new(Fleet::new(shards.len(), cfg.supervisor)),
             shards,
+            workers: Mutex::new(Vec::new()),
             state: AtomicU8::new(STATE_RUNNING),
             token,
-            tenants: Mutex::new(TenantTable::new(policy)),
+            tenants: Mutex::new(TenantTable::new(cfg.policy)),
             sessions: Mutex::new(sessions),
             counters: Mutex::new(ServiceStats::default()),
             pair_seq: AtomicUsize::new(0),
@@ -531,18 +379,19 @@ impl Server {
 /// path must never fault).
 fn spawn_shard_workers(shared: &Arc<Shared>, s: usize, generation: u64) {
     let Some(shard) = shared.shards.get(s) else { return };
-    let handles: Vec<JoinHandle<()>> = (0..shard.core.jobs)
+    let handles: Vec<(usize, JoinHandle<()>)> = (0..shard.jobs)
         .map(|_| {
             let shared = Arc::clone(shared);
-            let mut sw = shard.core.pool.software_device();
-            std::thread::spawn(move || {
+            let mut sw = shard.pool.software_device();
+            let worker = std::thread::spawn(move || {
                 if let Some(shard) = shared.shards.get(s) {
-                    shard::worker_loop(&*shared, &shard.core, generation, &mut sw);
+                    shard::worker_loop(&*shared, shard, generation, &mut sw);
                 }
-            })
+            });
+            (s, worker)
         })
         .collect();
-    relock(&shard.workers).extend(handles);
+    relock(&shared.workers).extend(handles);
 }
 
 /// A running server: its address, live stats, and the two ways down —
@@ -571,7 +420,7 @@ impl ServerHandle {
     /// harnesses' view of failovers while the server runs).
     #[must_use]
     pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shared.shards.iter().map(FleetShard::snapshot).collect()
+        self.shared.snapshots()
     }
 
     /// Graceful drain: stop accepting, flush every in-flight and queued
@@ -586,7 +435,7 @@ impl ServerHandle {
             .map(|(name, t)| (name.to_string(), t.counters))
             .collect();
         let totals = shared.totals();
-        let per_shard = shared.shards.iter().map(FleetShard::snapshot).collect();
+        let per_shard = shared.snapshots();
         DrainReport { per_tenant, totals, per_shard }
     }
 
@@ -603,7 +452,7 @@ impl ServerHandle {
     fn wind_down(&mut self, state: u8) {
         self.shared.state.store(state, Ordering::SeqCst);
         for shard in &self.shared.shards {
-            shard.core.queue.wake_all();
+            shard.queue.wake_all();
         }
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -611,10 +460,10 @@ impl ServerHandle {
         if let Some(supervisor) = self.supervisor.take() {
             let _ = supervisor.join();
         }
-        for shard in &self.shared.shards {
-            for w in std::mem::take(&mut *relock(&shard.workers)) {
-                let _ = w.join();
-            }
+        // Taken first, so no worker is joined with the registry held.
+        let workers = std::mem::take(&mut *relock(&self.shared.workers));
+        for (_, worker) in workers {
+            let _ = worker.join();
         }
         // Belt-and-braces drain sweep: if a restart/quarantine race left
         // a job queued anywhere after every worker exited, flush it on
@@ -622,9 +471,9 @@ impl ServerHandle {
         // skips this — a dead process flushes nothing.
         if state == STATE_DRAINING {
             for shard in &self.shared.shards {
-                let mut sw = shard.core.pool.software_device();
-                while let Some(job) = shard.core.queue.try_pop() {
-                    shard::run_job(&*self.shared, &shard.core, job, &mut sw);
+                let mut sw = shard.pool.software_device();
+                while let Some(job) = shard.queue.try_pop() {
+                    shard::run_job(&*self.shared, shard, job, &mut sw);
                 }
             }
         }
@@ -649,11 +498,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
                 if shared.conns.load(Ordering::SeqCst) >= shared.cfg.max_conns {
-                    let mut w = BufWriter::new(&stream);
-                    let _ = write_frame(
-                        &mut w,
-                        &Response::Err("connection capacity reached; retry later".into()).encode(),
-                    );
+                    refuse(&stream, "connection capacity reached; retry later".into());
                     continue;
                 }
                 // Reap the connections that ended first: an exited thread
@@ -715,30 +560,14 @@ impl Front for Shared {
         }
     }
 
-    /// Steals the highest-priority queued job from the deepest sibling
-    /// queue. `sweep` (the drain path) steals even with stealing off and
-    /// from shards in any state: flushing beats affinity.
+    /// Steals the highest-priority queued job from the sibling the
+    /// fleet picks. `sweep` (the drain path) takes from shards in any
+    /// state: flushing beats affinity.
     fn steal(&self, thief: &Shard<Job>, sweep: bool) -> Option<Job> {
-        if !sweep && !self.cfg.steal {
-            return None;
-        }
-        let mut victim: Option<(&FleetShard, usize)> = None;
-        for shard in &self.shards {
-            let quarantined = shard.state.load(Ordering::SeqCst) == SHARD_QUARANTINED;
-            if shard.core.id == thief.id || (!sweep && quarantined) {
-                continue;
-            }
-            let depth = shard.core.queue.depth();
-            if depth > 0 && victim.is_none_or(|(_, best)| depth > best) {
-                victim = Some((shard, depth));
-            }
-        }
-        let (victim, _) = victim?;
-        let job = victim.core.queue.try_pop()?;
-        victim.stolen_from.fetch_add(1, Ordering::SeqCst);
-        if let Some(thief) = self.shards.get(thief.id) {
-            thief.stolen_by.fetch_add(1, Ordering::SeqCst);
-        }
+        let depths: Vec<usize> = self.shards.iter().map(|s| s.queue.depth()).collect();
+        let victim = self.fleet().steal_victim(thief.id, sweep, &depths)?;
+        let job = self.shards.get(victim)?.queue.try_pop()?;
+        self.fleet().stolen(victim, thief.id);
         Some(job)
     }
 
@@ -748,78 +577,21 @@ impl Front for Shared {
 }
 
 /// The supervisor: samples every shard's `(heartbeat, completed)`
-/// progress each `interval` and walks the containment ladder on any
-/// shard whose sample freezes — the chaos storm's stagnation
-/// criterion applied in-process. Exits when the server leaves the
-/// running state; restarts never race a drain.
+/// progress each `interval`, lets the fleet walk its containment
+/// ladder, and runs the restarts it asks for — the chaos storm's
+/// stagnation criterion applied in-process. Exits when the server
+/// leaves the running state; restarts never race a drain.
 fn supervisor_loop(shared: &Arc<Shared>) {
-    /// Per-shard stagnation tracker, private to the supervisor.
-    #[derive(Clone)]
-    struct Watch {
-        last: (u64, u64),
-        stale: u32,
-        wedged_since: Option<Instant>,
-    }
-    let cfg = shared.cfg.supervisor;
-    let mut watch = vec![
-        Watch { last: (u64::MAX, u64::MAX), stale: 0, wedged_since: None };
-        shared.shards.len()
-    ];
     while shared.state() == STATE_RUNNING {
-        std::thread::sleep(cfg.interval);
-        for (s, (shard, w)) in shared.shards.iter().zip(watch.iter_mut()).enumerate() {
-            let state = shard.state.load(Ordering::SeqCst);
-            if state == SHARD_QUARANTINED || state == SHARD_RESTARTING {
-                continue;
-            }
-            let beat = (
-                shard.core.heartbeat.load(Ordering::SeqCst),
-                shard.core.completed.load(Ordering::SeqCst),
-            );
-            // A healthy worker beats on every loop iteration — even an
-            // idle one wakes from its bounded queue wait (20 ms) and
-            // beats again — so a frozen (heartbeat, completed) sample is
-            // stagnation *regardless* of queue depth. Gating on pending
-            // work would let an idle wedged shard sit live forever,
-            // silently black-holing every pair later dispatched to it.
-            // The stale window (`interval` x `stale_intervals`, 400 ms
-            // by default) must comfortably exceed the 20 ms queue wait,
-            // or healthy idle shards read as frozen between beats.
-            if beat == w.last {
-                w.stale += 1;
-            } else {
-                w.stale = 0;
-                if state == SHARD_DEGRADED && beat != w.last {
-                    // The wedge cleared on its own (a transient stall):
-                    // lift the degradation without burning a restart.
-                    shard.state.store(SHARD_LIVE, Ordering::SeqCst);
-                    record_failover(shard, &mut w.wedged_since);
-                }
-            }
-            w.last = beat;
-            if w.stale >= cfg.stale_intervals {
-                w.stale = 0;
-                match state {
-                    SHARD_LIVE => {
-                        // Rung 1: steal-only. Dispatch routes around the
-                        // shard; siblings drain its queue.
-                        shard.state.store(SHARD_DEGRADED, Ordering::SeqCst);
-                        w.wedged_since = Some(Instant::now());
-                    }
-                    SHARD_DEGRADED => restart_shard(shared, s, &mut w.wedged_since),
-                    _ => {}
-                }
+        std::thread::sleep(shared.cfg.supervisor.interval);
+        for (s, shard) in shared.shards.iter().enumerate() {
+            let beat =
+                (shard.heartbeat.load(Ordering::SeqCst), shard.completed.load(Ordering::SeqCst));
+            let step = shared.fleet().sample(s, beat, Instant::now());
+            if step == Step::Restart {
+                restart_shard(shared, s);
             }
         }
-    }
-}
-
-fn record_failover(shard: &FleetShard, wedged_since: &mut Option<Instant>) {
-    if let Some(t) = wedged_since.take() {
-        shard.failovers.fetch_add(1, Ordering::SeqCst);
-        shard
-            .last_failover_ms
-            .store(t.elapsed().as_millis().min(u128::from(u64::MAX)) as u64, Ordering::SeqCst);
     }
 }
 
@@ -829,72 +601,60 @@ fn record_failover(shard: &FleetShard, wedged_since: &mut Option<Instant>) {
 /// that was acked), retire the wedged worker generation, respawn. Rung
 /// 3: once the restart budget is spent, quarantine the shard for good
 /// and re-advertise the lost capacity to admission.
-fn restart_shard(shared: &Arc<Shared>, s: usize, wedged_since: &mut Option<Instant>) {
+fn restart_shard(shared: &Arc<Shared>, s: usize) {
     let Some(shard) = shared.shards.get(s) else { return };
-    shard.state.store(SHARD_RESTARTING, Ordering::SeqCst);
-    let restarts = shard.restarts.fetch_add(1, Ordering::SeqCst) + 1;
-
+    shared.fleet().begin_restart(s);
     // Requeue-before-restart: every queued pair finds a live home (or
     // comes straight back to this queue for the fresh generation).
     redistribute_queue(shared, s);
 
     // Failpoint `shard.restart` (lane = shard id): `error` fails this
-    // restart attempt — the shard falls back to degraded and the next
-    // stagnation round retries, marching toward quarantine; `kill`
-    // dies between requeue and respawn (the window requeue-before-
-    // restart exists to make safe).
+    // restart attempt — the shard falls back to degraded, without
+    // workers, and the next stagnation round retries, marching toward
+    // quarantine; `kill` dies between requeue and respawn (the window
+    // requeue-before-restart exists to make safe).
     let restart_failed = smx_failpoint::hit_lane("shard.restart", s as u32).is_some();
 
     // Retire the wedged generation: whatever finally un-wedges those
     // workers, the generation check sends them straight to exit.
-    shard.core.generation.fetch_add(1, Ordering::SeqCst);
-    relock(&shard.workers).retain(|h| !h.is_finished());
+    let generation = shard.generation.fetch_add(1, Ordering::SeqCst) + 1;
+    relock(&shared.workers).retain(|(_, h)| !h.is_finished());
 
-    if restart_failed || restarts > u64::from(shared.cfg.supervisor.max_restarts) {
-        if restarts > u64::from(shared.cfg.supervisor.max_restarts) {
-            shard.state.store(SHARD_QUARANTINED, Ordering::SeqCst);
-            // Anything the redistribute had to leave on this queue can
-            // never be served here again: fail it typed so the client
-            // can resubmit (it lands on a live shard next time).
-            while let Some(job) = shard.core.queue.try_pop() {
-                let error = format!("shard {s} quarantined; resubmit the pair");
-                finish(&job, Done::failed(AlignError::Internal(error)));
-            }
-        } else {
-            shard.state.store(SHARD_DEGRADED, Ordering::SeqCst);
-        }
-        return;
+    let mut fleet = shared.fleet();
+    let state = fleet.restart_verdict(s, restart_failed, Instant::now());
+    if state == ShardState::Live {
+        // Spawned under the fleet guard: no dispatcher sees the shard
+        // live before its fresh generation exists.
+        spawn_shard_workers(shared, s, generation);
     }
-    let generation = shard.core.generation.load(Ordering::SeqCst);
-    spawn_shard_workers(shared, s, generation);
-    shard.state.store(SHARD_LIVE, Ordering::SeqCst);
-    record_failover(shard, wedged_since);
+    drop(fleet);
+    if state == ShardState::Quarantined {
+        // Anything the redistribute had to leave on this queue can
+        // never be served here again: fail it typed so the client can
+        // resubmit (it lands on a live shard next time).
+        while let Some(job) = shard.queue.try_pop() {
+            let error = format!("shard {s} quarantined; resubmit the pair");
+            finish(&job, Done::failed(AlignError::Internal(error)));
+        }
+    }
 }
 
-/// Moves every queued pair off shard `s` onto live siblings, spilling
-/// back onto `s`'s own (just-emptied) queue when no sibling has room.
+/// Moves every queued pair off shard `s` onto the fleet's requeue
+/// targets: live siblings first, then `s`'s own (just-emptied) queue.
 fn redistribute_queue(shared: &Shared, s: usize) {
     let Some(source) = shared.shards.get(s) else { return };
-    let mut jobs = Vec::new();
-    while let Some(job) = source.core.queue.try_pop() {
-        jobs.push(job);
-    }
+    let targets = shared.fleet().requeue_targets(s);
+    let jobs: Vec<Job> = std::iter::from_fn(|| source.queue.try_pop()).collect();
     'jobs: for mut job in jobs {
-        for (t, shard) in shared.shards.iter().enumerate() {
-            if t == s || shard.state.load(Ordering::SeqCst) != SHARD_LIVE {
-                continue;
-            }
-            match shard.core.queue.push(job, false) {
+        for shard in targets.iter().filter_map(|&t| shared.shards.get(t)) {
+            match shard.queue.push(job, false) {
                 Ok(()) => continue 'jobs,
                 Err(back) => job = back,
             }
         }
-        // No live sibling had room: back onto our own queue, which we
-        // just emptied, so this cannot fail for more jobs than fit.
-        if let Err(job) = source.core.queue.push(job, false) {
-            let error = format!("shard {s} restart could not requeue the pair; resubmit");
-            finish(&job, Done::failed(AlignError::Internal(error)));
-        }
+        // Not even the shard's own, just-emptied queue took it back.
+        let error = format!("shard {s} restart could not requeue the pair; resubmit");
+        finish(&job, Done::failed(AlignError::Internal(error)));
     }
 }
 
@@ -904,6 +664,32 @@ fn finish(job: &Job, done: Done) {
     // A send failure means the connection is gone; the pair's outcome is
     // simply unacked (and therefore recomputable on resume).
     let _ = job.reply.send(WriterMsg::Done(job.id, done));
+}
+
+/// Writes one `ERR` frame to a connection the server will not serve.
+fn refuse(stream: &TcpStream, detail: String) {
+    let _ = write_frame(&mut BufWriter::new(stream), &Response::Err(detail).encode());
+}
+
+/// Whether a frame read only hit the socket's read timeout, which
+/// bounds every wait so the reader keeps watching the server's state.
+fn timed_out(e: &ProtoError) -> bool {
+    use std::io::ErrorKind::{TimedOut, WouldBlock};
+    matches!(e, ProtoError::Io(e) if matches!(e.kind(), WouldBlock | TimedOut))
+}
+
+/// One connection's admission context, fixed at `HELLO`.
+struct Conn {
+    /// The connection's writer: every frame and completion goes here.
+    tx: mpsc::Sender<WriterMsg>,
+    tenant: String,
+    priority: Priority,
+    /// The deadline each pair gets: the HELLO's, or the server default.
+    deadline: Option<Duration>,
+    /// Pairs already durable in the session manifest: replayed, not rerun.
+    resume_ids: std::collections::HashSet<usize>,
+    /// Pairs admitted and not yet acked, shared with the writer.
+    outstanding: Arc<AtomicUsize>,
 }
 
 /// Per-connection reader: the protocol state machine and the admission
@@ -923,32 +709,15 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let hello = loop {
         match read_frame(&mut reader) {
             Ok(Some(payload)) => break payload,
-            Ok(None) => return,
-            Err(ProtoError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.state() != STATE_RUNNING {
-                    return;
-                }
-            }
-            Err(_) => return,
+            Err(e) if timed_out(&e) && shared.state() == STATE_RUNNING => {}
+            Ok(None) | Err(_) => return,
         }
     };
-    let (session_id, tenant, priority, deadline_ms) = match Request::parse(&hello) {
-        Ok(Request::Hello { session, tenant, priority, deadline_ms }) => {
-            (session, tenant, priority, deadline_ms)
-        }
-        Ok(_) | Err(_) => {
-            let mut w = BufWriter::new(write_half);
-            let _ = write_frame(
-                &mut w,
-                &Response::Err("expected HELLO as the first frame".into()).encode(),
-            );
-            return;
-        }
+    let Ok(Request::Hello { session: session_id, tenant, priority, deadline_ms }) =
+        Request::parse(&hello)
+    else {
+        refuse(&write_half, "expected HELLO as the first frame".into());
+        return;
     };
     let opened = {
         let mut warn = |warning: session::ResumeWarning| {
@@ -966,13 +735,12 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let session = match opened {
         Ok(s) => s,
         Err(detail) => {
-            let mut w = BufWriter::new(write_half);
-            let _ = write_frame(&mut w, &Response::Err(detail).encode());
+            refuse(&write_half, detail);
             return;
         }
     };
     let resume_ids: std::collections::HashSet<usize> = session.completed.keys().copied().collect();
-    let resumed_count = resume_ids.len() as u64;
+    let resumed = resume_ids.len() as u64;
     relock(&shared.tenants).entry(&tenant, priority);
 
     let outstanding = Arc::new(AtomicUsize::new(0));
@@ -986,81 +754,54 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
             writer_loop(write_half, rx, session, &shared, &tenant, &outstanding)
         })
     };
-    let _ = tx.send(WriterMsg::Frame(Response::Ok {
-        session: session_id.clone(),
-        resumed: resumed_count,
-    }));
-
-    // The deadline each PAIR gets: the HELLO's, or the server default.
+    let _ = tx.send(WriterMsg::Frame(Response::Ok { session: session_id.clone(), resumed }));
     let deadline = if deadline_ms == 0 {
         shared.cfg.exec.deadline
     } else {
         Some(Duration::from_millis(deadline_ms))
     };
+    let conn = Conn { tx, tenant, priority, deadline, resume_ids, outstanding };
 
-    // Phase 2: the request loop.
-    loop {
+    // Phase 2: the request loop, until it ends with (`true`) or without
+    // (`false`, the server crashed) a flush and `DONE`.
+    let goodbye = loop {
         let payload = match read_frame(&mut reader) {
             Ok(Some(p)) => p,
-            Ok(None) => break, // client hung up without BYE
-            Err(ProtoError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                match shared.state() {
-                    STATE_RUNNING => continue,
-                    STATE_DRAINING => break, // flush + DONE below
-                    _ => {
-                        // Crashed: vanish without a goodbye.
-                        drop(tx);
-                        let _ = writer.join();
-                        if let Ok(mut s) = shared.sessions() {
-                            s.release(&session_id);
-                        }
-                        return;
-                    }
-                }
-            }
+            Ok(None) => break true, // client hung up without BYE
+            Err(e) if timed_out(&e) => match shared.state() {
+                STATE_RUNNING => continue,
+                STATE_DRAINING => break true, // flush + DONE below
+                _ => break false,             // crashed: vanish without a goodbye
+            },
             Err(e) => {
-                let _ = tx.send(WriterMsg::Frame(Response::Err(e.to_string())));
-                break;
+                let _ = conn.tx.send(WriterMsg::Frame(Response::Err(e.to_string())));
+                break true;
             }
         };
         match Request::parse(&payload) {
             Ok(Request::Pair { id, query, reference }) => {
-                admit(
-                    shared,
-                    &tx,
-                    &tenant,
-                    priority,
-                    deadline,
-                    id,
-                    &query,
-                    &reference,
-                    &resume_ids,
-                    &outstanding,
-                );
+                admit(shared, &conn, id, &query, &reference);
             }
             Ok(Request::Stats) => {
-                let _ = tx.send(WriterMsg::Frame(Response::Stats(shared.stats_text())));
+                let _ = conn.tx.send(WriterMsg::Frame(Response::Stats(shared.stats_text())));
             }
-            Ok(Request::Bye) => break,
+            Ok(Request::Bye) => break true,
             Ok(Request::Hello { .. }) => {
-                let _ = tx.send(WriterMsg::Frame(Response::Err(
+                let _ = conn.tx.send(WriterMsg::Frame(Response::Err(
                     "HELLO is only valid as the first frame".into(),
                 )));
-                break;
+                break true;
             }
             Err(e) => {
-                let _ = tx.send(WriterMsg::Frame(Response::Err(e.to_string())));
-                break;
+                let _ = conn.tx.send(WriterMsg::Frame(Response::Err(e.to_string())));
+                break true;
             }
         }
+    };
+    if goodbye {
+        let _ = conn.tx.send(WriterMsg::Bye);
     }
-    let _ = tx.send(WriterMsg::Bye);
-    drop(tx);
+    drop(conn);
     let _ = writer.join();
     // A poisoned store here has nothing left worth tearing down — the
     // connection is already ending; just skip the release.
@@ -1071,19 +812,8 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
 
 /// The admission ladder, in order: drain, replay, rate limit, slow-reader
 /// cap, brownout refusal, queue capacity. Every exit is a typed frame.
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    shared: &Shared,
-    tx: &mpsc::Sender<WriterMsg>,
-    tenant: &str,
-    priority: Priority,
-    deadline: Option<Duration>,
-    id: usize,
-    query: &str,
-    reference: &str,
-    resume_ids: &std::collections::HashSet<usize>,
-    outstanding: &Arc<AtomicUsize>,
-) {
+fn admit(shared: &Shared, conn: &Conn, id: usize, query: &str, reference: &str) {
+    let Conn { tx, tenant, priority, deadline, resume_ids, outstanding } = conn;
     let reject = |reason: RejectReason, retry_after_ms: u64| {
         shared.book(tenant, None, |c| c.rejected += 1, |t| t.reject(reason));
         let _ = tx.send(WriterMsg::Frame(Response::Reject { id, reason, retry_after_ms }));
@@ -1100,7 +830,7 @@ fn admit(
     }
     let wait = {
         let mut tenants = relock(&shared.tenants);
-        tenants.entry(tenant, priority).bucket.try_take(Instant::now())
+        tenants.entry(tenant, *priority).bucket.try_take(Instant::now())
     };
     if let Err(wait) = wait {
         reject(RejectReason::RateLimit, wait.as_millis().max(1) as u64);
@@ -1111,7 +841,7 @@ fn admit(
         return;
     }
     let level = shared.brownout();
-    if level >= BrownoutLevel::RefusingLow && priority == Priority::Low {
+    if level >= BrownoutLevel::RefusingLow && *priority == Priority::Low {
         reject(RejectReason::Brownout, 200);
         return;
     }
@@ -1133,7 +863,7 @@ fn admit(
     };
     let job = Job {
         id,
-        priority,
+        priority: *priority,
         query: q,
         reference: r,
         deadline: deadline.map(|d| (Instant::now() + d, d.as_millis() as u64)),
@@ -1142,31 +872,19 @@ fn admit(
     // Count the pair as outstanding *before* it becomes visible to the
     // workers: a fast completion must never decrement past zero.
     outstanding.fetch_add(1, Ordering::SeqCst);
-    let n = shared.shards.len();
-    let home = home_shard(tenant, id, n);
+    let home = home_shard(tenant, id, shared.shards.len());
     // Failpoint `shard.dispatch` (lane = home shard): an injected error
     // fails the home-shard route, forcing the spill path — the same
     // thing a just-degraded home looks like to the dispatcher.
     let home_down = smx_failpoint::hit_lane("shard.dispatch", home as u32).is_some();
     let mut job = Some(job);
-    for offset in 0..n {
-        let t = (home + offset) % n;
-        if offset == 0 && home_down {
-            continue;
-        }
-        let Some(shard) = shared.shards.get(t) else { continue };
-        if shard.state.load(Ordering::SeqCst) != SHARD_LIVE {
-            continue;
-        }
-        // LINT: allow(panic) job is refilled on every Err(back) below, so it is Some here
-        match shard.core.queue.push(job.take().unwrap(), false) {
-            Ok(()) => {
-                shard.dispatched.fetch_add(1, Ordering::SeqCst);
-                shared.book(tenant, None, |c| c.admitted += 1, |t| t.admitted += 1);
-                return;
-            }
-            Err(back) => job = Some(back),
-        }
+    let target = shared.fleet().dispatch(home, home_down, |t| {
+        let (Some(shard), Some(j)) = (shared.shards.get(t), job.take()) else { return false };
+        shard.queue.push(j, false).map_err(|back| job = Some(back)).is_ok()
+    });
+    if target.is_some() {
+        shared.book(tenant, None, |c| c.admitted += 1, |t| t.admitted += 1);
+        return;
     }
     // Every live shard was full (or none is live): typed backpressure.
     outstanding.fetch_sub(1, Ordering::SeqCst);
@@ -1376,6 +1094,19 @@ mod tests {
         match c.recv().unwrap().unwrap() {
             Response::Ok { resumed, .. } => resumed,
             other => panic!("expected OK, got {other:?}"),
+        }
+    }
+
+    /// A normal-priority connection of tenant `t` with no deadline and
+    /// nothing to resume, answering on `tx`.
+    fn test_conn(tx: &mpsc::Sender<WriterMsg>) -> Conn {
+        Conn {
+            tx: tx.clone(),
+            tenant: "t".into(),
+            priority: Priority::Normal,
+            deadline: None,
+            resume_ids: std::collections::HashSet::new(),
+            outstanding: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -1702,18 +1433,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         shared.state.store(STATE_DRAINING, Ordering::SeqCst);
         shared.tenants.lock().unwrap().entry("t", Priority::Normal);
-        admit(
-            &shared,
-            &tx,
-            "t",
-            Priority::Normal,
-            None,
-            7,
-            "ACGT",
-            "ACGT",
-            &std::collections::HashSet::new(),
-            &Arc::new(AtomicUsize::new(0)),
-        );
+        admit(&shared, &test_conn(&tx), 7, "ACGT", "ACGT");
         match rx.recv().unwrap() {
             WriterMsg::Frame(Response::Reject { id, reason, .. }) => {
                 assert_eq!((id, reason), (7, RejectReason::Draining));
@@ -1810,23 +1530,12 @@ mod tests {
             ..ServerConfig::default()
         });
         let shared = Arc::clone(&h.shared);
-        shared.shards[0].state.store(SHARD_DEGRADED, Ordering::SeqCst);
+        shared.fleet().force(0, ShardState::Degraded);
         // A pair whose home is the degraded shard spills to its sibling.
         let id = (0..64).find(|&id| home_shard("t", id, 2) == 0).unwrap();
         shared.tenants.lock().unwrap().entry("t", Priority::Normal);
         let (tx, rx) = mpsc::channel();
-        admit(
-            &shared,
-            &tx,
-            "t",
-            Priority::Normal,
-            None,
-            id,
-            "GATTACAGATTACA",
-            "GATTACACATTACA",
-            &std::collections::HashSet::new(),
-            &Arc::new(AtomicUsize::new(0)),
-        );
+        admit(&shared, &test_conn(&tx), id, "GATTACAGATTACA", "GATTACACATTACA");
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
             WriterMsg::Done(done_id, completion) => {
                 assert_eq!(done_id, id);
@@ -1834,16 +1543,20 @@ mod tests {
             }
             _ => panic!("expected the spilled pair to complete"),
         }
-        assert_eq!(shared.shards[0].dispatched.load(Ordering::SeqCst), 0, "no new dispatch");
-        assert_eq!(shared.shards[1].dispatched.load(Ordering::SeqCst), 1, "sibling serves it");
+        let snaps = shared.snapshots();
+        assert_eq!(snaps[0].dispatched, 0, "no new dispatch");
+        assert_eq!(snaps[1].dispatched, 1, "sibling serves it");
         // Steal-only rung: a pair already queued on the degraded shard
         // is still drained by the sibling's workers. Retire shard 0's
         // worker generation first (the realistic shape — a degraded
         // shard is degraded *because* its workers stopped moving), so
         // only a steal can serve the queued pair.
-        shared.shards[0].core.generation.fetch_add(1, Ordering::SeqCst);
-        shared.shards[0].core.queue.wake_all();
-        for handle in std::mem::take(&mut *relock(&shared.shards[0].workers)) {
+        shared.shards[0].generation.fetch_add(1, Ordering::SeqCst);
+        shared.shards[0].queue.wake_all();
+        let (retired, rest): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut *relock(&shared.workers)).into_iter().partition(|(s, _)| *s == 0);
+        *relock(&shared.workers) = rest;
+        for (_, handle) in retired {
             handle.join().unwrap();
         }
         let (tx, rx) = mpsc::channel();
@@ -1855,14 +1568,15 @@ mod tests {
             deadline: None,
             reply: tx,
         };
-        shared.shards[0].core.queue.push(job, false).unwrap_or_else(|_| panic!("queue has room"));
+        shared.shards[0].queue.push(job, false).unwrap_or_else(|_| panic!("queue has room"));
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
             WriterMsg::Done(_, completion) => assert!(completion.result.is_ok()),
             _ => panic!("expected the stolen pair to complete"),
         }
-        assert!(shared.shards[0].stolen_from.load(Ordering::SeqCst) >= 1);
-        assert!(shared.shards[1].stolen_by.load(Ordering::SeqCst) >= 1);
-        shared.shards[0].state.store(SHARD_LIVE, Ordering::SeqCst);
+        let snaps = shared.snapshots();
+        assert!(snaps[0].stolen_from >= 1);
+        assert!(snaps[1].stolen_by >= 1);
+        shared.fleet().force(0, ShardState::Live);
         h.drain();
     }
 
@@ -1871,12 +1585,11 @@ mod tests {
     fn park_workers(shared: &Arc<Shared>) {
         shared.state.store(STATE_CRASHED, Ordering::SeqCst);
         for shard in &shared.shards {
-            shard.core.queue.wake_all();
+            shard.queue.wake_all();
         }
-        for shard in &shared.shards {
-            for handle in std::mem::take(&mut *relock(&shard.workers)) {
-                handle.join().unwrap();
-            }
+        let workers = std::mem::take(&mut *relock(&shared.workers));
+        for (_, handle) in workers {
+            handle.join().unwrap();
         }
     }
 
@@ -1905,7 +1618,6 @@ mod tests {
         const K: usize = 24;
         for id in 0..K {
             shared.shards[0]
-                .core
                 .queue
                 .push(parked_job(id, &tx), false)
                 .unwrap_or_else(|_| panic!("job {id} must fit the shard queue"));
@@ -1925,17 +1637,17 @@ mod tests {
         let mut stolen = Vec::new();
         gate.arrive(1);
         while !restarter.is_finished() {
-            if let Some(job) = shared.steal(&shared.shards[1].core, false) {
+            if let Some(job) = shared.steal(&shared.shards[1], false) {
                 stolen.push(job.id);
             }
         }
         restarter.join().unwrap();
-        while let Some(job) = shared.steal(&shared.shards[1].core, false) {
+        while let Some(job) = shared.steal(&shared.shards[1], false) {
             stolen.push(job.id);
         }
         let mut seen = stolen;
         for shard in &shared.shards {
-            while let Some(job) = shard.core.queue.try_pop() {
+            while let Some(job) = shard.queue.try_pop() {
                 seen.push(job.id);
             }
         }
@@ -1955,20 +1667,21 @@ mod tests {
         park_workers(&shared);
         // No live sibling: the requeue sweep has nowhere to move the
         // jobs, so they come back to shard 0 and meet the quarantine.
-        shared.shards[1].state.store(SHARD_DEGRADED, Ordering::SeqCst);
+        shared.fleet().force(1, ShardState::Degraded);
         let (tx, rx) = mpsc::channel();
         for id in 0..3 {
             shared.shards[0]
-                .core
                 .queue
                 .push(parked_job(id, &tx), false)
                 .unwrap_or_else(|_| panic!("job {id} must fit the shard queue"));
         }
-        let max = u64::from(shared.cfg.supervisor.max_restarts);
-        shared.shards[0].restarts.store(max, Ordering::SeqCst);
-        restart_shard(&shared, 0, &mut None);
-        assert_eq!(shared.shards[0].state.load(Ordering::SeqCst), SHARD_QUARANTINED);
-        assert_eq!(shared.shards[0].core.queue.depth(), 0, "nothing may rot on a dead queue");
+        // Burn the whole restart budget, so the next restart quarantines.
+        for _ in 0..shared.cfg.supervisor.max_restarts {
+            shared.fleet().begin_restart(0);
+        }
+        restart_shard(&shared, 0);
+        assert_eq!(shared.fleet().state(0), ShardState::Quarantined);
+        assert_eq!(shared.shards[0].queue.depth(), 0, "nothing may rot on a dead queue");
         for _ in 0..3 {
             match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
                 WriterMsg::Done(_, completion) => match completion.result {
@@ -1982,30 +1695,20 @@ mod tests {
         }
         // The lost capacity is re-advertised: occupancy (and therefore
         // brownout) is computed over live shards only.
-        shared.shards[1].state.store(SHARD_LIVE, Ordering::SeqCst);
+        shared.fleet().force(1, ShardState::Live);
         let (_, live_cap) = shared.live_occupancy();
-        let total_cap: usize = shared.shards.iter().map(|s| s.core.queue.cap).sum();
-        assert_eq!(live_cap, shared.shards[1].core.queue.cap, "only live capacity counts");
+        let total_cap: usize = shared.shards.iter().map(|s| s.queue.cap).sum();
+        assert_eq!(live_cap, shared.shards[1].queue.cap, "only live capacity counts");
         assert!(live_cap < total_cap, "quarantined capacity must not dilute occupancy");
         // Dispatch routes around the quarantined home shard.
         shared.state.store(STATE_RUNNING, Ordering::SeqCst);
         shared.tenants.lock().unwrap().entry("t", Priority::Normal);
         let id = (0..64).find(|&id| home_shard("t", id, 2) == 0).unwrap();
         let (tx, _rx2) = mpsc::channel();
-        admit(
-            &shared,
-            &tx,
-            "t",
-            Priority::Normal,
-            None,
-            id,
-            "ACGT",
-            "ACGT",
-            &std::collections::HashSet::new(),
-            &Arc::new(AtomicUsize::new(0)),
-        );
-        assert_eq!(shared.shards[0].dispatched.load(Ordering::SeqCst), 0);
-        assert_eq!(shared.shards[1].dispatched.load(Ordering::SeqCst), 1);
+        admit(&shared, &test_conn(&tx), id, "ACGT", "ACGT");
+        let snaps = shared.snapshots();
+        assert_eq!(snaps[0].dispatched, 0);
+        assert_eq!(snaps[1].dispatched, 1);
         h.crash();
     }
 

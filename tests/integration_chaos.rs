@@ -434,6 +434,111 @@ fn permanent_wedge_is_quarantined_and_the_fleet_keeps_serving() {
     assert_eq!(report.per_shard[0].state, "quarantined");
 }
 
+/// A restart that fails after retiring the wedged generation leaves the
+/// shard without workers. A retired worker that beats once more on its
+/// way out (here: one held 250 ms in the `shard.heartbeat` delay) must
+/// not make that shard look live: it stays degraded until a restart
+/// really respawns it, and that one recovery books one failover.
+#[test]
+fn failed_restart_is_not_healed_by_a_retired_workers_late_beat() {
+    let _guard = registry_lock();
+    failpoint::install(
+        FailSchedule::new(11)
+            .rule("shard.heartbeat", Some(0), Action::Delay(250), 1.0, Some(1))
+            .rule("shard.restart", Some(0), Action::Error, 1.0, Some(1)),
+    );
+    let h = shard_server(SupervisorConfig {
+        interval: Duration::from_millis(20),
+        stale_intervals: 4,
+        max_restarts: 2,
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut failed_restart_seen = false;
+    loop {
+        let snaps = h.shard_snapshots();
+        let wedged = &snaps[0];
+        assert!(
+            !(wedged.state == "live" && wedged.restarts == 1),
+            "the failed restart left shard 0 live without workers: {snaps:?}"
+        );
+        failed_restart_seen |= wedged.state == "degraded" && wedged.restarts == 1;
+        if wedged.state == "live" && wedged.restarts >= 2 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shard 0 never came back from the failed restart: {snaps:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(failed_restart_seen, "shard 0 never sat degraded after its failed restart");
+    // The respawned generation serves byte-identically.
+    let mut c = Client::connect(h.addr()).unwrap();
+    shard_hello(&mut c);
+    let pairs = chaos_pairs(8);
+    let golden = golden_for(&pairs);
+    for (i, (q, r)) in pairs.iter().enumerate() {
+        c.send(&Request::Pair { id: i, query: q.clone(), reference: r.clone() }).unwrap();
+    }
+    for _ in 0..pairs.len() {
+        match c.recv().unwrap().unwrap() {
+            Response::Result { id, score, cigar, .. } => {
+                assert_eq!((score, cigar), golden[id].clone(), "pair {id}");
+            }
+            other => panic!("expected RESULT, got {other:?}"),
+        }
+    }
+    let report = h.drain();
+    let wedged = &report.per_shard[0];
+    assert_eq!((wedged.state, wedged.restarts), ("live", 2), "{report:?}");
+    assert_eq!(wedged.failovers, 1, "one real recovery, one failover: {report:?}");
+}
+
+/// The `shard.dispatch` failpoint fails the home-shard route of the
+/// first pairs homed on shard 0. Those pairs spill to the sibling: their
+/// RESULTs stay byte-identical, they are booked on the sibling's
+/// `dispatched`, and nothing is rejected.
+#[test]
+fn failed_home_dispatch_spills_to_the_sibling_byte_identically() {
+    let _guard = registry_lock();
+    const SPILLED: u64 = 4;
+    failpoint::install(FailSchedule::new(13).rule(
+        "shard.dispatch",
+        Some(0),
+        Action::Error,
+        1.0,
+        Some(SPILLED),
+    ));
+    let h = shard_server(SupervisorConfig::default());
+    let mut c = Client::connect(h.addr()).unwrap();
+    shard_hello(&mut c);
+    let pairs = chaos_pairs(24);
+    let golden = golden_for(&pairs);
+    for (i, (q, r)) in pairs.iter().enumerate() {
+        c.send(&Request::Pair { id: i, query: q.clone(), reference: r.clone() }).unwrap();
+    }
+    for _ in 0..pairs.len() {
+        match c.recv().unwrap().unwrap() {
+            Response::Result { id, score, cigar, .. } => {
+                assert_eq!(
+                    (score, cigar),
+                    golden[id].clone(),
+                    "pair {id} must stay byte-identical"
+                );
+            }
+            other => panic!("a spilled pair must be served, got {other:?}"),
+        }
+    }
+    let homed = [failpoint::hits("shard.dispatch", 0), failpoint::hits("shard.dispatch", 1)];
+    assert_eq!(homed[0] + homed[1], pairs.len() as u64, "one dispatch per pair");
+    assert!(homed[0] > SPILLED, "some shard-0 pairs must spill and some stay: {homed:?}");
+    let snaps = h.shard_snapshots();
+    assert_eq!(snaps[0].dispatched, homed[0] - SPILLED, "{snaps:?}");
+    assert_eq!(snaps[1].dispatched, homed[1] + SPILLED, "spills land on the sibling: {snaps:?}");
+    let report = h.drain();
+    assert_eq!((report.totals.completed, report.totals.rejected), (pairs.len() as u64, 0));
+}
+
 /// A pair whose checkpoint record fails is never acked, and it is booked
 /// as failed everywhere: the drain totals, the tenant counters, the
 /// session's `DONE` frame and the client's RESULT/FAIL frames all agree.
