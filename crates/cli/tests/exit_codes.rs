@@ -183,3 +183,30 @@ fn fault_injected_align_is_byte_identical_or_fails_closed() {
         assert!(line.starts_with(&format!("q{i}\tr{i}\tfailed")), "line {i}: {line:?}");
     }
 }
+
+/// A strict tile policy with graceful degradation left on: every tile
+/// faults, no tile retries or falls back, and each whole pair is
+/// recomputed on the software path instead. Stdout stays byte-identical
+/// to the clean run, the process exits 0, and the `# faults:` footer
+/// line is pinned byte for byte, one software alignment per pair.
+#[test]
+fn strict_tile_policy_degrades_whole_pairs_byte_identically() {
+    let dir = tempdir("degrade");
+    let (q, r) = write_pairs(&dir, 6, 200);
+
+    let clean = run(&["align", &q, &r]);
+    assert!(clean.status.success(), "stderr: {}", String::from_utf8_lossy(&clean.stderr));
+    let degraded = run(&["align", "--fault-rate", "1.0", "--max-retries", "0", "--strict", &q, &r]);
+    let stderr = String::from_utf8_lossy(&degraded.stderr);
+    assert_eq!(degraded.status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(degraded.stdout, clean.stdout, "degraded pairs changed stdout; stderr: {stderr}");
+    let faults = stderr.lines().find(|l| l.starts_with("# faults:"));
+    assert_eq!(
+        faults,
+        Some(
+            "# faults: injected=6 detected=6 retries=0 fallbacks=0 software_alignments=6 \
+             silent_corruptions=0 cycles_lost=8348"
+        ),
+        "stderr: {stderr}"
+    );
+}
