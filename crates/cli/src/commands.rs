@@ -60,7 +60,7 @@ commands:
            [--window N --overlap N] [--xdrop F] [--workers N] [--score-only]
            [--pretty]
            [--fault-rate F] [--fault-seed N] [--max-retries N] [--backoff N]
-           [--watchdog N] [--strict] [--no-degrade] [--baseline scalar|simd|auto]
+           [--watchdog N] [--strict] [--no-degrade]
            [--jobs N] [--queue-cap N] [--shed] [--deadline-ms N]
            [--checkpoint <manifest>] [--resume <manifest>]
            [--breaker] [--breaker-window N] [--breaker-threshold F]
@@ -94,9 +94,11 @@ fault injection (align): --fault-rate > 0 runs the batch through the
 batch executor (one job, in input order, unless --jobs says otherwise)
 on a functional SMX device with a seeded deterministic fault plan;
 faulty tiles are retried (--max-retries, --backoff cycles) and then
-recomputed in software unless --strict; --no-degrade fails a poisoned
-pair closed with a structured error instead of falling back to a full
-software alignment. A failed pair prints `failed: <error>`; stderr
+recomputed in software unless --strict; a pair whose device attempt
+still fails is recomputed whole on the software path. --no-degrade
+makes the executor fail closed instead: such a pair fails with its
+structured device error, and so does a pair whose audit retry also
+fails (integrity violation). A failed pair prints `failed: <error>`; stderr
 carries the service footer — `# pairs:`, `# failures:`, `# routing:`,
 `# defenses:`, `# pool:`, `# faults:` and one `# device N:` line per
 device, the format `serve` prints at drain. --strict also exits
@@ -161,13 +163,6 @@ severe wins, i.e. numeric max). serve exits 6 when a second
 SIGTERM/SIGINT arrives mid-drain (the drain is abandoned; acked pairs
 stay durable), and 7 after a clean drain that ends with at least one
 shard permanently quarantined.
-
-software baseline (align): --baseline picks the streaming score kernel
-the device paths fall back on (degraded score-only work and the audit's
-optimal-score pass): `scalar` is the row-streaming reference, `simd` the
-vectorized anti-diagonal kernel (AVX2 when available), and `auto` (the
-default) selects at runtime, honouring SMX_FORCE_SCALAR. All kernels are
-byte-identical; the flag only changes speed.
 ";
 
 fn parse_config(name: &str) -> Result<AlignmentConfig, String> {
@@ -309,12 +304,6 @@ fn quarantine_requested(args: &Args) -> bool {
         || args.get("quarantine-probes").is_some()
 }
 
-/// The software-baseline kernel selection for the device path.
-fn parse_baseline(args: &Args) -> Result<Baseline, String> {
-    let name = args.get_or("baseline", "auto");
-    Baseline::parse(name).ok_or_else(|| format!("unknown baseline {name:?} (scalar|simd|auto)"))
-}
-
 /// The tile-recovery policy for a fault-injected device.
 fn recovery_policy(args: &Args) -> Result<RecoveryPolicy, String> {
     Ok(RecoveryPolicy {
@@ -335,12 +324,10 @@ fn service_device(
 ) -> Result<SmxDevice, String> {
     let silent_rate = args.get_num("silent-rate", 0.0f64).map_err(|e| e.to_string())?;
     let mut dev = SmxDevice::new(config, workers).map_err(|e| e.to_string())?;
-    dev.set_baseline(parse_baseline(args)?);
     if fault_rate > 0.0 || silent_rate > 0.0 {
         let seed = args.get_num("fault-seed", 42u64).map_err(|e| e.to_string())?;
         let plan = FaultPlan::new(seed, fault_rate).with_silent_rate(silent_rate);
         dev.enable_fault_injection(plan, recovery_policy(args)?);
-        dev.set_graceful_degradation(!args.switch("no-degrade"));
     }
     Ok(dev)
 }
@@ -415,10 +402,11 @@ fn executor_config(args: &Args) -> Result<ExecutorConfig, String> {
         audit,
         hedge,
         quarantine,
-        // Fail-closed auditing: --no-degrade turns a failed audit retry
-        // into a typed IntegrityViolation instead of a silent software
-        // recompute (and, under --strict, into exit code 5).
-        integrity_fail_closed: args.switch("no-degrade"),
+        // --no-degrade: a pair the device could not compute fails with
+        // its typed device error, and a failed audit retry with a typed
+        // IntegrityViolation (exit code 5 under --strict), instead of a
+        // software recompute.
+        fail_closed: args.switch("no-degrade"),
     })
 }
 
@@ -990,59 +978,6 @@ mod tests {
         )
         .unwrap();
         align(&c).unwrap();
-    }
-
-    #[test]
-    fn align_baseline_flag_selects_kernel_and_rejects_unknown() {
-        let dir = std::env::temp_dir().join("smx-cli-baseline");
-        std::fs::create_dir_all(&dir).unwrap();
-        let qp = dir.join("q.fa");
-        let rp = dir.join("r.fa");
-        std::fs::write(&qp, ">q0\nGATTACAGATTACAGATTACAGATTACA\n").unwrap();
-        std::fs::write(&rp, ">r0\nGATTACACATTACAGATTACAGATTACA\n").unwrap();
-        // The fault-injected path routes degraded scoring through the selected
-        // kernel; all three names must be accepted and behave identically.
-        for baseline in ["scalar", "simd", "auto"] {
-            let a = Args::parse(
-                [
-                    "align",
-                    "--config",
-                    "dna-edit",
-                    "--fault-rate",
-                    "0.05",
-                    "--fault-seed",
-                    "7",
-                    "--baseline",
-                    baseline,
-                    qp.to_str().unwrap(),
-                    rp.to_str().unwrap(),
-                ]
-                .iter()
-                .map(|s| s.to_string()),
-                &[],
-            )
-            .unwrap();
-            align(&a).unwrap_or_else(|e| panic!("baseline {baseline}: {e}"));
-        }
-        let bad = Args::parse(
-            [
-                "align",
-                "--config",
-                "dna-edit",
-                "--fault-rate",
-                "0.05",
-                "--baseline",
-                "avx512",
-                qp.to_str().unwrap(),
-                rp.to_str().unwrap(),
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-            &[],
-        )
-        .unwrap();
-        let err = align(&bad).unwrap_err();
-        assert!(err.message.contains("unknown baseline"), "{err}");
     }
 
     #[test]

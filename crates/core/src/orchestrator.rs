@@ -4,19 +4,21 @@
 //! the alignment by tracing back with selective tile recomputation —
 //! the role SMX-1D plays on the core.
 
-use smx_algos::simd::{self, Baseline, SimdWorkspace};
 use smx_align_core::{
-    dp, AlignError, Alignment, AlignmentConfig, Cigar, Op, ScoringScheme, Sequence,
+    dp, AlignError, Alignment, AlignmentConfig, Alphabet, Cigar, Op, ScoringScheme, Sequence,
 };
-use smx_coproc::block::BlockMode;
+use smx_coproc::block::{self, BlockMode};
 use smx_coproc::control::CancelToken;
 use smx_coproc::faults::{FaultEvent, FaultPlan, FaultSession, RecoveryPolicy, RecoveryStats};
-use smx_coproc::traceback::RecomputeStats;
+use smx_coproc::traceback::{self, RecomputeStats};
 use smx_coproc::SmxCoprocessor;
 use smx_isa::{kernels, InsnCounts, Smx1dUnit};
 
 /// A functional SMX device: one SMX-1D-extended core plus one SMX-2D
-/// coprocessor, sharing a configuration.
+/// coprocessor, sharing a configuration. It only computes on the device:
+/// a fault its tile-level recovery cannot absorb escalates to the caller,
+/// and whether the pair is then recomputed in software
+/// ([`align_in_software`]) is the executor's decision.
 #[derive(Debug, Clone)]
 pub struct SmxDevice {
     config: AlignmentConfig,
@@ -25,9 +27,6 @@ pub struct SmxDevice {
     coproc: SmxCoprocessor,
     recompute: RecomputeStats,
     faults: Option<FaultSession>,
-    degrade: bool,
-    baseline: Baseline,
-    simd_ws: SimdWorkspace,
 }
 
 impl SmxDevice {
@@ -46,56 +45,11 @@ impl SmxDevice {
             coproc: SmxCoprocessor::new(ew, &scheme, workers)?,
             recompute: RecomputeStats::default(),
             faults: None,
-            degrade: true,
-            baseline: Baseline::default(),
-            simd_ws: SimdWorkspace::new(),
         })
     }
 
-    /// Selects the software-baseline kernel (`scalar`, `simd`, or `auto`)
-    /// that score-only fallbacks and the service audit's score pass route
-    /// through. All kernels are byte-identical; this only picks *how* the
-    /// score is computed. The pool template propagates the choice to
-    /// every pooled device.
-    pub fn set_baseline(&mut self, baseline: Baseline) {
-        self.baseline = baseline;
-    }
-
-    /// The configured software-baseline kernel.
-    #[must_use]
-    pub fn baseline(&self) -> Baseline {
-        self.baseline
-    }
-
-    /// Streaming software score via the configured baseline kernel: no
-    /// pack, no offload, no matrix, no traceback — the cheap first phase
-    /// of the two-phase contract (full CIGARs are recomputed separately,
-    /// and only when needed).
-    ///
-    /// # Errors
-    ///
-    /// Same input validation as [`SmxDevice::align`].
-    pub fn score_streaming(
-        &mut self,
-        query: &Sequence,
-        reference: &Sequence,
-    ) -> Result<i32, AlignError> {
-        self.check(query, reference)?;
-        if let Some(token) = self.coproc.control() {
-            token.check()?;
-        }
-        let profile = simd::score_profile(
-            query.codes(),
-            reference.codes(),
-            &self.scheme,
-            self.baseline,
-            &mut self.simd_ws,
-        );
-        Ok(profile.score)
-    }
-
     /// Enables deterministic fault injection on the coprocessor paths,
-    /// recovered under `policy` (tile retry, then software fallback or
+    /// recovered under `policy` (tile retry, then tile fallback or
     /// escalation). Replaces any previous session and resets its
     /// statistics.
     pub fn enable_fault_injection(&mut self, plan: FaultPlan, policy: RecoveryPolicy) {
@@ -105,14 +59,6 @@ impl SmxDevice {
     /// Disables fault injection, discarding the session and its state.
     pub fn disable_fault_injection(&mut self) {
         self.faults = None;
-    }
-
-    /// Whether an unrecoverable device fault degrades the whole alignment
-    /// to the core's software path (default `true`). With degradation off
-    /// the structured fault error escalates to the caller, and a
-    /// [`crate::service::BatchExecutor`] batch fails that pair closed.
-    pub fn set_graceful_degradation(&mut self, yes: bool) {
-        self.degrade = yes;
     }
 
     /// Installs (or clears) a cooperative cancellation / deadline token.
@@ -173,14 +119,11 @@ impl SmxDevice {
         self.recompute
     }
 
-    fn check(&self, q: &Sequence, r: &Sequence) -> Result<(), AlignError> {
-        if q.alphabet() != self.config.alphabet() || r.alphabet() != self.config.alphabet() {
-            return Err(AlignError::AlphabetMismatch);
-        }
-        if q.is_empty() || r.is_empty() {
-            return Err(AlignError::EmptySequence);
-        }
-        Ok(())
+    /// The entry checks of every device call: input validity, then the
+    /// installed token.
+    fn enter(&self, q: &Sequence, r: &Sequence) -> Result<(), AlignError> {
+        check_pair(q, r, self.config.alphabet())?;
+        self.coproc.control().map_or(Ok(()), CancelToken::check)
     }
 
     /// Packs a sequence through `smx.pack` (eight ASCII characters per
@@ -200,62 +143,33 @@ impl SmxDevice {
     }
 
     /// Full heterogeneous alignment: pack → offload → traceback with tile
-    /// recomputation.
+    /// recomputation, routed through the fault session when one is
+    /// active.
     ///
     /// # Errors
     ///
     /// Returns [`AlignError::AlphabetMismatch`] / [`AlignError::EmptySequence`]
-    /// on invalid inputs; internal errors indicate a model bug.
+    /// on invalid inputs, the installed token's cancellation or deadline,
+    /// and a recoverable device fault
+    /// ([`AlignError::is_recoverable_fault`]) when tile-level recovery is
+    /// exhausted; other errors indicate a model bug.
     pub fn align(
         &mut self,
         query: &Sequence,
         reference: &Sequence,
     ) -> Result<Alignment, AlignError> {
-        self.check(query, reference)?;
-        if let Some(token) = self.coproc.control() {
-            token.check()?;
-        }
+        self.enter(query, reference)?;
         let q = self.pack(query)?;
         let r = self.pack(reference)?;
-        match self.align_device(&q, &r) {
-            // The result readout is the one hop past every checksum and
-            // the device's internal re-verification: a plan with a
-            // silent rate corrupts the finished alignment here, and only
-            // the service layer's audit can catch it.
-            Ok(mut alignment) => {
-                if let Some(s) = self.faults.as_mut() {
-                    s.corrupt_readout(&mut alignment);
-                }
-                Ok(alignment)
-            }
-            // Graceful degradation: when tile-level recovery is exhausted,
-            // the core recomputes the whole alignment on the SMX-1D /
-            // software path. The software path shares the global tie-break
-            // with the tiled traceback, so the degraded result is
-            // byte-identical (score and CIGAR) to the fault-free one.
-            Err(e) if e.is_recoverable_fault() && self.faults.is_some() && self.degrade => {
-                if let Some(s) = self.faults.as_mut() {
-                    s.record_software_alignment();
-                }
-                let alignment = dp::align_codes(&q, &r, &self.scheme);
-                alignment.verify(&q, &r, &self.scheme)?;
-                Ok(alignment)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The device-side alignment flow (offload + traceback), routed
-    /// through the fault session when one is active.
-    fn align_device(&mut self, q: &[u8], r: &[u8]) -> Result<Alignment, AlignError> {
-        let out = self.coproc.compute_block_resilient(
-            q,
-            r,
-            None,
-            BlockMode::Traceback,
-            self.faults.as_mut(),
-        )?;
-        let (cigar, stats) = self.coproc.traceback_resilient(q, r, &out, self.faults.as_mut())?;
+        let (engine, control) = (self.coproc.engine(), self.coproc.control());
+        let mode = BlockMode::Traceback;
+        let out = block::compute_block(engine, &q, &r, None, mode, self.faults.as_mut(), control)?;
+        let store = out
+            .borders
+            .as_ref()
+            .ok_or_else(|| AlignError::Internal("block was computed in score-only mode".into()))?;
+        let (cigar, stats) =
+            traceback::traceback_block(engine, &q, &r, store, self.faults.as_mut(), control)?;
         self.recompute.tiles += stats.tiles;
         self.recompute.elements += stats.elements;
         self.recompute.steps += stats.steps;
@@ -265,55 +179,15 @@ impl SmxDevice {
         self.unit.charge(0, 0, stats.steps * 4);
         let cols = stats.elements / vl.max(1);
         self.unit.charge(cols / 4, 0, cols * 2);
-        let alignment = Alignment { score: out.score, cigar };
-        alignment.verify(q, r, &self.scheme)?;
-        Ok(alignment)
-    }
-
-    /// Pure software baseline on the core (no pack, no offload): the path
-    /// the service layer's circuit breaker routes pairs to while it is
-    /// open. Shares the global tie-break with the tiled device traceback,
-    /// so its output is byte-identical to a fault-free device run.
-    ///
-    /// # Errors
-    ///
-    /// Same input validation as [`SmxDevice::align`]. An installed
-    /// cancellation token is honoured at entry only — the software kernel
-    /// has no tile boundaries to poll.
-    pub fn align_software(
-        &mut self,
-        query: &Sequence,
-        reference: &Sequence,
-    ) -> Result<Alignment, AlignError> {
-        self.check(query, reference)?;
-        if let Some(token) = self.coproc.control() {
-            token.check()?;
+        let mut alignment = Alignment { score: out.score, cigar };
+        alignment.verify(&q, &r, &self.scheme)?;
+        // The result readout is the one hop past every checksum and the
+        // device's internal re-verification: a plan with a silent rate
+        // corrupts the finished alignment here, and only the service
+        // layer's audit can catch it.
+        if let Some(s) = self.faults.as_mut() {
+            s.corrupt_readout(&mut alignment);
         }
-        let (q, r) = (query.codes(), reference.codes());
-        // Perfect-match fast path: for identical sequences under uniform
-        // match scoring the all-diagonal path is optimal and is exactly
-        // what the golden tie-break (diagonal ≻ up ≻ left) walks, so the
-        // O(m·n) DP collapses to a memcmp plus a score fold. Matrix
-        // schemes skip this (a substitution matrix need not be
-        // diagonally dominant).
-        if !self.scheme.uses_matrix() && q == r {
-            let score = q.iter().fold(0i32, |acc, &c| acc.saturating_add(self.scheme.score(c, c)));
-            let mut cigar = Cigar::new();
-            cigar.push_run(Op::Match, q.len() as u32);
-            let alignment = Alignment { score, cigar };
-            alignment.verify(q, r, &self.scheme)?;
-            return Ok(alignment);
-        }
-        // With a token installed the host DP gets the same cooperative
-        // abort granularity as the coprocessor's tile boundaries, so a
-        // deadline caps software recomputation too (hedge backups, audit
-        // recomputes, degraded-mode service) instead of only the
-        // accelerated paths.
-        let alignment = match self.coproc.control() {
-            Some(token) => dp::align_codes_checked(q, r, &self.scheme, &mut || token.check())?,
-            None => dp::align_codes(q, r, &self.scheme),
-        };
-        alignment.verify(q, r, &self.scheme)?;
         Ok(alignment)
     }
 
@@ -323,32 +197,71 @@ impl SmxDevice {
     ///
     /// Same conditions as [`SmxDevice::align`].
     pub fn score(&mut self, query: &Sequence, reference: &Sequence) -> Result<i32, AlignError> {
-        self.check(query, reference)?;
-        if let Some(token) = self.coproc.control() {
-            token.check()?;
-        }
+        self.enter(query, reference)?;
         let q = self.pack(query)?;
         let r = self.pack(reference)?;
-        let device = self
-            .coproc
-            .compute_block_resilient(&q, &r, None, BlockMode::ScoreOnly, self.faults.as_mut())
-            .map(|out| out.score);
-        match device {
-            Ok(score) => Ok(score),
-            Err(e) if e.is_recoverable_fault() && self.faults.is_some() && self.degrade => {
-                if let Some(s) = self.faults.as_mut() {
-                    s.record_software_alignment();
-                }
-                // Degraded score-only work routes through the streaming
-                // kernel (byte-identical to dp::score_only, minus the
-                // matrix and traceback the device path never needed).
-                let profile =
-                    simd::score_profile(&q, &r, &self.scheme, self.baseline, &mut self.simd_ws);
-                Ok(profile.score)
-            }
-            Err(e) => Err(e),
-        }
+        let out = block::compute_block(
+            self.coproc.engine(),
+            &q,
+            &r,
+            None,
+            BlockMode::ScoreOnly,
+            self.faults.as_mut(),
+            self.coproc.control(),
+        )?;
+        Ok(out.score)
     }
+}
+
+/// The input checks every device shares: both sequences in the device's
+/// alphabet, neither empty.
+fn check_pair(q: &Sequence, r: &Sequence, alphabet: Alphabet) -> Result<(), AlignError> {
+    if q.alphabet() != alphabet || r.alphabet() != alphabet {
+        return Err(AlignError::AlphabetMismatch);
+    }
+    if q.is_empty() || r.is_empty() {
+        return Err(AlignError::EmptySequence);
+    }
+    Ok(())
+}
+
+/// The core's software path (no pack, no offload): the one place a whole
+/// pair is computed in software — the breaker route, the fallback after
+/// an unrecoverable device fault, the hedge backup, the audit recompute,
+/// the brownout plan, and the canary goldens. It shares the global
+/// tie-break with the tiled device traceback, so its output is
+/// byte-identical to a fault-free device run.
+///
+/// # Errors
+///
+/// [`AlignError::AlphabetMismatch`] / [`AlignError::EmptySequence`] on
+/// invalid inputs; `token`'s cancellation or deadline, checked at entry
+/// and every few DP rows, so a deadline caps software work exactly as
+/// the coprocessor's tile boundaries cap device work.
+pub fn align_in_software(
+    (query, reference): (&Sequence, &Sequence),
+    scheme: &ScoringScheme,
+    alphabet: Alphabet,
+    token: &CancelToken,
+) -> Result<Alignment, AlignError> {
+    check_pair(query, reference, alphabet)?;
+    token.check()?;
+    let (q, r) = (query.codes(), reference.codes());
+    // Perfect-match fast path: for identical sequences under uniform
+    // match scoring the all-diagonal path is optimal and is exactly what
+    // the golden tie-break (diagonal ≻ up ≻ left) walks, so the O(m·n)
+    // DP collapses to a memcmp plus a score fold. Matrix schemes skip
+    // this (a substitution matrix need not be diagonally dominant).
+    let alignment = if !scheme.uses_matrix() && q == r {
+        let score = q.iter().fold(0i32, |acc, &c| acc.saturating_add(scheme.score(c, c)));
+        let mut cigar = Cigar::new();
+        cigar.push_run(Op::Match, q.len() as u32);
+        Alignment { score, cigar }
+    } else {
+        dp::align_codes_checked(q, r, scheme, &mut || token.check())?
+    };
+    alignment.verify(q, r, scheme)?;
+    Ok(alignment)
 }
 
 /// One pair's structured failure inside a batch.
@@ -402,7 +315,7 @@ impl AffineDevice {
     /// Returns [`AlignError::AlphabetMismatch`] / [`AlignError::EmptySequence`]
     /// on invalid inputs.
     pub fn score(&self, query: &Sequence, reference: &Sequence) -> Result<i32, AlignError> {
-        self.check(query, reference)?;
+        check_pair(query, reference, self.alphabet)?;
         self.engine.score_block(query.codes(), reference.codes())
     }
 
@@ -412,7 +325,7 @@ impl AffineDevice {
     ///
     /// Same conditions as [`AffineDevice::score`].
     pub fn align(&self, query: &Sequence, reference: &Sequence) -> Result<Alignment, AlignError> {
-        self.check(query, reference)?;
+        check_pair(query, reference, self.alphabet)?;
         let res = self.engine.compute_block_traceback(query.codes(), reference.codes())?;
         let cigar = self.engine.traceback(query.codes(), reference.codes(), &res)?;
         let rescored = smx_align_core::dp_affine::affine_rescore(
@@ -428,16 +341,6 @@ impl AffineDevice {
             )));
         }
         Ok(Alignment { score: res.score, cigar })
-    }
-
-    fn check(&self, q: &Sequence, r: &Sequence) -> Result<(), AlignError> {
-        if q.alphabet() != self.alphabet || r.alphabet() != self.alphabet {
-            return Err(AlignError::AlphabetMismatch);
-        }
-        if q.is_empty() || r.is_empty() {
-            return Err(AlignError::EmptySequence);
-        }
-        Ok(())
     }
 }
 
@@ -499,17 +402,28 @@ mod tests {
         assert!(dev.recompute_stats().tiles >= 2);
     }
 
+    /// Software fallback for `pair` under `config`, with a fresh token.
+    fn software(
+        config: AlignmentConfig,
+        q: &Sequence,
+        r: &Sequence,
+    ) -> Result<Alignment, AlignError> {
+        align_in_software((q, r), &config.scoring(), config.alphabet(), &CancelToken::new())
+    }
+
     #[test]
-    fn score_streaming_matches_device_score_and_golden() {
+    fn streaming_kernels_match_device_score_and_golden() {
+        use smx_algos::simd::{score_profile, Baseline, SimdWorkspace};
         for config in AlignmentConfig::ALL {
             let (q, r) = seqs(config, 90);
             let mut dev = SmxDevice::new(config, 2).unwrap();
-            let golden = dp::score_only(q.codes(), r.codes(), &config.scoring());
+            let scheme = config.scoring();
+            let golden = dp::score_only(q.codes(), r.codes(), &scheme);
             assert_eq!(dev.score(&q, &r).unwrap(), golden, "{config} device");
+            let mut ws = SimdWorkspace::new();
             for b in Baseline::ALL {
-                dev.set_baseline(b);
-                assert_eq!(dev.baseline(), b);
-                assert_eq!(dev.score_streaming(&q, &r).unwrap(), golden, "{config} {b}");
+                let streamed = score_profile(q.codes(), r.codes(), &scheme, b, &mut ws).score;
+                assert_eq!(streamed, golden, "{config} {b}");
             }
         }
     }
@@ -521,30 +435,10 @@ mod tests {
         // golden model byte-for-byte.
         for config in AlignmentConfig::ALL {
             let (q, _) = seqs(config, 120);
-            let mut dev = SmxDevice::new(config, 2).unwrap();
-            let fast = dev.align_software(&q, &q).unwrap();
+            let fast = software(config, &q, &q).unwrap();
             let golden = dp::align_codes(q.codes(), q.codes(), &config.scoring());
             assert_eq!(fast.score, golden.score, "{config}");
             assert_eq!(fast.cigar.to_string(), golden.cigar.to_string(), "{config}");
-        }
-    }
-
-    #[test]
-    fn degraded_score_fallback_routes_through_the_kernel() {
-        let config = AlignmentConfig::DnaGap;
-        let (q, r) = seqs(config, 90);
-        let clean = SmxDevice::new(config, 2).unwrap().score(&q, &r).unwrap();
-        for b in Baseline::ALL {
-            let mut dev = SmxDevice::new(config, 2).unwrap();
-            dev.set_baseline(b);
-            // Every tile faults persistently under a strict policy: the
-            // score-only path degrades to the streaming kernel.
-            dev.enable_fault_injection(
-                FaultPlan::new(7, 1.0).with_persistence(1.0),
-                RecoveryPolicy::strict(),
-            );
-            assert_eq!(dev.score(&q, &r).unwrap(), clean, "{b}");
-            assert_eq!(dev.recovery_stats().software_alignments, 1, "{b}");
         }
     }
 
@@ -589,6 +483,8 @@ mod tests {
         let mut dev = SmxDevice::new(AlignmentConfig::DnaEdit, 1).unwrap();
         let q = Sequence::from_text(smx_align_core::Alphabet::Protein, "WYV").unwrap();
         assert!(matches!(dev.align(&q, &q), Err(AlignError::AlphabetMismatch)));
+        let software = software(AlignmentConfig::DnaEdit, &q, &q);
+        assert!(matches!(software, Err(AlignError::AlphabetMismatch)));
     }
 
     #[test]
@@ -608,38 +504,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn strict_policy_degrades_to_software() {
-        let config = AlignmentConfig::DnaGap;
-        let (q, r) = seqs(config, 90);
-        let clean = SmxDevice::new(config, 4).unwrap().align(&q, &r).unwrap();
+    /// A device whose every tile faults persistently, with nothing
+    /// retried or recomputed at tile level.
+    fn persistently_faulty(config: AlignmentConfig) -> SmxDevice {
         let mut dev = SmxDevice::new(config, 4).unwrap();
-        // Every tile faults persistently and nothing retries or falls
-        // back at tile level: the whole alignment degrades to software.
         dev.enable_fault_injection(
             FaultPlan::new(7, 1.0).with_persistence(1.0),
             RecoveryPolicy::strict(),
         );
-        let aln = dev.align(&q, &r).unwrap();
+        dev
+    }
+
+    #[test]
+    fn strict_policy_degrades_to_software() {
+        use crate::service::{BatchExecutor, ExecutorConfig};
+        let config = AlignmentConfig::DnaGap;
+        let (q, r) = seqs(config, 90);
+        let clean = SmxDevice::new(config, 4).unwrap().align(&q, &r).unwrap();
+        // The device itself escalates; the fault is in its event log.
+        let mut dev = persistently_faulty(config);
+        assert!(dev.align(&q, &r).unwrap_err().is_recoverable_fault());
+        assert!(!dev.take_fault_events().is_empty());
+        // The executor degrades the whole pair to the software path.
+        let exec = BatchExecutor::new(persistently_faulty(config), ExecutorConfig::default());
+        let report = exec.unwrap().run(&[(q, r)]);
+        let aln = report.alignment(0).expect("degraded pair aligns");
         assert_eq!(aln.score, clean.score);
         assert_eq!(aln.cigar.to_string(), clean.cigar.to_string());
-        let stats = dev.recovery_stats();
-        assert_eq!(stats.software_alignments, 1);
-        assert!(!dev.take_fault_events().is_empty());
+        assert_eq!(report.stats.software_alignments, 1);
     }
 
     #[test]
     fn degradation_off_escalates_structured_error() {
+        use crate::service::{BatchExecutor, ExecutorConfig};
         let config = AlignmentConfig::DnaGap;
         let (q, r) = seqs(config, 90);
-        let mut dev = SmxDevice::new(config, 4).unwrap();
-        dev.enable_fault_injection(
-            FaultPlan::new(7, 1.0).with_persistence(1.0),
-            RecoveryPolicy::strict(),
-        );
-        dev.set_graceful_degradation(false);
-        let err = dev.align(&q, &r).unwrap_err();
+        let err = persistently_faulty(config).align(&q, &r).unwrap_err();
         assert!(matches!(err, AlignError::RecoveryExhausted { .. }), "{err}");
+        // A fail-closed executor hands the same typed error back.
+        let cfg = ExecutorConfig { fail_closed: true, ..ExecutorConfig::default() };
+        let report = BatchExecutor::new(persistently_faulty(config), cfg).unwrap().run(&[(q, r)]);
+        let failures = report.failures();
+        assert!(matches!(failures[0].error, AlignError::RecoveryExhausted { .. }), "{failures:?}");
+        assert_eq!(report.stats.software_alignments, 0);
     }
 
     #[test]
@@ -662,14 +569,14 @@ mod tests {
         assert!(matches!(dev.align(&empty, &one), Err(AlignError::EmptySequence)));
         assert!(matches!(dev.align(&one, &empty), Err(AlignError::EmptySequence)));
         assert!(matches!(dev.score(&empty, &one), Err(AlignError::EmptySequence)));
-        assert!(matches!(dev.align_software(&empty, &one), Err(AlignError::EmptySequence)));
+        assert!(matches!(software(config, &empty, &one), Err(AlignError::EmptySequence)));
         // Single symbols align.
         let a = dev.align(&one, &one).unwrap();
         assert_eq!(a.cigar.to_string(), "1=");
         // query == reference: perfect diagonal, device and software agree.
         let (q, _) = seqs(config, 75);
         let a = dev.align(&q, &q).unwrap();
-        let sw = dev.align_software(&q, &q).unwrap();
+        let sw = software(config, &q, &q).unwrap();
         assert_eq!(a.score, sw.score);
         assert_eq!(a.cigar.to_string(), sw.cigar.to_string());
         assert_eq!(a.cigar.query_len(), q.len());
@@ -691,7 +598,7 @@ mod tests {
             let (q, r) = seqs(config, 80);
             let mut dev = SmxDevice::new(config, 2).unwrap();
             let device = dev.align(&q, &r).unwrap();
-            let software = dev.align_software(&q, &r).unwrap();
+            let software = software(config, &q, &r).unwrap();
             assert_eq!(device.score, software.score, "{config}");
             assert_eq!(device.cigar.to_string(), software.cigar.to_string(), "{config}");
         }
@@ -707,7 +614,9 @@ mod tests {
         assert!(dev.align(&q, &r).is_ok());
         token.cancel();
         assert!(matches!(dev.align(&q, &r), Err(AlignError::Cancelled)));
-        assert!(matches!(dev.align_software(&q, &r), Err(AlignError::Cancelled)));
+        let (scheme, alphabet) = (config.scoring(), config.alphabet());
+        let software = align_in_software((&q, &r), &scheme, alphabet, &token);
+        assert!(matches!(software, Err(AlignError::Cancelled)));
         dev.set_cancel_token(Some(
             CancelToken::new().fork_with_deadline(std::time::Duration::ZERO),
         ));

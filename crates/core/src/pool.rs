@@ -31,9 +31,10 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use smx_algos::simd::{self, Baseline, SimdWorkspace};
-use smx_align_core::{AlignError, Alignment, ScoringScheme, Sequence};
+use smx_align_core::{AlignError, Alignment, Alphabet, ScoringScheme, Sequence};
+use smx_coproc::control::CancelToken;
 
-use crate::orchestrator::SmxDevice;
+use crate::orchestrator::{align_in_software, SmxDevice};
 use crate::service::{BreakerConfig, BreakerSnapshot, BreakerState, BreakerTransitions};
 
 /// Result-audit (scoreboard) tuning.
@@ -226,6 +227,9 @@ pub(crate) struct OutcomeEvents {
     /// The pair was recomputed on the software baseline after the audit
     /// retry also failed.
     pub recomputed: bool,
+    /// Device attempts whose unrecoverable fault was recomputed on the
+    /// software path (0, 1, or 2 with the audit retry).
+    pub degraded: u32,
     /// A hedge backup was launched for this pair.
     pub hedge_launched: bool,
     /// The hedge backup produced the pair's result.
@@ -237,6 +241,7 @@ pub(crate) struct OutcomeEvents {
 pub(crate) struct PoolCounters {
     pub audits_run: u64,
     pub integrity_recomputed: u64,
+    pub software_alignments: u64,
     pub hedges_launched: u64,
     pub hedges_won: u64,
 }
@@ -413,6 +418,7 @@ impl PoolHealth {
     pub(crate) fn record(&mut self, route: Route, ev: OutcomeEvents) {
         self.counters.audits_run += u64::from(ev.audits);
         self.counters.integrity_recomputed += u64::from(ev.recomputed);
+        self.counters.software_alignments += u64::from(ev.degraded);
         self.counters.hedges_launched += u64::from(ev.hedge_launched);
         self.counters.hedges_won += u64::from(ev.hedge_won);
         let (id, probe) = match route {
@@ -571,13 +577,10 @@ pub(crate) struct DevicePool {
     devices: Vec<Mutex<SmxDevice>>,
     health: Mutex<PoolHealth>,
     canaries: Vec<Canary>,
-    scheme: ScoringScheme,
-    /// Baseline kernel the audit's score pass runs on (inherited from the
-    /// template device, like everything else pool-wide).
-    baseline: Baseline,
-    /// The template with fault injection disabled: the trusted host path
-    /// every worker clones for its software baseline.
-    software: SmxDevice,
+    /// The devices' scheme and alphabet: what the audit and the software
+    /// path compute under.
+    pub(crate) scheme: ScoringScheme,
+    pub(crate) alphabet: Alphabet,
     /// Shared audit workspace; audits that would contend on it fall back
     /// to a fresh local workspace instead of serializing workers.
     simd_ws: Mutex<SimdWorkspace>,
@@ -620,9 +623,7 @@ impl DevicePool {
             })
             .collect();
         let config = template.config();
-        let scheme = config.scoring();
-        let mut baseline = template.clone();
-        baseline.disable_fault_injection();
+        let (scheme, alphabet) = (config.scoring(), config.alphabet());
         let card = config.alphabet().cardinality() as u32;
         let canaries = CANARY_LENS
             .iter()
@@ -631,11 +632,16 @@ impl DevicePool {
                     let codes: Vec<u8> = (0..len as u32)
                         .map(|i| ((i * stride + off + (i >> 3)) % card) as u8)
                         .collect();
-                    Sequence::from_codes(config.alphabet(), codes)
+                    Sequence::from_codes(alphabet, codes)
                 };
                 let query = seq(7, 1)?;
                 let reference = seq(5, 2)?;
-                let golden = baseline.align_software(&query, &reference)?;
+                let golden = align_in_software(
+                    (&query, &reference),
+                    &scheme,
+                    alphabet,
+                    &CancelToken::new(),
+                )?;
                 Ok(Canary { query, reference, golden })
             })
             .collect::<Result<Vec<Canary>, AlignError>>()?;
@@ -644,8 +650,7 @@ impl DevicePool {
             health: Mutex::new(PoolHealth::new(devices, breaker, quarantine)),
             canaries,
             scheme,
-            baseline: template.baseline(),
-            software: baseline,
+            alphabet,
             simd_ws: Mutex::new(SimdWorkspace::new()),
         })
     }
@@ -738,27 +743,12 @@ impl DevicePool {
         alignment
             .verify(query.codes(), reference.codes(), &self.scheme)
             .map_err(|e| AlignError::IntegrityViolation { device, detail: e.to_string() })?;
-        let optimal = match self.simd_ws.try_lock() {
-            Ok(mut ws) => {
-                simd::score_profile(
-                    query.codes(),
-                    reference.codes(),
-                    &self.scheme,
-                    self.baseline,
-                    &mut ws,
-                )
-                .score
-            }
-            Err(_) => {
-                simd::score_profile(
-                    query.codes(),
-                    reference.codes(),
-                    &self.scheme,
-                    self.baseline,
-                    &mut SimdWorkspace::new(),
-                )
-                .score
-            }
+        let optimal = {
+            let mut spare = SimdWorkspace::new();
+            let mut shared = self.simd_ws.try_lock().ok();
+            let ws = shared.as_deref_mut().unwrap_or(&mut spare);
+            let (q, r) = (query.codes(), reference.codes());
+            simd::score_profile(q, r, &self.scheme, Baseline::Auto, ws).score
         };
         if optimal != alignment.score {
             return Err(AlignError::IntegrityViolation {
@@ -811,13 +801,6 @@ impl DevicePool {
             Ok(a) => clean_run && a == canary.golden,
             Err(_) => false,
         }
-    }
-
-    /// A worker-local software baseline: a fault-free clone of the
-    /// template, so audits never apply to it and its results are correct
-    /// by construction.
-    pub(crate) fn software_device(&self) -> SmxDevice {
-        self.software.clone()
     }
 
     /// Per-device stats and pool counters so far.

@@ -374,18 +374,15 @@ impl Server {
     }
 }
 
-/// Spawns one generation of workers for shard `s`. Each worker gets
-/// its own fault-disabled software device clone (the degraded/brownout
-/// path must never fault).
+/// Spawns one generation of workers for shard `s`.
 fn spawn_shard_workers(shared: &Arc<Shared>, s: usize, generation: u64) {
     let Some(shard) = shared.shards.get(s) else { return };
     let handles: Vec<(usize, JoinHandle<()>)> = (0..shard.jobs)
         .map(|_| {
             let shared = Arc::clone(shared);
-            let mut sw = shard.pool.software_device();
             let worker = std::thread::spawn(move || {
                 if let Some(shard) = shared.shards.get(s) {
-                    shard::worker_loop(&*shared, shard, generation, &mut sw);
+                    shard::worker_loop(&*shared, shard, generation);
                 }
             });
             (s, worker)
@@ -471,9 +468,8 @@ impl ServerHandle {
         // skips this — a dead process flushes nothing.
         if state == STATE_DRAINING {
             for shard in &self.shared.shards {
-                let mut sw = shard.pool.software_device();
                 while let Some(job) = shard.queue.try_pop() {
-                    shard::run_job(&*self.shared, shard, job, &mut sw);
+                    shard::run_job(&*self.shared, shard, job);
                 }
             }
         }
@@ -1716,17 +1712,17 @@ mod tests {
     fn late_retry_backoff_fails_fast_instead_of_napping_past_the_deadline() {
         use smx_coproc::faults::{FaultPlan, RecoveryPolicy};
         let mut dev = SmxDevice::new(AlignmentConfig::DnaEdit, 4).unwrap();
-        // Persistent faults + strict recovery + no degradation: every
-        // device attempt escalates a recoverable RecoveryExhausted, so
-        // the server-side retry loop is what's under test.
+        // Persistent faults + strict recovery + a fail-closed executor:
+        // every device attempt escalates a recoverable RecoveryExhausted,
+        // so the server-side retry loop is what's under test.
         dev.enable_fault_injection(
             FaultPlan::new(7, 1.0).with_persistence(1.0),
             RecoveryPolicy::strict(),
         );
-        dev.set_graceful_degradation(false);
         let h = Server::bind(
             dev,
             ServerConfig {
+                exec: ExecutorConfig { fail_closed: true, ..ExecutorConfig::default() },
                 // A backoff that can never fit a 300 ms deadline: the
                 // old behaviour napped the full remaining budget before
                 // discovering the retry was doomed.

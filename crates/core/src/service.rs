@@ -149,11 +149,12 @@ pub struct ExecutorConfig {
     /// Per-device health scoring and quarantine. `None` disables
     /// quarantine (devices stay in rotation however sick).
     pub quarantine: Option<QuarantineConfig>,
-    /// Fail closed on audit failure: when the audit retry also fails (or
-    /// errors), return [`AlignError::IntegrityViolation`] instead of
-    /// silently recomputing on the software baseline. Lets strict
-    /// pipelines surface corruption as a distinct, typed failure.
-    pub integrity_fail_closed: bool,
+    /// Fail closed instead of recomputing a pair in software: a device
+    /// fault that tile-level recovery could not absorb returns its typed
+    /// error, and an audit retry that also fails (or errors) returns
+    /// [`AlignError::IntegrityViolation`]. Lets strict pipelines surface
+    /// device sickness and corruption as distinct, typed failures.
+    pub fail_closed: bool,
 }
 
 impl Default for ExecutorConfig {
@@ -168,7 +169,7 @@ impl Default for ExecutorConfig {
             audit: None,
             hedge: None,
             quarantine: None,
-            integrity_fail_closed: false,
+            fail_closed: false,
         }
     }
 }
@@ -363,6 +364,9 @@ pub struct ServiceStats {
     /// Pairs recomputed on the software baseline after the device retry
     /// also failed its audit.
     pub integrity_recomputed: u64,
+    /// Device attempts recomputed on the software path after a fault
+    /// tile-level recovery could not absorb.
+    pub software_alignments: u64,
     /// Hedge backups launched for latency-tail pairs.
     pub hedges_launched: u64,
     /// Hedge backups that produced the pair's result.
@@ -428,6 +432,7 @@ impl ServiceStats {
         self.recovery.merge(&pool.recovery());
         self.audits_run += counters.audits_run;
         self.integrity_recomputed += counters.integrity_recomputed;
+        self.software_alignments += counters.software_alignments;
         self.hedges_launched += counters.hedges_launched;
         self.hedges_won += counters.hedges_won;
         for d in &per_device {
@@ -466,6 +471,7 @@ impl std::fmt::Display for ServiceStats {
             audits_run,
             integrity_violations,
             integrity_recomputed,
+            software_alignments,
             hedges_launched,
             hedges_won,
             quarantines,
@@ -483,7 +489,6 @@ impl std::fmt::Display for ServiceStats {
             faults_detected,
             retries: tile_retries,
             fallbacks,
-            software_alignments,
             cycles_lost,
             silent_corruptions,
         } = recovery;
@@ -604,8 +609,10 @@ pub struct RunOptions<'a> {
 /// clones with backpressure, deadlines, and a circuit breaker.
 ///
 /// The executor owns a fully configured template device (fault
-/// injection, degradation policy); each worker clones it, so per-worker
-/// fault sessions are independent but identically planned.
+/// injection and tile recovery policy); each pool device clones it, so
+/// per-device fault sessions are independent but identically planned.
+/// Whether a pair the device could not compute is recomputed in
+/// software is the executor's own [`ExecutorConfig::fail_closed`].
 #[derive(Debug, Clone)]
 pub struct BatchExecutor {
     device: SmxDevice,
@@ -704,9 +711,8 @@ impl BatchExecutor {
         if shard.jobs == 1 {
             // Inline path: input order on the caller's thread, no queue,
             // no shedding.
-            let mut sw = shard.pool.software_device();
             for &index in todo {
-                shard::run_job(&front, &shard, index, &mut sw);
+                shard::run_job(&front, &shard, index);
                 for (index, done) in rx.try_iter() {
                     settle(stats, outcomes, &mut opts.on_result, index, done);
                 }
@@ -716,9 +722,8 @@ impl BatchExecutor {
                 let workers: Vec<_> = (0..shard.jobs)
                     .map(|_| {
                         let front = BatchFront { done: front.done.clone(), ..front };
-                        let mut sw = shard.pool.software_device();
                         let shard = &shard;
-                        scope.spawn(move || shard::worker_loop(&front, shard, 0, &mut sw))
+                        scope.spawn(move || shard::worker_loop(&front, shard, 0))
                     })
                     .collect();
                 // The workers hold the only senders left, so the collector
@@ -856,6 +861,39 @@ mod tests {
         assert_eq!(report.stats.completed, 16);
         assert_eq!(report.stats.device_pairs, 16);
         assert!(report.stats.max_queue_depth <= 4);
+    }
+
+    /// A pair whose device attempt fails unrecoverably is recomputed in
+    /// software under the pair's own token, so its deadline still holds.
+    /// On a 3 kbp DnaGap pair the device reaches its first fault in about
+    /// 2 ms in a debug build (0.3 ms optimised) and the software DP takes
+    /// about 100 ms optimised: a 20 ms deadline lands in between.
+    #[test]
+    fn degraded_pair_fails_typed_at_its_deadline() {
+        let config = AlignmentConfig::DnaGap;
+        let batch = pairs(config, 1, 3000);
+        let mut dev = SmxDevice::new(config, 2).unwrap();
+        dev.enable_fault_injection(
+            FaultPlan::new(7, 1.0).with_persistence(1.0),
+            RecoveryPolicy::strict(),
+        );
+        let cfg = ExecutorConfig {
+            jobs: 1,
+            deadline: Some(Duration::from_millis(20)),
+            ..ExecutorConfig::default()
+        };
+        let report = BatchExecutor::new(dev, cfg).unwrap().run(&batch);
+        let failures = report.failures();
+        assert!(
+            matches!(
+                failures.as_slice(),
+                [BatchFailure { index: 0, error: AlignError::DeadlineExceeded { .. } }]
+            ),
+            "{}",
+            report.failure_summary()
+        );
+        assert_eq!(report.stats.deadline_exceeded, 1);
+        assert_eq!(report.stats.software_alignments, 1);
     }
 
     #[test]

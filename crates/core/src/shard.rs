@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use smx_align_core::{AlignError, Alignment, Sequence};
 use smx_coproc::control::CancelToken;
 
-use crate::orchestrator::SmxDevice;
+use crate::orchestrator::{align_in_software, SmxDevice};
 use crate::pool::{DevicePool, OutcomeEvents, Route};
 use crate::service::{ExecutorConfig, ShardPlan};
 
@@ -284,13 +284,8 @@ impl<J: Job> Shard<J> {
 
 /// One shard worker: beats the heartbeat and serves its queue (or
 /// stolen work) until the front end stops or drains, or a restart
-/// retires its generation. `sw` is its fault-free software baseline.
-pub(crate) fn worker_loop<F: Front>(
-    front: &F,
-    shard: &Shard<F::Job>,
-    generation: u64,
-    sw: &mut SmxDevice,
-) {
+/// retires its generation.
+pub(crate) fn worker_loop<F: Front>(front: &F, shard: &Shard<F::Job>, generation: u64) {
     loop {
         if shard.generation.load(Ordering::SeqCst) != generation {
             return;
@@ -301,7 +296,7 @@ pub(crate) fn worker_loop<F: Front>(
                 // Flush everything reachable — own queue first, then a
                 // sweep of the front end's other work — and exit.
                 while let Some(job) = shard.queue.try_pop().or_else(|| front.steal(shard, true)) {
-                    run_job(front, shard, job, sw);
+                    run_job(front, shard, job);
                 }
                 return;
             }
@@ -318,22 +313,22 @@ pub(crate) fn worker_loop<F: Front>(
         }
         shard.heartbeat.fetch_add(1, Ordering::SeqCst);
         if let Some(job) = shard.queue.pop_within(IDLE_WAIT).or_else(|| front.steal(shard, false)) {
-            run_job(front, shard, job, sw);
+            run_job(front, shard, job);
         }
     }
 }
 
 /// Runs one dequeued pair and hands the outcome to the front end: the
 /// inline (`jobs == 1`) batch, every worker, and the drain sweep.
-pub(crate) fn run_job<F: Front>(front: &F, shard: &Shard<F::Job>, job: F::Job, sw: &mut SmxDevice) {
-    let done = serve(front, shard, &job, sw);
+pub(crate) fn run_job<F: Front>(front: &F, shard: &Shard<F::Job>, job: F::Job) {
+    let done = serve(front, shard, &job);
     front.complete(job, done);
     shard.completed.fetch_add(1, Ordering::SeqCst);
 }
 
 /// Deadline at dequeue, the front end's plan, dispatch through the pool,
 /// and the bounded retry budget on top.
-fn serve<F: Front>(front: &F, shard: &Shard<F::Job>, job: &F::Job, sw: &mut SmxDevice) -> Done {
+fn serve<F: Front>(front: &F, shard: &Shard<F::Job>, job: &F::Job) -> Done {
     let deadline = job.deadline();
     // A pair that expired while queued must not burn device time.
     if let Some((at, budget_ms)) = deadline {
@@ -350,9 +345,9 @@ fn serve<F: Front>(front: &F, shard: &Shard<F::Job>, job: &F::Job, sw: &mut SmxD
             .map(|(at, _)| at.saturating_duration_since(Instant::now()))
             .or(shard.cfg.deadline);
         let attempt = if plan.software {
-            attempt_on_software(sw, q, r, budgeted(&shard.token, remaining))
+            shard.attempt_on_software(q, r, &budgeted(&shard.token, remaining))
         } else {
-            let (result, m) = shard.run_pair(sw, (q, r), &plan, remaining);
+            let (result, m) = shard.run_pair((q, r), &plan, remaining);
             meta = Some(m);
             result
         };
@@ -390,7 +385,6 @@ impl<J> Shard<J> {
     /// that order. Whatever path wins, the alignment is byte-identical.
     fn run_pair(
         &self,
-        sw: &mut SmxDevice,
         (q, r): (&Sequence, &Sequence),
         plan: &Plan,
         deadline: Option<Duration>,
@@ -407,7 +401,7 @@ impl<J> Shard<J> {
             // The whole pool is quarantined, or this device's breaker is
             // open (its cooldown already advanced): serve from the baseline.
             Ok(Route::Software) => {
-                let result = attempt_on_software(sw, q, r, budgeted(&self.token, deadline));
+                let result = self.attempt_on_software(q, r, &budgeted(&self.token, deadline));
                 return (result, PairMeta { route: Route::Software, faulted: false });
             }
             Err(e) => return (Err(e), PairMeta { route: Route::Software, faulted: false }),
@@ -426,9 +420,8 @@ impl<J> Shard<J> {
             (d, h) => d.or(h),
         };
         let mut ev = OutcomeEvents::default();
-        let (mut result, faulted) =
-            self.attempt_on_device(id, q, r, budgeted(&self.token, primary_budget));
-        ev.faulted = faulted;
+        let mut result =
+            self.attempt_on_device(id, q, r, &budgeted(&self.token, primary_budget), &mut ev);
 
         if matches!(result, Err(AlignError::DeadlineExceeded { .. })) {
             ev.deadline = true;
@@ -439,7 +432,7 @@ impl<J> Shard<J> {
                 // remaining budget. Byte-identity makes the winner
                 // indistinguishable in the output.
                 ev.hedge_launched = true;
-                let backup = attempt_on_software(sw, q, r, budgeted(&self.token, remaining));
+                let backup = self.attempt_on_software(q, r, &budgeted(&self.token, remaining));
                 ev.hedge_won = backup.is_ok();
                 result = backup;
             }
@@ -453,7 +446,7 @@ impl<J> Shard<J> {
                     ev.audits += 1;
                     if pool.audit(id, a, q, r).is_err() {
                         ev.integrity += 1;
-                        result = self.audit_recovery(sw, id, (q, r), deadline, start, &mut ev);
+                        result = self.audit_recovery(id, (q, r), deadline, start, &mut ev);
                     }
                 }
             }
@@ -468,7 +461,6 @@ impl<J> Shard<J> {
     /// software baseline. The corrupt alignment is never returned.
     fn audit_recovery(
         &self,
-        sw: &mut SmxDevice,
         id: usize,
         (q, r): (&Sequence, &Sequence),
         deadline: Option<Duration>,
@@ -476,10 +468,8 @@ impl<J> Shard<J> {
         ev: &mut OutcomeEvents,
     ) -> Result<Alignment, AlignError> {
         let left = || budgeted(&self.token, deadline.map(|d| d.saturating_sub(start.elapsed())));
-        let fail_closed = self.cfg.integrity_fail_closed;
-        let (retry, retry_faulted) = self.attempt_on_device(id, q, r, left());
-        ev.faulted |= retry_faulted;
-        match retry {
+        let fail_closed = self.cfg.fail_closed;
+        match self.attempt_on_device(id, q, r, &left(), ev) {
             Ok(a) => {
                 ev.audits += 1;
                 match self.pool.audit(id, &a, q, r) {
@@ -496,61 +486,64 @@ impl<J> Shard<J> {
             Err(_) => {}
         }
         ev.recomputed = true;
-        attempt_on_software(sw, q, r, left())
+        self.attempt_on_software(q, r, &left())
     }
 
-    /// One attempt on pool device `id` under `token`. Returns the result
-    /// plus whether the attempt counts as faulted for breaker/health
-    /// purposes: the device injected at least one detectable fault while
-    /// it ran, or it failed with a recoverable device fault. Deadline and
-    /// cancellation failures are *not* faults — breaking on them would
-    /// mask overload as device sickness.
+    /// One attempt on pool device `id` under `token`, booking into `ev`
+    /// whether it faulted for breaker/health purposes: the device
+    /// injected at least one detectable fault while it ran, or it failed
+    /// with a recoverable device fault. Deadline and cancellation
+    /// failures are *not* faults — breaking on them would mask overload
+    /// as device sickness. A recoverable fault is then recomputed on the
+    /// software path under the same token, with the device released
+    /// first, unless the executor fails closed.
     fn attempt_on_device(
         &self,
         id: usize,
         q: &Sequence,
         r: &Sequence,
-        token: CancelToken,
-    ) -> (Result<Alignment, AlignError>, bool) {
-        let mut dev = match self.pool.device(id) {
-            Ok(dev) => dev,
-            // The device mutex is poisoned (another worker panicked inside
-            // align): fail this pair typed. Not a fault — breaking the
-            // breaker on a poisoned lock would misread a process-level bug
-            // as device sickness.
-            Err(e) => return (Err(e), false),
-        };
+        token: &CancelToken,
+        ev: &mut OutcomeEvents,
+    ) -> Result<Alignment, AlignError> {
+        // The device mutex is poisoned (another worker panicked inside
+        // align): fail this pair typed. Not a fault — breaking the
+        // breaker on a poisoned lock would misread a process-level bug
+        // as device sickness.
+        let mut dev = self.pool.device(id)?;
         // Failpoint `pool.dispatch` (lane = device id): the dispatch path
         // to this device fails before work starts. Surfaced as a
         // recoverable TileCorrupted fault so the breaker, EWMA health, and
         // quarantine ladder all react exactly as they would to real device
         // sickness — which is what chaos schedules poison a device with.
         if smx_failpoint::hit_lane("pool.dispatch", id as u32).is_some() {
-            return (Err(AlignError::TileCorrupted { ti: 0, tj: 0 }), true);
+            ev.faulted = true;
+            return Err(AlignError::TileCorrupted { ti: 0, tj: 0 });
         }
-        dev.set_cancel_token(Some(token));
-        let before = dev.recovery_stats();
+        dev.set_cancel_token(Some(token.clone()));
+        let before = dev.recovery_stats().faults_injected;
         // LINT: allow(lock-order) the device guard must stay held across its own DP by design: the mutex IS the device's execution slot
         let result = dev.align(q, r);
-        let after = dev.recovery_stats();
+        let injected = dev.recovery_stats().faults_injected > before;
         dev.set_cancel_token(None);
-        let faulted = after.faults_injected > before.faults_injected
-            || result.as_ref().err().is_some_and(AlignError::is_recoverable_fault);
-        (result, faulted)
+        drop(dev);
+        let device_fault = result.as_ref().err().is_some_and(AlignError::is_recoverable_fault);
+        ev.faulted |= injected || device_fault;
+        if device_fault && !self.cfg.fail_closed {
+            ev.degraded += 1;
+            return self.attempt_on_software(q, r, token);
+        }
+        result
     }
-}
 
-/// One attempt on the worker-local software baseline under `token`.
-fn attempt_on_software(
-    sw: &mut SmxDevice,
-    q: &Sequence,
-    r: &Sequence,
-    token: CancelToken,
-) -> Result<Alignment, AlignError> {
-    sw.set_cancel_token(Some(token));
-    let result = sw.align_software(q, r);
-    sw.set_cancel_token(None);
-    result
+    /// One attempt on the software path under `token`.
+    fn attempt_on_software(
+        &self,
+        q: &Sequence,
+        r: &Sequence,
+        token: &CancelToken,
+    ) -> Result<Alignment, AlignError> {
+        align_in_software((q, r), &self.pool.scheme, self.pool.alphabet, token)
+    }
 }
 
 /// `token` forked with `budget` as its deadline, or a plain clone when

@@ -252,17 +252,6 @@ pub fn score_profile(
     }
 }
 
-/// Convenience wrapper for one-shot calls (owns a workspace).
-#[must_use]
-pub fn score_streaming(
-    query: &[u8],
-    reference: &[u8],
-    scheme: &ScoringScheme,
-    baseline: Baseline,
-) -> i32 {
-    score_profile(query, reference, scheme, baseline, &mut SimdWorkspace::new()).score
-}
-
 /// Closed-form profile for empty inputs (mirrors the golden model's
 /// border initialization, saturating arithmetic included).
 fn degenerate(m: usize, n: usize, scheme: &ScoringScheme) -> ScoreProfile {

@@ -5,7 +5,6 @@
 use crate::block::{compute_block, BlockMode, BlockOutput};
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
-use crate::faults::FaultSession;
 use crate::traceback::{traceback_block, RecomputeStats};
 use smx_align_core::{AlignError, Cigar, ElementWidth, ScoringScheme};
 use smx_diffenc::boundary::BlockBorders;
@@ -80,24 +79,7 @@ impl SmxCoprocessor {
         input: Option<&BlockBorders>,
         mode: BlockMode,
     ) -> Result<BlockOutput, AlignError> {
-        self.compute_block_resilient(query, reference, input, mode, None)
-    }
-
-    /// Offloads one DP-block computation, under a fault-injection session
-    /// when one is given (tile-level detection, retry, and fallback).
-    ///
-    /// # Errors
-    ///
-    /// See [`compute_block`].
-    pub fn compute_block_resilient(
-        &self,
-        query: &[u8],
-        reference: &[u8],
-        input: Option<&BlockBorders>,
-        mode: BlockMode,
-        session: Option<&mut FaultSession>,
-    ) -> Result<BlockOutput, AlignError> {
-        compute_block(&self.engine, query, reference, input, mode, session, self.control.as_ref())
+        compute_block(&self.engine, query, reference, input, mode, None, self.control.as_ref())
     }
 
     /// Traces back a block previously computed in traceback mode.
@@ -111,28 +93,11 @@ impl SmxCoprocessor {
         reference: &[u8],
         output: &BlockOutput,
     ) -> Result<(Cigar, RecomputeStats), AlignError> {
-        self.traceback_resilient(query, reference, output, None)
-    }
-
-    /// Traces back a block previously computed in traceback mode, under a
-    /// fault-injection session when one is given (border reads cross the
-    /// faulty L2 port and are checksum-verified).
-    ///
-    /// # Errors
-    ///
-    /// See [`traceback_block`].
-    pub fn traceback_resilient(
-        &self,
-        query: &[u8],
-        reference: &[u8],
-        output: &BlockOutput,
-        session: Option<&mut FaultSession>,
-    ) -> Result<(Cigar, RecomputeStats), AlignError> {
         let store = output
             .borders
             .as_ref()
             .ok_or_else(|| AlignError::Internal("block was computed in score-only mode".into()))?;
-        traceback_block(&self.engine, query, reference, store, session, self.control.as_ref())
+        traceback_block(&self.engine, query, reference, store, None, self.control.as_ref())
     }
 }
 

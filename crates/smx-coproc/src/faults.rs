@@ -375,9 +375,6 @@ pub struct RecoveryStats {
     pub retries: u64,
     /// Tiles recomputed on the core's software path.
     pub fallbacks: u64,
-    /// Whole alignments degraded to the software path by the
-    /// orchestrator.
-    pub software_alignments: u64,
     /// Cycles spent on watchdog waits, backoff, and wasted attempts.
     pub cycles_lost: u64,
     /// Silent readout corruptions injected past the checksums. These are
@@ -394,7 +391,6 @@ impl RecoveryStats {
         self.faults_detected += other.faults_detected;
         self.retries += other.retries;
         self.fallbacks += other.fallbacks;
-        self.software_alignments += other.software_alignments;
         self.cycles_lost += other.cycles_lost;
         self.silent_corruptions += other.silent_corruptions;
     }
@@ -523,11 +519,6 @@ impl FaultSession {
     pub fn begin_epoch(&mut self) -> u64 {
         self.epoch += 1;
         self.epoch
-    }
-
-    /// Records an orchestrator-level degradation to the software path.
-    pub fn record_software_alignment(&mut self) {
-        self.stats.software_alignments += 1;
     }
 
     /// Runs one finished device alignment through the (possibly faulty)

@@ -237,12 +237,13 @@ fn let_binding_var(toks: &[Token], i: usize) -> Option<String> {
     if tok_text(toks, k.wrapping_sub(1)) != "=" {
         return None;
     }
-    let mut b = k.checked_sub(2)?;
-    if tok_text(toks, b) == "mut" {
-        b = b.checked_sub(1)?;
-    }
+    let b = k.checked_sub(2)?;
     let name = toks.get(b).filter(|v| v.kind == TokKind::Ident)?;
-    if tok_text(toks, b.wrapping_sub(1)) != "let" {
+    let mut l = b.wrapping_sub(1);
+    if tok_text(toks, l) == "mut" {
+        l = l.wrapping_sub(1);
+    }
+    if tok_text(toks, l) != "let" {
         return None;
     }
     Some(name.text.clone())

@@ -207,6 +207,9 @@ pub fn functions(tokens: &[Token]) -> Vec<(String, usize, usize)> {
                 match tokens[j].text.as_str() {
                     "<" => angle += 1,
                     ">" => angle -= 1,
+                    // The lexer keeps `>>` whole, so `Vec<Shard<J>>`
+                    // closes two generic levels with one token.
+                    ">>" => angle -= 2,
                     "->" => {}
                     "{" if angle <= 0 => {
                         open = Some(j);

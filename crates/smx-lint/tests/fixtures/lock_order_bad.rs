@@ -39,4 +39,16 @@ impl S {
         let h = pool.health(); // BAD: `health` maps to `middle`, outer-ranked than inner
         drop(h);
     }
+
+    // A `>>` closing two generic levels must not hide the functions after it.
+    fn nested_generics(&self) -> Result<Vec<Vec<u32>>, ()> {
+        Ok(Vec::new())
+    }
+
+    fn mut_guard_is_held_too(&self) {
+        let mut g = self.outer.lock().unwrap();
+        *g += 1;
+        heavy_dp(); // BAD: a `let mut` guard lives to its `}` like a `let` one
+        drop(g);
+    }
 }

@@ -41,6 +41,12 @@ fn lock_order_bad_is_flagged() {
     );
     // The acquire-method mapping (`pool.health()` -> `middle`).
     assert!(hits.iter().any(|f| f.message.contains("`middle`")));
+    // A `let mut` guard, in a function after a `>>`-closed signature.
+    assert!(
+        hits.iter().any(|f| f.message.contains("`outer`") && f.message.contains("`heavy_dp`")),
+        "mut guard across a blocking call not detected: {:?}",
+        hits
+    );
 }
 
 #[test]

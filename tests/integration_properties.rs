@@ -126,9 +126,9 @@ proptest! {
         prop_assert!(s.fallbacks + s.retries == 0 || s.faults_injected > 0);
     }
 
-    /// With retries and tile fallback disabled, graceful degradation to
-    /// the software golden model still reproduces the fault-free output
-    /// byte for byte.
+    /// With retries and tile fallback disabled, the executor's graceful
+    /// degradation to the software golden model still reproduces the
+    /// fault-free output byte for byte.
     #[test]
     fn strict_policy_degrades_byte_identically(
         seed in 0u64..10_000,
@@ -148,13 +148,15 @@ proptest! {
 
         let mut faulty = SmxDevice::new(config, 2).unwrap();
         faulty.enable_fault_injection(FaultPlan::new(seed, rate), RecoveryPolicy::strict());
-        let recovered = faulty.align(&q, &r).unwrap();
+        let exec = BatchExecutor::new(faulty, ExecutorConfig::default()).unwrap();
+        let report = exec.run(&[(q, r)]);
+        let recovered = report.alignment(0).expect("a degraded pair still aligns");
 
         prop_assert_eq!(recovered.score, reference.score);
         prop_assert_eq!(recovered.cigar.to_string(), reference.cigar.to_string());
-        let s = faulty.recovery_stats();
+        let s = &report.stats;
         prop_assert!(s.software_alignments <= 1);
-        prop_assert!(s.faults_injected == 0 || s.software_alignments == 1,
+        prop_assert!(s.recovery.faults_injected == 0 || s.software_alignments == 1,
             "a strict-policy fault must degrade to software: {:?}", s);
     }
 
