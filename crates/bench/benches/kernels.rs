@@ -75,6 +75,16 @@ fn main() {
         coproc.traceback(&q, &r, &out).unwrap()
     });
 
+    // The lane kernel (DnaEdit above runs the edit-word kernel).
+    for cfg in [AlignmentConfig::DnaGap, AlignmentConfig::Protein] {
+        let card = cfg.alphabet().cardinality() as u64;
+        let (q, r) = (seq(512, 3, card), seq(512, 11, card));
+        let coproc = SmxCoprocessor::new(cfg.element_width(), &cfg.scoring(), 4).unwrap();
+        bench(&format!("block_512x512_{cfg}"), "smx2d_score", cells, || {
+            coproc.compute_block(black_box(&q), &r, None, BlockMode::ScoreOnly).unwrap()
+        });
+    }
+
     {
         let r = seq(4096, 21, 4);
         let mut q = r.clone();

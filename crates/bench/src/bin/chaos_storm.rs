@@ -743,8 +743,10 @@ mod armed {
     /// beats on every worker loop) need a few hundred so the first
     /// workload round lands acks before the process dies.
     ///
-    /// Returns the number of kill runs executed (0 when the CLI binary
-    /// is not present next to this harness — CI builds it first).
+    /// Returns the number of kill runs executed, or a violation when the
+    /// phase cannot run: no failpoint-armed CLI binary next to this
+    /// harness (CI builds it first). A skipped kill phase proves nothing,
+    /// so it must not pass.
     fn kill_process_phase(
         seeds: &[u64],
         workload: &[Request],
@@ -753,18 +755,18 @@ mod armed {
         hit_base: u64,
         hit_span: u64,
         extra: &[&str],
-    ) -> usize {
+    ) -> Result<usize, String> {
+        const BUILD: &str = "cargo build --release -p smx-cli -p smx-bench --features \
+                             smx-cli/failpoints,smx-bench/failpoints";
         failpoint::clear(); // only the child gets injections
         let Some(cli) = std::env::current_exe()
             .ok()
             .and_then(|p| p.parent().map(|d| d.join("smx-cli")))
             .filter(|p| p.exists())
         else {
-            println!(
-                "kill phase ({site}): SKIPPED — smx-cli not built; run `cargo build --release \
-                 -p smx-cli --features failpoints` first"
-            );
-            return 0;
+            return Err(format!(
+                "kill phase ({site}) skipped: no smx-cli next to this harness; run `{BUILD}` first"
+            ));
         };
         for &seed in seeds {
             let hit = hit_base + seed % hit_span;
@@ -776,11 +778,14 @@ mod armed {
             must(std::fs::create_dir_all(&dir), "mkdir kill dir");
 
             let (mut child, addr, banner) = spawn_serve(&cli, &dir, Some(&schedule), extra);
-            assert!(
-                banner.contains("# failpoints:"),
-                "child never confirmed its schedule (got {banner:?}); was smx-cli built with \
-                 --features failpoints?"
-            );
+            if !banner.contains("# failpoints:") {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(format!(
+                    "kill phase ({site}) skipped: the child never confirmed its schedule (got \
+                     {banner:?}), so smx-cli has no armed failpoints; run `{BUILD}` first"
+                ));
+            }
             // Drive rounds until the pinned kill fells the child. Later
             // rounds replay completed pairs from the manifest (no worker
             // involved), so a free-running site accrues hits on idle
@@ -871,7 +876,7 @@ mod armed {
                 acked.len()
             );
         }
-        seeds.len()
+        Ok(seeds.len())
     }
 
     fn check_reference(
@@ -1057,14 +1062,23 @@ mod armed {
         }
 
         let qstats = quarantine_liveness_phase(quick);
+        // Phases that could not run: each one counts as a violation.
+        let mut skipped: Vec<String> = Vec::new();
+        let mut ran = |phase: Result<usize, String>| {
+            phase.unwrap_or_else(|v| {
+                eprintln!("VIOLATION: {v}");
+                skipped.push(v);
+                0
+            })
+        };
         let kill_runs =
-            kill_process_phase(&kill_seeds, &workload, &reference, "session.ack", 3, 5, &[]);
+            ran(kill_process_phase(&kill_seeds, &workload, &reference, "session.ack", 3, 5, &[]));
         let mut shard_stats = shard_wedge_phase(&shard_seeds, &workload, &reference);
         shard_stats.quarantine_per_shard = shard_quarantine_run(&workload, &reference);
         // Free-running site: hits accrue ~50/s per shard on idle beats
         // alone, so 150-250 lands the kill a few seconds in — after the
         // first workload round has acked, well before the 60 s bound.
-        let shard_kill_runs = kill_process_phase(
+        let shard_kill_runs = ran(kill_process_phase(
             &shard_kill_seeds,
             &workload,
             &reference,
@@ -1074,7 +1088,8 @@ mod armed {
             // Each shard needs its own device slice (the CLI defaults to
             // a single-device pool).
             &["--shards", "2", "--devices", "2"],
-        );
+        ));
+        let violation_count = violations.len() + skipped.len();
 
         println!(
             "chaos storm: {seeds} schedules ({crash_runs} with crash+resume, {total_rounds} \
@@ -1084,7 +1099,7 @@ mod armed {
             shard_stats.wedge_runs,
             shard_stats.failovers,
             shard_stats.failover_ms_max,
-            violations.len()
+            violation_count
         );
 
         let mut json = String::from("{\n  \"bench\": \"chaos_storm\",\n");
@@ -1128,14 +1143,17 @@ mod armed {
             }
             json.push_str("  ],\n");
         }
-        json.push_str(&format!("  \"violations\": {}\n}}\n", violations.len()));
+        json.push_str(&format!("  \"violations\": {violation_count}\n}}\n"));
         let mut f = must(std::fs::File::create("BENCH_chaos.json"), "create BENCH_chaos.json");
         must(f.write_all(json.as_bytes()), "write BENCH_chaos.json");
         println!("wrote BENCH_chaos.json");
 
-        if !violations.is_empty() {
+        if violation_count > 0 {
             for (minimal, v) in &violations {
                 eprintln!("FAILED: {v}\n  minimal: {minimal}\n  {}", replay_command(minimal));
+            }
+            for v in &skipped {
+                eprintln!("FAILED: {v}");
             }
             std::process::exit(1);
         }

@@ -1,5 +1,6 @@
 //! A small dependency-free argument parser: `--key value`, `--flag`, and
-//! positional arguments.
+//! positional arguments. Only declared options and switches parse; any
+//! other `--key` is an error.
 
 use std::collections::HashMap;
 
@@ -25,15 +26,17 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parses a token stream. `known_switches` take no value; every other
-    /// `--key` consumes the next token as its value.
+    /// Parses a token stream. `known_switches` take no value, and each of
+    /// `known_options` consumes the next token as its value.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] when a value-taking option has no value.
+    /// Returns [`ArgError`] on a `--key` that is neither a known switch
+    /// nor a known option, and when a value-taking option has no value.
     pub fn parse<I: IntoIterator<Item = String>>(
         tokens: I,
         known_switches: &[&str],
+        known_options: &[&str],
     ) -> Result<Args, ArgError> {
         let mut args = Args::default();
         let mut iter = tokens.into_iter();
@@ -41,11 +44,13 @@ impl Args {
             if let Some(key) = tok.strip_prefix("--") {
                 if known_switches.contains(&key) {
                     args.switches.push(key.to_string());
-                } else {
+                } else if known_options.contains(&key) {
                     let value = iter
                         .next()
                         .ok_or_else(|| ArgError(format!("option --{key} needs a value")))?;
                     args.options.insert(key.to_string(), value);
+                } else {
+                    return Err(ArgError(format!("unknown option --{key}")));
                 }
             } else {
                 args.positional.push(tok);
@@ -97,9 +102,12 @@ mod tests {
 
     #[test]
     fn mixed_arguments() {
-        let a =
-            Args::parse(toks("align --config dna-edit --score-only q.fa r.fa"), &["score-only"])
-                .unwrap();
+        let a = Args::parse(
+            toks("align --config dna-edit --score-only q.fa r.fa"),
+            &["score-only"],
+            &["config"],
+        )
+        .unwrap();
         assert_eq!(a.positional, vec!["align", "q.fa", "r.fa"]);
         assert_eq!(a.get("config"), Some("dna-edit"));
         assert!(a.switch("score-only"));
@@ -108,15 +116,26 @@ mod tests {
 
     #[test]
     fn numeric_options() {
-        let a = Args::parse(toks("--len 1000"), &[]).unwrap();
+        let a = Args::parse(toks("--len 1000"), &[], &["len", "count"]).unwrap();
         assert_eq!(a.get_num("len", 0usize).unwrap(), 1000);
         assert_eq!(a.get_num("count", 7usize).unwrap(), 7);
-        let bad = Args::parse(toks("--len abc"), &[]).unwrap();
+        let bad = Args::parse(toks("--len abc"), &[], &["len"]).unwrap();
         assert!(bad.get_num::<usize>("len", 0).is_err());
     }
 
     #[test]
     fn missing_value_rejected() {
-        assert!(Args::parse(toks("--config"), &[]).is_err());
+        assert!(Args::parse(toks("--config"), &[], &["config"]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_rejected() {
+        // An unknown key neither swallows the next token nor is ignored,
+        // whether it is a typo'd switch or a removed option.
+        for argv in ["align --stirct q.fa r.fa", "align --baseline simd q.fa r.fa"] {
+            let key = argv.split_whitespace().nth(1).unwrap();
+            let err = Args::parse(toks(argv), &["strict"], &["config"]).unwrap_err();
+            assert_eq!(err, ArgError(format!("unknown option {key}")), "{argv}");
+        }
     }
 }

@@ -51,6 +51,79 @@ impl From<&str> for CliError {
     }
 }
 
+/// The switches the CLI knows: `--key`, no value.
+pub const SWITCHES: &[&str] = &[
+    "score-only",
+    "pretty",
+    "help",
+    "strict",
+    "no-degrade",
+    "shed",
+    "breaker",
+    "quarantine",
+    "resume-sessions",
+];
+
+/// The options the CLI knows: `--key value`.
+pub const OPTIONS: &[&str] = &[
+    "addr",
+    "algorithm",
+    "audit-rate",
+    "audit-seed",
+    "backoff",
+    "band",
+    "blocks",
+    "breaker-cooldown",
+    "breaker-probes",
+    "breaker-threshold",
+    "breaker-window",
+    "brownout-degrade",
+    "brownout-refuse",
+    "brownout-shed",
+    "burst",
+    "checkpoint",
+    "checkpoint-dir",
+    "config",
+    "count",
+    "deadline-ms",
+    "devices",
+    "engine",
+    "fault-rate",
+    "fault-seed",
+    "hedge-after-ms",
+    "jobs",
+    "len",
+    "max-conns",
+    "max-outstanding",
+    "max-retries",
+    "name",
+    "out",
+    "overlap",
+    "parse",
+    "port",
+    "profile",
+    "quarantine-alpha",
+    "quarantine-period",
+    "quarantine-probes",
+    "quarantine-threshold",
+    "queue-cap",
+    "rate",
+    "resume",
+    "retry-attempts",
+    "retry-backoff-ms",
+    "seed",
+    "shards",
+    "silent-rate",
+    "supervisor-interval-ms",
+    "supervisor-max-restarts",
+    "supervisor-stale",
+    "sv",
+    "watchdog",
+    "window",
+    "workers",
+    "xdrop",
+];
+
 /// Top-level usage text.
 pub const USAGE: &str = "\
 smx-cli: SMX heterogeneous sequence alignment (reproduction)
@@ -852,7 +925,8 @@ mod tests {
     fn algorithm_parsing_with_params() {
         let a = Args::parse(
             ["--algorithm", "banded", "--band", "32"].iter().map(|s| s.to_string()),
-            &[],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         assert_eq!(parse_algorithm(&a).unwrap(), Algorithm::Banded { band: 32 });
@@ -860,7 +934,8 @@ mod tests {
             ["--algorithm", "window", "--window", "64", "--overlap", "16"]
                 .iter()
                 .map(|s| s.to_string()),
-            &[],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         assert_eq!(parse_algorithm(&w).unwrap(), Algorithm::Window { w: 64, o: 16 });
@@ -876,7 +951,8 @@ mod tests {
             ["datagen", "--config", "dna-edit", "--len", "120", "--count", "2", "--out", &out]
                 .iter()
                 .map(|s| s.to_string()),
-            &[],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         datagen(&gen_args).unwrap();
@@ -903,7 +979,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-            &[],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         align(&align_args).unwrap();
@@ -931,7 +1008,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-            &["strict", "no-degrade"],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         align(&a).unwrap();
@@ -953,7 +1031,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-            &["strict", "no-degrade"],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         let err = align(&b).unwrap_err();
@@ -974,7 +1053,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-            &["strict", "no-degrade"],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         align(&c).unwrap();
@@ -1010,11 +1090,7 @@ mod tests {
             argv.extend_from_slice(extra);
             argv.push(qp.to_str().unwrap());
             argv.push(rp.to_str().unwrap());
-            let a = Args::parse(
-                argv.iter().map(|s| s.to_string()),
-                &["strict", "no-degrade", "shed", "breaker"],
-            )
-            .unwrap();
+            let a = Args::parse(argv.iter().map(|s| s.to_string()), SWITCHES, OPTIONS).unwrap();
             align(&a)
         };
         let m = manifest.to_str().unwrap();
@@ -1062,7 +1138,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-            &["strict", "no-degrade", "shed", "breaker", "quarantine"],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         align(&a).unwrap();
@@ -1094,7 +1171,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-            &["strict", "no-degrade", "shed", "breaker"],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         // deadline-ms 0 disables the deadline; the run must succeed.
@@ -1113,7 +1191,8 @@ mod tests {
             ["align", "--config", "dna-edit", qp.to_str().unwrap(), rp.to_str().unwrap()]
                 .iter()
                 .map(|s| s.to_string()),
-            &[],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         align(&a).unwrap();
@@ -1123,7 +1202,8 @@ mod tests {
     fn simulate_and_info_run() {
         let a = Args::parse(
             ["simulate", "--config", "dna-gap", "--len", "500"].iter().map(|s| s.to_string()),
-            &[],
+            SWITCHES,
+            OPTIONS,
         )
         .unwrap();
         simulate(&a).unwrap();

@@ -40,21 +40,8 @@ fn main() {
 }
 
 fn run(tokens: Vec<String>) -> Result<(), CliError> {
-    let args = Args::parse(
-        tokens,
-        &[
-            "score-only",
-            "pretty",
-            "help",
-            "strict",
-            "no-degrade",
-            "shed",
-            "breaker",
-            "quarantine",
-            "resume-sessions",
-        ],
-    )
-    .map_err(|e| e.to_string())?;
+    let args =
+        Args::parse(tokens, commands::SWITCHES, commands::OPTIONS).map_err(|e| e.to_string())?;
     if args.switch("help") || args.positional.is_empty() {
         print!("{}", commands::USAGE);
         return Ok(());

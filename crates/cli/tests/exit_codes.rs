@@ -210,3 +210,25 @@ fn strict_tile_policy_degrades_whole_pairs_byte_identically() {
         "stderr: {stderr}"
     );
 }
+
+#[test]
+fn unknown_options_fail_with_the_usage_error_code() {
+    let dir = tempdir("unknown");
+    let (q, r) = write_pairs(&dir, 1, 50);
+    // A removed option, a typo'd switch, and a removed serve switch: each
+    // fails before any work, naming the key, instead of being ignored or
+    // swallowing the next token.
+    let cases: [(&[&str], &str); 3] = [
+        (&["align", "--baseline", "simd", &q, &r], "--baseline"),
+        (&["align", "--stirct", &q, &r], "--stirct"),
+        (&["serve", "--steal", "off"], "--steal"),
+    ];
+    for (argv, key) in cases {
+        let out = run(argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown option {key}")), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed results");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -223,11 +223,13 @@ fn second_sigterm_mid_drain_forces_exit_with_distinct_code() {
 
     // A backlog big enough that the single worker cannot drain it
     // before the second signal lands: long sequences make each pair an
-    // O(m*n) grind.
+    // O(m*n) grind, and 32 of them (within the default queue cap of 64)
+    // keep the drain busy for well over the 300 ms between the signals
+    // even at several GCUPS.
     let query = "ACGTACGTACGTACGT".repeat(750);
     let mut reference = query.clone();
     reference.insert(3, 'T');
-    for id in 0..8 {
+    for id in 0..32 {
         client
             .send(&Request::Pair { id, query: query.clone(), reference: reference.clone() })
             .unwrap();

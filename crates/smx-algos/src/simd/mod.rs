@@ -173,18 +173,8 @@ impl SimdWorkspace {
 pub use smx_align_core::dispatch::force_scalar;
 
 /// Whether the AVX2 instantiation of the vectorized kernel is available
-/// on this host.
-#[must_use]
-pub fn avx2_available() -> bool {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        std::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
+/// on this host (cached; the SMX-2D lane kernel asks the same switch).
+pub use smx_align_core::dispatch::avx2_available;
 
 /// Conservative no-overflow bound: every intermediate of the wrapping
 /// kernel stays within `±(m+n+2)·max|score|`, so requiring that product

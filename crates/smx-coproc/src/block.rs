@@ -5,6 +5,7 @@
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
+use crate::kernel::{self, LaneKernel, Planes, Strips};
 use crate::worker::{block_transfer_stats, TransferStats};
 use smx_align_core::AlignError;
 use smx_diffenc::boundary::BlockBorders;
@@ -105,10 +106,13 @@ pub struct BlockOutput {
 
 /// Computes an `m × n` DP-block by sweeping the tile grid.
 ///
-/// `input` borders of `None` mean a fresh, origin-anchored block. With a
-/// `session`, every tile runs through its checksum/watchdog/retry/fallback
-/// machinery (see [`crate::faults`]); `control` is checked at every tile
-/// boundary.
+/// `input` borders of `None` mean a fresh, origin-anchored block. Without
+/// a `session` the block runs strip by strip (see `kernel.rs`), and
+/// `control` is checked before each strip and every `VL` diagonals inside
+/// it, so about once per tile. With a `session`, every tile runs through
+/// its checksum/watchdog/retry/fallback machinery (see [`crate::faults`])
+/// and `control` is checked at every tile boundary. The scalar twins
+/// (`SMX_FORCE_SCALAR`) also run tile by tile.
 ///
 /// # Errors
 ///
@@ -144,7 +148,8 @@ pub fn compute_block(
     let t_rows = m.div_ceil(vl);
     let t_cols = n.div_ceil(vl);
 
-    // The carried borders, advanced in place tile by tile: `dh_carry`
+    // The carried borders, advanced in place strip by strip (or tile by
+    // tile): `dh_carry`
     // ends as the block's bottom row, and each tile row's slice of
     // `right_dv` starts as the block's left border and ends as its right.
     let mut dh_carry: Vec<u8> = borders.top_dh.clone();
@@ -155,30 +160,53 @@ pub fn compute_block(
     } else {
         (Vec::new(), Vec::new())
     };
-    let epoch = session.as_mut().map_or(0, |s| s.begin_epoch());
-
-    for ti in 0..t_rows {
-        let r0 = ti * vl;
-        let rows = (m - r0).min(vl);
-        let q_seg = &query[r0..r0 + rows];
-        let dv_carry = &mut right_dv[r0..r0 + rows];
-        for tj in 0..t_cols {
-            // Tile boundary: the cooperative cancellation / deadline hook
-            // (same granularity as the fault watchdog).
-            if let Some(token) = control {
-                token.check()?;
-            }
-            let c0 = tj * vl;
-            let cols = (n - c0).min(vl);
-            let r_seg = &reference[c0..c0 + cols];
-            let dh_top = &mut dh_carry[c0..c0 + cols];
-            if keep {
-                dv_plane[tj * m + r0..][..rows].copy_from_slice(dv_carry);
-                dh_plane[ti * n + c0..][..cols].copy_from_slice(dh_top);
-            }
-            match session.as_mut() {
-                Some(s) => s.run_tile(engine, q_seg, r_seg, dv_carry, dh_top, epoch, ti, tj)?,
-                None => engine.compute_tile(q_seg, r_seg, dv_carry, dh_top)?,
+    let kernel = LaneKernel::current();
+    if session.is_none() && kernel != LaneKernel::Scalar {
+        // Tile column 0 and tile row 0 of the planes are the block's
+        // own borders as they came in, before the sweep masks them; the
+        // sweep fills the rest.
+        let planes = keep.then(|| {
+            dv_plane[..m].copy_from_slice(&right_dv);
+            dh_plane[..n].copy_from_slice(&dh_carry);
+            Planes { dv: &mut dv_plane, dh: &mut dh_plane }
+        });
+        let mut job = Strips {
+            engine,
+            q: query,
+            r: reference,
+            dv: &mut right_dv,
+            dh: &mut dh_carry,
+            planes,
+            control,
+        };
+        kernel::block(kernel, &mut job)?;
+    } else {
+        let epoch = session.as_mut().map_or(0, |s| s.begin_epoch());
+        for ti in 0..t_rows {
+            let r0 = ti * vl;
+            let rows = (m - r0).min(vl);
+            let q_seg = &query[r0..r0 + rows];
+            let dv_carry = &mut right_dv[r0..r0 + rows];
+            for tj in 0..t_cols {
+                // Tile boundary: the cooperative cancellation / deadline
+                // hook (same granularity as the fault watchdog).
+                if let Some(token) = control {
+                    token.check()?;
+                }
+                let c0 = tj * vl;
+                let cols = (n - c0).min(vl);
+                let r_seg = &reference[c0..c0 + cols];
+                let dh_top = &mut dh_carry[c0..c0 + cols];
+                if keep {
+                    dv_plane[tj * m + r0..][..rows].copy_from_slice(dv_carry);
+                    dh_plane[ti * n + c0..][..cols].copy_from_slice(dh_top);
+                }
+                match session.as_mut() {
+                    Some(s) => {
+                        s.run_tile(engine, q_seg, r_seg, dv_carry, dh_top, epoch, ti, tj)?;
+                    }
+                    None => engine.compute_tile(q_seg, r_seg, dv_carry, dh_top)?,
+                }
             }
         }
     }

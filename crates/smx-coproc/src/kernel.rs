@@ -1,45 +1,89 @@
-//! Fast SMX-2D tile kernels, bit-exact to [`DeltaBlock::compute`] over
+//! Fast SMX-2D kernels, bit-exact to [`DeltaBlock::compute`] over
 //! [`pe_exact`].
 //!
-//! Why they are exact: every tile input border is first masked to EW
-//! bits, as `pe_exact` masks its operands. On masked inputs the plain
-//! max of [`pe_reference`] equals `pe_exact` (the exhaustive and
-//! property tests in `smx_diffenc::pe` prove it), and its outputs never
-//! exceed its largest input, so interior values stay in range and never
-//! need masking again. Both kernels below therefore evaluate
+//! Why they are exact: a block (or a lone tile) masks its input borders
+//! to EW bits once, on entry, as `pe_exact` masks its operands. On masked
+//! inputs the plain max of [`pe_reference`] equals `pe_exact` (the
+//! exhaustive and property tests in `smx_diffenc::pe` prove it), and its
+//! outputs never exceed its largest input, so interior values stay in
+//! range and never need masking again. A tile boundary inside a sweep is
+//! therefore just another column, and every kernel below evaluates
 //! `pe_reference`, only in a different cell order or encoding.
 //!
-//! * **Lane kernel** (every scheme; the only one for W4/W6): the tile is
-//!   swept by anti-diagonal with one lane per tile row, so one diagonal
-//!   is a single pass of saturating subtracts and maxes over a 16-byte
-//!   vector. Tiles taller than [`LANES`] run as stacked row bands.
+//! * **Strips.** Without a fault session a block runs one *strip* at a
+//!   time: as many whole tile rows as one lane register holds, one lane
+//!   per query row, swept across all `n` columns in one anti-diagonal
+//!   pass, so the sweep ramps up and down once per strip instead of once
+//!   per tile. 16 SSE2 lanes hold one W4 or W6 tile row or two W8 tile
+//!   rows (a W2 tile row runs as two 16-row strips); 32 AVX2 lanes hold
+//!   two W4, three W6, four W8 or one W2 tile row.
+//! * **Lane sweep** ([`sweep`], every scheme; the only one for W4/W6): one
+//!   diagonal is one pass of saturating subtracts and maxes over a lane
+//!   register. It is written once, generic over [`Vector`], and
+//!   instantiated for SSE2 and AVX2 under `#[target_feature]`. `S′` comes
+//!   per diagonal from one skewed load of the reversed reference and one
+//!   compare (match/mismatch schemes), or from the block's reference
+//!   profile, one row of `S′` per query code, copied into a diagonal-major
+//!   buffer [`CHUNK`] diagonals at a time (matrix schemes). A lone tile
+//!   is the same sweep over a strip one tile wide: fault sessions use it,
+//!   because they draw faults per tile, and so does the traceback
+//!   recompute, which needs the interior.
 //! * **Edit-word kernel** (the unit-cost edit scheme, θ = 2): the shifted
 //!   deltas {0, 1, 2} are the edit-distance deltas {+1, 0, −1}, so a
-//!   tile column fits two bit-words and one reference character is one
-//!   Myers/Hyyrö word step. A border value above θ falls back to the
-//!   lane kernel.
+//!   column of up to 64 rows fits two bit-words and one reference
+//!   character is one Myers/Hyyrö word step. A block strip is one `u64`
+//!   word (two W2 tile rows) across the block, taken when every border
+//!   value it reads is at most θ; otherwise that strip runs the lane
+//!   sweep. Both are exact, so the result is the same either way.
+//! * **Border planes** (traceback mode). A lane strip keeps its last 64
+//!   diagonals in a ring. Each lane's Δv′ crosses a tile-column boundary
+//!   and each inner tile row's entering Δh′ leaves the lane above it on
+//!   staggered diagonals; once the strip's last lane has crossed a
+//!   boundary, all of them are still in the ring and go to the planes of
+//!   `TileBorderStore`. An edit strip reads the same values from its
+//!   words at each boundary column.
+//! * **Cancellation.** A block checks its token before each strip and
+//!   every `VL` diagonals (or columns) inside it, about once per tile.
 //!
-//! `SMX_FORCE_SCALAR` (via `smx_align_core::dispatch::force_scalar`) and
-//! non-x86_64 targets run scalar twins with the same structure; SSE2 is
-//! part of the x86_64 baseline, so no runtime detection is needed.
+//! Dispatch: AVX2 where `avx2_available()` says so, else SSE2, which is
+//! part of the x86_64 baseline. `SMX_FORCE_SCALAR` (via
+//! `smx_align_core::dispatch::force_scalar`) and non-x86_64 targets run
+//! scalar twins tile by tile, with the same structure. Tests pin a
+//! thread to each instantiation with [`pinned`].
 //!
 //! [`DeltaBlock::compute`]: smx_diffenc::delta::DeltaBlock::compute
 //! [`pe_exact`]: smx_diffenc::pe::pe_exact
 
-use smx_align_core::{ElementWidth, ScoringScheme, SubstMatrix};
+use crate::control::CancelToken;
+use crate::engine::SmxEngine;
+use smx_align_core::dispatch::{avx2_available, force_scalar};
+use smx_align_core::{AlignError, ElementWidth, ScoringScheme, SubstMatrix};
 use smx_diffenc::pe::{myers_step, pe_reference};
+use std::cell::Cell;
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-/// Tile rows one lane vector holds.
+/// Rows of one band of the scalar twin.
 const LANES: usize = 16;
+/// Lanes of the widest register (AVX2), and the row stride of every
+/// diagonal-major lane buffer.
+const MAX_LANES: usize = 32;
 /// Largest tile side (the W2 geometry).
 pub(crate) const MAX_VL: usize = 32;
-/// Anti-diagonals of the largest band (`LANES + MAX_VL − 1`).
-const MAX_DIAGS: usize = LANES + MAX_VL - 1;
+/// Largest lane start ([`Vector::START`]).
+const MAX_START: usize = MAX_LANES;
+/// Padding on each side of a reversed reference: every skewed load of
+/// the sweep stays inside it.
+const PAD: usize = MAX_START;
+/// Diagonals of a matrix scheme's `S′` buffer between refills.
+const CHUNK: usize = 32;
+/// Rows of one edit-word strip: the bits of a `u64`.
+const WORD_ROWS: usize = 64;
 /// The edit scheme's θ: borders above it leave the edit-word kernel.
 const EDIT_THETA: u8 = 2;
+/// Letters of a substitution matrix.
+const MATRIX_CODES: usize = 26;
 
 /// Row-major `rows × n` interior the traceback recompute materializes.
 pub(crate) struct Interior<'a> {
@@ -57,37 +101,70 @@ impl Interior<'_> {
     }
 }
 
-/// Computes one `q.len() × r.len()` tile in place: `dv` enters as the
-/// left border and leaves as the right border, `dh` enters as the top
-/// border and leaves as the bottom border. `interior`, when given,
-/// receives every cell.
+/// The instantiation of the lane kernel a thread runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneKernel {
+    /// The scalar twins, tile by tile.
+    Scalar,
+    /// 16 lanes.
+    Sse2,
+    /// 32 lanes.
+    Avx2,
+}
+
+thread_local! {
+    static PINNED: Cell<Option<LaneKernel>> = const { Cell::new(None) };
+}
+
+impl LaneKernel {
+    /// The instantiation this thread runs: its [`pinned`] one, else the
+    /// scalar twins under `SMX_FORCE_SCALAR` or off x86_64, else AVX2
+    /// where the host has it, else SSE2.
+    pub(crate) fn current() -> LaneKernel {
+        if let Some(kernel) = PINNED.with(Cell::get) {
+            return kernel;
+        }
+        if force_scalar() || cfg!(not(target_arch = "x86_64")) {
+            LaneKernel::Scalar
+        } else if avx2_available() {
+            LaneKernel::Avx2
+        } else {
+            LaneKernel::Sse2
+        }
+    }
+}
+
+/// Every instantiation this host runs.
+#[must_use]
+pub fn supported() -> Vec<LaneKernel> {
+    let mut out = vec![LaneKernel::Scalar];
+    if cfg!(target_arch = "x86_64") {
+        out.push(LaneKernel::Sse2);
+        if avx2_available() {
+            out.push(LaneKernel::Avx2);
+        }
+    }
+    out
+}
+
+/// Runs `f` with this thread's tile and block kernels pinned to
+/// `kernel`, so tests can hold every instantiation against the same
+/// inputs.
 ///
-/// The caller guarantees `dv.len() == q.len() ≤ 32`, `dh.len() ==
-/// r.len() ≤ 32`, and a scheme validated for `ew` (encodable, θ fits).
-pub(crate) fn tile(
-    ew: ElementWidth,
-    scheme: &ScoringScheme,
-    q: &[u8],
-    r: &[u8],
-    dv: &mut [u8],
-    dh: &mut [u8],
-    mut interior: Option<&mut Interior<'_>>,
-) {
-    debug_assert!(dv.len() == q.len() && dh.len() == r.len() && q.len() <= MAX_VL);
-    if q.is_empty() || r.is_empty() {
-        return;
+/// # Panics
+///
+/// Panics if the host does not run `kernel` (see [`supported`]).
+pub fn pinned<T>(kernel: LaneKernel, f: impl FnOnce() -> T) -> T {
+    /// Restores the previous pin, also when `f` panics.
+    struct Restore(Option<LaneKernel>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PINNED.with(|p| p.set(self.0));
+        }
     }
-    let mask = ew.max_value() as u8;
-    dv.iter_mut().chain(dh.iter_mut()).for_each(|x| *x &= mask);
-    if matches!(scheme, ScoringScheme::Edit) && dv.iter().chain(dh.iter()).all(|&x| x <= EDIT_THETA)
-    {
-        edit_tile(q, r, dv, dh, interior);
-        return;
-    }
-    let subst = Subst::of(scheme);
-    for (b, (qb, dvb)) in q.chunks(LANES).zip(dv.chunks_mut(LANES)).enumerate() {
-        lane_band(qb, r, subst, dvb, dh, b * LANES, interior.as_deref_mut());
-    }
+    assert!(supported().contains(&kernel), "{kernel:?} does not run on this host");
+    let _restore = Restore(PINNED.with(|p| p.replace(Some(kernel))));
+    f()
 }
 
 /// Shifted substitution scores `S′` of a validated scheme.
@@ -127,30 +204,58 @@ impl Subst<'_> {
     }
 }
 
-/// One band of at most [`LANES`] rows of the lane kernel, in place
-/// (`dv`: this band's left/right border, `dh`: the tile's top border in,
-/// this band's bottom row out). `row0` is the band's first tile row.
-fn lane_band(
+/// Computes one `q.len() × r.len()` tile in place: `dv` enters as the
+/// left border and leaves as the right border, `dh` enters as the top
+/// border and leaves as the bottom border. `interior`, when given,
+/// receives every cell.
+///
+/// The caller guarantees `dv.len() == q.len() ≤ 32`, `dh.len() ==
+/// r.len() ≤ 32`, and a scheme validated for `ew` (encodable, θ fits).
+pub(crate) fn tile(
+    ew: ElementWidth,
+    scheme: &ScoringScheme,
     q: &[u8],
     r: &[u8],
-    subst: Subst<'_>,
     dv: &mut [u8],
     dh: &mut [u8],
-    row0: usize,
-    interior: Option<&mut Interior<'_>>,
+    mut interior: Option<&mut Interior<'_>>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if !smx_align_core::dispatch::force_scalar() {
-        // SAFETY: SSE2 is part of the x86_64 baseline, so the function's
-        // only target feature is present on every x86_64 host.
-        unsafe { lane_band_sse2(q, r, subst, dv, dh, row0, interior) };
+    debug_assert!(dv.len() == q.len() && dh.len() == r.len() && q.len() <= MAX_VL);
+    if q.is_empty() || r.is_empty() {
         return;
     }
-    lane_band_scalar(q, r, subst, dv, dh, row0, interior);
+    let mask = ew.max_value() as u8;
+    dv.iter_mut().chain(dh.iter_mut()).for_each(|x| *x &= mask);
+    let kernel = LaneKernel::current();
+    if matches!(scheme, ScoringScheme::Edit) && in_theta(dv) && in_theta(dh) {
+        edit_tile(kernel, q, r, dv, dh, interior);
+        return;
+    }
+    let subst = Subst::of(scheme);
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        LaneKernel::Sse2 => unsafe { tile_sse2(q, r, subst, dv, dh, interior) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `current` picks AVX2 only where `supported` lists it.
+        LaneKernel::Avx2 => unsafe { tile_avx2(q, r, subst, dv, dh, interior) },
+        _ => {
+            for (b, (qb, dvb)) in q.chunks(LANES).zip(dv.chunks_mut(LANES)).enumerate() {
+                lane_band_scalar(qb, r, subst, dvb, dh, b * LANES, interior.as_deref_mut());
+            }
+        }
+    }
 }
 
-/// Scalar twin of [`lane_band_sse2`]: the same anti-diagonal sweep, one
-/// live lane at a time.
+/// Whether every value is a valid edit-word delta.
+fn in_theta(border: &[u8]) -> bool {
+    border.iter().all(|&x| x <= EDIT_THETA)
+}
+
+/// Scalar twin of the lane sweep over one band of at most [`LANES`] tile
+/// rows, in place (`dv`: this band's left/right border, `dh`: the tile's
+/// top border in, this band's bottom row out), one live lane at a time.
+/// `row0` is the band's first tile row.
 fn lane_band_scalar(
     q: &[u8],
     r: &[u8],
@@ -183,125 +288,867 @@ fn lane_band_scalar(
     }
 }
 
-/// The lane kernel on SSE2: lane `i` of diagonal `d` computes cell
-/// `(i, d − i)`.
+/// One lane register of [`sweep`]: `N` unsigned byte lanes. Lane `i`
+/// holds strip row `i`, and on diagonal `d` it computes column
+/// `d − START[i]`.
+///
+/// Every method may run only where the instantiation's target feature is
+/// enabled, which is what the `unsafe` on each one stands for.
+trait Vector: Copy + 'static {
+    /// Lanes per register.
+    const N: usize;
+    /// The diagonal each lane starts on: `i`, or one more in AVX2's
+    /// upper half (see its [`Vector::shift_in`]).
+    const START: [u8; MAX_LANES];
+    /// `STARTED[k]`: the lanes with `START[i] ≤ k`, as a byte mask.
+    const STARTED: [[u8; MAX_LANES]; MASKS] = lane_masks(Self::START, true);
+    /// `UNFINISHED[k]`: the lanes with `START[i] ≥ k`, as a byte mask.
+    const UNFINISHED: [[u8; MAX_LANES]; MASKS] = lane_masks(Self::START, false);
+
+    /// The first `N` bytes of `src`.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn load(src: &[u8]) -> Self;
+    /// Lane `i` from `src[START[i]]`.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn load_skewed(src: &[u8]) -> Self;
+    /// Writes the lanes to the first `N` bytes of `out`.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn store(self, out: &mut [u8]);
+    /// `x` in every lane.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn splat(x: u8) -> Self;
+    /// The Δh′ entering each lane on the next diagonal: lane `i` takes
+    /// lane `i − 1`'s output for the same column and lane 0 takes `top`.
+    /// `h1` and `h2` are the outputs of the last two diagonals.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn shift_in(h1: Self, h2: Self, top: u8) -> Self;
+    /// [`pe_reference`] on every lane: `(Δv′, Δh′)` out of `S′`, Δv′ and
+    /// Δh′ in.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn pe(s: Self, dv: Self, dh: Self) -> (Self, Self);
+    /// `miss + delta` in the lanes where `q == r`, `miss` elsewhere
+    /// (wrapping, so `miss + delta` can be any byte).
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn uniform(q: Self, r: Self, miss: Self, delta: Self) -> Self;
+    /// `new` in the lanes set in both byte masks `a` and `b`, `old`
+    /// elsewhere.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn keep_live(new: Self, old: Self, a: &[u8], b: &[u8]) -> Self;
+    /// Runs `f` in a frame of its own, compiled with the instantiation's
+    /// target feature: the sweep's diagonal loop, kept apart from the
+    /// token check between its runs so the lane registers never spill.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn isolated<R>(f: impl FnOnce() -> R) -> R;
+}
+
+/// SSE2 lanes: one 16-byte register.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Sse2(__m128i);
+
+#[cfg(target_arch = "x86_64")]
+impl Vector for Sse2 {
+    const N: usize = 16;
+    const START: [u8; MAX_LANES] = lane_starts(0);
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: the slice index proves 16 readable bytes, and the load has
+    // no alignment requirement.
+    unsafe fn load(src: &[u8]) -> Sse2 {
+        Sse2(_mm_loadu_si128(src[..16].as_ptr().cast()))
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: `START` is the identity here, so this is `load`.
+    unsafe fn load_skewed(src: &[u8]) -> Sse2 {
+        Sse2::load(src)
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: the slice index proves 16 writable bytes, and the store has
+    // no alignment requirement.
+    unsafe fn store(self, out: &mut [u8]) {
+        _mm_storeu_si128(out[..16].as_mut_ptr().cast(), self.0);
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn splat(x: u8) -> Sse2 {
+        Sse2(_mm_set1_epi8(x as i8))
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn shift_in(h1: Sse2, _h2: Sse2, top: u8) -> Sse2 {
+        Sse2(_mm_or_si128(_mm_slli_si128::<1>(h1.0), _mm_cvtsi32_si128(i32::from(top))))
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn pe(s: Sse2, dv: Sse2, dh: Sse2) -> (Sse2, Sse2) {
+        let v = _mm_max_epu8(_mm_subs_epu8(s.0, dh.0), _mm_subs_epu8(dv.0, dh.0));
+        let h = _mm_max_epu8(_mm_subs_epu8(s.0, dv.0), _mm_subs_epu8(dh.0, dv.0));
+        (Sse2(v), Sse2(h))
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn uniform(q: Sse2, r: Sse2, miss: Sse2, delta: Sse2) -> Sse2 {
+        Sse2(_mm_add_epi8(miss.0, _mm_and_si128(_mm_cmpeq_epi8(q.0, r.0), delta.0)))
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: `load` checks both masks' lengths; the rest is register
+    // arithmetic.
+    unsafe fn keep_live(new: Sse2, old: Sse2, a: &[u8], b: &[u8]) -> Sse2 {
+        let live = _mm_and_si128(Sse2::load(a).0, Sse2::load(b).0);
+        Sse2(_mm_or_si128(_mm_and_si128(live, new.0), _mm_andnot_si128(live, old.0)))
+    }
+
+    #[inline(never)]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: a plain call.
+    unsafe fn isolated<R>(f: impl FnOnce() -> R) -> R {
+        f()
+    }
+}
+
+/// AVX2 lanes: one 32-byte register. The upper half starts one diagonal
+/// late, so the Δh′ that crosses from lane 15 to lane 16 is two
+/// diagonals old and the lane-crossing permute stays off the diagonal's
+/// dependency chain.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx2(__m256i);
+
+#[cfg(target_arch = "x86_64")]
+impl Vector for Avx2 {
+    const N: usize = 32;
+    const START: [u8; MAX_LANES] = lane_starts(1);
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: the slice index proves 32 readable bytes, and the load has
+    // no alignment requirement.
+    unsafe fn load(src: &[u8]) -> Avx2 {
+        Avx2(_mm256_loadu_si256(src[..32].as_ptr().cast()))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: the slice index proves bytes 0..33 readable, covering both
+    // 16-byte loads (at 0 and at `START[16]` = 17), and neither load has
+    // an alignment requirement.
+    unsafe fn load_skewed(src: &[u8]) -> Avx2 {
+        let src = &src[..33];
+        let lo = _mm_loadu_si128(src.as_ptr().cast());
+        let hi = _mm_loadu_si128(src[17..].as_ptr().cast());
+        Avx2(_mm256_set_m128i(hi, lo))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: the slice index proves 32 writable bytes, and the store has
+    // no alignment requirement.
+    unsafe fn store(self, out: &mut [u8]) {
+        _mm256_storeu_si256(out[..32].as_mut_ptr().cast(), self.0);
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn splat(x: u8) -> Avx2 {
+        Avx2(_mm256_set1_epi8(x as i8))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn shift_in(h1: Avx2, h2: Avx2, top: u8) -> Avx2 {
+        // `alignr` shifts each 128-bit half by one byte and fills its lane
+        // 0 from byte 15 of `b`: `top` for the lower half, and lane 15 of
+        // the diagonal before last for the upper half, which lags by one.
+        let t = _mm_slli_si128::<15>(_mm_cvtsi32_si128(i32::from(top)));
+        let b = _mm256_permute2x128_si256::<0x02>(h2.0, _mm256_castsi128_si256(t));
+        Avx2(_mm256_alignr_epi8::<15>(h1.0, b))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn pe(s: Avx2, dv: Avx2, dh: Avx2) -> (Avx2, Avx2) {
+        let v = _mm256_max_epu8(_mm256_subs_epu8(s.0, dh.0), _mm256_subs_epu8(dv.0, dh.0));
+        let h = _mm256_max_epu8(_mm256_subs_epu8(s.0, dv.0), _mm256_subs_epu8(dh.0, dv.0));
+        (Avx2(v), Avx2(h))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn uniform(q: Avx2, r: Avx2, miss: Avx2, delta: Avx2) -> Avx2 {
+        Avx2(_mm256_add_epi8(miss.0, _mm256_and_si256(_mm256_cmpeq_epi8(q.0, r.0), delta.0)))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `load` checks both masks' lengths; the rest is register
+    // arithmetic.
+    unsafe fn keep_live(new: Avx2, old: Avx2, a: &[u8], b: &[u8]) -> Avx2 {
+        let live = _mm256_and_si256(Avx2::load(a).0, Avx2::load(b).0);
+        Avx2(_mm256_blendv_epi8(old.0, new.0, live))
+    }
+
+    #[inline(never)]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: a plain call.
+    unsafe fn isolated<R>(f: impl FnOnce() -> R) -> R {
+        f()
+    }
+}
+
+/// Entries of a lane-mask table: every diagonal offset up to one past
+/// the largest lane start, after which the masks no longer change.
+const MASKS: usize = MAX_START + 2;
+
+/// `[k]`: the lanes with `start[i] ≤ k` (`started`) or `start[i] ≥ k`
+/// (otherwise), as byte masks.
+const fn lane_masks(start: [u8; MAX_LANES], started: bool) -> [[u8; MAX_LANES]; MASKS] {
+    let mut out = [[0u8; MAX_LANES]; MASKS];
+    let mut k = 0;
+    while k < MASKS {
+        let mut i = 0;
+        while i < MAX_LANES {
+            let s = start[i] as usize;
+            if (started && s <= k) || (!started && s >= k) {
+                out[k][i] = 0xFF;
+            }
+            i += 1;
+        }
+        k += 1;
+    }
+    out
+}
+
+/// Lane starts `i`, plus `lag` from lane 16 on.
+const fn lane_starts(lag: u8) -> [u8; MAX_LANES] {
+    let mut out = [0u8; MAX_LANES];
+    let mut i = 0;
+    while i < MAX_LANES {
+        out[i] = i as u8 + if i >= 16 { lag } else { 0 };
+        i += 1;
+    }
+    out
+}
+
+/// Diagonals a [`Ring`] holds: more than any lane's start, so every lane
+/// of a column is still there when the strip's last lane passes it.
+const RING: usize = 64;
+
+/// The Δv′ and Δh′ lanes of a sweep's last [`RING`] diagonals, diagonal
+/// `d` at `(d % RING) · MAX_LANES`.
+struct Ring {
+    dv: [u8; RING * MAX_LANES],
+    dh: [u8; RING * MAX_LANES],
+}
+
+impl Ring {
+    /// Index of lane `i`'s cell in column `j`.
+    #[inline]
+    fn at<V: Vector>(i: usize, j: usize) -> usize {
+        (j + usize::from(V::START[i])) % RING * MAX_LANES + i
+    }
+}
+
+/// What a sweep keeps besides its output borders.
+trait Capture<V: Vector> {
+    /// Sees the Δv′ and Δh′ lanes of diagonal `d`.
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn record(&mut self, _d: usize, _v: V, _h: V) {}
+}
+
+/// Keeps nothing: score-only strips, and tiles without an interior.
+struct Borders;
+
+impl<V: Vector> Capture<V> for Borders {}
+
+/// Writes every cell of a one-tile strip to the interior, as the sweep
+/// computes it.
+struct Cells<'i, 'a> {
+    interior: &'i mut Interior<'a>,
+    /// The strip's first tile row, its rows and its columns.
+    row0: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl<V: Vector> Capture<V> for Cells<'_, '_> {
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn record(&mut self, d: usize, v: V, h: V) {
+        let (mut vb, mut hb) = ([0u8; MAX_LANES], [0u8; MAX_LANES]);
+        v.store(&mut vb);
+        h.store(&mut hb);
+        // `i ≤ START[i] ≤ i + 1` bounds the lanes inside the tile.
+        for i in d.saturating_sub(self.cols)..=d.min(self.rows - 1) {
+            let j = d.wrapping_sub(usize::from(V::START[i]));
+            if j < self.cols {
+                self.interior.put(self.row0 + i, j, vb[i], hb[i]);
+            }
+        }
+    }
+}
+
+/// Fills the border planes from a lane strip as it sweeps. Each time the
+/// strip's last lane has crossed into tile column `tj`, the ring still
+/// holds every lane's Δv′ at the boundary (diagonal `tj · VL − 1 +
+/// START[i]` for lane `i`), and every Δh′ that the lanes ending a tile
+/// row passed down into tile column `tj − 1`; both are copied out then,
+/// and the last tile column's Δh′ when the sweep ends ([`Self::finish`]).
+struct PlaneCapture<'p, 'a, V> {
+    ring: Ring,
+    planes: &'p mut Planes<'a>,
+    /// The strip's first block row, its rows, and the block's geometry.
+    s0: usize,
+    rows: usize,
+    m: usize,
+    n: usize,
+    vl: usize,
+    /// The lanes whose row ends a tile row inside the strip, each with
+    /// the plane row it feeds.
+    inner: [(usize, usize); MAX_LANES / 8],
+    inner_len: usize,
+    /// The next tile column, and the diagonal on which the strip's last
+    /// lane crosses into it.
+    tj: usize,
+    due: usize,
+    lanes: std::marker::PhantomData<V>,
+}
+
+impl<'p, 'a, V: Vector> PlaneCapture<'p, 'a, V> {
+    fn new(
+        planes: &'p mut Planes<'a>,
+        s0: usize,
+        rows: usize,
+        m: usize,
+        n: usize,
+        vl: usize,
+    ) -> Self {
+        let last = usize::from(V::START[rows - 1]);
+        let (mut inner, mut inner_len) = ([(0, 0); MAX_LANES / 8], 0);
+        for i in (0..rows - 1).filter(|i| (s0 + i + 1).is_multiple_of(vl)) {
+            inner[inner_len] = (i, (s0 + i + 1) / vl * n);
+            inner_len += 1;
+        }
+        PlaneCapture {
+            ring: Ring { dv: [0; RING * MAX_LANES], dh: [0; RING * MAX_LANES] },
+            planes,
+            s0,
+            rows,
+            m,
+            n,
+            vl,
+            inner,
+            inner_len,
+            tj: 1,
+            due: if vl < n { vl - 1 + last } else { usize::MAX },
+            lanes: std::marker::PhantomData,
+        }
+    }
+
+    /// Copies the Δh′ of columns `cols` that each lane ending a tile row
+    /// inside the strip passed down, to the plane row of the tile row
+    /// below it.
+    fn inner_rows(&mut self, cols: std::ops::Range<usize>) {
+        for &(i, row) in &self.inner[..self.inner_len] {
+            let row = &mut self.planes.dh[row..][cols.clone()];
+            for (j, x) in cols.clone().zip(row.iter_mut()) {
+                *x = self.ring.dh[Ring::at::<V>(i, j)];
+            }
+        }
+    }
+
+    /// Stores the last tile column's Δh′ once the sweep is done.
+    fn finish(mut self) {
+        let cols = (self.tj - 1) * self.vl..self.n;
+        self.inner_rows(cols);
+    }
+}
+
+impl<V: Vector> Capture<V> for PlaneCapture<'_, '_, V> {
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn record(&mut self, d: usize, v: V, h: V) {
+        let k = d % RING * MAX_LANES;
+        v.store(&mut self.ring.dv[k..]);
+        h.store(&mut self.ring.dh[k..]);
+        if d == self.due {
+            let (tj, vl) = (self.tj, self.vl);
+            let col = &mut self.planes.dv[tj * self.m + self.s0..][..self.rows];
+            for (i, x) in col.iter_mut().enumerate() {
+                *x = self.ring.dv[Ring::at::<V>(i, tj * vl - 1)];
+            }
+            self.inner_rows((tj - 1) * vl..tj * vl);
+            self.tj += 1;
+            self.due = if self.tj * vl < self.n { d + vl } else { usize::MAX };
+        }
+    }
+}
+
+/// The lane sweep: strip rows `0..rows` (at most `V::N`, one per lane)
+/// across `dh.len()` columns, in place: `dv` enters as the strip's left
+/// border and leaves as its right, `dh` enters as its top and leaves as
+/// its bottom row. `s_at(d)` yields the `S′` lanes of diagonal `d` (called
+/// once per diagonal, in order), `cap` sees every diagonal, and `control`
+/// is checked every `every` diagonals.
+///
+/// Lanes outside `0 ≤ d − START[i] < n` keep their Δv′ (not started, or
+/// already holding the right border); only the ramps at either end of
+/// the sweep mask them. Their Δh′ only ever feeds lanes that are outside
+/// too.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn sweep<V: Vector, C: Capture<V>>(
+    rows: usize,
+    dv: &mut [u8],
+    dh: &mut [u8],
+    mut s_at: impl FnMut(usize) -> V,
+    cap: &mut C,
+    control: Option<(&CancelToken, usize)>,
+) -> Result<(), AlignError> {
+    let n = dh.len();
+    let last = usize::from(V::START[rows - 1]);
+    let total = n + last;
+    let mut lanes = [0u8; MAX_LANES];
+    lanes[..rows].copy_from_slice(&dv[..rows]);
+    // The lane registers: Δv′ carried along each row, and the Δh′ of the
+    // last two diagonals.
+    let mut regs = (V::load(&lanes), V::splat(0), V::splat(0));
+    match control {
+        None => regs = diagonals(regs, 0..total, rows, dh, &mut s_at, cap),
+        Some((token, every)) => {
+            for lo in (0..total).step_by(every) {
+                if lo > 0 {
+                    token.check()?;
+                }
+                let ds = lo..(lo + every).min(total);
+                regs = V::isolated(|| diagonals(regs, ds, rows, dh, &mut s_at, cap));
+            }
+        }
+    }
+    let vdv = regs.0;
+    vdv.store(&mut lanes);
+    dv[..rows].copy_from_slice(&lanes[..rows]);
+    Ok(())
+}
+
+/// Diagonals `ds` of [`sweep`], from and to the lane registers `regs`.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn diagonals<V: Vector, C: Capture<V>>(
+    regs: (V, V, V),
+    ds: std::ops::Range<usize>,
+    rows: usize,
+    dh: &mut [u8],
+    s_at: &mut impl FnMut(usize) -> V,
+    cap: &mut C,
+) -> (V, V, V) {
+    let (mut vdv, mut h1, mut h2) = regs;
+    let n = dh.len();
+    let last = usize::from(V::START[rows - 1]);
+    let mut out = [0u8; MAX_LANES];
+    for d in ds {
+        let top = if d < n { dh[d] } else { 0 };
+        let dh_in = V::shift_in(h1, h2, top);
+        let (v, h) = V::pe(s_at(d), vdv, dh_in);
+        // Every lane is inside the block on the diagonals `last .. n`.
+        vdv = if d < last || d >= n {
+            let finished = (d + 1).saturating_sub(n);
+            let (a, b) = (&V::STARTED[d.min(MASKS - 1)], &V::UNFINISHED[finished.min(MASKS - 1)]);
+            V::keep_live(v, vdv, a, b)
+        } else {
+            v
+        };
+        (h2, h1) = (h1, h);
+        cap.record(d, v, h);
+        if d >= last {
+            h.store(&mut out);
+            dh[d - last] = out[rows - 1];
+        }
+    }
+    (vdv, h1, h2)
+}
+
+/// Lays `r` out reversed around `PAD` bytes of padding on each side, so
+/// `rrev[n − 1 + PAD − d + START[i]]` is `r[d − START[i]]` and one
+/// skewed load at `n − 1 + PAD − d` serves every lane of diagonal `d`.
+fn reverse_into(r: &[u8], rrev: &mut [u8]) {
+    let base = r.len() - 1 + PAD;
+    for (j, &c) in r.iter().enumerate() {
+        rrev[base - j] = c;
+    }
+}
+
+/// The `S′` lanes of a match/mismatch scheme on diagonal `d` of the strip
+/// `qv` (query codes per lane), from the reversed reference `rrev` of
+/// `n` columns.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn uniform_at<V: Vector>(
+    qv: V,
+    (miss, delta): (V, V),
+    rrev: &[u8],
+    n: usize,
+) -> impl Fn(usize) -> V + '_ {
+    let base = n - 1 + PAD;
+    move |d| V::uniform(qv, V::load_skewed(&rrev[base - d..]), miss, delta)
+}
+
+/// The query codes of a strip, one per lane.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn query_lanes<V: Vector>(q: &[u8]) -> V {
+    let mut lanes = [0u8; MAX_LANES];
+    lanes[..q.len()].copy_from_slice(q);
+    V::load(&lanes)
+}
+
+/// `miss` and `hit − miss` (wrapping) in every lane.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn hit_miss<V: Vector>(hit: u8, miss: u8) -> (V, V) {
+    (V::splat(miss), V::splat(hit.wrapping_sub(miss)))
+}
+
+/// Writes the `S′` lanes of diagonals `d0 .. d0 + CHUNK` of a one-tile
+/// strip `q` × `r` to `buf` (diagonal-major), with `sub(a, b)` the `S′`
+/// of query code `a` against reference code `b`. Lanes outside the tile
+/// keep stale values; the sweep discards them.
+#[inline(always)]
+fn fill_tile_chunk<V: Vector>(
+    buf: &mut [u8; CHUNK * MAX_LANES],
+    d0: usize,
+    q: &[u8],
+    r: &[u8],
+    sub: impl Fn(u8, u8) -> u8,
+) {
+    for (i, &a) in q.iter().enumerate() {
+        let st = usize::from(V::START[i]);
+        let (lo, hi) = (d0.max(st), (d0 + CHUNK).min(st + r.len()));
+        if lo < hi {
+            for (k, &c) in r[lo - st..hi - st].iter().enumerate() {
+                buf[(lo - d0 + k) * MAX_LANES + i] = sub(a, c);
+            }
+        }
+    }
+}
+
+/// Writes the `S′` lanes of diagonals `d0 .. d0 + CHUNK` of a block strip
+/// to `buf` (diagonal-major) from the block's reference profile: lane
+/// `i` copies a run of its query code's row.
+#[inline(always)]
+fn fill_strip_chunk<V: Vector>(
+    buf: &mut [u8; CHUNK * MAX_LANES],
+    d0: usize,
+    q: &[u8],
+    profile: &Profile<'_>,
+) {
+    for (i, &a) in q.iter().enumerate() {
+        let run = &profile.row(a)[PAD + d0 - usize::from(V::START[i])..][..CHUNK];
+        for (t, &s) in run.iter().enumerate() {
+            buf[t * MAX_LANES + i] = s;
+        }
+    }
+}
+
+/// A matrix scheme's reference profile for one block: per query code
+/// `a`, the row `S′(a, r[j])` over the block's columns `j`, behind `PAD`
+/// zero bytes and followed by `PAD + CHUNK` more.
+struct Profile<'a> {
+    rows: &'a [u8],
+    len: usize,
+}
+
+impl Profile<'_> {
+    /// The row of query code `a`.
+    #[inline]
+    fn row(&self, a: u8) -> &[u8] {
+        &self.rows[usize::from(a) * self.len..][..self.len]
+    }
+}
+
+/// [`tile`]'s lane path on SSE2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-fn lane_band_sse2(
+fn tile_sse2(
     q: &[u8],
     r: &[u8],
     subst: Subst<'_>,
     dv: &mut [u8],
     dh: &mut [u8],
-    row0: usize,
     interior: Option<&mut Interior<'_>>,
 ) {
-    match subst {
-        Subst::Uniform { hit, miss } => {
-            // Lane i needs r[d − i]: with the reference reversed around
-            // REV, one unaligned load at REV − d serves every lane.
-            const REV: usize = MAX_DIAGS;
-            let mut rrev = [0u8; REV + LANES];
-            for (j, &c) in r.iter().enumerate() {
-                rrev[REV - j] = c;
-            }
-            let mut qb = [0u8; LANES];
-            qb[..q.len()].copy_from_slice(q);
-            let vq = load16(&qb);
-            let (vhit, vmiss) = (_mm_set1_epi8(hit as i8), _mm_set1_epi8(miss as i8));
-            sweep_sse2(dv, dh, row0, interior, |d| {
-                let eq = _mm_cmpeq_epi8(vq, load16(&rrev[REV - d..]));
-                _mm_or_si128(_mm_and_si128(eq, vhit), _mm_andnot_si128(eq, vmiss))
-            });
-        }
-        Subst::Matrix { .. } => {
-            // The per-tile lane array: S′ of diagonal d, lane i.
-            let mut sdiag = [0u8; MAX_DIAGS * LANES];
-            for (j, &c) in r.iter().enumerate() {
-                for (i, &a) in q.iter().enumerate() {
-                    sdiag[(i + j) * LANES + i] = subst.at(a, c);
-                }
-            }
-            sweep_sse2(dv, dh, row0, interior, |d| load16(&sdiag[d * LANES..]));
-        }
-    }
+    // SAFETY: this function enables SSE2.
+    unsafe { tile_on::<Sse2>(q, r, subst, dv, dh, interior) }
 }
 
-/// The anti-diagonal sweep shared by both substitution sources; `s_at(d)`
-/// yields the `S′` lanes of diagonal `d`.
+/// [`tile`]'s lane path on AVX2.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-fn sweep_sse2(
+#[target_feature(enable = "avx2")]
+fn tile_avx2(
+    q: &[u8],
+    r: &[u8],
+    subst: Subst<'_>,
     dv: &mut [u8],
     dh: &mut [u8],
-    row0: usize,
-    mut interior: Option<&mut Interior<'_>>,
-    s_at: impl Fn(usize) -> __m128i,
+    interior: Option<&mut Interior<'_>>,
 ) {
-    let (rows, cols) = (dv.len(), dh.len());
-    let mut lanes = [0u8; LANES];
-    lanes[..rows].copy_from_slice(dv);
-    let mut vdv = load16(&lanes);
-    let mut vdh = _mm_setzero_si128();
-    // Column of each lane's cell, `d − i`, wrapping below zero to ≥ 240.
-    let mut col =
-        _mm_setr_epi8(0, -1, -2, -3, -4, -5, -6, -7, -8, -9, -10, -11, -12, -13, -14, -15);
-    let (one, last_col) = (_mm_set1_epi8(1), _mm_set1_epi8(cols as i8 - 1));
-    let (mut out_dv, mut out_dh) = ([0u8; LANES], [0u8; LANES]);
-    for d in 0..rows + cols - 1 {
-        // Δh′ moves one lane down; lane 0 takes the top border.
-        let top = if d < cols { dh[d] } else { 0 };
-        let dh_in = _mm_or_si128(_mm_slli_si128::<1>(vdh), _mm_cvtsi32_si128(i32::from(top)));
-        let s = s_at(d);
-        let v = _mm_max_epu8(_mm_subs_epu8(s, dh_in), _mm_subs_epu8(vdv, dh_in));
-        let h = _mm_max_epu8(_mm_subs_epu8(s, vdv), _mm_subs_epu8(dh_in, vdv));
-        // Lanes outside 0 ≤ d − i < cols keep their Δv′ (not started, or
-        // already holding the right border). Their Δh′ only ever feeds
-        // lanes that are outside too.
-        let live = _mm_cmpeq_epi8(_mm_min_epu8(col, last_col), col);
-        vdv = _mm_or_si128(_mm_and_si128(live, v), _mm_andnot_si128(live, vdv));
-        col = _mm_add_epi8(col, one);
-        vdh = h;
-        if d + 1 >= rows || interior.is_some() {
-            store16(&mut out_dh, h);
-            if d + 1 >= rows {
-                dh[d + 1 - rows] = out_dh[rows - 1];
+    // SAFETY: this function enables AVX2.
+    unsafe { tile_on::<Avx2>(q, r, subst, dv, dh, interior) }
+}
+
+/// One tile as strips of at most `V::N` rows, one tile wide.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn tile_on<V: Vector>(
+    q: &[u8],
+    r: &[u8],
+    subst: Subst<'_>,
+    dv: &mut [u8],
+    dh: &mut [u8],
+    interior: Option<&mut Interior<'_>>,
+) {
+    match interior {
+        Some(interior) => {
+            for (b, (qb, dvb)) in q.chunks(V::N).zip(dv.chunks_mut(V::N)).enumerate() {
+                let (row0, rows, cols) = (b * V::N, qb.len(), r.len());
+                let mut cells = Cells { interior: &mut *interior, row0, rows, cols };
+                tile_strip::<V, _>(qb, r, subst, dvb, dh, &mut cells);
             }
-            if let Some(int) = interior.as_deref_mut() {
-                store16(&mut out_dv, v);
-                for i in d.saturating_sub(cols - 1)..=d.min(rows - 1) {
-                    int.put(row0 + i, d - i, out_dv[i], out_dh[i]);
-                }
+        }
+        None => {
+            for (qb, dvb) in q.chunks(V::N).zip(dv.chunks_mut(V::N)) {
+                tile_strip::<V, _>(qb, r, subst, dvb, dh, &mut Borders);
             }
         }
     }
-    store16(&mut lanes, vdv);
-    dv.copy_from_slice(&lanes[..rows]);
 }
 
-/// Unaligned load of the first 16 bytes of `bytes`.
+/// One strip of at most `V::N` tile rows across one tile.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn tile_strip<V: Vector, C: Capture<V>>(
+    q: &[u8],
+    r: &[u8],
+    subst: Subst<'_>,
+    dv: &mut [u8],
+    dh: &mut [u8],
+    cap: &mut C,
+) {
+    let rows = q.len();
+    let done = match subst {
+        Subst::Uniform { hit, miss } => {
+            let mut rrev = [0u8; MAX_VL + 2 * PAD];
+            reverse_into(r, &mut rrev);
+            let s_at = uniform_at::<V>(query_lanes(q), hit_miss(hit, miss), &rrev, r.len());
+            sweep::<V, C>(rows, dv, dh, s_at, cap, None)
+        }
+        Subst::Matrix { matrix, shift } => {
+            let sub = |a, b| (matrix.score(a, b) + shift) as u8;
+            let mut buf = [0u8; CHUNK * MAX_LANES];
+            let mut end = 0;
+            let s_at = |d| {
+                if d == end {
+                    fill_tile_chunk::<V>(&mut buf, d, q, r, sub);
+                    end = d + CHUNK;
+                }
+                V::load(&buf[(d + CHUNK - end) * MAX_LANES..])
+            };
+            sweep::<V, C>(rows, dv, dh, s_at, cap, None)
+        }
+    };
+    debug_assert!(done.is_ok(), "a sweep without a token cannot fail");
+}
+
+/// The two border planes of a traceback-mode block (`TileBorderStore`'s
+/// layout): `dv` is `t_cols × m`, `dh` is `t_rows × n`.
+pub(crate) struct Planes<'a> {
+    pub(crate) dv: &'a mut [u8],
+    pub(crate) dh: &'a mut [u8],
+}
+
+/// One block for [`block`]: `dv` (left border in, right border out) and
+/// `dh` (top border in, bottom row out) are carried in place.
+pub(crate) struct Strips<'a> {
+    pub(crate) engine: &'a SmxEngine,
+    pub(crate) q: &'a [u8],
+    pub(crate) r: &'a [u8],
+    pub(crate) dv: &'a mut [u8],
+    pub(crate) dh: &'a mut [u8],
+    /// Tile input borders of the block (traceback mode). Tile column 0
+    /// and tile row 0 are the block's own borders, which the caller
+    /// stores; the sweep fills the rest.
+    pub(crate) planes: Option<Planes<'a>>,
+    pub(crate) control: Option<&'a CancelToken>,
+}
+
+/// Computes a block strip by strip on `kernel` (SSE2 or AVX2).
+/// `control` is checked before each strip and every `VL` diagonals (or
+/// columns) inside it.
+pub(crate) fn block(kernel: LaneKernel, job: &mut Strips<'_>) -> Result<(), AlignError> {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        LaneKernel::Sse2 => unsafe { block_sse2(job) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `current` picks AVX2 only where `supported` lists it.
+        LaneKernel::Avx2 => unsafe { block_avx2(job) },
+        _ => Err(AlignError::Internal(format!("no strip sweep on {kernel:?}"))),
+    }
+}
+
+/// [`block`] on SSE2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-fn load16(bytes: &[u8]) -> __m128i {
-    assert!(bytes.len() >= LANES);
-    // SAFETY: the assert above proves 16 readable bytes, and
-    // `_mm_loadu_si128` has no alignment requirement.
-    unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+fn block_sse2(job: &mut Strips<'_>) -> Result<(), AlignError> {
+    // SAFETY: this function enables SSE2.
+    unsafe { block_on::<Sse2>(job) }
 }
 
-/// Unaligned store of `v` into `out`.
+/// [`block`] on AVX2.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-fn store16(out: &mut [u8; LANES], v: __m128i) {
-    // SAFETY: `out` is exactly 16 writable bytes, and `_mm_storeu_si128`
-    // has no alignment requirement.
-    unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), v) }
+#[target_feature(enable = "avx2")]
+fn block_avx2(job: &mut Strips<'_>) -> Result<(), AlignError> {
+    // SAFETY: this function enables AVX2.
+    unsafe { block_on::<Avx2>(job) }
 }
 
-/// The edit-word kernel: bit `i` of `(pv, mv)` is the edit delta of tile
-/// row `i` in the current column (`pv`: +1, `mv`: −1), and each
-/// reference character is one Edlib-order step.
+/// The strip loop: edit-word strips of `WORD_ROWS` rows rounded down to
+/// whole tile rows where the scheme and the borders allow, lane strips
+/// of `V::N` rows rounded down the same way otherwise.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
+    let (engine, q, r, control) = (job.engine, job.q, job.r, job.control);
+    let (dv, dh) = (&mut *job.dv, &mut *job.dh);
+    let (m, n, vl) = (q.len(), r.len(), engine.tile_dim());
+    let mask = engine.ew().max_value() as u8;
+    dv.iter_mut().chain(dh.iter_mut()).for_each(|x| *x &= mask);
+    let edit = matches!(engine.scheme(), ScoringScheme::Edit);
+    let lane_rows = if vl <= V::N { V::N / vl * vl } else { V::N };
+    let strip_rows = if edit { WORD_ROWS / vl * vl } else { lane_rows };
+    let subst = Subst::of(engine.scheme());
+    // Allocated by the first lane strip: the reversed reference, or a
+    // matrix scheme's reference profile.
+    let mut scratch = Vec::new();
+    let row_len = n + 2 * PAD + CHUNK;
+    for r0 in (0..m).step_by(strip_rows) {
+        let rows = strip_rows.min(m - r0);
+        let whole_word = edit && in_theta(&dv[r0..r0 + rows]) && in_theta(dh);
+        let substrip = if whole_word { rows } else { lane_rows };
+        for s0 in (r0..r0 + rows).step_by(substrip) {
+            if let Some(t) = control {
+                t.check()?;
+            }
+            let h = substrip.min(r0 + rows - s0);
+            let (qs, dvs) = (&q[s0..s0 + h], &mut dv[s0..s0 + h]);
+            if let Some(p) = job.planes.as_mut() {
+                if s0.is_multiple_of(vl) && s0 > 0 {
+                    p.dh[s0 / vl * n..][..n].copy_from_slice(dh);
+                }
+            }
+            if whole_word {
+                let at = job.planes.as_mut().map(|p| (p, s0, m));
+                edit_strip(qs, r, dvs, dh, at, vl, control)?;
+                continue;
+            }
+            if scratch.is_empty() {
+                scratch = match subst {
+                    Subst::Uniform { .. } => {
+                        let mut rrev = vec![0u8; n + 2 * PAD];
+                        reverse_into(r, &mut rrev);
+                        rrev
+                    }
+                    Subst::Matrix { .. } => {
+                        // Rows only for the query codes the block has.
+                        let mut rows = vec![0u8; MATRIX_CODES * row_len];
+                        let mut filled = [false; MATRIX_CODES];
+                        for &a in q {
+                            if !std::mem::replace(&mut filled[usize::from(a)], true) {
+                                let row = &mut rows[usize::from(a) * row_len + PAD..];
+                                for (s, &c) in row.iter_mut().zip(r) {
+                                    *s = subst.at(a, c);
+                                }
+                            }
+                        }
+                        rows
+                    }
+                };
+            }
+            let every = control.map(|t| (t, vl));
+            match job.planes.as_mut() {
+                Some(p) => {
+                    let mut cap = PlaneCapture::<V>::new(p, s0, h, m, n, vl);
+                    lane_strip::<V, _>(qs, r, subst, &scratch, dvs, dh, &mut cap, every)?;
+                    cap.finish();
+                }
+                None => lane_strip::<V, _>(qs, r, subst, &scratch, dvs, dh, &mut Borders, every)?,
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One lane strip of a block, with `S′` from `scratch`: the reversed
+/// reference, or the matrix scheme's reference profile.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the sweep's operands plus its S′ source
+                                     // SAFETY: callers hold `V`'s target feature.
+unsafe fn lane_strip<V: Vector, C: Capture<V>>(
+    q: &[u8],
+    r: &[u8],
+    subst: Subst<'_>,
+    scratch: &[u8],
+    dv: &mut [u8],
+    dh: &mut [u8],
+    cap: &mut C,
+    control: Option<(&CancelToken, usize)>,
+) -> Result<(), AlignError> {
+    let (rows, n) = (q.len(), r.len());
+    match subst {
+        Subst::Uniform { hit, miss } => {
+            let s_at = uniform_at::<V>(query_lanes(q), hit_miss(hit, miss), scratch, n);
+            sweep::<V, C>(rows, dv, dh, s_at, cap, control)
+        }
+        Subst::Matrix { .. } => {
+            let profile = Profile { rows: scratch, len: n + 2 * PAD + CHUNK };
+            let mut buf = [0u8; CHUNK * MAX_LANES];
+            let mut end = 0;
+            let s_at = |d| {
+                if d == end {
+                    fill_strip_chunk::<V>(&mut buf, d, q, &profile);
+                    end = d + CHUNK;
+                }
+                V::load(&buf[(d + CHUNK - end) * MAX_LANES..])
+            };
+            sweep::<V, C>(rows, dv, dh, s_at, cap, control)
+        }
+    }
+}
+
+/// The edit-word kernel on a tile: bit `i` of `(pv, mv)` is the edit
+/// delta of tile row `i` in the current column (`pv`: +1, `mv`: −1), and
+/// each reference character is one Edlib-order step.
 fn edit_tile(
+    kernel: LaneKernel,
     q: &[u8],
     r: &[u8],
     dv: &mut [u8],
@@ -309,13 +1156,14 @@ fn edit_tile(
     interior: Option<&mut Interior<'_>>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if !smx_align_core::dispatch::force_scalar() {
+    if kernel != LaneKernel::Scalar {
         // SAFETY: SSE2 is part of the x86_64 baseline, so the function's
         // only target feature is present on every x86_64 host.
         unsafe { edit_tile_sse2(q, r, dv, dh, interior) };
         return;
     }
-    edit_sweep(q, r, dv, dh, interior, |c| {
+    let _ = kernel;
+    edit_columns(q, r, dv, dh, interior, |c| {
         q.iter().enumerate().fold(0, |eq, (i, &a)| eq | u64::from(a == c) << i)
     });
 }
@@ -332,8 +1180,9 @@ fn edit_tile_sse2(
 ) {
     let mut qb = [0u8; MAX_VL];
     qb[..q.len()].copy_from_slice(q);
-    let (lo, hi) = (load16(&qb[..LANES]), load16(&qb[LANES..]));
-    edit_sweep(q, r, dv, dh, interior, |c| {
+    // SAFETY: this function enables SSE2.
+    let (lo, hi) = unsafe { (Sse2::load(&qb[..LANES]).0, Sse2::load(&qb[LANES..]).0) };
+    edit_columns(q, r, dv, dh, interior, |c| {
         let vc = _mm_set1_epi8(c as i8);
         let lo = _mm_movemask_epi8(_mm_cmpeq_epi8(lo, vc)) as u32;
         let hi = _mm_movemask_epi8(_mm_cmpeq_epi8(hi, vc)) as u32;
@@ -341,11 +1190,9 @@ fn edit_tile_sse2(
     });
 }
 
-/// The column loop of the edit-word kernel; `eq_of(c)` is the match word
-/// of reference character `c` (bit `i` set when `q[i] == c`; bits at and
-/// above `q.len()` are ignored).
+/// [`edit_sweep`] over one tile, writing the interior when asked.
 #[inline]
-fn edit_sweep(
+fn edit_columns(
     q: &[u8],
     r: &[u8],
     dv: &mut [u8],
@@ -354,26 +1201,101 @@ fn edit_sweep(
     eq_of: impl Fn(u8) -> u64,
 ) {
     let rows = q.len();
+    let done = edit_sweep(r, dv, dh, eq_of, None, |j, [pv, mv, ph, mh]| {
+        if let Some(int) = interior.as_deref_mut() {
+            for i in 0..rows {
+                int.put(i, j, shifted(pv, mv, 1 << i), shifted(ph, mh, 1 << i));
+            }
+        }
+    });
+    debug_assert!(done.is_ok(), "a sweep without a token cannot fail");
+}
+
+/// One edit-word strip of a block: at most 64 rows `q` across the whole
+/// reference, with the match words from a per-strip table. With `at`
+/// (the planes, the strip's first block row and the block height), each
+/// boundary column stores its Δv′ and each inner tile row its entering
+/// Δh′. `control` is checked every `vl` columns.
+fn edit_strip(
+    q: &[u8],
+    r: &[u8],
+    dv: &mut [u8],
+    dh: &mut [u8],
+    mut at: Option<(&mut Planes<'_>, usize, usize)>,
+    vl: usize,
+    control: Option<&CancelToken>,
+) -> Result<(), AlignError> {
+    let (rows, n) = (q.len(), r.len());
+    let mut peq = [0u64; 256];
+    for (i, &a) in q.iter().enumerate() {
+        peq[usize::from(a)] |= 1 << i;
+    }
+    let control = control.map(|t| (t, vl));
+    // Column `j` ends a tile column when `j + 1` reaches `boundary`.
+    let mut boundary = vl;
+    edit_sweep(
+        r,
+        dv,
+        dh,
+        |c| peq[usize::from(c)],
+        control,
+        |j, [pv, mv, ph, mh]| {
+            let Some((p, r0, m)) = at.as_mut() else { return };
+            for i in (vl - 1..rows - 1).step_by(vl) {
+                p.dh[(*r0 + i + 1) / vl * n + j] = shifted(ph, mh, 1 << i);
+            }
+            if j + 1 == boundary && boundary < n {
+                let col = &mut p.dv[boundary / vl * *m + *r0..][..rows];
+                for (i, x) in col.iter_mut().enumerate() {
+                    *x = shifted(pv, mv, 1 << i);
+                }
+                boundary += vl;
+            }
+        },
+    )
+}
+
+/// The column loop of the edit-word kernel over `dv.len() ≤ 64` rows;
+/// `eq_of(c)` is the match word of reference character `c` (bit `i` set
+/// when row `i` matches `c`; bits at and above `dv.len()` are ignored).
+/// After each column `j`, `on_column(j, [pv, mv, ph, mh])` sees its
+/// vertical and horizontal delta words. `control` is checked every
+/// `every` columns.
+#[inline]
+fn edit_sweep(
+    r: &[u8],
+    dv: &mut [u8],
+    dh: &mut [u8],
+    eq_of: impl Fn(u8) -> u64,
+    control: Option<(&CancelToken, usize)>,
+    mut on_column: impl FnMut(usize, [u64; 4]),
+) -> Result<(), AlignError> {
+    let rows = dv.len();
     let (mut pv, mut mv) = (0u64, 0u64);
     for (i, &x) in dv.iter().enumerate() {
         pv |= u64::from(x == 0) << i;
         mv |= u64::from(x == EDIT_THETA) << i;
     }
     let bottom = 1u64 << (rows - 1);
+    let mut countdown = control.map_or(0, |(_, every)| every);
     for (j, &c) in r.iter().enumerate() {
+        if let Some((token, every)) = control {
+            countdown -= 1;
+            if countdown == 0 {
+                countdown = every;
+                token.check()?;
+            }
+        }
         // Shifted Δh′ = 1 − edit delta.
         let hin = 1 - i32::from(dh[j]);
         let (ph, mh) = myers_step(&mut pv, &mut mv, eq_of(c), hin);
         dh[j] = shifted(ph, mh, bottom);
-        if let Some(int) = interior.as_deref_mut() {
-            for i in 0..rows {
-                int.put(i, j, shifted(pv, mv, 1 << i), shifted(ph, mh, 1 << i));
-            }
-        }
+        on_column(j, [pv, mv, ph, mh]);
     }
     for (i, x) in dv.iter_mut().enumerate() {
         *x = shifted(pv, mv, 1 << i);
     }
+    Ok(())
 }
 
 /// The shifted `Δ′` of the edit delta at `bit` of a (+1, −1) word pair.

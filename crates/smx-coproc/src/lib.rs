@@ -37,6 +37,13 @@ mod kernel;
 pub mod traceback;
 pub mod worker;
 
+/// Test hook: pins a thread to one lane-kernel instantiation so tests
+/// can hold each against the same inputs. Not part of the API.
+#[doc(hidden)]
+pub mod lane_kernels {
+    pub use crate::kernel::{pinned, supported, LaneKernel};
+}
+
 pub use block::{BlockMode, BlockOutput, TileBorderStore};
 pub use control::CancelToken;
 pub use coproc::SmxCoprocessor;

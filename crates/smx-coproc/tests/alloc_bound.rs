@@ -1,8 +1,9 @@
 //! Allocation bounds of the border-only block path.
 //!
-//! The block sweep keeps its tile borders in two flat planes, so a
-//! traceback-mode block allocates the same number of times whatever its
-//! size; the traceback allocates only the recomputed tile's interior.
+//! The block sweep keeps its tile borders in two flat planes and its
+//! strip scratch in one buffer, so a block allocates the same number of
+//! times whatever its size, in either mode; the traceback allocates only
+//! the recomputed tile's interior.
 //! A counting global allocator with a per-thread tally pins both, so the
 //! test harness's parallel threads do not disturb the counts.
 
@@ -76,14 +77,16 @@ fn block_allocations_do_not_grow_with_the_tile_count() {
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let (small_q, small_r) = pair(&mut rng, 64);
     let (large_q, large_r) = pair(&mut rng, 2000); // 125 × 125 = 15 625 tiles
-    let block = |q: &[u8], r: &[u8], s: Option<&mut FaultSession>| {
-        counted(|| compute_block(&e, q, r, None, BlockMode::Traceback, s, None).unwrap()).1
+    let block = |q: &[u8], r: &[u8], mode: BlockMode, s: Option<&mut FaultSession>| {
+        counted(|| compute_block(&e, q, r, None, mode, s, None).unwrap()).1
     };
-    let small = block(&small_q, &small_r, None);
-    assert_eq!(block(&large_q, &large_r, None), small, "no session");
+    for mode in [BlockMode::ScoreOnly, BlockMode::Traceback] {
+        let small = block(&small_q, &small_r, mode, None);
+        assert_eq!(block(&large_q, &large_r, mode, None), small, "{mode:?}, no session");
+    }
     let (mut s_small, mut s_large) = (session(), session());
-    let small_faulted = block(&small_q, &small_r, Some(&mut s_small));
-    let large_faulted = block(&large_q, &large_r, Some(&mut s_large));
+    let small_faulted = block(&small_q, &small_r, BlockMode::Traceback, Some(&mut s_small));
+    let large_faulted = block(&large_q, &large_r, BlockMode::Traceback, Some(&mut s_large));
     assert_eq!(large_faulted, small_faulted, "fault session over FaultPlan::none()");
 }
 

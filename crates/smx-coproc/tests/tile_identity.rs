@@ -6,12 +6,16 @@
 //! elements, a matrix scheme on W8), random partial tiles, and borders
 //! in `[0, θ]` or, in a quarter of the cases, anywhere in `[0, 2^EW)`.
 //! Every fresh block is also run under a fault session, which must
-//! reproduce the clean borders, border store and CIGAR. Run it as well under `SMX_FORCE_SCALAR=1` to cover the scalar twins.
+//! reproduce the clean borders, border store and CIGAR. Whole-strip
+//! blocks up to ~300 columns run on every lane-kernel instantiation the
+//! host supports, edit-word strips that fall back to lanes included.
+//! Run it as well under `SMX_FORCE_SCALAR=1` to cover the scalar twins.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smx_align_core::{AlignmentConfig, Cigar, ElementWidth, Op, ScoringScheme, SubstMatrix};
 use smx_coproc::block::{compute_block, BlockMode};
+use smx_coproc::lane_kernels::{pinned, supported};
 use smx_coproc::traceback::traceback_block;
 use smx_coproc::{FaultPlan, FaultSession, RecoveryPolicy, SmxEngine, TileBorderStore};
 use smx_diffenc::boundary::BlockBorders;
@@ -42,6 +46,12 @@ fn border(rng: &mut StdRng, len: usize, ew: ElementWidth, theta: u8) -> Vec<u8> 
 
 #[test]
 fn random_tiles_match_reference() {
+    for kernel in supported() {
+        pinned(kernel, || random_tiles_match_reference_on(&format!("{kernel:?}")));
+    }
+}
+
+fn random_tiles_match_reference_on(kernel: &str) {
     let mut rng = StdRng::seed_from_u64(0x5EED_711E);
     for (ew, scheme, card) in setups() {
         let engine = SmxEngine::new(ew, &scheme).unwrap();
@@ -53,8 +63,11 @@ fn random_tiles_match_reference() {
             let dv_left = border(&mut rng, rows, ew, theta);
             let dh_top = border(&mut rng, cols, ew, theta);
             let reference = DeltaBlock::compute(ew, &q, &r, &scheme, &dh_top, &dv_left).unwrap();
-            let ctx =
-                || format!("{ew} {scheme:?} case {case}: q={q:?} r={r:?} {dv_left:?} {dh_top:?}");
+            let ctx = || {
+                format!(
+                    "{kernel} {ew} {scheme:?} case {case}: q={q:?} r={r:?} {dv_left:?} {dh_top:?}"
+                )
+            };
             let (mut dv, mut dh) = (dv_left.clone(), dh_top.clone());
             engine.compute_tile(&q, &r, &mut dv, &mut dh).unwrap();
             assert_eq!(dv, reference.right_dv(), "right Δv′, {}", ctx());
@@ -104,16 +117,22 @@ fn reference_cigar(blk: &DeltaBlock, q: &[u8], r: &[u8], scheme: &ScoringScheme)
 }
 
 /// Asserts that every stored tile input equals the neighbouring cells of
-/// the fresh block's reference interior (zero on the block edges).
-fn assert_store_matches(store: &TileBorderStore, whole: &DeltaBlock, ctx: &str) {
+/// the block's reference interior, or on the block edges its own input
+/// borders `top` and `left`, as they came in.
+fn assert_store_matches(
+    store: &TileBorderStore,
+    whole: &DeltaBlock,
+    (top, left): (&[u8], &[u8]),
+    ctx: &str,
+) {
     for ti in 0..store.tile_rows() {
         for tj in 0..store.tile_cols() {
             let (rs, cs) = store.tile_span(ti, tj);
             let dv: Vec<u8> = (rs.clone())
-                .map(|i| if cs.start == 0 { 0 } else { whole.dv(i, cs.start - 1) })
+                .map(|i| if cs.start == 0 { left[i] } else { whole.dv(i, cs.start - 1) })
                 .collect();
             let dh: Vec<u8> = (cs.clone())
-                .map(|j| if rs.start == 0 { 0 } else { whole.dh(rs.start - 1, j) })
+                .map(|j| if rs.start == 0 { top[j] } else { whole.dh(rs.start - 1, j) })
                 .collect();
             assert_eq!(store.input(ti, tj), (&dv[..], &dh[..]), "{ctx} tile ({ti}, {tj})");
         }
@@ -144,7 +163,7 @@ fn random_blocks_and_tracebacks_match_reference() {
                 assert_eq!(out.bottom_dh, whole.bottom_dh(), "{ctx} {mode:?}");
                 assert_eq!(out.score, whole.absolute_at(0, &scheme, &left, m - 1, n - 1), "{ctx}");
                 let cigar = out.borders.as_ref().map(|store| {
-                    assert_store_matches(store, &whole, &ctx);
+                    assert_store_matches(store, &whole, (&top, &left), &ctx);
                     let (cigar, _) = traceback_block(&engine, &q, &r, store, None, None).unwrap();
                     assert_eq!(cigar, reference_cigar(&whole, &q, &r, &scheme), "{ctx}");
                     cigar
@@ -178,5 +197,57 @@ fn random_blocks_and_tracebacks_match_reference() {
             assert_eq!(out.bottom_dh, whole.bottom_dh(), "{ctx} bordered");
         }
         assert!(faults_injected > 0, "{ew} {scheme:?}: the fault sessions never fired");
+    }
+}
+
+/// A left border drawn in 16-row runs, each in `[0, θ]` or, one run in
+/// four, anywhere in `[0, 2^EW)`: so some edit-word strips of a block
+/// take the word path and others fall back to lanes.
+fn left_border(rng: &mut StdRng, len: usize, ew: ElementWidth, theta: u8) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let run = border(rng, 16.min(len - out.len()), ew, theta);
+        out.extend(run);
+    }
+    out
+}
+
+#[test]
+fn whole_strip_blocks_match_reference_on_every_lane_kernel() {
+    let mut rng = StdRng::seed_from_u64(0x5751_B10C);
+    let kernels = supported();
+    for (ew, scheme, card) in setups() {
+        let engine = SmxEngine::new(ew, &scheme).unwrap();
+        let theta = scheme.theta() as u8;
+        let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
+        for case in 0..12u64 {
+            let (m, n) = (rng.gen_range(1..=150), rng.gen_range(1..=300));
+            let q = codes(&mut rng, m, card);
+            let r = codes(&mut rng, n, card);
+            let (top, left) = match case % 3 {
+                0 => DeltaBlock::fresh_borders(m, n),
+                _ => (border(&mut rng, n, ew, theta), left_border(&mut rng, m, ew, theta)),
+            };
+            let whole = DeltaBlock::compute(ew, &q, &r, &scheme, &top, &left).unwrap();
+            let right_dv = whole.right_dv();
+            let score = top.iter().map(|&d| i32::from(d) + gd).sum::<i32>()
+                + right_dv.iter().map(|&d| i32::from(d) + gi).sum::<i32>();
+            let bb = BlockBorders::from_neighbors(top.clone(), left.clone());
+            for &kernel in &kernels {
+                for mode in [BlockMode::ScoreOnly, BlockMode::Traceback] {
+                    let ctx = format!("{kernel:?} {ew} {scheme:?} case {case} ({m}×{n}) {mode:?}");
+                    let out = pinned(kernel, || {
+                        compute_block(&engine, &q, &r, Some(&bb), mode, None, None).unwrap()
+                    });
+                    assert_eq!(out.score, score, "{ctx}");
+                    assert_eq!(out.right_dv, right_dv, "{ctx}");
+                    assert_eq!(out.bottom_dh, whole.bottom_dh(), "{ctx}");
+                    assert_eq!(out.borders.is_some(), mode == BlockMode::Traceback, "{ctx}");
+                    if let Some(store) = out.borders.as_ref() {
+                        assert_store_matches(store, &whole, (&top, &left), &ctx);
+                    }
+                }
+            }
+        }
     }
 }
