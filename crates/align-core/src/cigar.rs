@@ -55,6 +55,12 @@ impl Cigar {
         Cigar::default()
     }
 
+    /// An empty CIGAR with room for `runs` runs.
+    #[must_use]
+    pub fn with_capacity(runs: usize) -> Cigar {
+        Cigar { runs: Vec::with_capacity(runs) }
+    }
+
     /// Appends one operation, merging with the trailing run.
     pub fn push(&mut self, op: Op) {
         self.push_run(op, 1);

@@ -2,7 +2,7 @@
 //! `VL × VL` DP-tile per cycle, with per-EW geometry (32×32, 16×16,
 //! 10×10, 8×8) and the pipeline depths of the 1 GHz design point.
 
-use crate::kernel::{self, Interior, MAX_VL};
+use crate::kernel::{self, TileCells, MAX_VL};
 use smx_align_core::{AlignError, ElementWidth, ScoringScheme};
 use smx_diffenc::delta::DeltaBlock;
 use smx_isa::config::SmxConfig;
@@ -80,8 +80,9 @@ impl SmxEngine {
         Ok(())
     }
 
-    /// Computes one tile from its input borders keeping the full interior
-    /// (the traceback recompute path).
+    /// Computes one tile from its input borders keeping the full interior,
+    /// row-major: the cells the traceback walks, read out of its
+    /// recompute buffer.
     ///
     /// # Errors
     ///
@@ -93,16 +94,36 @@ impl SmxEngine {
         dv_left: &[u8],
         dh_top: &[u8],
     ) -> Result<DeltaBlock, AlignError> {
-        self.check_tile(q_seg, r_seg, dv_left.len(), dh_top.len())?;
+        let mut cells = TileCells::new();
+        self.recompute_tile(q_seg, r_seg, dv_left, dh_top, &mut cells)?;
         let (m, n) = (q_seg.len(), r_seg.len());
-        let (mut dv, mut dh) = (vec![0u8; m * n], vec![0u8; m * n]);
+        let row_major = |cell: fn(&TileCells, usize, usize) -> u8| -> Vec<u8> {
+            (0..m * n).map(|k| cell(&cells, k / n, k % n)).collect()
+        };
+        Ok(DeltaBlock::from_interior(m, n, row_major(TileCells::dv), row_major(TileCells::dh)))
+    }
+
+    /// Recomputes one tile from its input borders into `cells` (the
+    /// traceback path). Allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SmxEngine::compute_tile`].
+    pub(crate) fn recompute_tile(
+        &self,
+        q_seg: &[u8],
+        r_seg: &[u8],
+        dv_left: &[u8],
+        dh_top: &[u8],
+        cells: &mut TileCells,
+    ) -> Result<(), AlignError> {
+        self.check_tile(q_seg, r_seg, dv_left.len(), dh_top.len())?;
         let (mut left, mut top) = ([0u8; MAX_VL], [0u8; MAX_VL]);
-        let (left, top) = (&mut left[..m], &mut top[..n]);
+        let (left, top) = (&mut left[..q_seg.len()], &mut top[..r_seg.len()]);
         left.copy_from_slice(dv_left);
         top.copy_from_slice(dh_top);
-        let mut interior = Interior { dv: &mut dv, dh: &mut dh, n };
-        kernel::tile(self.ew, &self.scheme, q_seg, r_seg, left, top, Some(&mut interior));
-        Ok(DeltaBlock::from_interior(m, n, dv, dh))
+        kernel::tile(self.ew, &self.scheme, q_seg, r_seg, left, top, Some(cells));
+        Ok(())
     }
 
     /// Checks a tile's segments against `VL` and its border lengths. The

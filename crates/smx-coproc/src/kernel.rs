@@ -24,10 +24,12 @@
 //!   per diagonal from one skewed load of the reversed reference and one
 //!   compare (match/mismatch schemes), or from the block's reference
 //!   profile, one row of `S′` per query code, copied into a diagonal-major
-//!   buffer [`CHUNK`] diagonals at a time (matrix schemes). A lone tile
-//!   is the same sweep over a strip one tile wide: fault sessions use it,
-//!   because they draw faults per tile, and so does the traceback
-//!   recompute, which needs the interior.
+//!   buffer [`CHUNK`] diagonals at a time (matrix schemes). The sweep
+//!   runs in chunks of `VL` diagonals; in each, the ramps and the run on
+//!   which every lane is inside the block are loops of their own. A lone
+//!   tile is the same sweep over a strip one tile wide: fault sessions
+//!   use it, because they draw faults per tile, and so does the
+//!   traceback recompute, which needs the interior.
 //! * **Edit-word kernel** (the unit-cost edit scheme, θ = 2): the shifted
 //!   deltas {0, 1, 2} are the edit-distance deltas {+1, 0, −1}, so a
 //!   column of up to 64 rows fits two bit-words and one reference
@@ -35,13 +37,17 @@
 //!   word (two W2 tile rows) across the block, taken when every border
 //!   value it reads is at most θ; otherwise that strip runs the lane
 //!   sweep. Both are exact, so the result is the same either way.
-//! * **Border planes** (traceback mode). A lane strip keeps its last 64
-//!   diagonals in a ring. Each lane's Δv′ crosses a tile-column boundary
-//!   and each inner tile row's entering Δh′ leaves the lane above it on
-//!   staggered diagonals; once the strip's last lane has crossed a
-//!   boundary, all of them are still in the ring and go to the planes of
-//!   `TileBorderStore`. An edit strip reads the same values from its
-//!   words at each boundary column.
+//! * **Border planes** (traceback mode), in a fixed number of vector
+//!   operations per diagonal ([`PlaneCapture`]): one masked OR gathers
+//!   the Δv′ of the lanes crossing a tile-column boundary into an
+//!   accumulator, which leaves for the planes of `TileBorderStore` with
+//!   one store per tile row at the end of each chunk; each inner tile
+//!   row's entering Δh′ is one byte per diagonal of the sweep's `out`
+//!   store. An edit strip reads the same values from its words at each
+//!   boundary column.
+//! * **Recompute** (traceback): a tile's interior stays in the layout
+//!   its kernel leaves it in, one fixed [`TileCells`] buffer: lanes by
+//!   diagonal, or an edit tile's Myers words by column.
 //! * **Cancellation.** A block checks its token before each strip and
 //!   every `VL` diagonals (or columns) inside it, about once per tile.
 //!
@@ -85,19 +91,72 @@ const EDIT_THETA: u8 = 2;
 /// Letters of a substitution matrix.
 const MATRIX_CODES: usize = 26;
 
-/// Row-major `rows × n` interior the traceback recompute materializes.
-pub(crate) struct Interior<'a> {
-    pub(crate) dv: &'a mut [u8],
-    pub(crate) dh: &'a mut [u8],
-    pub(crate) n: usize,
+/// Diagonals of a [`TileCells`] lane plane: one more than the last one
+/// any instantiation sweeps a tile in (`VL − 1 + START[VL − 1]`).
+const TILE_DIAGS: usize = 2 * MAX_VL;
+
+/// The interior of one recomputed tile, in the layout the kernel that
+/// computed it leaves behind, and the one reader the traceback walks.
+///
+/// A lane sweep stores each diagonal's Δv′ and Δh′ lanes as they are, so
+/// row `i`'s cell in column `j` sits at `(j + start[i]) · MAX_LANES + i`,
+/// with `start` the lane starts of the instantiation (a 16-lane tile of
+/// more rows runs as strips that restart at lane 0; the scalar twin
+/// writes starts `i`). An edit tile keeps each column's Myers words
+/// instead, and a cell is two bit tests.
+pub(crate) struct TileCells {
+    /// Whether the tile ran as edit words (`cols`) or lanes (`dv`, `dh`).
+    words: bool,
+    /// The diagonal offset of each tile row.
+    start: [u8; MAX_VL],
+    dv: [u8; TILE_DIAGS * MAX_LANES],
+    dh: [u8; TILE_DIAGS * MAX_LANES],
+    /// `[pv, mv, ph, mh]` of each column.
+    cols: [[u64; 4]; MAX_VL],
 }
 
-impl Interior<'_> {
+impl TileCells {
+    pub(crate) fn new() -> TileCells {
+        TileCells {
+            words: false,
+            start: [0; MAX_VL],
+            dv: [0; TILE_DIAGS * MAX_LANES],
+            dh: [0; TILE_DIAGS * MAX_LANES],
+            cols: [[0; 4]; MAX_VL],
+        }
+    }
+
+    /// Δv′ of row `i` in column `j`.
     #[inline]
-    fn put(&mut self, i: usize, j: usize, dv: u8, dh: u8) {
-        let k = i * self.n + j;
-        self.dv[k] = dv;
-        self.dh[k] = dh;
+    pub(crate) fn dv(&self, i: usize, j: usize) -> u8 {
+        if self.words {
+            let [pv, mv, ..] = self.cols[j];
+            shifted(pv, mv, 1 << i)
+        } else {
+            self.dv[self.at(i, j)]
+        }
+    }
+
+    /// Δh′ of row `i` in column `j`.
+    #[inline]
+    pub(crate) fn dh(&self, i: usize, j: usize) -> u8 {
+        if self.words {
+            let [.., ph, mh] = self.cols[j];
+            shifted(ph, mh, 1 << i)
+        } else {
+            self.dh[self.at(i, j)]
+        }
+    }
+
+    #[inline]
+    fn at(&self, i: usize, j: usize) -> usize {
+        (j + usize::from(self.start[i])) * MAX_LANES + i
+    }
+
+    /// Makes the cells a lane layout with row starts `start`.
+    fn lanes(&mut self, start: [u8; MAX_VL]) {
+        self.words = false;
+        self.start = start;
     }
 }
 
@@ -206,8 +265,8 @@ impl Subst<'_> {
 
 /// Computes one `q.len() × r.len()` tile in place: `dv` enters as the
 /// left border and leaves as the right border, `dh` enters as the top
-/// border and leaves as the bottom border. `interior`, when given,
-/// receives every cell.
+/// border and leaves as the bottom border. `cells`, when given, receives
+/// every cell (the traceback recompute).
 ///
 /// The caller guarantees `dv.len() == q.len() ≤ 32`, `dh.len() ==
 /// r.len() ≤ 32`, and a scheme validated for `ew` (encodable, θ fits).
@@ -218,7 +277,7 @@ pub(crate) fn tile(
     r: &[u8],
     dv: &mut [u8],
     dh: &mut [u8],
-    mut interior: Option<&mut Interior<'_>>,
+    cells: Option<&mut TileCells>,
 ) {
     debug_assert!(dv.len() == q.len() && dh.len() == r.len() && q.len() <= MAX_VL);
     if q.is_empty() || r.is_empty() {
@@ -228,20 +287,24 @@ pub(crate) fn tile(
     dv.iter_mut().chain(dh.iter_mut()).for_each(|x| *x &= mask);
     let kernel = LaneKernel::current();
     if matches!(scheme, ScoringScheme::Edit) && in_theta(dv) && in_theta(dh) {
-        edit_tile(kernel, q, r, dv, dh, interior);
+        edit_tile(kernel, q, r, dv, dh, cells);
         return;
     }
     let subst = Subst::of(scheme);
     match kernel {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86_64 baseline.
-        LaneKernel::Sse2 => unsafe { tile_sse2(q, r, subst, dv, dh, interior) },
+        LaneKernel::Sse2 => unsafe { tile_sse2(q, r, subst, dv, dh, cells) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `current` picks AVX2 only where `supported` lists it.
-        LaneKernel::Avx2 => unsafe { tile_avx2(q, r, subst, dv, dh, interior) },
+        LaneKernel::Avx2 => unsafe { tile_avx2(q, r, subst, dv, dh, cells) },
         _ => {
+            let mut cells = cells;
+            if let Some(c) = cells.as_deref_mut() {
+                c.lanes(std::array::from_fn(|i| i as u8));
+            }
             for (b, (qb, dvb)) in q.chunks(LANES).zip(dv.chunks_mut(LANES)).enumerate() {
-                lane_band_scalar(qb, r, subst, dvb, dh, b * LANES, interior.as_deref_mut());
+                lane_band_scalar(qb, r, subst, dvb, dh, b * LANES, cells.as_deref_mut());
             }
         }
     }
@@ -255,7 +318,8 @@ fn in_theta(border: &[u8]) -> bool {
 /// Scalar twin of the lane sweep over one band of at most [`LANES`] tile
 /// rows, in place (`dv`: this band's left/right border, `dh`: the tile's
 /// top border in, this band's bottom row out), one live lane at a time.
-/// `row0` is the band's first tile row.
+/// `row0` is the band's first tile row; `cells`, when given, receives
+/// every cell with lane starts `i`.
 fn lane_band_scalar(
     q: &[u8],
     r: &[u8],
@@ -263,7 +327,7 @@ fn lane_band_scalar(
     dv: &mut [u8],
     dh: &mut [u8],
     row0: usize,
-    mut interior: Option<&mut Interior<'_>>,
+    mut cells: Option<&mut TileCells>,
 ) {
     let (rows, cols) = (q.len(), r.len());
     // Δh′ each lane produced on the previous diagonal.
@@ -281,8 +345,9 @@ fn lane_band_scalar(
             if i + 1 == rows {
                 dh[j] = h;
             }
-            if let Some(int) = interior.as_deref_mut() {
-                int.put(row0 + i, j, v, h);
+            if let Some(c) = cells.as_deref_mut() {
+                let k = c.at(row0 + i, j);
+                (c.dv[k], c.dh[k]) = (v, h);
             }
         }
     }
@@ -304,6 +369,8 @@ trait Vector: Copy + 'static {
     const STARTED: [[u8; MAX_LANES]; MASKS] = lane_masks(Self::START, true);
     /// `UNFINISHED[k]`: the lanes with `START[i] ≥ k`, as a byte mask.
     const UNFINISHED: [[u8; MAX_LANES]; MASKS] = lane_masks(Self::START, false);
+    /// The lane start of each row of a tile swept in strips of `N` rows.
+    const TILE_START: [u8; MAX_VL] = tile_starts(Self::START, Self::N);
 
     /// The first `N` bytes of `src`.
     // SAFETY: callers hold the instantiation's target feature.
@@ -334,11 +401,18 @@ trait Vector: Copy + 'static {
     /// elsewhere.
     // SAFETY: callers hold the instantiation's target feature.
     unsafe fn keep_live(new: Self, old: Self, a: &[u8], b: &[u8]) -> Self;
-    /// Runs `f` in a frame of its own, compiled with the instantiation's
-    /// target feature: the sweep's diagonal loop, kept apart from the
-    /// token check between its runs so the lane registers never spill.
+    /// `new` in the lanes set in the byte mask `mask`, `old` elsewhere.
     // SAFETY: callers hold the instantiation's target feature.
-    unsafe fn isolated<R>(f: impl FnOnce() -> R) -> R;
+    unsafe fn blend(new: Self, old: Self, mask: &[u8]) -> Self;
+    /// `acc` with `v`'s lanes that are set in the byte mask `mask` OR-ed
+    /// in.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn or_masked(acc: Self, v: Self, mask: &[u8]) -> Self;
+    /// Runs `f` in a frame of its own, compiled with the instantiation's
+    /// target feature: a strip's sweep, kept apart from the block's strip
+    /// loop so the lane registers never spill.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn isolated<I: Isolated>(f: I) -> I::Output;
 }
 
 /// SSE2 lanes: one 16-byte register.
@@ -413,11 +487,28 @@ impl Vector for Sse2 {
         Sse2(_mm_or_si128(_mm_and_si128(live, new.0), _mm_andnot_si128(live, old.0)))
     }
 
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: `load` checks the mask's length; the rest is register
+    // arithmetic.
+    unsafe fn blend(new: Sse2, old: Sse2, mask: &[u8]) -> Sse2 {
+        let mask = Sse2::load(mask).0;
+        Sse2(_mm_or_si128(_mm_and_si128(mask, new.0), _mm_andnot_si128(mask, old.0)))
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: `load` checks the mask's length; the rest is register
+    // arithmetic.
+    unsafe fn or_masked(acc: Sse2, v: Sse2, mask: &[u8]) -> Sse2 {
+        Sse2(_mm_or_si128(acc.0, _mm_and_si128(v.0, Sse2::load(mask).0)))
+    }
+
     #[inline(never)]
     #[target_feature(enable = "sse2")]
     // SAFETY: a plain call.
-    unsafe fn isolated<R>(f: impl FnOnce() -> R) -> R {
-        f()
+    unsafe fn isolated<I: Isolated>(f: I) -> I::Output {
+        f.run()
     }
 }
 
@@ -506,11 +597,27 @@ impl Vector for Avx2 {
         Avx2(_mm256_blendv_epi8(old.0, new.0, live))
     }
 
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `load` checks the mask's length; the rest is register
+    // arithmetic.
+    unsafe fn blend(new: Avx2, old: Avx2, mask: &[u8]) -> Avx2 {
+        Avx2(_mm256_blendv_epi8(old.0, new.0, Avx2::load(mask).0))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `load` checks the mask's length; the rest is register
+    // arithmetic.
+    unsafe fn or_masked(acc: Avx2, v: Avx2, mask: &[u8]) -> Avx2 {
+        Avx2(_mm256_or_si256(acc.0, _mm256_and_si256(v.0, Avx2::load(mask).0)))
+    }
+
     #[inline(never)]
     #[target_feature(enable = "avx2")]
     // SAFETY: a plain call.
-    unsafe fn isolated<R>(f: impl FnOnce() -> R) -> R {
-        f()
+    unsafe fn isolated<I: Isolated>(f: I) -> I::Output {
+        f.run()
     }
 }
 
@@ -537,6 +644,18 @@ const fn lane_masks(start: [u8; MAX_LANES], started: bool) -> [[u8; MAX_LANES]; 
     out
 }
 
+/// `start` of row `i mod n`: the lane starts of a tile's rows when it is
+/// swept in strips of `n` rows.
+const fn tile_starts(start: [u8; MAX_LANES], n: usize) -> [u8; MAX_VL] {
+    let mut out = [0u8; MAX_VL];
+    let mut i = 0;
+    while i < MAX_VL {
+        out[i] = start[i % n];
+        i += 1;
+    }
+    out
+}
+
 /// Lane starts `i`, plus `lag` from lane 16 on.
 const fn lane_starts(lag: u8) -> [u8; MAX_LANES] {
     let mut out = [0u8; MAX_LANES];
@@ -548,158 +667,351 @@ const fn lane_starts(lag: u8) -> [u8; MAX_LANES] {
     out
 }
 
-/// Diagonals a [`Ring`] holds: more than any lane's start, so every lane
-/// of a column is still there when the strip's last lane passes it.
-const RING: usize = 64;
-
-/// The Δv′ and Δh′ lanes of a sweep's last [`RING`] diagonals, diagonal
-/// `d` at `(d % RING) · MAX_LANES`.
-struct Ring {
-    dv: [u8; RING * MAX_LANES],
-    dh: [u8; RING * MAX_LANES],
-}
-
-impl Ring {
-    /// Index of lane `i`'s cell in column `j`.
-    #[inline]
-    fn at<V: Vector>(i: usize, j: usize) -> usize {
-        (j + usize::from(V::START[i])) % RING * MAX_LANES + i
-    }
-}
-
 /// What a sweep keeps besides its output borders.
 trait Capture<V: Vector> {
-    /// Sees the Δv′ and Δh′ lanes of diagonal `d`.
+    /// Runs `step` over the diagonals `ds` in order, from and to the lane
+    /// registers `regs`, keeping what the capture needs of each; `LIVE`:
+    /// every lane is inside the block on each of them. The capture drives
+    /// the loop so that its state stays in locals.
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn range<S: FnMut(usize) -> V, const LIVE: bool>(
+        &mut self,
+        regs: (V, V, V),
+        ds: std::ops::Range<usize>,
+        step: &mut Step<'_, S>,
+    ) -> (V, V, V);
+
+    /// Sees the end of each of the sweep's chunks.
     #[inline(always)]
     // SAFETY: callers hold `V`'s target feature.
-    unsafe fn record(&mut self, _d: usize, _v: V, _h: V) {}
+    unsafe fn chunk_done(&mut self) {}
 }
 
-/// Keeps nothing: score-only strips, and tiles without an interior.
+/// Keeps nothing: score-only strips, and tiles without cells.
 struct Borders;
 
-impl<V: Vector> Capture<V> for Borders {}
-
-/// Writes every cell of a one-tile strip to the interior, as the sweep
-/// computes it.
-struct Cells<'i, 'a> {
-    interior: &'i mut Interior<'a>,
-    /// The strip's first tile row, its rows and its columns.
-    row0: usize,
-    rows: usize,
-    cols: usize,
-}
-
-impl<V: Vector> Capture<V> for Cells<'_, '_> {
+impl<V: Vector> Capture<V> for Borders {
     #[inline(always)]
     // SAFETY: callers hold `V`'s target feature.
-    unsafe fn record(&mut self, d: usize, v: V, h: V) {
-        let (mut vb, mut hb) = ([0u8; MAX_LANES], [0u8; MAX_LANES]);
-        v.store(&mut vb);
-        h.store(&mut hb);
-        // `i ≤ START[i] ≤ i + 1` bounds the lanes inside the tile.
-        for i in d.saturating_sub(self.cols)..=d.min(self.rows - 1) {
-            let j = d.wrapping_sub(usize::from(V::START[i]));
-            if j < self.cols {
-                self.interior.put(self.row0 + i, j, vb[i], hb[i]);
-            }
+    unsafe fn range<S: FnMut(usize) -> V, const LIVE: bool>(
+        &mut self,
+        mut regs: (V, V, V),
+        ds: std::ops::Range<usize>,
+        step: &mut Step<'_, S>,
+    ) -> (V, V, V) {
+        let mut step = step.local();
+        let mut out = [0u8; MAX_LANES];
+        for d in ds {
+            step.diagonal::<V, LIVE>(&mut regs, d, &mut out);
         }
+        regs
     }
 }
 
-/// Fills the border planes from a lane strip as it sweeps. Each time the
-/// strip's last lane has crossed into tile column `tj`, the ring still
-/// holds every lane's Δv′ at the boundary (diagonal `tj · VL − 1 +
-/// START[i]` for lane `i`), and every Δh′ that the lanes ending a tile
-/// row passed down into tile column `tj − 1`; both are copied out then,
-/// and the last tile column's Δh′ when the sweep ends ([`Self::finish`]).
+/// Stores a one-tile strip's lanes to a [`TileCells`] as they are: two
+/// vector stores per diagonal.
+struct Diagonals<'c> {
+    cells: &'c mut TileCells,
+    /// The strip's first tile row.
+    row0: usize,
+}
+
+impl<V: Vector> Capture<V> for Diagonals<'_> {
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn range<S: FnMut(usize) -> V, const LIVE: bool>(
+        &mut self,
+        mut regs: (V, V, V),
+        ds: std::ops::Range<usize>,
+        step: &mut Step<'_, S>,
+    ) -> (V, V, V) {
+        let mut step = step.local();
+        let mut out = [0u8; MAX_LANES];
+        for d in ds {
+            let (v, h) = step.diagonal::<V, LIVE>(&mut regs, d, &mut out);
+            let k = d * MAX_LANES + self.row0;
+            v.store(&mut self.cells.dv[k..]);
+            h.store(&mut self.cells.dh[k..]);
+        }
+        regs
+    }
+}
+
+/// Lanes of a strip whose Δv′ [`PlaneCapture`] stores together: a run of
+/// one tile row with consecutive lane starts, so all of them cross a
+/// tile-column boundary within `VL` diagonals.
+#[derive(Clone, Copy)]
+struct Group {
+    /// The lanes `lo..hi`, and as a byte mask.
+    lo: usize,
+    hi: usize,
+    mask: [u8; MAX_LANES],
+    /// The lanes that crossed the boundary in the chunk before the one
+    /// its last lane crosses it in.
+    early: [u8; MAX_LANES],
+    /// The tile column of the boundary the group finishes in chunk `k`,
+    /// less `k`.
+    col_of_chunk: isize,
+}
+
+/// Most [`Group`]s of a strip: four W8 tile rows in 32 lanes, or three
+/// W6 ones, one of them split by AVX2's lag.
+const GROUPS: usize = MAX_LANES / 8 + 1;
+
+/// `[t]`: the lanes that cross a tile-column boundary on the diagonals
+/// `d ≡ t (mod VL)`, as byte masks.
+type BoundaryMasks = [[u8; MAX_LANES]; MAX_VL];
+
+/// The [`BoundaryMasks`] of `V`'s lanes for tiles of side `vl`: lane `i`
+/// crosses boundary `c` on diagonal `c − 1 + START[i]`.
+fn boundary_masks<V: Vector>(vl: usize) -> BoundaryMasks {
+    let mut masks = [[0u8; MAX_LANES]; MAX_VL];
+    for (i, &start) in V::START[..V::N].iter().enumerate() {
+        masks[crossing_phase(start, vl)][i] = 0xFF;
+    }
+    masks
+}
+
+/// `d mod vl` of the diagonals on which a lane starting on diagonal
+/// `start` crosses a tile-column boundary.
+fn crossing_phase(start: u8, vl: usize) -> usize {
+    (usize::from(start) + vl - 1) % vl
+}
+
+/// Fills the border planes from a lane strip as it sweeps, in a fixed
+/// number of vector operations per diagonal.
+///
+/// The sweep runs in chunks of `VL` diagonals from a multiple of `VL`.
+/// Lane `i` crosses boundary column `c` (a multiple of `VL`) on diagonal
+/// `c − 1 + START[i]`, once per chunk, on the diagonals `d ≡ START[i] − 1
+/// (mod VL)`: one mask per `d mod VL`. One masked OR per diagonal gathers
+/// each lane's Δv′ at the boundary it crossed in the chunk into one of
+/// two accumulators, by chunk parity. A [`Group`]'s lanes cross a boundary
+/// within `VL` diagonals, so at the end of a chunk the two accumulators
+/// hold a whole plane column for each group, which leaves with one blend
+/// and one store. Each inner tile row's entering Δh′ is one byte per
+/// diagonal from the lane above it, read from the sweep's `out` store.
 struct PlaneCapture<'p, 'a, V> {
-    ring: Ring,
     planes: &'p mut Planes<'a>,
-    /// The strip's first block row, its rows, and the block's geometry.
+    masks: &'p BoundaryMasks,
+    /// The accumulators of even and odd chunks (zero in the lanes the
+    /// chunk has not reached yet), the chunk the sweep is in, and `d mod
+    /// VL` of its next diagonal.
+    acc: [V; 2],
+    chunk: usize,
+    phase: usize,
+    /// The strip's first block row, the block's height and its tile
+    /// geometry.
     s0: usize,
-    rows: usize,
     m: usize,
     n: usize,
     vl: usize,
+    t_cols: usize,
+    groups: [Group; GROUPS],
+    group_len: usize,
     /// The lanes whose row ends a tile row inside the strip, each with
-    /// the plane row it feeds.
-    inner: [(usize, usize); MAX_LANES / 8],
+    /// its start and the plane row it feeds.
+    inner: [(usize, usize, usize); MAX_LANES / 8],
     inner_len: usize,
-    /// The next tile column, and the diagonal on which the strip's last
-    /// lane crosses into it.
-    tj: usize,
-    due: usize,
-    lanes: std::marker::PhantomData<V>,
 }
 
 impl<'p, 'a, V: Vector> PlaneCapture<'p, 'a, V> {
-    fn new(
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn new(
         planes: &'p mut Planes<'a>,
+        masks: &'p BoundaryMasks,
         s0: usize,
         rows: usize,
-        m: usize,
-        n: usize,
-        vl: usize,
+        (m, n, vl): (usize, usize, usize),
     ) -> Self {
-        let last = usize::from(V::START[rows - 1]);
-        let (mut inner, mut inner_len) = ([(0, 0); MAX_LANES / 8], 0);
-        for i in (0..rows - 1).filter(|i| (s0 + i + 1).is_multiple_of(vl)) {
-            inner[inner_len] = (i, (s0 + i + 1) / vl * n);
-            inner_len += 1;
+        let start = |i: usize| V::START[i];
+        let none = [0; MAX_LANES];
+        let first = Group { lo: 0, hi: 0, mask: none, early: none, col_of_chunk: 0 };
+        let (mut groups, mut group_len) = ([first; GROUPS], 0);
+        let (mut inner, mut inner_len) = ([(0, 0, 0); MAX_LANES / 8], 0);
+        // Lane `i`'s tile row, and its row within it.
+        let (mut tile_row, mut k) = (s0 / vl, s0 % vl);
+        for i in 0..rows {
+            if i == 0 || k == 0 || start(i) != start(i - 1) + 1 {
+                groups[group_len].lo = i;
+                group_len += 1;
+            }
+            let g = &mut groups[group_len - 1];
+            g.hi = i + 1;
+            g.mask[i] = 0xFF;
+            k += 1;
+            if k == vl {
+                (tile_row, k) = (tile_row + 1, 0);
+                if i + 1 < rows {
+                    inner[inner_len] = (i, usize::from(start(i)), tile_row * n);
+                    inner_len += 1;
+                }
+            }
+        }
+        for g in &mut groups[..group_len] {
+            // The group's last lane crosses boundary `c` on diagonal
+            // `c − 1 + START[hi − 1]`, at phase `last`; lanes at a later
+            // phase crossed it in the chunk before.
+            let last = crossing_phase(start(g.hi - 1), vl);
+            for i in g.lo..g.hi {
+                if crossing_phase(start(i), vl) > last {
+                    g.early[i] = 0xFF;
+                }
+            }
+            let lead = last as isize + 1 - isize::from(start(g.hi - 1));
+            g.col_of_chunk = lead / vl as isize;
         }
         PlaneCapture {
-            ring: Ring { dv: [0; RING * MAX_LANES], dh: [0; RING * MAX_LANES] },
             planes,
+            masks,
+            acc: [V::splat(0); 2],
+            chunk: 0,
+            phase: 0,
             s0,
-            rows,
             m,
             n,
             vl,
+            t_cols: n.div_ceil(vl),
+            groups,
+            group_len,
             inner,
             inner_len,
-            tj: 1,
-            due: if vl < n { vl - 1 + last } else { usize::MAX },
-            lanes: std::marker::PhantomData,
         }
-    }
-
-    /// Copies the Δh′ of columns `cols` that each lane ending a tile row
-    /// inside the strip passed down, to the plane row of the tile row
-    /// below it.
-    fn inner_rows(&mut self, cols: std::ops::Range<usize>) {
-        for &(i, row) in &self.inner[..self.inner_len] {
-            let row = &mut self.planes.dh[row..][cols.clone()];
-            for (j, x) in cols.clone().zip(row.iter_mut()) {
-                *x = self.ring.dh[Ring::at::<V>(i, j)];
-            }
-        }
-    }
-
-    /// Stores the last tile column's Δh′ once the sweep is done.
-    fn finish(mut self) {
-        let cols = (self.tj - 1) * self.vl..self.n;
-        self.inner_rows(cols);
     }
 }
 
 impl<V: Vector> Capture<V> for PlaneCapture<'_, '_, V> {
     #[inline(always)]
     // SAFETY: callers hold `V`'s target feature.
-    unsafe fn record(&mut self, d: usize, v: V, h: V) {
-        let k = d % RING * MAX_LANES;
-        v.store(&mut self.ring.dv[k..]);
-        h.store(&mut self.ring.dh[k..]);
-        if d == self.due {
-            let (tj, vl) = (self.tj, self.vl);
-            let col = &mut self.planes.dv[tj * self.m + self.s0..][..self.rows];
-            for (i, x) in col.iter_mut().enumerate() {
-                *x = self.ring.dv[Ring::at::<V>(i, tj * vl - 1)];
-            }
-            self.inner_rows((tj - 1) * vl..tj * vl);
-            self.tj += 1;
-            self.due = if self.tj * vl < self.n { d + vl } else { usize::MAX };
+    unsafe fn range<S: FnMut(usize) -> V, const LIVE: bool>(
+        &mut self,
+        regs: (V, V, V),
+        ds: std::ops::Range<usize>,
+        step: &mut Step<'_, S>,
+    ) -> (V, V, V) {
+        match (LIVE, self.inner_len) {
+            (false, _) => self.ramp(regs, ds, step),
+            (true, 0) => self.live::<S, 0>(regs, ds, step),
+            (true, 1) => self.live::<S, 1>(regs, ds, step),
+            (true, 2) => self.live::<S, 2>(regs, ds, step),
+            (true, _) => self.live::<S, 3>(regs, ds, step),
         }
+    }
+
+    /// Stores each group's plane column that the chunk finished.
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn chunk_done(&mut self) {
+        let k = self.chunk;
+        let (now, before) = (self.acc[k % 2], self.acc[(k + 1) % 2]);
+        for g in &self.groups[..self.group_len] {
+            let tj = k as isize + g.col_of_chunk;
+            if tj >= 1 && (tj as usize) < self.t_cols {
+                let col = V::blend(before, now, &g.early);
+                store_group(g, col, &mut self.planes.dv[tj as usize * self.m + self.s0..]);
+            }
+        }
+        self.acc[(k + 1) % 2] = V::splat(0);
+        self.chunk += 1;
+    }
+}
+
+impl<'p, V: Vector> PlaneCapture<'p, '_, V> {
+    /// The masks of the next `len` diagonals. The sweep's chunks are `VL`
+    /// diagonals from a multiple of `VL`, so those of a run never wrap.
+    #[inline(always)]
+    fn masks(&mut self, len: usize) -> &'p [[u8; MAX_LANES]] {
+        let (masks, phase) = (self.masks, self.phase);
+        self.phase = if phase + len == self.vl { 0 } else { phase + len };
+        &masks[phase..][..len]
+    }
+
+    /// [`Capture::range`] on a ramp: each inner tile row's Δh′ is stored
+    /// where its lane is inside the block.
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn ramp<S: FnMut(usize) -> V>(
+        &mut self,
+        mut regs: (V, V, V),
+        ds: std::ops::Range<usize>,
+        step: &mut Step<'_, S>,
+    ) -> (V, V, V) {
+        let mut step = step.local();
+        let masks = self.masks(ds.len());
+        let (mut acc, n) = (self.acc[self.chunk % 2], self.n);
+        let mut out = [0u8; MAX_LANES];
+        for (d, mask) in ds.zip(masks) {
+            let (v, _) = step.diagonal::<V, false>(&mut regs, d, &mut out);
+            acc = V::or_masked(acc, v, mask);
+            for &(i, start, row) in &self.inner[..self.inner_len] {
+                let j = d.wrapping_sub(start);
+                if j < n {
+                    self.planes.dh[row + j] = out[i];
+                }
+            }
+        }
+        self.acc[self.chunk % 2] = acc;
+        regs
+    }
+
+    /// [`Capture::range`] on a run where every lane is inside the block,
+    /// with `K` inner tile rows: each one's Δh′ goes to a run of its plane
+    /// row cut before the loop.
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn live<S: FnMut(usize) -> V, const K: usize>(
+        &mut self,
+        mut regs: (V, V, V),
+        ds: std::ops::Range<usize>,
+        step: &mut Step<'_, S>,
+    ) -> (V, V, V) {
+        let mut step = step.local();
+        let len = ds.len();
+        let (mut lanes, mut at) = ([0; K], [0; K]);
+        for (k, &(i, start, row)) in self.inner[..K].iter().enumerate() {
+            (lanes[k], at[k]) = (i % MAX_LANES, row + ds.start - start);
+        }
+        let masks = self.masks(len);
+        let mut rows = runs_mut(&mut *self.planes.dh, at, len);
+        let mut acc = self.acc[self.chunk % 2];
+        let mut out = [0u8; MAX_LANES];
+        for (t, (d, mask)) in ds.zip(masks).enumerate() {
+            let (v, _) = step.diagonal::<V, true>(&mut regs, d, &mut out);
+            acc = V::or_masked(acc, v, mask);
+            for (row, &i) in rows.iter_mut().zip(&lanes) {
+                row[t] = out[i];
+            }
+        }
+        self.acc[self.chunk % 2] = acc;
+        regs
+    }
+}
+
+/// `K` runs of `len` bytes of `plane`, at the increasing offsets `at`
+/// that are at least `len` apart.
+#[inline(always)]
+fn runs_mut<const K: usize>(mut plane: &mut [u8], at: [usize; K], len: usize) -> [&mut [u8]; K] {
+    let mut runs: [&mut [u8]; K] = std::array::from_fn(|_| <&mut [u8]>::default());
+    let mut base = 0;
+    for (run, o) in runs.iter_mut().zip(at) {
+        (*run, plane) = std::mem::take(&mut plane)[o - base..].split_at_mut(len);
+        base = o + len;
+    }
+    runs
+}
+
+/// Stores group `g`'s lanes of `acc` to the plane column `col` (from the
+/// strip's first row on): one blend into its first `N` bytes, or a copy
+/// where they run off the plane.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn store_group<V: Vector>(g: &Group, acc: V, col: &mut [u8]) {
+    if col.len() >= V::N {
+        V::blend(acc, V::load(col), &g.mask).store(col);
+    } else {
+        let mut lanes = [0u8; MAX_LANES];
+        acc.store(&mut lanes);
+        col[g.lo..g.hi].copy_from_slice(&lanes[g.lo..g.hi]);
     }
 }
 
@@ -707,8 +1019,9 @@ impl<V: Vector> Capture<V> for PlaneCapture<'_, '_, V> {
 /// across `dh.len()` columns, in place: `dv` enters as the strip's left
 /// border and leaves as its right, `dh` enters as its top and leaves as
 /// its bottom row. `s_at(d)` yields the `S′` lanes of diagonal `d` (called
-/// once per diagonal, in order), `cap` sees every diagonal, and `control`
-/// is checked every `every` diagonals.
+/// once per diagonal, in order) and `cap` sees every diagonal. The sweep
+/// runs in a frame of its own ([`Vector::isolated`]), in chunks of `every`
+/// diagonals, and checks `token` between them.
 ///
 /// Lanes outside `0 ≤ d − START[i] < n` keep their Δv′ (not started, or
 /// already holding the right border); only the ramps at either end of
@@ -720,71 +1033,144 @@ unsafe fn sweep<V: Vector, C: Capture<V>>(
     rows: usize,
     dv: &mut [u8],
     dh: &mut [u8],
-    mut s_at: impl FnMut(usize) -> V,
+    s_at: impl FnMut(usize) -> V,
     cap: &mut C,
-    control: Option<(&CancelToken, usize)>,
+    (token, every): (Option<&CancelToken>, usize),
 ) -> Result<(), AlignError> {
-    let n = dh.len();
     let last = usize::from(V::START[rows - 1]);
-    let total = n + last;
+    let total = dh.len() + last;
     let mut lanes = [0u8; MAX_LANES];
     lanes[..rows].copy_from_slice(&dv[..rows]);
     // The lane registers: Δv′ carried along each row, and the Δh′ of the
     // last two diagonals.
-    let mut regs = (V::load(&lanes), V::splat(0), V::splat(0));
-    match control {
-        None => regs = diagonals(regs, 0..total, rows, dh, &mut s_at, cap),
-        Some((token, every)) => {
-            for lo in (0..total).step_by(every) {
-                if lo > 0 {
-                    token.check()?;
-                }
-                let ds = lo..(lo + every).min(total);
-                regs = V::isolated(|| diagonals(regs, ds, rows, dh, &mut s_at, cap));
-            }
-        }
-    }
+    let regs = (V::load(&lanes), V::splat(0), V::splat(0));
+    let mut step = Step { rows, last, dh, s_at };
+    let regs = V::isolated(Chunks { regs, step: &mut step, cap, token, every, total })?;
     let vdv = regs.0;
     vdv.store(&mut lanes);
     dv[..rows].copy_from_slice(&lanes[..rows]);
     Ok(())
 }
 
-/// Diagonals `ds` of [`sweep`], from and to the lane registers `regs`.
+/// Work [`Vector::isolated`] runs in a frame of its own.
+trait Isolated {
+    type Output;
+
+    /// Does the work; always inlined, so that it takes on the frame's
+    /// target feature.
+    // SAFETY: callers hold the target feature of the lanes it uses.
+    unsafe fn run(self) -> Self::Output;
+}
+
+/// [`sweep`]'s diagonals `0..total` from the lane registers `regs`, in
+/// chunks of `every`, with `token` checked between them.
+struct Chunks<'r, 'a, V, C, S> {
+    regs: (V, V, V),
+    step: &'r mut Step<'a, S>,
+    cap: &'r mut C,
+    token: Option<&'r CancelToken>,
+    every: usize,
+    total: usize,
+}
+
+impl<V: Vector, C: Capture<V>, S: FnMut(usize) -> V> Isolated for Chunks<'_, '_, V, C, S> {
+    type Output = Result<(V, V, V), AlignError>;
+
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn run(self) -> Self::Output {
+        let Chunks { mut regs, step, cap, token, every, total } = self;
+        for lo in (0..total).step_by(every) {
+            if let Some(token) = token.filter(|_| lo > 0) {
+                token.check()?;
+            }
+            regs = diagonals(regs, lo..total.min(lo.saturating_add(every)), step, cap);
+            cap.chunk_done();
+        }
+        Ok(regs)
+    }
+}
+
+/// Diagonals `ds` of [`sweep`], from and to the lane registers `regs`:
+/// the ramps and the run between them, where every lane is inside the
+/// block, each in a loop of its own.
 #[inline(always)]
 // SAFETY: callers hold `V`'s target feature.
-unsafe fn diagonals<V: Vector, C: Capture<V>>(
-    regs: (V, V, V),
+unsafe fn diagonals<V: Vector, C: Capture<V>, S: FnMut(usize) -> V>(
+    mut regs: (V, V, V),
     ds: std::ops::Range<usize>,
-    rows: usize,
-    dh: &mut [u8],
-    s_at: &mut impl FnMut(usize) -> V,
+    step: &mut Step<'_, S>,
     cap: &mut C,
 ) -> (V, V, V) {
-    let (mut vdv, mut h1, mut h2) = regs;
-    let n = dh.len();
-    let last = usize::from(V::START[rows - 1]);
-    let mut out = [0u8; MAX_LANES];
-    for d in ds {
-        let top = if d < n { dh[d] } else { 0 };
+    for (part, live) in step.parts(ds).into_iter().filter(|(part, _)| !part.is_empty()) {
+        regs = match live {
+            true => cap.range::<_, true>(regs, part, step),
+            false => cap.range::<_, false>(regs, part, step),
+        };
+    }
+    regs
+}
+
+/// One diagonal of [`sweep`]: the strip's rows, the diagonal its last
+/// lane starts on, its top border in and bottom row out, and its `S′`.
+struct Step<'a, S> {
+    rows: usize,
+    last: usize,
+    dh: &'a mut [u8],
+    s_at: S,
+}
+
+impl<S> Step<'_, S> {
+    /// `ds` cut into the runs on which every lane is inside the block
+    /// (`true`: the diagonals `last .. n`) and the ramps on either side.
+    fn parts(&self, ds: std::ops::Range<usize>) -> [(std::ops::Range<usize>, bool); 3] {
+        let n = self.dh.len();
+        let clamp = |d: usize| d.clamp(ds.start, ds.end);
+        let (live, done) = (clamp(self.last.min(n)), clamp(n));
+        [(ds.start..live, false), (live..done, true), (done..ds.end, false)]
+    }
+
+    /// The same step over borrowed borders and `S′`, for a loop to keep
+    /// in locals.
+    #[inline(always)]
+    fn local(&mut self) -> Step<'_, &mut S> {
+        Step { rows: self.rows, last: self.last, dh: &mut *self.dh, s_at: &mut self.s_at }
+    }
+
+    /// Computes diagonal `d` from and to the lane registers `regs`,
+    /// stores its Δh′ lanes to `out` and returns its Δv′ and Δh′ lanes.
+    /// `LIVE`: every lane is inside the block on `d`; otherwise `d` is on
+    /// a ramp, where only the lanes inside take their new Δv′.
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn diagonal<V: Vector, const LIVE: bool>(
+        &mut self,
+        regs: &mut (V, V, V),
+        d: usize,
+        out: &mut [u8; MAX_LANES],
+    ) -> (V, V)
+    where
+        S: FnMut(usize) -> V,
+    {
+        let (vdv, h1, h2) = *regs;
+        let (n, last) = (self.dh.len(), self.last);
+        let top = if LIVE || d < n { self.dh[d] } else { 0 };
         let dh_in = V::shift_in(h1, h2, top);
-        let (v, h) = V::pe(s_at(d), vdv, dh_in);
-        // Every lane is inside the block on the diagonals `last .. n`.
-        vdv = if d < last || d >= n {
+        let (v, h) = V::pe((self.s_at)(d), vdv, dh_in);
+        let vdv = if LIVE {
+            v
+        } else {
             let finished = (d + 1).saturating_sub(n);
             let (a, b) = (&V::STARTED[d.min(MASKS - 1)], &V::UNFINISHED[finished.min(MASKS - 1)]);
             V::keep_live(v, vdv, a, b)
-        } else {
-            v
         };
-        (h2, h1) = (h1, h);
-        cap.record(d, v, h);
-        if d >= last {
-            h.store(&mut out);
-            dh[d - last] = out[rows - 1];
+        *regs = (vdv, h, h1);
+        h.store(out);
+        if LIVE || d >= last {
+            self.dh[d - last] = out[self.rows - 1];
         }
+        (v, h)
     }
-    (vdv, h1, h2)
 }
 
 /// Lays `r` out reversed around `PAD` bytes of padding on each side, so
@@ -894,10 +1280,10 @@ fn tile_sse2(
     subst: Subst<'_>,
     dv: &mut [u8],
     dh: &mut [u8],
-    interior: Option<&mut Interior<'_>>,
+    cells: Option<&mut TileCells>,
 ) {
     // SAFETY: this function enables SSE2.
-    unsafe { tile_on::<Sse2>(q, r, subst, dv, dh, interior) }
+    unsafe { tile_on::<Sse2>(q, r, subst, dv, dh, cells) }
 }
 
 /// [`tile`]'s lane path on AVX2.
@@ -909,10 +1295,10 @@ fn tile_avx2(
     subst: Subst<'_>,
     dv: &mut [u8],
     dh: &mut [u8],
-    interior: Option<&mut Interior<'_>>,
+    cells: Option<&mut TileCells>,
 ) {
     // SAFETY: this function enables AVX2.
-    unsafe { tile_on::<Avx2>(q, r, subst, dv, dh, interior) }
+    unsafe { tile_on::<Avx2>(q, r, subst, dv, dh, cells) }
 }
 
 /// One tile as strips of at most `V::N` rows, one tile wide.
@@ -924,14 +1310,14 @@ unsafe fn tile_on<V: Vector>(
     subst: Subst<'_>,
     dv: &mut [u8],
     dh: &mut [u8],
-    interior: Option<&mut Interior<'_>>,
+    cells: Option<&mut TileCells>,
 ) {
-    match interior {
-        Some(interior) => {
+    match cells {
+        Some(cells) => {
+            cells.lanes(V::TILE_START);
             for (b, (qb, dvb)) in q.chunks(V::N).zip(dv.chunks_mut(V::N)).enumerate() {
-                let (row0, rows, cols) = (b * V::N, qb.len(), r.len());
-                let mut cells = Cells { interior: &mut *interior, row0, rows, cols };
-                tile_strip::<V, _>(qb, r, subst, dvb, dh, &mut cells);
+                let mut cap = Diagonals { cells: &mut *cells, row0: b * V::N };
+                tile_strip::<V, _>(qb, r, subst, dvb, dh, &mut cap);
             }
         }
         None => {
@@ -959,7 +1345,7 @@ unsafe fn tile_strip<V: Vector, C: Capture<V>>(
             let mut rrev = [0u8; MAX_VL + 2 * PAD];
             reverse_into(r, &mut rrev);
             let s_at = uniform_at::<V>(query_lanes(q), hit_miss(hit, miss), &rrev, r.len());
-            sweep::<V, C>(rows, dv, dh, s_at, cap, None)
+            sweep::<V, C>(rows, dv, dh, s_at, cap, (None, usize::MAX))
         }
         Subst::Matrix { matrix, shift } => {
             let sub = |a, b| (matrix.score(a, b) + shift) as u8;
@@ -972,7 +1358,7 @@ unsafe fn tile_strip<V: Vector, C: Capture<V>>(
                 }
                 V::load(&buf[(d + CHUNK - end) * MAX_LANES..])
             };
-            sweep::<V, C>(rows, dv, dh, s_at, cap, None)
+            sweep::<V, C>(rows, dv, dh, s_at, cap, (None, usize::MAX))
         }
     };
     debug_assert!(done.is_ok(), "a sweep without a token cannot fail");
@@ -1046,6 +1432,7 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
     let lane_rows = if vl <= V::N { V::N / vl * vl } else { V::N };
     let strip_rows = if edit { WORD_ROWS / vl * vl } else { lane_rows };
     let subst = Subst::of(engine.scheme());
+    let masks = job.planes.is_some().then(|| boundary_masks::<V>(vl));
     // Allocated by the first lane strip: the reversed reference, or a
     // matrix scheme's reference profile.
     let mut scratch = Vec::new();
@@ -1093,12 +1480,11 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
                     }
                 };
             }
-            let every = control.map(|t| (t, vl));
-            match job.planes.as_mut() {
-                Some(p) => {
-                    let mut cap = PlaneCapture::<V>::new(p, s0, h, m, n, vl);
+            let every = (control, vl);
+            match job.planes.as_mut().zip(masks.as_ref()) {
+                Some((p, masks)) => {
+                    let mut cap = PlaneCapture::<V>::new(p, masks, s0, h, (m, n, vl));
                     lane_strip::<V, _>(qs, r, subst, &scratch, dvs, dh, &mut cap, every)?;
-                    cap.finish();
                 }
                 None => lane_strip::<V, _>(qs, r, subst, &scratch, dvs, dh, &mut Borders, every)?,
             }
@@ -1108,10 +1494,11 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
 }
 
 /// One lane strip of a block, with `S′` from `scratch`: the reversed
-/// reference, or the matrix scheme's reference profile.
+/// reference, or the matrix scheme's reference profile. It takes the
+/// sweep's operands plus that source, hence the argument count.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // the sweep's operands plus its S′ source
-                                     // SAFETY: callers hold `V`'s target feature.
+#[allow(clippy::too_many_arguments)]
+// SAFETY: callers hold `V`'s target feature.
 unsafe fn lane_strip<V: Vector, C: Capture<V>>(
     q: &[u8],
     r: &[u8],
@@ -1120,7 +1507,7 @@ unsafe fn lane_strip<V: Vector, C: Capture<V>>(
     dv: &mut [u8],
     dh: &mut [u8],
     cap: &mut C,
-    control: Option<(&CancelToken, usize)>,
+    control: (Option<&CancelToken>, usize),
 ) -> Result<(), AlignError> {
     let (rows, n) = (q.len(), r.len());
     match subst {
@@ -1153,17 +1540,17 @@ fn edit_tile(
     r: &[u8],
     dv: &mut [u8],
     dh: &mut [u8],
-    interior: Option<&mut Interior<'_>>,
+    cells: Option<&mut TileCells>,
 ) {
     #[cfg(target_arch = "x86_64")]
     if kernel != LaneKernel::Scalar {
         // SAFETY: SSE2 is part of the x86_64 baseline, so the function's
         // only target feature is present on every x86_64 host.
-        unsafe { edit_tile_sse2(q, r, dv, dh, interior) };
+        unsafe { edit_tile_sse2(q, r, dv, dh, cells) };
         return;
     }
     let _ = kernel;
-    edit_columns(q, r, dv, dh, interior, |c| {
+    edit_columns(r, dv, dh, cells, |c| {
         q.iter().enumerate().fold(0, |eq, (i, &a)| eq | u64::from(a == c) << i)
     });
 }
@@ -1171,18 +1558,12 @@ fn edit_tile(
 /// [`edit_tile`] with the per-column match word from two byte compares.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-fn edit_tile_sse2(
-    q: &[u8],
-    r: &[u8],
-    dv: &mut [u8],
-    dh: &mut [u8],
-    interior: Option<&mut Interior<'_>>,
-) {
+fn edit_tile_sse2(q: &[u8], r: &[u8], dv: &mut [u8], dh: &mut [u8], cells: Option<&mut TileCells>) {
     let mut qb = [0u8; MAX_VL];
     qb[..q.len()].copy_from_slice(q);
     // SAFETY: this function enables SSE2.
     let (lo, hi) = unsafe { (Sse2::load(&qb[..LANES]).0, Sse2::load(&qb[LANES..]).0) };
-    edit_columns(q, r, dv, dh, interior, |c| {
+    edit_columns(r, dv, dh, cells, |c| {
         let vc = _mm_set1_epi8(c as i8);
         let lo = _mm_movemask_epi8(_mm_cmpeq_epi8(lo, vc)) as u32;
         let hi = _mm_movemask_epi8(_mm_cmpeq_epi8(hi, vc)) as u32;
@@ -1190,22 +1571,22 @@ fn edit_tile_sse2(
     });
 }
 
-/// [`edit_sweep`] over one tile, writing the interior when asked.
+/// [`edit_sweep`] over one tile, keeping each column's words in `cells`
+/// when given.
 #[inline]
 fn edit_columns(
-    q: &[u8],
     r: &[u8],
     dv: &mut [u8],
     dh: &mut [u8],
-    mut interior: Option<&mut Interior<'_>>,
+    mut cells: Option<&mut TileCells>,
     eq_of: impl Fn(u8) -> u64,
 ) {
-    let rows = q.len();
-    let done = edit_sweep(r, dv, dh, eq_of, None, |j, [pv, mv, ph, mh]| {
-        if let Some(int) = interior.as_deref_mut() {
-            for i in 0..rows {
-                int.put(i, j, shifted(pv, mv, 1 << i), shifted(ph, mh, 1 << i));
-            }
+    if let Some(c) = cells.as_deref_mut() {
+        c.words = true;
+    }
+    let done = edit_sweep(r, dv, dh, eq_of, None, |j, words| {
+        if let Some(c) = cells.as_deref_mut() {
+            c.cols[j] = words;
         }
     });
     debug_assert!(done.is_ok(), "a sweep without a token cannot fail");

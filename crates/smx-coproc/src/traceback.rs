@@ -6,12 +6,19 @@
 //! the rest. Each recomputed tile is walked with the global tie-break
 //! (diagonal ≻ insert ≻ delete), comparing neighbouring scores through
 //! the tile's deltas.
+//!
+//! Every tile is recomputed into one reused, stack-sized buffer, in the
+//! layout its kernel leaves it in: diagonal-major lanes (two vector stores
+//! per diagonal), or an edit tile's per-column Myers words, read by bit
+//! tests. The walk reads either through one accessor, so the traceback
+//! allocates nothing per tile; the CIGAR is sized once for a path of at
+//! most `m + n` steps.
 
 use crate::block::TileBorderStore;
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
-use crate::kernel::MAX_VL;
+use crate::kernel::{TileCells, MAX_VL};
 use smx_align_core::{AlignError, Cigar, Op};
 
 /// Work performed by a traceback (for Fig. 2's cells-computed accounting
@@ -64,7 +71,10 @@ pub fn traceback_block(
     let vl = store.vl();
     let epoch = session.as_mut().map_or(0, |s| s.begin_epoch());
     let mut stats = RecomputeStats::default();
-    let mut cigar = Cigar::new();
+    // A path takes at most `m + n` steps, so this is the CIGAR's only
+    // growth, and the recompute buffer is reused by every tile.
+    let mut cigar = Cigar::with_capacity(m + n);
+    let mut cells = TileCells::new();
     let mut gi_pos = m; // global row (cells consumed from query)
     let mut gj_pos = n; // global column
 
@@ -99,7 +109,7 @@ pub fn traceback_block(
         };
         let q_seg = &query[rspan.clone()];
         let r_seg = &reference[cspan.clone()];
-        let blk = engine.compute_tile_full(q_seg, r_seg, dv_left, dh_top)?;
+        engine.recompute_tile(q_seg, r_seg, dv_left, dh_top, &mut cells)?;
         stats.tiles += 1;
         stats.elements += (rows * cols) as u64;
 
@@ -114,9 +124,10 @@ pub fn traceback_block(
         while li > 0 && lj > 0 {
             stats.steps += 1;
             let (qc, rc) = (q_seg[li - 1], r_seg[lj - 1]);
-            let dv = i32::from(blk.dv(li - 1, lj - 1));
-            let dh = i32::from(blk.dh(li - 1, lj - 1));
-            let dh_above = i32::from(if li == 1 { dh_top[lj - 1] } else { blk.dh(li - 2, lj - 1) });
+            let dv = i32::from(cells.dv(li - 1, lj - 1));
+            let dh = i32::from(cells.dh(li - 1, lj - 1));
+            let dh_above =
+                i32::from(if li == 1 { dh_top[lj - 1] } else { cells.dh(li - 2, lj - 1) });
             if dv + gi + dh_above + gd == scheme.score(qc, rc) {
                 cigar.push(if qc == rc { Op::Match } else { Op::Mismatch });
                 li -= 1;

@@ -2,8 +2,9 @@
 //!
 //! The block sweep keeps its tile borders in two flat planes and its
 //! strip scratch in one buffer, so a block allocates the same number of
-//! times whatever its size, in either mode; the traceback allocates only
-//! the recomputed tile's interior.
+//! times whatever its size, in either mode; the traceback recomputes
+//! every tile into one fixed buffer and sizes its CIGAR once, so it too
+//! allocates the same number of times whatever the tile count.
 //! A counting global allocator with a per-thread tally pins both, so the
 //! test harness's parallel threads do not disturb the counts.
 
@@ -91,20 +92,24 @@ fn block_allocations_do_not_grow_with_the_tile_count() {
 }
 
 #[test]
-fn traceback_allocates_at_most_two_per_recomputed_tile() {
-    const CONSTANT: usize = 64;
+fn traceback_allocations_do_not_grow_with_the_tile_count() {
     let e = engine();
     let mut rng = StdRng::seed_from_u64(0x7ACE);
-    let (q, r) = pair(&mut rng, 2000);
-    let out = compute_block(&e, &q, &r, None, BlockMode::Traceback, None, None).unwrap();
-    let store = out.borders.as_ref().unwrap();
-    let mut s = session();
-    for session in [None, Some(&mut s)] {
-        let faulted = session.is_some();
-        let ((_, stats), allocs) =
-            counted(|| traceback_block(&e, &q, &r, store, session, None).unwrap());
-        assert!(stats.tiles >= 125, "the path crosses at least one tile per tile row");
-        let bound = 2 * stats.tiles as usize + CONSTANT;
-        assert!(allocs <= bound, "session {faulted}: {allocs} allocations > {bound}");
-    }
+    let (small_q, small_r) = pair(&mut rng, 64);
+    let (large_q, large_r) = pair(&mut rng, 2000);
+    let walk = |q: &[u8], r: &[u8], s: Option<&mut FaultSession>| {
+        let out = compute_block(&e, q, r, None, BlockMode::Traceback, None, None).unwrap();
+        let store = out.borders.as_ref().unwrap();
+        let ((_, stats), allocs) = counted(|| traceback_block(&e, q, r, store, s, None).unwrap());
+        (stats.tiles, allocs)
+    };
+    let (small_tiles, small) = walk(&small_q, &small_r, None);
+    let (large_tiles, large) = walk(&large_q, &large_r, None);
+    assert!(large_tiles >= 125, "the path crosses at least one tile per tile row");
+    assert!(large_tiles > 10 * small_tiles, "{small_tiles} vs {large_tiles} tiles");
+    assert_eq!(large, small, "no session");
+    let (mut s_small, mut s_large) = (session(), session());
+    let small_faulted = walk(&small_q, &small_r, Some(&mut s_small)).1;
+    let large_faulted = walk(&large_q, &large_r, Some(&mut s_large)).1;
+    assert_eq!(large_faulted, small_faulted, "fault session over FaultPlan::none()");
 }

@@ -8,7 +8,9 @@
 //! Every fresh block is also run under a fault session, which must
 //! reproduce the clean borders, border store and CIGAR. Whole-strip
 //! blocks up to ~300 columns run on every lane-kernel instantiation the
-//! host supports, edit-word strips that fall back to lanes included.
+//! host supports, edit-word strips that fall back to lanes included, and
+//! each one's traceback walks its own recomputed tiles to the reference
+//! CIGAR.
 //! Run it as well under `SMX_FORCE_SCALAR=1` to cover the scalar twins.
 
 use rand::rngs::StdRng;
@@ -79,17 +81,31 @@ fn random_tiles_match_reference_on(kernel: &str) {
 }
 
 /// Reference traceback over a whole block's `pe_exact` interior, with
-/// the global tie-break (diagonal ≻ insert ≻ delete).
+/// the global tie-break (diagonal ≻ insert ≻ delete), for a block with
+/// fresh borders.
 fn reference_cigar(blk: &DeltaBlock, q: &[u8], r: &[u8], scheme: &ScoringScheme) -> Cigar {
+    let (top, left) = DeltaBlock::fresh_borders(q.len(), r.len());
+    reference_cigar_within(blk, q, r, scheme, (&top, &left))
+}
+
+/// [`reference_cigar`] for a block inside a larger matrix, entered by the
+/// borders `top` and `left`.
+fn reference_cigar_within(
+    blk: &DeltaBlock,
+    q: &[u8],
+    r: &[u8],
+    scheme: &ScoringScheme,
+    (top, left): (&[u8], &[u8]),
+) -> Cigar {
     let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
     let (m, n) = (q.len(), r.len());
     let at = |i: usize, j: usize| i * (n + 1) + j;
     let mut abs = vec![0i32; (m + 1) * (n + 1)];
     for j in 1..=n {
-        abs[at(0, j)] = abs[at(0, j - 1)] + gd;
+        abs[at(0, j)] = abs[at(0, j - 1)] + i32::from(top[j - 1]) + gd;
     }
     for i in 1..=m {
-        abs[at(i, 0)] = abs[at(i - 1, 0)] + gi;
+        abs[at(i, 0)] = abs[at(i - 1, 0)] + i32::from(left[i - 1]) + gi;
         for j in 1..=n {
             abs[at(i, j)] = abs[at(i - 1, j)] + i32::from(blk.dv(i - 1, j - 1)) + gi;
         }
@@ -212,6 +228,12 @@ fn left_border(rng: &mut StdRng, len: usize, ew: ElementWidth, theta: u8) -> Vec
     out
 }
 
+/// Every instantiation computes whole-strip blocks and their border
+/// planes byte for byte as the reference does, and walks them to the
+/// reference CIGAR with the default kernel's `RecomputeStats`. The first
+/// shapes are fixed so that every setup has strips of several tile rows
+/// (W8 and W6 on AVX2, a W6 tile row split by its lag) with ragged last
+/// tile rows and columns.
 #[test]
 fn whole_strip_blocks_match_reference_on_every_lane_kernel() {
     let mut rng = StdRng::seed_from_u64(0x5751_B10C);
@@ -221,7 +243,11 @@ fn whole_strip_blocks_match_reference_on_every_lane_kernel() {
         let theta = scheme.theta() as u8;
         let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
         for case in 0..12u64 {
-            let (m, n) = (rng.gen_range(1..=150), rng.gen_range(1..=300));
+            let (m, n) = match case {
+                0 => (125, 211),
+                1 => (69, 45),
+                _ => (rng.gen_range(1..=150), rng.gen_range(1..=300)),
+            };
             let q = codes(&mut rng, m, card);
             let r = codes(&mut rng, n, card);
             let (top, left) = match case % 3 {
@@ -233,6 +259,15 @@ fn whole_strip_blocks_match_reference_on_every_lane_kernel() {
             let score = top.iter().map(|&d| i32::from(d) + gd).sum::<i32>()
                 + right_dv.iter().map(|&d| i32::from(d) + gi).sum::<i32>();
             let bb = BlockBorders::from_neighbors(top.clone(), left.clone());
+            // The walk is defined where the borders are true DP deltas.
+            let walkable = top.iter().chain(&left).all(|&x| x <= theta);
+            let cigar = reference_cigar_within(&whole, &q, &r, &scheme, (&top, &left));
+            let default_stats = walkable.then(|| {
+                let out =
+                    compute_block(&engine, &q, &r, Some(&bb), BlockMode::Traceback, None, None);
+                let store = out.unwrap().borders.unwrap();
+                traceback_block(&engine, &q, &r, &store, None, None).unwrap().1
+            });
             for &kernel in &kernels {
                 for mode in [BlockMode::ScoreOnly, BlockMode::Traceback] {
                     let ctx = format!("{kernel:?} {ew} {scheme:?} case {case} ({m}×{n}) {mode:?}");
@@ -245,6 +280,13 @@ fn whole_strip_blocks_match_reference_on_every_lane_kernel() {
                     assert_eq!(out.borders.is_some(), mode == BlockMode::Traceback, "{ctx}");
                     if let Some(store) = out.borders.as_ref() {
                         assert_store_matches(store, &whole, (&top, &left), &ctx);
+                        if let Some(stats) = default_stats {
+                            let (walked, walk_stats) = pinned(kernel, || {
+                                traceback_block(&engine, &q, &r, store, None, None).unwrap()
+                            });
+                            assert_eq!(walked, cigar, "{ctx} CIGAR");
+                            assert_eq!(walk_stats, stats, "{ctx} RecomputeStats");
+                        }
                     }
                 }
             }
