@@ -5,8 +5,10 @@
 
 use std::sync::OnceLock;
 
-/// Whether `SMX_FORCE_SCALAR` (any value but `0`) pins every vectorised
-/// kernel to its scalar twin (checked once per process).
+/// Whether `SMX_FORCE_SCALAR` (any value but `0`) takes every vectorised
+/// kernel off its x86 vector path (checked once per process): the host
+/// SIMD baseline runs its scalar twin, and the SMX-2D tile kernel runs
+/// its one lane sweep on portable lanes in plain Rust.
 #[must_use]
 pub fn force_scalar() -> bool {
     static FORCED: OnceLock<bool> = OnceLock::new();

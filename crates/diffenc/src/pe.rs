@@ -25,6 +25,8 @@ use smx_align_core::ElementWidth;
 /// Wide-integer reference PE: plain `max` over `i32`.
 ///
 /// Inputs and outputs are *shifted* values (`Δ′ ∈ [0, θ]`, `S′ ∈ [0, θ]`).
+/// Inlined, so that a caller's loop over lanes can vectorise it.
+#[inline]
 #[must_use]
 pub fn pe_reference(dv_in: u8, dh_in: u8, s: u8) -> (u8, u8) {
     let (dv, dh, s) = (dv_in as i32, dh_in as i32, s as i32);

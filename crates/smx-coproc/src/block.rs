@@ -107,12 +107,12 @@ pub struct BlockOutput {
 /// Computes an `m × n` DP-block by sweeping the tile grid.
 ///
 /// `input` borders of `None` mean a fresh, origin-anchored block. Without
-/// a `session` the block runs strip by strip (see `kernel.rs`), and
-/// `control` is checked before each strip and every `VL` diagonals inside
-/// it, so about once per tile. With a `session`, every tile runs through
-/// its checksum/watchdog/retry/fallback machinery (see [`crate::faults`])
-/// and `control` is checked at every tile boundary. The scalar twins
-/// (`SMX_FORCE_SCALAR`) also run tile by tile.
+/// a `session` the block runs strip by strip on every lane kernel (see
+/// `kernel.rs`): `control` is checked whole before each strip, so its
+/// deadline fires within one strip of at most 64 rows, and its cancel
+/// flag alone every `VL` diagonals inside it. With a `session`, every
+/// tile runs through its checksum/watchdog/retry/fallback machinery (see
+/// [`crate::faults`]) and `control` is checked at every tile boundary.
 ///
 /// # Errors
 ///
@@ -127,7 +127,7 @@ pub fn compute_block(
     reference: &[u8],
     input: Option<&BlockBorders>,
     mode: BlockMode,
-    mut session: Option<&mut FaultSession>,
+    session: Option<&mut FaultSession>,
     control: Option<&CancelToken>,
 ) -> Result<BlockOutput, AlignError> {
     let (m, n) = (query.len(), reference.len());
@@ -149,9 +149,9 @@ pub fn compute_block(
     let t_cols = n.div_ceil(vl);
 
     // The carried borders, advanced in place strip by strip (or tile by
-    // tile): `dh_carry`
-    // ends as the block's bottom row, and each tile row's slice of
-    // `right_dv` starts as the block's left border and ends as its right.
+    // tile): `dh_carry` ends as the block's bottom row, and each tile
+    // row's slice of `right_dv` starts as the block's left border and
+    // ends as its right.
     let mut dh_carry: Vec<u8> = borders.top_dh.clone();
     let mut right_dv: Vec<u8> = borders.left_dv.clone();
     let keep = mode == BlockMode::Traceback;
@@ -160,28 +160,8 @@ pub fn compute_block(
     } else {
         (Vec::new(), Vec::new())
     };
-    let kernel = LaneKernel::current();
-    if session.is_none() && kernel != LaneKernel::Scalar {
-        // Tile column 0 and tile row 0 of the planes are the block's
-        // own borders as they came in, before the sweep masks them; the
-        // sweep fills the rest.
-        let planes = keep.then(|| {
-            dv_plane[..m].copy_from_slice(&right_dv);
-            dh_plane[..n].copy_from_slice(&dh_carry);
-            Planes { dv: &mut dv_plane, dh: &mut dh_plane }
-        });
-        let mut job = Strips {
-            engine,
-            q: query,
-            r: reference,
-            dv: &mut right_dv,
-            dh: &mut dh_carry,
-            planes,
-            control,
-        };
-        kernel::block(kernel, &mut job)?;
-    } else {
-        let epoch = session.as_mut().map_or(0, |s| s.begin_epoch());
+    if let Some(session) = session {
+        let epoch = session.begin_epoch();
         for ti in 0..t_rows {
             let r0 = ti * vl;
             let rows = (m - r0).min(vl);
@@ -201,14 +181,28 @@ pub fn compute_block(
                     dv_plane[tj * m + r0..][..rows].copy_from_slice(dv_carry);
                     dh_plane[ti * n + c0..][..cols].copy_from_slice(dh_top);
                 }
-                match session.as_mut() {
-                    Some(s) => {
-                        s.run_tile(engine, q_seg, r_seg, dv_carry, dh_top, epoch, ti, tj)?;
-                    }
-                    None => engine.compute_tile(q_seg, r_seg, dv_carry, dh_top)?,
-                }
+                session.run_tile(engine, q_seg, r_seg, dv_carry, dh_top, epoch, ti, tj)?;
             }
         }
+    } else {
+        // Tile column 0 and tile row 0 of the planes are the block's
+        // own borders as they came in, before the sweep masks them; the
+        // sweep fills the rest.
+        let planes = keep.then(|| {
+            dv_plane[..m].copy_from_slice(&right_dv);
+            dh_plane[..n].copy_from_slice(&dh_carry);
+            Planes { dv: &mut dv_plane, dh: &mut dh_plane }
+        });
+        let mut job = Strips {
+            engine,
+            q: query,
+            r: reference,
+            dv: &mut right_dv,
+            dh: &mut dh_carry,
+            planes,
+            control,
+        };
+        kernel::block(LaneKernel::current(), &mut job)?;
     }
 
     let top_sum: i32 = borders.top_dh.iter().map(|&d| i32::from(d) + scheme.gap_delete()).sum();
@@ -323,6 +317,65 @@ mod tests {
             assert_eq!(out.right_dv, clean.right_dv, "rate {rate}");
             assert_eq!(out.borders, clean.borders, "rate {rate}");
             assert!(s.stats().invariants_hold(), "rate {rate}: {:?}", s.stats());
+        }
+    }
+
+    /// Every lane kernel, the portable one included, sweeps whole strips
+    /// through `kernel::block`: a block of several strips leaves the
+    /// reference's output borders and border planes in both plane modes.
+    #[test]
+    fn every_lane_kernel_sweeps_strips_to_the_reference() {
+        use crate::kernel::supported;
+        use smx_diffenc::delta::DeltaBlock;
+        for cfg in AlignmentConfig::ALL {
+            let e = engine(cfg);
+            let (q, r) = (seq(cfg, 150, 7), seq(cfg, 130, 11));
+            let (m, n, vl) = (q.len(), r.len(), e.tile_dim());
+            let (top, left) = DeltaBlock::fresh_borders(m, n);
+            let whole =
+                DeltaBlock::compute(cfg.element_width(), &q, &r, &cfg.scoring(), &top, &left)
+                    .unwrap();
+            // Tile column `k / m`'s entering Δv′ and tile row `k / n`'s
+            // entering Δh′.
+            let want_dv: Vec<u8> = (0..n.div_ceil(vl) * m)
+                .map(|k| match (k / m, k % m) {
+                    (0, i) => left[i],
+                    (tj, i) => whole.dv(i, tj * vl - 1),
+                })
+                .collect();
+            let want_dh: Vec<u8> = (0..m.div_ceil(vl) * n)
+                .map(|k| match (k / n, k % n) {
+                    (0, j) => top[j],
+                    (ti, j) => whole.dh(ti * vl - 1, j),
+                })
+                .collect();
+            for kernel in supported() {
+                for keep in [false, true] {
+                    let ctx = format!("{kernel:?} {cfg} planes {keep}");
+                    let (mut dv, mut dh) = (left.clone(), top.clone());
+                    let mut dv_plane = vec![0u8; want_dv.len()];
+                    let mut dh_plane = vec![0u8; want_dh.len()];
+                    dv_plane[..m].copy_from_slice(&left);
+                    dh_plane[..n].copy_from_slice(&top);
+                    let planes = keep.then(|| Planes { dv: &mut dv_plane, dh: &mut dh_plane });
+                    let mut job = Strips {
+                        engine: &e,
+                        q: &q,
+                        r: &r,
+                        dv: &mut dv,
+                        dh: &mut dh,
+                        planes,
+                        control: None,
+                    };
+                    kernel::block(kernel, &mut job).unwrap_or_else(|err| panic!("{ctx}: {err}"));
+                    assert_eq!(dv, whole.right_dv(), "{ctx}");
+                    assert_eq!(dh, whole.bottom_dh(), "{ctx}");
+                    if keep {
+                        assert_eq!(dv_plane, want_dv, "{ctx}");
+                        assert_eq!(dh_plane, want_dh, "{ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -1,10 +1,14 @@
 //! Cooperative execution control: cancellation and wall-clock deadlines.
 //!
 //! A [`CancelToken`] is the service layer's handle into a running
-//! alignment. The coprocessor checks the token at every tile boundary —
-//! the same hook point the fault watchdog uses — so a stuck or
-//! over-budget pair is abandoned within one tile's worth of work instead
-//! of stalling its worker for the rest of the block. Cancellation is
+//! alignment. A block sweeping strips checks the whole token before each
+//! strip of tile rows and polls only the shared cancel flag every `VL`
+//! diagonals inside it, so a cancelled pair is abandoned within about one
+//! tile's worth of work and an over-budget one within one strip (at most
+//! 64 rows), while the clock is read once per strip. Under a fault
+//! session the token is checked at every tile boundary, the hook point
+//! the fault watchdog uses. Either way a stuck or over-budget pair does
+//! not stall its worker for the rest of the block. Cancellation is
 //! cooperative and lossless: an abandoned pair fails with a typed
 //! [`AlignError::Cancelled`] / [`AlignError::DeadlineExceeded`] error and
 //! never produces a partial or corrupt alignment.
@@ -61,8 +65,8 @@ impl CancelToken {
         self.deadline.is_some_and(|(at, _)| Instant::now() >= at)
     }
 
-    /// The tile-boundary check: fails fast with the typed reason when the
-    /// token is cancelled or past its deadline.
+    /// The strip- and tile-boundary check: fails fast with the typed
+    /// reason when the token is cancelled or past its deadline.
     ///
     /// # Errors
     ///

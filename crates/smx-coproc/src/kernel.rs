@@ -20,7 +20,8 @@
 //! * **Lane sweep** ([`sweep`], every scheme; the only one for W4/W6): one
 //!   diagonal is one pass of saturating subtracts and maxes over a lane
 //!   register. It is written once, generic over [`Vector`], and
-//!   instantiated for SSE2 and AVX2 under `#[target_feature]`. `S′` comes
+//!   instantiated for SSE2 and AVX2 under `#[target_feature]` and for
+//!   16 portable lanes in plain Rust. `S′` comes
 //!   per diagonal from one skewed load of the reversed reference and one
 //!   compare (match/mismatch schemes), or from the block's reference
 //!   profile, one row of `S′` per query code, copied into a diagonal-major
@@ -48,30 +49,32 @@
 //! * **Recompute** (traceback): a tile's interior stays in the layout
 //!   its kernel leaves it in, one fixed [`TileCells`] buffer: lanes by
 //!   diagonal, or an edit tile's Myers words by column.
-//! * **Cancellation.** A block checks its token before each strip and
-//!   every `VL` diagonals (or columns) inside it, about once per tile.
+//! * **Cancellation.** A block checks its whole token (flag and
+//!   deadline) before each strip, and polls only the cancel flag every
+//!   `VL` diagonals (or columns) inside it, so the clock is read once
+//!   per strip.
 //!
 //! Dispatch: AVX2 where `avx2_available()` says so, else SSE2, which is
 //! part of the x86_64 baseline. `SMX_FORCE_SCALAR` (via
 //! `smx_align_core::dispatch::force_scalar`) and non-x86_64 targets run
-//! scalar twins tile by tile, with the same structure. Tests pin a
-//! thread to each instantiation with [`pinned`].
+//! the portable lanes, whose `pe` is [`pe_reference`] on each lane:
+//! every target runs the same strips, captures and edit words. Tests pin
+//! a thread to each instantiation with [`pinned`].
 //!
 //! [`DeltaBlock::compute`]: smx_diffenc::delta::DeltaBlock::compute
 //! [`pe_exact`]: smx_diffenc::pe::pe_exact
 
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
-use smx_align_core::dispatch::{avx2_available, force_scalar};
 use smx_align_core::{AlignError, ElementWidth, ScoringScheme, SubstMatrix};
 use smx_diffenc::pe::{myers_step, pe_reference};
 use std::cell::Cell;
 
 #[cfg(target_arch = "x86_64")]
+use smx_align_core::dispatch::{avx2_available, force_scalar};
+#[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-/// Rows of one band of the scalar twin.
-const LANES: usize = 16;
 /// Lanes of the widest register (AVX2), and the row stride of every
 /// diagonal-major lane buffer.
 const MAX_LANES: usize = 32;
@@ -101,9 +104,8 @@ const TILE_DIAGS: usize = 2 * MAX_VL;
 /// A lane sweep stores each diagonal's Δv′ and Δh′ lanes as they are, so
 /// row `i`'s cell in column `j` sits at `(j + start[i]) · MAX_LANES + i`,
 /// with `start` the lane starts of the instantiation (a 16-lane tile of
-/// more rows runs as strips that restart at lane 0; the scalar twin
-/// writes starts `i`). An edit tile keeps each column's Myers words
-/// instead, and a cell is two bit tests.
+/// more rows runs as strips that restart at lane 0). An edit tile keeps
+/// each column's Myers words instead, and a cell is two bit tests.
 pub(crate) struct TileCells {
     /// Whether the tile ran as edit words (`cols`) or lanes (`dv`, `dh`).
     words: bool,
@@ -160,14 +162,17 @@ impl TileCells {
     }
 }
 
-/// The instantiation of the lane kernel a thread runs.
+/// The instantiation of the lane kernel a thread runs. Every one sweeps
+/// the same strips; the x86 ones exist only on x86_64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneKernel {
-    /// The scalar twins, tile by tile.
+    /// 16 portable lanes in plain Rust, each evaluating [`pe_reference`].
     Scalar,
-    /// 16 lanes.
+    /// 16 SSE2 lanes.
+    #[cfg(target_arch = "x86_64")]
     Sse2,
-    /// 32 lanes.
+    /// 32 AVX2 lanes.
+    #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
@@ -177,33 +182,31 @@ thread_local! {
 
 impl LaneKernel {
     /// The instantiation this thread runs: its [`pinned`] one, else the
-    /// scalar twins under `SMX_FORCE_SCALAR` or off x86_64, else AVX2
+    /// portable lanes under `SMX_FORCE_SCALAR` or off x86_64, else AVX2
     /// where the host has it, else SSE2.
     pub(crate) fn current() -> LaneKernel {
         if let Some(kernel) = PINNED.with(Cell::get) {
             return kernel;
         }
-        if force_scalar() || cfg!(not(target_arch = "x86_64")) {
-            LaneKernel::Scalar
-        } else if avx2_available() {
-            LaneKernel::Avx2
-        } else {
-            LaneKernel::Sse2
+        #[cfg(target_arch = "x86_64")]
+        if !force_scalar() {
+            return if avx2_available() { LaneKernel::Avx2 } else { LaneKernel::Sse2 };
         }
+        LaneKernel::Scalar
     }
 }
 
-/// Every instantiation this host runs.
+/// Every instantiation this host runs, the portable lanes first.
 #[must_use]
 pub fn supported() -> Vec<LaneKernel> {
-    let mut out = vec![LaneKernel::Scalar];
-    if cfg!(target_arch = "x86_64") {
-        out.push(LaneKernel::Sse2);
-        if avx2_available() {
-            out.push(LaneKernel::Avx2);
-        }
-    }
-    out
+    let kernels = [
+        Some(LaneKernel::Scalar),
+        #[cfg(target_arch = "x86_64")]
+        Some(LaneKernel::Sse2),
+        #[cfg(target_arch = "x86_64")]
+        avx2_available().then_some(LaneKernel::Avx2),
+    ];
+    kernels.into_iter().flatten().collect()
 }
 
 /// Runs `f` with this thread's tile and block kernels pinned to
@@ -285,28 +288,20 @@ pub(crate) fn tile(
     }
     let mask = ew.max_value() as u8;
     dv.iter_mut().chain(dh.iter_mut()).for_each(|x| *x &= mask);
-    let kernel = LaneKernel::current();
     if matches!(scheme, ScoringScheme::Edit) && in_theta(dv) && in_theta(dh) {
-        edit_tile(kernel, q, r, dv, dh, cells);
+        edit_tile(q, r, dv, dh, cells);
         return;
     }
     let subst = Subst::of(scheme);
-    match kernel {
+    match LaneKernel::current() {
+        // SAFETY: the portable lanes need no target feature.
+        LaneKernel::Scalar => unsafe { tile_on::<Portable>(q, r, subst, dv, dh, cells) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86_64 baseline.
         LaneKernel::Sse2 => unsafe { tile_sse2(q, r, subst, dv, dh, cells) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `current` picks AVX2 only where `supported` lists it.
         LaneKernel::Avx2 => unsafe { tile_avx2(q, r, subst, dv, dh, cells) },
-        _ => {
-            let mut cells = cells;
-            if let Some(c) = cells.as_deref_mut() {
-                c.lanes(std::array::from_fn(|i| i as u8));
-            }
-            for (b, (qb, dvb)) in q.chunks(LANES).zip(dv.chunks_mut(LANES)).enumerate() {
-                lane_band_scalar(qb, r, subst, dvb, dh, b * LANES, cells.as_deref_mut());
-            }
-        }
     }
 }
 
@@ -315,50 +310,13 @@ fn in_theta(border: &[u8]) -> bool {
     border.iter().all(|&x| x <= EDIT_THETA)
 }
 
-/// Scalar twin of the lane sweep over one band of at most [`LANES`] tile
-/// rows, in place (`dv`: this band's left/right border, `dh`: the tile's
-/// top border in, this band's bottom row out), one live lane at a time.
-/// `row0` is the band's first tile row; `cells`, when given, receives
-/// every cell with lane starts `i`.
-fn lane_band_scalar(
-    q: &[u8],
-    r: &[u8],
-    subst: Subst<'_>,
-    dv: &mut [u8],
-    dh: &mut [u8],
-    row0: usize,
-    mut cells: Option<&mut TileCells>,
-) {
-    let (rows, cols) = (q.len(), r.len());
-    // Δh′ each lane produced on the previous diagonal.
-    let mut lane_dh = [0u8; LANES];
-    for d in 0..rows + cols - 1 {
-        // Descending lanes read lane i − 1's previous-diagonal Δh′ before
-        // this diagonal overwrites it. Lane 0 reads the top border at
-        // column d before the bottom row writes column d − rows + 1.
-        for i in (d.saturating_sub(cols - 1)..=d.min(rows - 1)).rev() {
-            let j = d - i;
-            let dh_in = if i == 0 { dh[j] } else { lane_dh[i - 1] };
-            let (v, h) = pe_reference(dv[i], dh_in, subst.at(q[i], r[j]));
-            dv[i] = v;
-            lane_dh[i] = h;
-            if i + 1 == rows {
-                dh[j] = h;
-            }
-            if let Some(c) = cells.as_deref_mut() {
-                let k = c.at(row0 + i, j);
-                (c.dv[k], c.dh[k]) = (v, h);
-            }
-        }
-    }
-}
-
 /// One lane register of [`sweep`]: `N` unsigned byte lanes. Lane `i`
 /// holds strip row `i`, and on diagonal `d` it computes column
 /// `d − START[i]`.
 ///
 /// Every method may run only where the instantiation's target feature is
-/// enabled, which is what the `unsafe` on each one stands for.
+/// enabled, which is what the `unsafe` on each one stands for (the
+/// portable lanes have none).
 trait Vector: Copy + 'static {
     /// Lanes per register.
     const N: usize;
@@ -413,6 +371,110 @@ trait Vector: Copy + 'static {
     /// loop so the lane registers never spill.
     // SAFETY: callers hold the instantiation's target feature.
     unsafe fn isolated<I: Isolated>(f: I) -> I::Output;
+}
+
+/// Portable lanes: 16 bytes in plain Rust, for every target. Each lane's
+/// `pe` is [`pe_reference`] itself.
+#[derive(Clone, Copy)]
+struct Portable([u8; 16]);
+
+impl Portable {
+    /// Lane `i` from `f(i)`, in a loop the compiler can vectorise.
+    #[inline(always)]
+    fn lanes(f: impl Fn(usize) -> u8) -> Portable {
+        let mut out = [0u8; 16];
+        for (i, x) in out.iter_mut().enumerate() {
+            *x = f(i);
+        }
+        Portable(out)
+    }
+}
+
+/// `new` in the lanes set in the byte mask `m`, `old` elsewhere.
+#[inline(always)]
+fn select(m: u8, new: u8, old: u8) -> u8 {
+    (m & new) | (!m & old)
+}
+
+impl Vector for Portable {
+    const N: usize = 16;
+    const START: [u8; MAX_LANES] = lane_starts(0);
+
+    #[inline(always)]
+    // SAFETY: plain Rust; the slice index proves 16 readable bytes.
+    unsafe fn load(src: &[u8]) -> Portable {
+        let src = &src[..16];
+        Portable::lanes(|i| src[i])
+    }
+
+    #[inline(always)]
+    // SAFETY: `START` is the identity here, so this is `load`.
+    unsafe fn load_skewed(src: &[u8]) -> Portable {
+        Portable::load(src)
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust; the slice index proves 16 writable bytes.
+    unsafe fn store(self, out: &mut [u8]) {
+        out[..16].copy_from_slice(&self.0);
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust.
+    unsafe fn splat(x: u8) -> Portable {
+        Portable([x; 16])
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust.
+    unsafe fn shift_in(h1: Portable, _h2: Portable, top: u8) -> Portable {
+        let mut out = [top; 16];
+        out[1..].copy_from_slice(&h1.0[..15]);
+        Portable(out)
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust.
+    unsafe fn pe(s: Portable, dv: Portable, dh: Portable) -> (Portable, Portable) {
+        let (mut v, mut h) = ([0u8; 16], [0u8; 16]);
+        for i in 0..16 {
+            (v[i], h[i]) = pe_reference(dv.0[i], dh.0[i], s.0[i]);
+        }
+        (Portable(v), Portable(h))
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust.
+    unsafe fn uniform(q: Portable, r: Portable, miss: Portable, delta: Portable) -> Portable {
+        Portable::lanes(|i| miss.0[i].wrapping_add(if q.0[i] == r.0[i] { delta.0[i] } else { 0 }))
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust; the slice indices prove both masks' lengths.
+    unsafe fn keep_live(new: Portable, old: Portable, a: &[u8], b: &[u8]) -> Portable {
+        let (a, b) = (&a[..16], &b[..16]);
+        Portable::lanes(|i| select(a[i] & b[i], new.0[i], old.0[i]))
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust; the slice index proves the mask's length.
+    unsafe fn blend(new: Portable, old: Portable, mask: &[u8]) -> Portable {
+        let mask = &mask[..16];
+        Portable::lanes(|i| select(mask[i], new.0[i], old.0[i]))
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust; the slice index proves the mask's length.
+    unsafe fn or_masked(acc: Portable, v: Portable, mask: &[u8]) -> Portable {
+        let mask = &mask[..16];
+        Portable::lanes(|i| acc.0[i] | (v.0[i] & mask[i]))
+    }
+
+    #[inline(never)]
+    // SAFETY: a plain call.
+    unsafe fn isolated<I: Isolated>(f: I) -> I::Output {
+        f.run()
+    }
 }
 
 /// SSE2 lanes: one 16-byte register.
@@ -1021,7 +1083,7 @@ unsafe fn store_group<V: Vector>(g: &Group, acc: V, col: &mut [u8]) {
 /// its bottom row. `s_at(d)` yields the `S′` lanes of diagonal `d` (called
 /// once per diagonal, in order) and `cap` sees every diagonal. The sweep
 /// runs in a frame of its own ([`Vector::isolated`]), in chunks of `every`
-/// diagonals, and checks `token` between them.
+/// diagonals, and polls `token`'s cancel flag between them.
 ///
 /// Lanes outside `0 ≤ d − START[i] < n` keep their Δv′ (not started, or
 /// already holding the right border); only the ramps at either end of
@@ -1063,7 +1125,7 @@ trait Isolated {
 }
 
 /// [`sweep`]'s diagonals `0..total` from the lane registers `regs`, in
-/// chunks of `every`, with `token` checked between them.
+/// chunks of `every`, with `token`'s cancel flag polled between them.
 struct Chunks<'r, 'a, V, C, S> {
     regs: (V, V, V),
     step: &'r mut Step<'a, S>,
@@ -1081,8 +1143,8 @@ impl<V: Vector, C: Capture<V>, S: FnMut(usize) -> V> Isolated for Chunks<'_, '_,
     unsafe fn run(self) -> Self::Output {
         let Chunks { mut regs, step, cap, token, every, total } = self;
         for lo in (0..total).step_by(every) {
-            if let Some(token) = token.filter(|_| lo > 0) {
-                token.check()?;
+            if lo > 0 && token.is_some_and(CancelToken::is_cancelled) {
+                return Err(AlignError::Cancelled);
             }
             regs = diagonals(regs, lo..total.min(lo.saturating_add(every)), step, cap);
             cap.chunk_done();
@@ -1386,18 +1448,19 @@ pub(crate) struct Strips<'a> {
     pub(crate) control: Option<&'a CancelToken>,
 }
 
-/// Computes a block strip by strip on `kernel` (SSE2 or AVX2).
-/// `control` is checked before each strip and every `VL` diagonals (or
+/// Computes a block strip by strip on `kernel`. `control` is checked
+/// whole before each strip, and its cancel flag every `VL` diagonals (or
 /// columns) inside it.
 pub(crate) fn block(kernel: LaneKernel, job: &mut Strips<'_>) -> Result<(), AlignError> {
     match kernel {
+        // SAFETY: the portable lanes need no target feature.
+        LaneKernel::Scalar => unsafe { block_on::<Portable>(job) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86_64 baseline.
         LaneKernel::Sse2 => unsafe { block_sse2(job) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `current` picks AVX2 only where `supported` lists it.
         LaneKernel::Avx2 => unsafe { block_avx2(job) },
-        _ => Err(AlignError::Internal(format!("no strip sweep on {kernel:?}"))),
     }
 }
 
@@ -1533,58 +1596,13 @@ unsafe fn lane_strip<V: Vector, C: Capture<V>>(
 
 /// The edit-word kernel on a tile: bit `i` of `(pv, mv)` is the edit
 /// delta of tile row `i` in the current column (`pv`: +1, `mv`: −1), and
-/// each reference character is one Edlib-order step.
-fn edit_tile(
-    kernel: LaneKernel,
-    q: &[u8],
-    r: &[u8],
-    dv: &mut [u8],
-    dh: &mut [u8],
-    cells: Option<&mut TileCells>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if kernel != LaneKernel::Scalar {
-        // SAFETY: SSE2 is part of the x86_64 baseline, so the function's
-        // only target feature is present on every x86_64 host.
-        unsafe { edit_tile_sse2(q, r, dv, dh, cells) };
-        return;
-    }
-    let _ = kernel;
-    edit_columns(r, dv, dh, cells, |c| {
-        q.iter().enumerate().fold(0, |eq, (i, &a)| eq | u64::from(a == c) << i)
-    });
-}
-
-/// [`edit_tile`] with the per-column match word from two byte compares.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-fn edit_tile_sse2(q: &[u8], r: &[u8], dv: &mut [u8], dh: &mut [u8], cells: Option<&mut TileCells>) {
-    let mut qb = [0u8; MAX_VL];
-    qb[..q.len()].copy_from_slice(q);
-    // SAFETY: this function enables SSE2.
-    let (lo, hi) = unsafe { (Sse2::load(&qb[..LANES]).0, Sse2::load(&qb[LANES..]).0) };
-    edit_columns(r, dv, dh, cells, |c| {
-        let vc = _mm_set1_epi8(c as i8);
-        let lo = _mm_movemask_epi8(_mm_cmpeq_epi8(lo, vc)) as u32;
-        let hi = _mm_movemask_epi8(_mm_cmpeq_epi8(hi, vc)) as u32;
-        u64::from(lo | hi << LANES)
-    });
-}
-
-/// [`edit_sweep`] over one tile, keeping each column's words in `cells`
-/// when given.
-#[inline]
-fn edit_columns(
-    r: &[u8],
-    dv: &mut [u8],
-    dh: &mut [u8],
-    mut cells: Option<&mut TileCells>,
-    eq_of: impl Fn(u8) -> u64,
-) {
+/// each reference character is one Edlib-order step. `cells`, when
+/// given, keeps each column's words.
+fn edit_tile(q: &[u8], r: &[u8], dv: &mut [u8], dh: &mut [u8], mut cells: Option<&mut TileCells>) {
     if let Some(c) = cells.as_deref_mut() {
         c.words = true;
     }
-    let done = edit_sweep(r, dv, dh, eq_of, None, |j, words| {
+    let done = edit_sweep(r, dv, dh, &match_words(q), None, |j, words| {
         if let Some(c) = cells.as_deref_mut() {
             c.cols[j] = words;
         }
@@ -1592,11 +1610,21 @@ fn edit_columns(
     debug_assert!(done.is_ok(), "a sweep without a token cannot fail");
 }
 
+/// The match word of every byte against the rows `q` (at most 64): bit
+/// `i` of `[c]` is set when `q[i] == c`.
+fn match_words(q: &[u8]) -> [u64; 256] {
+    let mut peq = [0u64; 256];
+    for (i, &a) in q.iter().enumerate() {
+        peq[usize::from(a)] |= 1 << i;
+    }
+    peq
+}
+
 /// One edit-word strip of a block: at most 64 rows `q` across the whole
-/// reference, with the match words from a per-strip table. With `at`
-/// (the planes, the strip's first block row and the block height), each
-/// boundary column stores its Δv′ and each inner tile row its entering
-/// Δh′. `control` is checked every `vl` columns.
+/// reference. With `at` (the planes, the strip's first block row and the
+/// block height), each boundary column stores its Δv′ and each inner tile
+/// row its entering Δh′. `control`'s cancel flag is polled every `vl`
+/// columns.
 fn edit_strip(
     q: &[u8],
     r: &[u8],
@@ -1607,47 +1635,34 @@ fn edit_strip(
     control: Option<&CancelToken>,
 ) -> Result<(), AlignError> {
     let (rows, n) = (q.len(), r.len());
-    let mut peq = [0u64; 256];
-    for (i, &a) in q.iter().enumerate() {
-        peq[usize::from(a)] |= 1 << i;
-    }
     let control = control.map(|t| (t, vl));
     // Column `j` ends a tile column when `j + 1` reaches `boundary`.
     let mut boundary = vl;
-    edit_sweep(
-        r,
-        dv,
-        dh,
-        |c| peq[usize::from(c)],
-        control,
-        |j, [pv, mv, ph, mh]| {
-            let Some((p, r0, m)) = at.as_mut() else { return };
-            for i in (vl - 1..rows - 1).step_by(vl) {
-                p.dh[(*r0 + i + 1) / vl * n + j] = shifted(ph, mh, 1 << i);
+    edit_sweep(r, dv, dh, &match_words(q), control, |j, [pv, mv, ph, mh]| {
+        let Some((p, r0, m)) = at.as_mut() else { return };
+        for i in (vl - 1..rows - 1).step_by(vl) {
+            p.dh[(*r0 + i + 1) / vl * n + j] = shifted(ph, mh, 1 << i);
+        }
+        if j + 1 == boundary && boundary < n {
+            let col = &mut p.dv[boundary / vl * *m + *r0..][..rows];
+            for (i, x) in col.iter_mut().enumerate() {
+                *x = shifted(pv, mv, 1 << i);
             }
-            if j + 1 == boundary && boundary < n {
-                let col = &mut p.dv[boundary / vl * *m + *r0..][..rows];
-                for (i, x) in col.iter_mut().enumerate() {
-                    *x = shifted(pv, mv, 1 << i);
-                }
-                boundary += vl;
-            }
-        },
-    )
+            boundary += vl;
+        }
+    })
 }
 
-/// The column loop of the edit-word kernel over `dv.len() ≤ 64` rows;
-/// `eq_of(c)` is the match word of reference character `c` (bit `i` set
-/// when row `i` matches `c`; bits at and above `dv.len()` are ignored).
-/// After each column `j`, `on_column(j, [pv, mv, ph, mh])` sees its
-/// vertical and horizontal delta words. `control` is checked every
-/// `every` columns.
+/// The column loop of the edit-word kernel over `dv.len() ≤ 64` rows, with
+/// the match words `peq` ([`match_words`]). After each column `j`,
+/// `on_column(j, [pv, mv, ph, mh])` sees its vertical and horizontal
+/// delta words. `control`'s cancel flag is polled every `every` columns.
 #[inline]
 fn edit_sweep(
     r: &[u8],
     dv: &mut [u8],
     dh: &mut [u8],
-    eq_of: impl Fn(u8) -> u64,
+    peq: &[u64; 256],
     control: Option<(&CancelToken, usize)>,
     mut on_column: impl FnMut(usize, [u64; 4]),
 ) -> Result<(), AlignError> {
@@ -1664,12 +1679,14 @@ fn edit_sweep(
             countdown -= 1;
             if countdown == 0 {
                 countdown = every;
-                token.check()?;
+                if token.is_cancelled() {
+                    return Err(AlignError::Cancelled);
+                }
             }
         }
         // Shifted Δh′ = 1 − edit delta.
         let hin = 1 - i32::from(dh[j]);
-        let (ph, mh) = myers_step(&mut pv, &mut mv, eq_of(c), hin);
+        let (ph, mh) = myers_step(&mut pv, &mut mv, peq[usize::from(c)], hin);
         dh[j] = shifted(ph, mh, bottom);
         on_column(j, [pv, mv, ph, mh]);
     }

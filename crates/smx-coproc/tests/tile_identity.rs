@@ -11,7 +11,9 @@
 //! host supports, edit-word strips that fall back to lanes included, and
 //! each one's traceback walks its own recomputed tiles to the reference
 //! CIGAR.
-//! Run it as well under `SMX_FORCE_SCALAR=1` to cover the scalar twins.
+//! Every instantiation, the portable lanes included, runs the same strip
+//! sweep; under `SMX_FORCE_SCALAR=1` the unpinned blocks, tiles and
+//! fault sessions run on the portable lanes too.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
