@@ -1,6 +1,7 @@
 //! Microbenchmarks of the functional SMX kernels: the bit-exact PE, lane
 //! packing, the SMX-1D column kernel, SMX-2D tile/block compute, and the
-//! golden-model DP they are all validated against. Run with `cargo bench
+//! golden-model DP they are all validated against, and the host SIMD
+//! score kernel the pool's audit runs. Run with `cargo bench
 //! -p smx-bench`; each row prints as `group/name: N ns/iter  X Melem/s`,
 //! the best mean over three rounds of five calls.
 
@@ -8,6 +9,7 @@ use std::hint::black_box;
 
 use smx::algos::adaptive;
 use smx::algos::baselines::{myers, wfa};
+use smx::algos::simd::{self, Baseline, SimdWorkspace};
 use smx::align::dp_affine::AffineScheme;
 use smx::align::{dp, AlignmentConfig, ElementWidth, ScoringScheme};
 use smx::coproc::affine::AffineEngine;
@@ -82,6 +84,21 @@ fn main() {
         let coproc = SmxCoprocessor::new(cfg.element_width(), &cfg.scoring(), 4).unwrap();
         bench(&format!("block_512x512_{cfg}"), "smx2d_score", cells, || {
             coproc.compute_block(black_box(&q), &r, None, BlockMode::ScoreOnly).unwrap()
+        });
+        bench(&format!("block_512x512_{cfg}"), "smx2d_traceback", cells, || {
+            let out = coproc.compute_block(black_box(&q), &r, None, BlockMode::Traceback).unwrap();
+            coproc.traceback(&q, &r, &out).unwrap()
+        });
+    }
+
+    // The host audit's score kernel on a uniprot-sized protein pair.
+    {
+        let scheme = AlignmentConfig::Protein.scoring();
+        let (q, r) = (seq(350, 3, 26), seq(350, 11, 26));
+        let cells = Some((q.len() * r.len()) as u64);
+        let mut ws = SimdWorkspace::new();
+        bench("protein_350", "simd_score", cells, || {
+            simd::score(black_box(&q), &r, &scheme, Baseline::Auto, &mut ws)
         });
     }
 

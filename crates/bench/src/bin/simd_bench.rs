@@ -47,8 +47,14 @@ fn main() {
         &widths,
     );
 
+    // Protein runs once on each side of the i16 lane bound (BLOSUM50:
+    // m + n <= 1090), so both widths pass the identity gate in either
+    // mode.
+    let protein = [(AlignmentConfig::Protein, scaled(400, 160)), (AlignmentConfig::Protein, 640)];
+    let runs = [(AlignmentConfig::DnaEdit, len), (AlignmentConfig::DnaGap, len)];
     let mut speedups: Vec<(AlignmentConfig, f64, f64)> = Vec::new();
-    for config in [AlignmentConfig::DnaEdit, AlignmentConfig::DnaGap, AlignmentConfig::Protein] {
+    let mut widths_taken = std::collections::BTreeSet::new();
+    for (config, len) in runs.into_iter().chain(protein) {
         let scheme = config.scoring();
         let ds = Dataset::synthetic(config, len, count, ErrorProfile::moderate(), seed);
         let pairs: Vec<(&[u8], &[u8])> =
@@ -67,6 +73,8 @@ fn main() {
             assert_eq!(scalar, vector, "{config} pair {k}: scalar vs simd profile diverged");
             assert_eq!(scalar, auto, "{config} pair {k}: scalar vs auto profile diverged");
             assert_eq!(scalar.score, golden.score, "{config} pair {k}: global score diverged");
+            let score = simd::score(q, r, &scheme, Baseline::Simd, &mut ws);
+            assert_eq!(score, golden.score, "{config} pair {k}: score-only kernel diverged");
             let (best, end) = dp::last_row_best(&dp::last_row(q, r, &scheme));
             assert_eq!(
                 (scalar.best_score, scalar.best_end),
@@ -105,6 +113,14 @@ fn main() {
         });
 
         let kernel = simd::selected_kernel(Baseline::Simd, &scheme, len, len).name();
+        let kernels: std::collections::BTreeSet<&str> = pairs
+            .iter()
+            .map(|(q, r)| simd::selected_kernel(Baseline::Simd, &scheme, q.len(), r.len()).name())
+            .collect();
+        println!("{config} {len}: kernels taken {kernels:?}");
+        if config == AlignmentConfig::Protein {
+            widths_taken.extend(kernels.iter().filter_map(|k| k.rsplit('-').next()));
+        }
         for (engine, kname, t) in [
             ("full-dp", "matrix+tb", t_full),
             ("scalar", "scalar", t_scalar),
@@ -130,6 +146,11 @@ fn main() {
         speedups.push((config, t_full / t_simd.max(1e-12), t_scalar / t_simd.max(1e-12)));
     }
 
+    assert_eq!(
+        widths_taken.into_iter().collect::<Vec<_>>(),
+        ["i16", "i32"],
+        "the protein runs must take both lane widths"
+    );
     header("summary (target: simd >= 8x over full-dp, the audit recompute it replaces)");
     for (config, vs_full, vs_scalar) in &speedups {
         let verdict = if *vs_full >= 8.0 { "meets 8x target" } else { "below 8x target" };

@@ -26,6 +26,7 @@
 //! produces byte-identical alignments, so routing, quarantine, and
 //! hedging are invisible in the output.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -581,9 +582,13 @@ pub(crate) struct DevicePool {
     /// path compute under.
     pub(crate) scheme: ScoringScheme,
     pub(crate) alphabet: Alphabet,
-    /// Shared audit workspace; audits that would contend on it fall back
-    /// to a fresh local workspace instead of serializing workers.
-    simd_ws: Mutex<SimdWorkspace>,
+}
+
+thread_local! {
+    /// Each worker thread's audit workspace: the audit's score kernel
+    /// runs in the buffers of the thread that calls it, never in shared
+    /// ones.
+    static AUDIT_WS: RefCell<SimdWorkspace> = RefCell::new(SimdWorkspace::new());
 }
 
 /// Lengths of the generated canary pairs (distinct, so a device sick in
@@ -651,7 +656,6 @@ impl DevicePool {
             canaries,
             scheme,
             alphabet,
-            simd_ws: Mutex::new(SimdWorkspace::new()),
         })
     }
 
@@ -726,7 +730,10 @@ impl DevicePool {
     ///
     /// Only on a mismatch does the caller escalate to a full CIGAR
     /// recompute (the service's audit-recovery ladder) — the two-phase
-    /// contract that keeps the common all-clean case cheap.
+    /// contract that keeps the common all-clean case cheap. The kernel
+    /// runs in the calling worker's own workspace ([`AUDIT_WS`]), so
+    /// audits on different workers never contend and a worker's audits
+    /// stop allocating once its buffers fit the workload.
     ///
     /// # Errors
     ///
@@ -740,16 +747,12 @@ impl DevicePool {
         query: &Sequence,
         reference: &Sequence,
     ) -> Result<(), AlignError> {
+        let (q, r) = (query.codes(), reference.codes());
         alignment
-            .verify(query.codes(), reference.codes(), &self.scheme)
+            .verify(q, r, &self.scheme)
             .map_err(|e| AlignError::IntegrityViolation { device, detail: e.to_string() })?;
-        let optimal = {
-            let mut spare = SimdWorkspace::new();
-            let mut shared = self.simd_ws.try_lock().ok();
-            let ws = shared.as_deref_mut().unwrap_or(&mut spare);
-            let (q, r) = (query.codes(), reference.codes());
-            simd::score_profile(q, r, &self.scheme, Baseline::Auto, ws).score
-        };
+        let optimal = AUDIT_WS
+            .with(|ws| simd::score(q, r, &self.scheme, Baseline::Auto, &mut ws.borrow_mut()));
         if optimal != alignment.score {
             return Err(AlignError::IntegrityViolation {
                 device,
@@ -916,6 +919,85 @@ mod tests {
                 assert!(detail.contains("suboptimal"), "{detail}");
             }
             other => panic!("expected IntegrityViolation, got {other:?}"),
+        }
+    }
+
+    /// Counts allocations per thread, so each audit worker's tally is
+    /// its own.
+    struct Counting;
+
+    thread_local! {
+        static ALLOCS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: every call forwards unchanged to the system allocator; the
+    // thread-local tally is a const-initialized `Cell` that never
+    // allocates.
+    unsafe impl std::alloc::GlobalAlloc for Counting {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract,
+        // which `System.alloc` shares.
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            std::alloc::System.alloc(layout)
+        }
+
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout);
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    /// Two workers audit 64 honest protein pairs on one pool: once a
+    /// worker's first pair (its longest) has sized its own workspace,
+    /// none of its audits allocates — no shared workspace to lose a race
+    /// for, no spare one to build.
+    #[test]
+    fn each_worker_audits_in_its_own_workspace_without_allocating() {
+        let config = AlignmentConfig::Protein;
+        let dev = SmxDevice::new(config, 2).unwrap();
+        let pool = DevicePool::new_with_device_base(&dev, 1, 0, None, None).unwrap();
+        let pairs: Vec<(Sequence, Sequence, Alignment)> =
+            smx_datagen::Dataset::uniprot_like(64, 11)
+                .pairs
+                .into_iter()
+                .map(|p| {
+                    let golden = smx_align_core::dp::align_codes(
+                        p.query.codes(),
+                        p.reference.codes(),
+                        &pool.scheme,
+                    );
+                    (p.query, p.reference, golden)
+                })
+                .collect();
+        let counts: Vec<Vec<usize>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = pairs
+                .chunks(32)
+                .map(|share| {
+                    let pool = &pool;
+                    scope.spawn(move || {
+                        let mut order: Vec<_> = share.iter().collect();
+                        order.sort_by_key(|(q, r, _)| std::cmp::Reverse(q.len() + r.len()));
+                        order
+                            .into_iter()
+                            .map(|(q, r, golden)| {
+                                let before = ALLOCS.with(std::cell::Cell::get);
+                                pool.audit(0, golden, q, r).expect("honest result passes");
+                                ALLOCS.with(std::cell::Cell::get) - before
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(counts.len(), 2);
+        for (worker, count) in counts.iter().enumerate() {
+            assert_eq!(count.len(), 32);
+            assert!(count[0] > 0, "worker {worker}: the first audit sizes the workspace");
+            assert!(count[1..].iter().all(|&c| c == 0), "worker {worker} allocated: {count:?}");
         }
     }
 

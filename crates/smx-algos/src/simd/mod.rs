@@ -20,14 +20,23 @@
 //!   [`smx_align_core::dp::score_only`] on *every* input.
 //! - [`wavefront`]: an anti-diagonal (wavefront) formulation whose inner
 //!   loop has no loop-carried dependency, written branchlessly over
-//!   contiguous slices so LLVM auto-vectorizes it; on x86 it is
-//!   instantiated twice (baseline ISA and AVX2) and selected at runtime.
+//!   contiguous slices so LLVM auto-vectorizes it. Its one body is
+//!   generic over the lane type ([`LaneWidth`]: `i16` or `i32`) and
+//!   instantiated for the baseline ISA and for AVX2.
 //!
 //! The vectorized kernel uses wrapping arithmetic (saturating ops do not
 //! vectorize); it is only dispatched when a conservative no-overflow
 //! bound proves wrapping and saturating arithmetic coincide, so both
-//! kernels are byte-identical wherever both run. Pathological schemes
-//! (|penalty| ~ 1e9) fall back to the scalar kernel automatically.
+//! kernels are byte-identical wherever both run. [`selected_kernel`]
+//! takes the narrowest lane that bound admits: `i16` while `(m + n + 2) ·
+//! max|score| ≤ 16383` (for BLOSUM50 with gap −5, `m + n ≤ 1090`), `i32`
+//! up to half the `i32` range, and the scalar kernel for pathological
+//! schemes (|penalty| ~ 1e9). That one decision, made through the cached
+//! `avx2_available()`, names the instantiation that runs.
+//!
+//! [`score`] is the same kernel with its counter and match-flag
+//! diagonals compiled out: the global score alone, which is all the
+//! pool's audit reads.
 //!
 //! The per-cell winner selection (diagonal ≻ up ≻ left) replicates the
 //! golden traceback tie-break, so the reported counts equal
@@ -88,9 +97,19 @@ pub enum KernelKind {
     /// Row-streaming scalar reference.
     Scalar,
     /// Anti-diagonal kernel, baseline-ISA instantiation.
-    SimdPortable,
+    SimdPortable(LaneWidth),
     /// Anti-diagonal kernel, AVX2 instantiation.
-    SimdAvx2,
+    SimdAvx2(LaneWidth),
+}
+
+/// The score lane the anti-diagonal kernel sweeps in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneWidth {
+    /// `i16` scores: 16 lanes per AVX2 register, taken while `(m + n +
+    /// 2)·max|score| ≤ 16383`.
+    I16,
+    /// `i32` scores: 8 lanes per AVX2 register.
+    I32,
 }
 
 impl KernelKind {
@@ -99,8 +118,10 @@ impl KernelKind {
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::SimdPortable => "simd-portable",
-            KernelKind::SimdAvx2 => "simd-avx2",
+            KernelKind::SimdPortable(LaneWidth::I16) => "simd-portable-i16",
+            KernelKind::SimdPortable(LaneWidth::I32) => "simd-portable-i32",
+            KernelKind::SimdAvx2(LaneWidth::I16) => "simd-avx2-i16",
+            KernelKind::SimdAvx2(LaneWidth::I32) => "simd-avx2-i32",
         }
     }
 }
@@ -142,21 +163,11 @@ pub struct SimdWorkspace {
     pub(crate) row: Vec<i32>,
     pub(crate) row_cm: Vec<u32>,
     pub(crate) row_ci: Vec<u32>,
-    // Wavefront kernel: three rolling anti-diagonals of scores plus one
-    // packed (matches << 16 | gap_inserts) counter diagonal each, and the
-    // reversed reference.
-    pub(crate) d0: Vec<i32>,
-    pub(crate) d1: Vec<i32>,
-    pub(crate) d2: Vec<i32>,
-    pub(crate) c0: Vec<u32>,
-    pub(crate) c1: Vec<u32>,
-    pub(crate) c2: Vec<u32>,
-    pub(crate) rrev: Vec<u8>,
-    // Per-diagonal substitution scores and match flags, prefilled so the
-    // hot loop is purely 32-bit elementwise (no byte widening, and no
-    // table gather in the vector path for matrix schemes).
-    pub(crate) subs: Vec<i32>,
-    pub(crate) eqs: Vec<u32>,
+    // Wavefront kernel: the rolling diagonals of each lane width, and a
+    // matrix scheme's flattened table (built once per matrix).
+    pub(crate) narrow: wavefront::Diagonals<i16>,
+    pub(crate) wide: wavefront::Diagonals<i32>,
+    pub(crate) table: Option<wavefront::MatrixTable>,
 }
 
 impl SimdWorkspace {
@@ -178,20 +189,37 @@ pub use smx_align_core::dispatch::avx2_available;
 
 /// Conservative no-overflow bound: every intermediate of the wrapping
 /// kernel stays within `±(m+n+2)·max|score|`, so requiring that product
-/// to fit in half the `i32` range proves wrapping == saturating.
-fn fits_wrapping(scheme: &ScoringScheme, m: usize, n: usize) -> bool {
+/// to fit in half a lane's signed range proves wrapping == saturating in
+/// that lane. Returns the product.
+fn span(scheme: &ScoringScheme, m: usize, n: usize) -> Option<u64> {
     let maxabs = [scheme.s_min(), scheme.s_max(), scheme.gap_insert(), scheme.gap_delete()]
         .into_iter()
         .map(|v| i64::from(v).unsigned_abs())
         .max()
         .unwrap_or(1)
         .max(1);
-    let span = m as u64 + n as u64 + 2;
-    span.checked_mul(maxabs).is_some_and(|v| v <= (i32::MAX as u64) / 2)
+    (m as u64 + n as u64 + 2).checked_mul(maxabs)
+}
+
+/// The lane width whose no-overflow bound holds for this pair, if any.
+fn lane_width(scheme: &ScoringScheme, m: usize, n: usize) -> Option<LaneWidth> {
+    let span = span(scheme, m, n)?;
+    if span <= (i16::MAX as u64) / 2 {
+        Some(LaneWidth::I16)
+    } else if span <= (i32::MAX as u64) / 2 && m < (1 << 15) {
+        // The i32 kernel packs its two path counters into one u32 as
+        // (matches << 16 | gap_inserts); both are bounded by the query
+        // length, so m < 2^15 keeps the low field carry-free even after
+        // a +1.
+        Some(LaneWidth::I32)
+    } else {
+        None
+    }
 }
 
 /// The kernel `score_profile` will run for this combination — exposed so
-/// harnesses can report (and tests can pin) the dispatch decision.
+/// harnesses can report (and tests can pin) the dispatch decision. The
+/// narrowest lane width whose no-overflow bound holds wins.
 #[must_use]
 pub fn selected_kernel(
     baseline: Baseline,
@@ -199,21 +227,16 @@ pub fn selected_kernel(
     m: usize,
     n: usize,
 ) -> KernelKind {
-    // The wavefront kernel packs its two path counters into one u32 as
-    // (matches << 16 | gap_inserts); both are bounded by the query length,
-    // so m < 2^15 keeps the low field carry-free even after a +1.
-    let simd_ok = fits_wrapping(scheme, m, n) && m > 0 && n > 0 && m < (1 << 15);
+    let width = lane_width(scheme, m, n).filter(|_| m > 0 && n > 0);
     let vectorized = match baseline {
-        Baseline::Scalar => false,
-        Baseline::Simd => simd_ok,
-        Baseline::Auto => simd_ok && !force_scalar(),
+        Baseline::Scalar => None,
+        Baseline::Simd => width,
+        Baseline::Auto => width.filter(|_| !force_scalar()),
     };
-    if !vectorized {
-        KernelKind::Scalar
-    } else if avx2_available() {
-        KernelKind::SimdAvx2
-    } else {
-        KernelKind::SimdPortable
+    match vectorized {
+        None => KernelKind::Scalar,
+        Some(w) if avx2_available() => KernelKind::SimdAvx2(w),
+        Some(w) => KernelKind::SimdPortable(w),
     }
 }
 
@@ -234,11 +257,45 @@ pub fn score_profile(
     if m == 0 || n == 0 {
         return degenerate(m, n, scheme);
     }
+    let (q, r) = (query, reference);
     match selected_kernel(baseline, scheme, m, n) {
-        KernelKind::Scalar => scalar::profile(query, reference, scheme, ws),
-        KernelKind::SimdPortable | KernelKind::SimdAvx2 => {
-            wavefront::profile(query, reference, scheme, ws)
+        KernelKind::Scalar => scalar::profile(q, r, scheme, ws),
+        KernelKind::SimdPortable(LaneWidth::I16) => {
+            wavefront::profile::<i16>(false, q, r, scheme, ws)
         }
+        KernelKind::SimdPortable(LaneWidth::I32) => {
+            wavefront::profile::<i32>(false, q, r, scheme, ws)
+        }
+        KernelKind::SimdAvx2(LaneWidth::I16) => wavefront::profile::<i16>(true, q, r, scheme, ws),
+        KernelKind::SimdAvx2(LaneWidth::I32) => wavefront::profile::<i32>(true, q, r, scheme, ws),
+    }
+}
+
+/// The global score alone: `score_profile(..).score`, from the same
+/// kernel with its counter and match-flag diagonals compiled out. What
+/// the audit's optimality check reads.
+pub fn score(
+    query: &[u8],
+    reference: &[u8],
+    scheme: &ScoringScheme,
+    baseline: Baseline,
+    ws: &mut SimdWorkspace,
+) -> i32 {
+    let (m, n) = (query.len(), reference.len());
+    if m == 0 || n == 0 {
+        return degenerate(m, n, scheme).score;
+    }
+    let (q, r) = (query, reference);
+    match selected_kernel(baseline, scheme, m, n) {
+        KernelKind::Scalar => scalar::profile(q, r, scheme, ws).score,
+        KernelKind::SimdPortable(LaneWidth::I16) => {
+            wavefront::score::<i16>(false, q, r, scheme, ws)
+        }
+        KernelKind::SimdPortable(LaneWidth::I32) => {
+            wavefront::score::<i32>(false, q, r, scheme, ws)
+        }
+        KernelKind::SimdAvx2(LaneWidth::I16) => wavefront::score::<i16>(true, q, r, scheme, ws),
+        KernelKind::SimdAvx2(LaneWidth::I32) => wavefront::score::<i32>(true, q, r, scheme, ws),
     }
 }
 
@@ -298,7 +355,7 @@ pub(crate) fn finish(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use smx_align_core::{dp, SubstMatrix};
+    use smx_align_core::{dp, AlignmentConfig, SubstMatrix};
 
     fn schemes() -> Vec<(&'static str, ScoringScheme)> {
         vec![
@@ -319,6 +376,9 @@ mod tests {
         assert_eq!(scalar, simd, "kernels must be byte-identical");
         assert_eq!(scalar, auto, "auto must match");
         assert_eq!(scalar.score, dp::score_only(q, r, scheme), "global score");
+        for baseline in Baseline::ALL {
+            assert_eq!(score(q, r, scheme, baseline, &mut ws), scalar.score, "{baseline} score");
+        }
         let row = dp::last_row(q, r, scheme);
         assert_eq!((scalar.best_score, scalar.best_end), dp::last_row_best(&row), "contract");
         let golden = dp::align_codes(q, r, scheme);
@@ -386,8 +446,30 @@ mod tests {
         let simd = selected_kernel(Baseline::Simd, &scheme, 10, 10);
         assert_ne!(simd, KernelKind::Scalar);
         if avx2_available() {
-            assert_eq!(simd, KernelKind::SimdAvx2);
+            assert_eq!(simd, KernelKind::SimdAvx2(LaneWidth::I16));
         }
+    }
+
+    /// The width a `Baseline::Simd` dispatch picks, whatever the ISA.
+    fn width(scheme: &ScoringScheme, m: usize, n: usize) -> Option<LaneWidth> {
+        match selected_kernel(Baseline::Simd, scheme, m, n) {
+            KernelKind::Scalar => None,
+            KernelKind::SimdPortable(w) | KernelKind::SimdAvx2(w) => Some(w),
+        }
+    }
+
+    #[test]
+    fn i16_lanes_end_at_a_span_of_16383() {
+        // max|score| = 1: the span is m + n + 2 itself.
+        let edit = ScoringScheme::edit();
+        assert_eq!(width(&edit, 8000, 16383 - 2 - 8000), Some(LaneWidth::I16));
+        assert_eq!(width(&edit, 8000, 16384 - 2 - 8000), Some(LaneWidth::I32));
+        // BLOSUM50 with gap -5: max|score| = 15, so m + n = 1090 spans
+        // 16380 and m + n = 1091 spans 16395.
+        let blosum = AlignmentConfig::Protein.scoring();
+        assert_eq!(width(&blosum, 545, 545), Some(LaneWidth::I16));
+        assert_eq!(width(&blosum, 545, 546), Some(LaneWidth::I32));
+        assert_eq!(width(&blosum, 1 << 15, 10), None, "packed i32 counters need m < 2^15");
     }
 
     #[test]
@@ -407,10 +489,14 @@ mod tests {
         let r = vec![2u8; 180];
         let mut ws = SimdWorkspace::new();
         let first = score_profile(&q, &r, &scheme, Baseline::Simd, &mut ws);
-        let caps = (ws.d0.capacity(), ws.c0.capacity(), ws.rrev.capacity());
+        let caps = |ws: &SimdWorkspace| {
+            let w = &ws.narrow;
+            (w.v[0].capacity(), w.c[0].capacity(), w.rrev.capacity())
+        };
+        let before = caps(&ws);
         let second = score_profile(&q, &r, &scheme, Baseline::Simd, &mut ws);
         assert_eq!(first, second);
-        assert_eq!(caps, (ws.d0.capacity(), ws.c0.capacity(), ws.rrev.capacity()));
+        assert_eq!(before, caps(&ws));
     }
 
     proptest! {
@@ -432,6 +518,24 @@ mod tests {
         ) {
             let scheme = ScoringScheme::matrix(SubstMatrix::blosum50(), -5).unwrap();
             check(&q, &r, &scheme);
+        }
+
+        #[test]
+        fn protein_lengths_straddling_the_i16_bound(
+            q in proptest::collection::vec(0u8..26, 500..590),
+            r in proptest::collection::vec(0u8..26, 500..590),
+        ) {
+            // m + n runs 1000..1178 across BLOSUM50's i16 bound of 1090:
+            // the full profile equals the scalar kernel's on either
+            // width, and the score-only kernel equals the golden score.
+            let scheme = AlignmentConfig::Protein.scoring();
+            let mut ws = SimdWorkspace::new();
+            let scalar = score_profile(&q, &r, &scheme, Baseline::Scalar, &mut ws);
+            let simd = score_profile(&q, &r, &scheme, Baseline::Simd, &mut ws);
+            prop_assert_eq!(scalar, simd);
+            let golden = dp::score_only(&q, &r, &scheme);
+            prop_assert_eq!(score(&q, &r, &scheme, Baseline::Simd, &mut ws), golden);
+            prop_assert_eq!(scalar.score, golden);
         }
 
         #[test]

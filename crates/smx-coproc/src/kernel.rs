@@ -24,8 +24,13 @@
 //!   16 portable lanes in plain Rust. `S′` comes
 //!   per diagonal from one skewed load of the reversed reference and one
 //!   compare (match/mismatch schemes), or from the block's reference
-//!   profile, one row of `S′` per query code, copied into a diagonal-major
-//!   buffer [`CHUNK`] diagonals at a time (matrix schemes). The sweep
+//!   profile (matrix schemes). The profile holds one row of `S′` per
+//!   query code, built by byte lookups ([`Vector::lookup`]: two `pshufb`
+//!   and a blend on AVX2), and every [`CHUNK`] diagonals the lanes' runs
+//!   of it are transposed into a diagonal-major buffer: one load per
+//!   lane and four unpack stages per 16 × 16 byte block
+//!   ([`Vector::unpack`]). The `S′` source ([`Source`]) inlines into the
+//!   sweep, refill included. The sweep
 //!   runs in chunks of `VL` diagonals; in each, the ramps and the run on
 //!   which every lane is inside the block are loops of their own. A lone
 //!   tile is the same sweep over a strip one tile wide: fault sessions
@@ -115,6 +120,8 @@ pub(crate) struct TileCells {
     dh: [u8; TILE_DIAGS * MAX_LANES],
     /// `[pv, mv, ph, mh]` of each column.
     cols: [[u64; 4]; MAX_VL],
+    /// An edit tile's match words; all zero between tiles.
+    peq: [u64; 256],
 }
 
 impl TileCells {
@@ -125,6 +132,7 @@ impl TileCells {
             dv: [0; TILE_DIAGS * MAX_LANES],
             dh: [0; TILE_DIAGS * MAX_LANES],
             cols: [[0; 4]; MAX_VL],
+            peq: [0; 256],
         }
     }
 
@@ -371,6 +379,17 @@ trait Vector: Copy + 'static {
     /// loop so the lane registers never spill.
     // SAFETY: callers hold the instantiation's target feature.
     unsafe fn isolated<I: Isolated>(f: I) -> I::Output;
+    /// The 16 bytes of `run(i)` from `at` in each 16-lane half: lane `i`
+    /// below, and lane `i + 16` above where the register has 32 lanes.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn load_run<'r>(run: &impl Fn(usize) -> &'r [u8], i: usize, at: usize) -> Self;
+    /// `punpckl`/`punpckh` over units of `W` bytes, in each 16-byte half:
+    /// the units of the low (high) halves of `a` and `b`, interleaved.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn unpack<const W: usize>(a: Self, b: Self) -> (Self, Self);
+    /// `table[idx]` in every lane; every index is below 32.
+    // SAFETY: callers hold the instantiation's target feature.
+    unsafe fn lookup(table: &[u8; 32], idx: Self) -> Self;
 }
 
 /// Portable lanes: 16 bytes in plain Rust, for every target. Each lane's
@@ -475,6 +494,31 @@ impl Vector for Portable {
     unsafe fn isolated<I: Isolated>(f: I) -> I::Output {
         f.run()
     }
+
+    #[inline(always)]
+    // SAFETY: plain Rust.
+    unsafe fn load_run<'r>(run: &impl Fn(usize) -> &'r [u8], i: usize, at: usize) -> Portable {
+        Portable::load(&run(i)[at..])
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust.
+    unsafe fn unpack<const W: usize>(a: Portable, b: Portable) -> (Portable, Portable) {
+        let half = |from: usize| {
+            Portable::lanes(|k| {
+                let (unit, at) = (k / W, k % W);
+                let src = if unit % 2 == 0 { &a } else { &b };
+                src.0[from + unit / 2 * W + at]
+            })
+        };
+        (half(0), half(8))
+    }
+
+    #[inline(always)]
+    // SAFETY: plain Rust.
+    unsafe fn lookup(table: &[u8; 32], idx: Portable) -> Portable {
+        Portable::lanes(|i| table[usize::from(idx.0[i] & 31)])
+    }
 }
 
 /// SSE2 lanes: one 16-byte register.
@@ -571,6 +615,38 @@ impl Vector for Sse2 {
     // SAFETY: a plain call.
     unsafe fn isolated<I: Isolated>(f: I) -> I::Output {
         f.run()
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: `load` checks the run's length.
+    unsafe fn load_run<'r>(run: &impl Fn(usize) -> &'r [u8], i: usize, at: usize) -> Sse2 {
+        Sse2::load(&run(i)[at..])
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn unpack<const W: usize>(a: Sse2, b: Sse2) -> (Sse2, Sse2) {
+        let (a, b) = (a.0, b.0);
+        let (lo, hi) = match W {
+            1 => (_mm_unpacklo_epi8(a, b), _mm_unpackhi_epi8(a, b)),
+            2 => (_mm_unpacklo_epi16(a, b), _mm_unpackhi_epi16(a, b)),
+            4 => (_mm_unpacklo_epi32(a, b), _mm_unpackhi_epi32(a, b)),
+            _ => (_mm_unpacklo_epi64(a, b), _mm_unpackhi_epi64(a, b)),
+        };
+        (Sse2(lo), Sse2(hi))
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    // SAFETY: `load` and `store` work on local arrays; SSE2 has no byte
+    // shuffle, so the lookup goes through memory.
+    unsafe fn lookup(table: &[u8; 32], idx: Sse2) -> Sse2 {
+        let mut lanes = [0u8; 16];
+        idx.store(&mut lanes);
+        lanes.iter_mut().for_each(|x| *x = table[usize::from(*x & 31)]);
+        Sse2::load(&lanes)
     }
 }
 
@@ -681,6 +757,45 @@ impl Vector for Avx2 {
     unsafe fn isolated<I: Isolated>(f: I) -> I::Output {
         f.run()
     }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: the slice indices prove 16 readable bytes in each run, and
+    // neither load has an alignment requirement.
+    unsafe fn load_run<'r>(run: &impl Fn(usize) -> &'r [u8], i: usize, at: usize) -> Avx2 {
+        let lo = _mm_loadu_si128(run(i)[at..][..16].as_ptr().cast());
+        let hi = _mm_loadu_si128(run(i + 16)[at..][..16].as_ptr().cast());
+        Avx2(_mm256_set_m128i(hi, lo))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: register arithmetic only.
+    unsafe fn unpack<const W: usize>(a: Avx2, b: Avx2) -> (Avx2, Avx2) {
+        let (a, b) = (a.0, b.0);
+        let (lo, hi) = match W {
+            1 => (_mm256_unpacklo_epi8(a, b), _mm256_unpackhi_epi8(a, b)),
+            2 => (_mm256_unpacklo_epi16(a, b), _mm256_unpackhi_epi16(a, b)),
+            4 => (_mm256_unpacklo_epi32(a, b), _mm256_unpackhi_epi32(a, b)),
+            _ => (_mm256_unpacklo_epi64(a, b), _mm256_unpackhi_epi64(a, b)),
+        };
+        (Avx2(lo), Avx2(hi))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: the table is a fixed 32-byte array; the rest is register
+    // arithmetic.
+    unsafe fn lookup(table: &[u8; 32], idx: Avx2) -> Avx2 {
+        // `pshufb` reads the low four bits of each index within its
+        // 128-bit half: one lookup in each 16-entry half of the table,
+        // and a blend on bit 4.
+        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().cast()));
+        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(table[16..].as_ptr().cast()));
+        let upper = _mm256_cmpgt_epi8(idx.0, _mm256_set1_epi8(15));
+        let (a, b) = (_mm256_shuffle_epi8(lo, idx.0), _mm256_shuffle_epi8(hi, idx.0));
+        Avx2(_mm256_blendv_epi8(a, b, upper))
+    }
 }
 
 /// Entries of a lane-mask table: every diagonal offset up to one past
@@ -736,7 +851,7 @@ trait Capture<V: Vector> {
     /// every lane is inside the block on each of them. The capture drives
     /// the loop so that its state stays in locals.
     // SAFETY: callers hold `V`'s target feature.
-    unsafe fn range<S: FnMut(usize) -> V, const LIVE: bool>(
+    unsafe fn range<S: Source<V>, const LIVE: bool>(
         &mut self,
         regs: (V, V, V),
         ds: std::ops::Range<usize>,
@@ -755,7 +870,7 @@ struct Borders;
 impl<V: Vector> Capture<V> for Borders {
     #[inline(always)]
     // SAFETY: callers hold `V`'s target feature.
-    unsafe fn range<S: FnMut(usize) -> V, const LIVE: bool>(
+    unsafe fn range<S: Source<V>, const LIVE: bool>(
         &mut self,
         mut regs: (V, V, V),
         ds: std::ops::Range<usize>,
@@ -781,7 +896,7 @@ struct Diagonals<'c> {
 impl<V: Vector> Capture<V> for Diagonals<'_> {
     #[inline(always)]
     // SAFETY: callers hold `V`'s target feature.
-    unsafe fn range<S: FnMut(usize) -> V, const LIVE: bool>(
+    unsafe fn range<S: Source<V>, const LIVE: bool>(
         &mut self,
         mut regs: (V, V, V),
         ds: std::ops::Range<usize>,
@@ -945,7 +1060,7 @@ impl<'p, 'a, V: Vector> PlaneCapture<'p, 'a, V> {
 impl<V: Vector> Capture<V> for PlaneCapture<'_, '_, V> {
     #[inline(always)]
     // SAFETY: callers hold `V`'s target feature.
-    unsafe fn range<S: FnMut(usize) -> V, const LIVE: bool>(
+    unsafe fn range<S: Source<V>, const LIVE: bool>(
         &mut self,
         regs: (V, V, V),
         ds: std::ops::Range<usize>,
@@ -992,7 +1107,7 @@ impl<'p, V: Vector> PlaneCapture<'p, '_, V> {
     /// where its lane is inside the block.
     #[inline(always)]
     // SAFETY: callers hold `V`'s target feature.
-    unsafe fn ramp<S: FnMut(usize) -> V>(
+    unsafe fn ramp<S: Source<V>>(
         &mut self,
         mut regs: (V, V, V),
         ds: std::ops::Range<usize>,
@@ -1021,7 +1136,7 @@ impl<'p, V: Vector> PlaneCapture<'p, '_, V> {
     /// row cut before the loop.
     #[inline(always)]
     // SAFETY: callers hold `V`'s target feature.
-    unsafe fn live<S: FnMut(usize) -> V, const K: usize>(
+    unsafe fn live<S: Source<V>, const K: usize>(
         &mut self,
         mut regs: (V, V, V),
         ds: std::ops::Range<usize>,
@@ -1080,8 +1195,8 @@ unsafe fn store_group<V: Vector>(g: &Group, acc: V, col: &mut [u8]) {
 /// The lane sweep: strip rows `0..rows` (at most `V::N`, one per lane)
 /// across `dh.len()` columns, in place: `dv` enters as the strip's left
 /// border and leaves as its right, `dh` enters as its top and leaves as
-/// its bottom row. `s_at(d)` yields the `S′` lanes of diagonal `d` (called
-/// once per diagonal, in order) and `cap` sees every diagonal. The sweep
+/// its bottom row. `s_at.at(d)` yields the `S′` lanes of diagonal `d`
+/// (called once per diagonal, in order) and `cap` sees every diagonal. The sweep
 /// runs in a frame of its own ([`Vector::isolated`]), in chunks of `every`
 /// diagonals, and polls `token`'s cancel flag between them.
 ///
@@ -1095,7 +1210,7 @@ unsafe fn sweep<V: Vector, C: Capture<V>>(
     rows: usize,
     dv: &mut [u8],
     dh: &mut [u8],
-    s_at: impl FnMut(usize) -> V,
+    s_at: impl Source<V>,
     cap: &mut C,
     (token, every): (Option<&CancelToken>, usize),
 ) -> Result<(), AlignError> {
@@ -1135,7 +1250,7 @@ struct Chunks<'r, 'a, V, C, S> {
     total: usize,
 }
 
-impl<V: Vector, C: Capture<V>, S: FnMut(usize) -> V> Isolated for Chunks<'_, '_, V, C, S> {
+impl<V: Vector, C: Capture<V>, S: Source<V>> Isolated for Chunks<'_, '_, V, C, S> {
     type Output = Result<(V, V, V), AlignError>;
 
     #[inline(always)]
@@ -1158,7 +1273,7 @@ impl<V: Vector, C: Capture<V>, S: FnMut(usize) -> V> Isolated for Chunks<'_, '_,
 /// block, each in a loop of its own.
 #[inline(always)]
 // SAFETY: callers hold `V`'s target feature.
-unsafe fn diagonals<V: Vector, C: Capture<V>, S: FnMut(usize) -> V>(
+unsafe fn diagonals<V: Vector, C: Capture<V>, S: Source<V>>(
     mut regs: (V, V, V),
     ds: std::ops::Range<usize>,
     step: &mut Step<'_, S>,
@@ -1212,13 +1327,13 @@ impl<S> Step<'_, S> {
         out: &mut [u8; MAX_LANES],
     ) -> (V, V)
     where
-        S: FnMut(usize) -> V,
+        S: Source<V>,
     {
         let (vdv, h1, h2) = *regs;
         let (n, last) = (self.dh.len(), self.last);
         let top = if LIVE || d < n { self.dh[d] } else { 0 };
         let dh_in = V::shift_in(h1, h2, top);
-        let (v, h) = V::pe((self.s_at)(d), vdv, dh_in);
+        let (v, h) = V::pe(self.s_at.at(d), vdv, dh_in);
         let vdv = if LIVE {
             v
         } else {
@@ -1245,19 +1360,114 @@ fn reverse_into(r: &[u8], rrev: &mut [u8]) {
     }
 }
 
-/// The `S′` lanes of a match/mismatch scheme on diagonal `d` of the strip
-/// `qv` (query codes per lane), from the reversed reference `rrev` of
-/// `n` columns.
-#[inline(always)]
-// SAFETY: callers hold `V`'s target feature.
-unsafe fn uniform_at<V: Vector>(
+/// Where a sweep's `S′` lanes come from, one diagonal at a time.
+trait Source<V: Vector> {
+    /// The `S′` lanes of diagonal `d`; called once per diagonal, in order.
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn at(&mut self, d: usize) -> V;
+}
+
+impl<V: Vector, S: Source<V>> Source<V> for &mut S {
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn at(&mut self, d: usize) -> V {
+        (**self).at(d)
+    }
+}
+
+/// The `S′` lanes of a match/mismatch scheme on the strip `qv` (query
+/// codes per lane): one skewed load of the reversed reference `rrev` and
+/// one compare per diagonal.
+struct UniformAt<'a, V> {
     qv: V,
-    (miss, delta): (V, V),
-    rrev: &[u8],
-    n: usize,
-) -> impl Fn(usize) -> V + '_ {
-    let base = n - 1 + PAD;
-    move |d| V::uniform(qv, V::load_skewed(&rrev[base - d..]), miss, delta)
+    miss: V,
+    delta: V,
+    rrev: &'a [u8],
+    /// `n − 1 + PAD`, for `n` columns.
+    base: usize,
+}
+
+impl<'a, V: Vector> UniformAt<'a, V> {
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn new(q: &[u8], (hit, miss): (u8, u8), rrev: &'a [u8], n: usize) -> Self {
+        let (miss, delta) = (V::splat(miss), V::splat(hit.wrapping_sub(miss)));
+        UniformAt { qv: query_lanes(q), miss, delta, rrev, base: n - 1 + PAD }
+    }
+}
+
+impl<V: Vector> Source<V> for UniformAt<'_, V> {
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn at(&mut self, d: usize) -> V {
+        V::uniform(self.qv, V::load_skewed(&self.rrev[self.base - d..]), self.miss, self.delta)
+    }
+}
+
+/// A matrix scheme's `S′` lanes from a diagonal-major buffer, refilled
+/// with diagonals `d0 .. d0 + CHUNK` every [`CHUNK`] diagonals. The
+/// refill is inlined into the sweep, so it runs on the sweep's lanes.
+struct Chunked<F> {
+    buf: [u8; CHUNK * MAX_LANES],
+    end: usize,
+    refill: F,
+}
+
+impl<F> Chunked<F> {
+    fn new(refill: F) -> Self {
+        Chunked { buf: [0; CHUNK * MAX_LANES], end: 0, refill }
+    }
+}
+
+impl<V: Vector, F: Refill<V>> Source<V> for Chunked<F> {
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn at(&mut self, d: usize) -> V {
+        if d == self.end {
+            self.refill.refill(&mut self.buf, d);
+            self.end = d + CHUNK;
+        }
+        V::load(&self.buf[(d + CHUNK - self.end) * MAX_LANES..])
+    }
+}
+
+/// Writes the `S′` lanes of diagonals `d0 .. d0 + CHUNK` to a
+/// diagonal-major buffer.
+trait Refill<V: Vector> {
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn refill(&mut self, buf: &mut [u8; CHUNK * MAX_LANES], d0: usize);
+}
+
+/// A one-tile strip `q` × `r`, one byte at a time ([`fill_tile_chunk`]).
+struct TileRefill<'a> {
+    q: &'a [u8],
+    r: &'a [u8],
+    matrix: &'a SubstMatrix,
+    shift: i32,
+}
+
+impl<V: Vector> Refill<V> for TileRefill<'_> {
+    #[inline(always)]
+    // SAFETY: plain Rust.
+    unsafe fn refill(&mut self, buf: &mut [u8; CHUNK * MAX_LANES], d0: usize) {
+        let (matrix, shift) = (self.matrix, self.shift);
+        fill_tile_chunk::<V>(buf, d0, self.q, self.r, |a, b| (matrix.score(a, b) + shift) as u8);
+    }
+}
+
+/// A block strip, transposed from the block's reference profile
+/// ([`fill_strip_chunk`]).
+struct StripRefill<'a> {
+    runs: [usize; MAX_LANES],
+    profile: Profile<'a>,
+}
+
+impl<V: Vector> Refill<V> for StripRefill<'_> {
+    #[inline(always)]
+    // SAFETY: callers hold `V`'s target feature.
+    unsafe fn refill(&mut self, buf: &mut [u8; CHUNK * MAX_LANES], d0: usize) {
+        fill_strip_chunk::<V>(buf, d0, &self.runs, &self.profile);
+    }
 }
 
 /// The query codes of a strip, one per lane.
@@ -1269,18 +1479,12 @@ unsafe fn query_lanes<V: Vector>(q: &[u8]) -> V {
     V::load(&lanes)
 }
 
-/// `miss` and `hit − miss` (wrapping) in every lane.
-#[inline(always)]
-// SAFETY: callers hold `V`'s target feature.
-unsafe fn hit_miss<V: Vector>(hit: u8, miss: u8) -> (V, V) {
-    (V::splat(miss), V::splat(hit.wrapping_sub(miss)))
-}
-
 /// Writes the `S′` lanes of diagonals `d0 .. d0 + CHUNK` of a one-tile
 /// strip `q` × `r` to `buf` (diagonal-major), with `sub(a, b)` the `S′`
 /// of query code `a` against reference code `b`. Lanes outside the tile
-/// keep stale values; the sweep discards them.
-#[inline(always)]
+/// keep stale values; the sweep discards them. Plain byte stores, kept
+/// out of line: a recomputed tile refills once or twice.
+#[inline(never)]
 fn fill_tile_chunk<V: Vector>(
     buf: &mut [u8; CHUNK * MAX_LANES],
     d0: usize,
@@ -1301,18 +1505,88 @@ fn fill_tile_chunk<V: Vector>(
 
 /// Writes the `S′` lanes of diagonals `d0 .. d0 + CHUNK` of a block strip
 /// to `buf` (diagonal-major) from the block's reference profile: lane
-/// `i` copies a run of its query code's row.
+/// `i` reads the run of its query code's row at `runs[i] + d0`, and the
+/// lanes' runs are transposed in 16 × 16 byte blocks by four unpack
+/// stages. Lanes past the strip's rows read the last row's code, and the
+/// sweep discards them.
 #[inline(always)]
-fn fill_strip_chunk<V: Vector>(
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn fill_strip_chunk<V: Vector>(
     buf: &mut [u8; CHUNK * MAX_LANES],
     d0: usize,
-    q: &[u8],
+    runs: &[usize; MAX_LANES],
     profile: &Profile<'_>,
 ) {
-    for (i, &a) in q.iter().enumerate() {
-        let run = &profile.row(a)[PAD + d0 - usize::from(V::START[i])..][..CHUNK];
-        for (t, &s) in run.iter().enumerate() {
-            buf[t * MAX_LANES + i] = s;
+    let run = |i: usize| &profile.rows[runs[i] + d0..][..CHUNK];
+    for t0 in (0..CHUNK).step_by(16) {
+        // Loaded in bit-reversed lane order, so that the unpack network
+        // leaves the lanes of each diagonal in order.
+        let mut x: [V; 16] = std::array::from_fn(|j| V::load_run(&run, BIT_REVERSED[j], t0));
+        x = unpack_stage::<V, 1>(x);
+        x = unpack_stage::<V, 2>(x);
+        x = unpack_stage::<V, 4>(x);
+        x = unpack_stage::<V, 8>(x);
+        for (t, v) in x.iter().enumerate() {
+            v.store(&mut buf[(t0 + t) * MAX_LANES..]);
+        }
+    }
+}
+
+/// `j` with its four bits reversed.
+const BIT_REVERSED: [usize; 16] = [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15];
+
+/// One stage of the 16 × 16 byte transpose: registers `j` and `j + 8`
+/// unpack over `W`-byte units into registers `2j` and `2j + 1`.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn unpack_stage<V: Vector, const W: usize>(x: [V; 16]) -> [V; 16] {
+    let mut y = x;
+    for j in 0..8 {
+        (y[2 * j], y[2 * j + 1]) = V::unpack::<W>(x[j], x[j + 8]);
+    }
+    y
+}
+
+/// The lane offsets [`fill_strip_chunk`] reads the strip `q` at: the
+/// start of lane `i`'s code row, plus `PAD`, less its lane start.
+fn strip_runs<V: Vector>(q: &[u8], row_len: usize) -> [usize; MAX_LANES] {
+    let mut runs = [0; MAX_LANES];
+    for (i, run) in runs.iter_mut().enumerate().take(V::N) {
+        let code = usize::from(q[i.min(q.len() - 1)]);
+        *run = code * row_len + PAD - usize::from(V::START[i]);
+    }
+    runs
+}
+
+/// Builds a matrix scheme's reference profile for `q` × `r` into `rows`
+/// (zeroed, `MATRIX_CODES` rows of `row_len`): the rows of the query
+/// codes the block has, `N` columns per byte lookup into the code's
+/// 32-entry `S′` row.
+#[inline(always)]
+// SAFETY: callers hold `V`'s target feature.
+unsafe fn build_profile<V: Vector>(
+    subst: Subst<'_>,
+    q: &[u8],
+    r: &[u8],
+    rows: &mut [u8],
+    row_len: usize,
+) {
+    let mut filled = [false; MATRIX_CODES];
+    let whole = r.len() / V::N * V::N;
+    for &a in q {
+        if std::mem::replace(&mut filled[usize::from(a)], true) {
+            continue;
+        }
+        let mut table = [0u8; 32];
+        for (c, x) in table.iter_mut().enumerate().take(MATRIX_CODES) {
+            *x = subst.at(a, c as u8);
+        }
+        let row = &mut rows[usize::from(a) * row_len + PAD..][..r.len()];
+        for j in (0..whole).step_by(V::N) {
+            V::lookup(&table, V::load(&r[j..])).store(&mut row[j..]);
+        }
+        for (s, &c) in row[whole..].iter_mut().zip(&r[whole..]) {
+            *s = table[usize::from(c)];
         }
     }
 }
@@ -1323,14 +1597,6 @@ fn fill_strip_chunk<V: Vector>(
 struct Profile<'a> {
     rows: &'a [u8],
     len: usize,
-}
-
-impl Profile<'_> {
-    /// The row of query code `a`.
-    #[inline]
-    fn row(&self, a: u8) -> &[u8] {
-        &self.rows[usize::from(a) * self.len..][..self.len]
-    }
 }
 
 /// [`tile`]'s lane path on SSE2.
@@ -1406,20 +1672,11 @@ unsafe fn tile_strip<V: Vector, C: Capture<V>>(
         Subst::Uniform { hit, miss } => {
             let mut rrev = [0u8; MAX_VL + 2 * PAD];
             reverse_into(r, &mut rrev);
-            let s_at = uniform_at::<V>(query_lanes(q), hit_miss(hit, miss), &rrev, r.len());
+            let s_at = UniformAt::<V>::new(q, (hit, miss), &rrev, r.len());
             sweep::<V, C>(rows, dv, dh, s_at, cap, (None, usize::MAX))
         }
         Subst::Matrix { matrix, shift } => {
-            let sub = |a, b| (matrix.score(a, b) + shift) as u8;
-            let mut buf = [0u8; CHUNK * MAX_LANES];
-            let mut end = 0;
-            let s_at = |d| {
-                if d == end {
-                    fill_tile_chunk::<V>(&mut buf, d, q, r, sub);
-                    end = d + CHUNK;
-                }
-                V::load(&buf[(d + CHUNK - end) * MAX_LANES..])
-            };
+            let s_at = Chunked::new(TileRefill { q, r, matrix, shift });
             sweep::<V, C>(rows, dv, dh, s_at, cap, (None, usize::MAX))
         }
     };
@@ -1528,17 +1785,8 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
                         rrev
                     }
                     Subst::Matrix { .. } => {
-                        // Rows only for the query codes the block has.
                         let mut rows = vec![0u8; MATRIX_CODES * row_len];
-                        let mut filled = [false; MATRIX_CODES];
-                        for &a in q {
-                            if !std::mem::replace(&mut filled[usize::from(a)], true) {
-                                let row = &mut rows[usize::from(a) * row_len + PAD..];
-                                for (s, &c) in row.iter_mut().zip(r) {
-                                    *s = subst.at(a, c);
-                                }
-                            }
-                        }
+                        build_profile::<V>(subst, q, r, &mut rows, row_len);
                         rows
                     }
                 };
@@ -1575,20 +1823,13 @@ unsafe fn lane_strip<V: Vector, C: Capture<V>>(
     let (rows, n) = (q.len(), r.len());
     match subst {
         Subst::Uniform { hit, miss } => {
-            let s_at = uniform_at::<V>(query_lanes(q), hit_miss(hit, miss), scratch, n);
+            let s_at = UniformAt::<V>::new(q, (hit, miss), scratch, n);
             sweep::<V, C>(rows, dv, dh, s_at, cap, control)
         }
         Subst::Matrix { .. } => {
             let profile = Profile { rows: scratch, len: n + 2 * PAD + CHUNK };
-            let mut buf = [0u8; CHUNK * MAX_LANES];
-            let mut end = 0;
-            let s_at = |d| {
-                if d == end {
-                    fill_strip_chunk::<V>(&mut buf, d, q, &profile);
-                    end = d + CHUNK;
-                }
-                V::load(&buf[(d + CHUNK - end) * MAX_LANES..])
-            };
+            let runs = strip_runs::<V>(q, profile.len);
+            let s_at = Chunked::new(StripRefill { runs, profile });
             sweep::<V, C>(rows, dv, dh, s_at, cap, control)
         }
     }
@@ -1597,27 +1838,43 @@ unsafe fn lane_strip<V: Vector, C: Capture<V>>(
 /// The edit-word kernel on a tile: bit `i` of `(pv, mv)` is the edit
 /// delta of tile row `i` in the current column (`pv`: +1, `mv`: −1), and
 /// each reference character is one Edlib-order step. `cells`, when
-/// given, keeps each column's words.
-fn edit_tile(q: &[u8], r: &[u8], dv: &mut [u8], dh: &mut [u8], mut cells: Option<&mut TileCells>) {
-    if let Some(c) = cells.as_deref_mut() {
-        c.words = true;
-    }
-    let done = edit_sweep(r, dv, dh, &match_words(q), None, |j, words| {
-        if let Some(c) = cells.as_deref_mut() {
-            c.cols[j] = words;
+/// given, keeps each column's words, and lends its match-word table: the
+/// tile sets only its query codes' entries and clears them after, so the
+/// table stays zero between tiles and is never refilled whole.
+fn edit_tile(q: &[u8], r: &[u8], dv: &mut [u8], dh: &mut [u8], cells: Option<&mut TileCells>) {
+    let mut fresh = None;
+    let (peq, mut cols) = match cells {
+        Some(c) => {
+            c.words = true;
+            (&mut c.peq, Some(&mut c.cols))
+        }
+        None => (fresh.insert([0u64; 256]), None),
+    };
+    add_match_words(peq, q);
+    let done = edit_sweep(r, dv, dh, peq, None, |j, words| {
+        if let Some(cols) = cols.as_deref_mut() {
+            cols[j] = words;
         }
     });
     debug_assert!(done.is_ok(), "a sweep without a token cannot fail");
+    for &a in q {
+        peq[usize::from(a)] = 0;
+    }
 }
 
 /// The match word of every byte against the rows `q` (at most 64): bit
 /// `i` of `[c]` is set when `q[i] == c`.
 fn match_words(q: &[u8]) -> [u64; 256] {
     let mut peq = [0u64; 256];
+    add_match_words(&mut peq, q);
+    peq
+}
+
+/// Sets `q`'s bits in a zeroed match-word table ([`match_words`]).
+fn add_match_words(peq: &mut [u64; 256], q: &[u8]) {
     for (i, &a) in q.iter().enumerate() {
         peq[usize::from(a)] |= 1 << i;
     }
-    peq
 }
 
 /// One edit-word strip of a block: at most 64 rows `q` across the whole

@@ -295,3 +295,45 @@ fn whole_strip_blocks_match_reference_on_every_lane_kernel() {
         }
     }
 }
+
+/// A protein block on every instantiation: the query uses all 26 codes,
+/// so every row of the reference profile is built and transposed, and
+/// the width is no multiple of the `S′` chunk or of any lane count, so
+/// the profile's lookup tail and the last chunk's partial transpose both
+/// run. Scores, borders, border planes and the CIGAR equal the
+/// reference's.
+#[test]
+fn protein_blocks_with_every_code_match_reference_on_every_lane_kernel() {
+    let mut rng = StdRng::seed_from_u64(0x26_C0DE5);
+    let config = AlignmentConfig::Protein;
+    let (ew, scheme) = (config.element_width(), config.scoring());
+    let engine = SmxEngine::new(ew, &scheme).unwrap();
+    for (m, n) in [(97, 333), (26, 45), (130, 1001)] {
+        let mut q: Vec<u8> = (0..m).map(|i| (i % 26) as u8).collect();
+        for i in (1..m).rev() {
+            q.swap(i, rng.gen_range(0..=i));
+        }
+        let r = codes(&mut rng, n, 26);
+        let (top, left) = DeltaBlock::fresh_borders(m, n);
+        let whole = DeltaBlock::compute(ew, &q, &r, &scheme, &top, &left).unwrap();
+        let cigar = reference_cigar(&whole, &q, &r, &scheme);
+        for kernel in supported() {
+            for mode in [BlockMode::ScoreOnly, BlockMode::Traceback] {
+                let ctx = format!("{kernel:?} protein {m}×{n} {mode:?}");
+                let out = pinned(kernel, || {
+                    compute_block(&engine, &q, &r, None, mode, None, None).unwrap()
+                });
+                assert_eq!(out.score, whole.absolute_at(0, &scheme, &left, m - 1, n - 1), "{ctx}");
+                assert_eq!(out.right_dv, whole.right_dv(), "{ctx}");
+                assert_eq!(out.bottom_dh, whole.bottom_dh(), "{ctx}");
+                if let Some(store) = out.borders.as_ref() {
+                    assert_store_matches(store, &whole, (&top, &left), &ctx);
+                    let (walked, _) = pinned(kernel, || {
+                        traceback_block(&engine, &q, &r, store, None, None).unwrap()
+                    });
+                    assert_eq!(walked, cigar, "{ctx} CIGAR");
+                }
+            }
+        }
+    }
+}
