@@ -549,20 +549,26 @@ fn align_service(
         None => None,
     };
     let mut checkpoint_err: Option<String> = None;
+    // Each `record` is a one-record batch: one sync per durable record.
+    let mut synced = 0u64;
     let mut on_result = |index: usize, alignment: &Alignment| {
         if let Some(w) = writer.as_mut() {
-            if let Err(e) = w.record(index, alignment) {
-                checkpoint_err.get_or_insert_with(|| e.to_string());
+            match w.record(index, alignment) {
+                Ok(()) => synced += 1,
+                Err(e) => {
+                    checkpoint_err.get_or_insert_with(|| e.to_string());
+                }
             }
         }
     };
 
     let pairs: Vec<(Sequence, Sequence)> =
         named.iter().map(|p| (p.query.clone(), p.reference.clone())).collect();
-    let report = exec.run_with(
+    let mut report = exec.run_with(
         &pairs,
         RunOptions { resume: resume_map.as_ref(), on_result: Some(&mut on_result), cancel: None },
     );
+    (report.stats.syncs, report.stats.synced_records) = (synced, synced);
 
     for (p, outcome) in named.iter().zip(&report.outcomes) {
         match outcome {

@@ -20,9 +20,9 @@
 //!   low-priority pairs run on the SIMD software baseline directly, and
 //!   only near saturation is low-priority work refused outright.
 //! * **Graceful drain** — on drain the listener closes, in-flight pairs
-//!   flush through their (fsync-per-record) checkpoint manifests, every
-//!   session gets a `DONE` summary, and the caller receives per-tenant
-//!   counts.
+//!   flush through their checkpoint manifests (one fsync per batch of
+//!   records), every session gets a `DONE` summary, and the caller
+//!   receives per-tenant counts.
 //! * **Crash consistency** — a `RESULT` is written only *after* the
 //!   pair's manifest record is durable, so `kill -9` at any instant
 //!   leaves no pair acked-but-lost: resuming the session replays every
@@ -36,8 +36,9 @@ mod fleet;
 pub mod proto;
 pub mod session;
 pub mod tenant;
+mod writer;
 
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -46,8 +47,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smx_align_core::{AlignError, Alphabet, Sequence};
+use smx_align_core::{AlignError, Alignment, Alphabet, Sequence};
 use smx_coproc::control::CancelToken;
+use smx_io::checkpoint::{BatchOutcome, CheckpointWriter, SyncFile};
 
 use crate::orchestrator::SmxDevice;
 use crate::service::{self, ExecutorConfig, ServiceStats};
@@ -57,6 +59,7 @@ use fleet::{home_shard, Fleet, ShardState, Step};
 use proto::{read_frame, write_frame, FailKind, ProtoError, RejectReason, Request, Response};
 use session::{Session, SessionStore};
 use tenant::{BrownoutConfig, BrownoutLevel, Priority, TenantCounters, TenantPolicy, TenantTable};
+use writer::{Action, Event, Writer};
 
 pub use crate::shard::RetryConfig;
 pub use fleet::{ShardSnapshot, SupervisorConfig};
@@ -137,19 +140,8 @@ struct Job {
     /// Absolute deadline fixed at admission, plus the original budget in
     /// ms (for the typed error when it expires in the queue).
     deadline: Option<(Instant, u64)>,
-    reply: mpsc::Sender<WriterMsg>,
-}
-
-/// Everything the per-connection writer thread serializes to the socket.
-enum WriterMsg {
-    /// A pre-built response (OK / REJECT / STATS / ERR / FAIL-at-admission).
-    Frame(Response),
-    /// Replay pair `id` from the session manifest (already durable).
-    Replay(usize),
-    /// Pair `id` finished: record durably, then ack.
-    Done(usize, Done),
-    /// Flush outstanding pairs, send `DONE`, and hang up.
-    Bye,
+    /// The connection's writer, which records the result and acks it.
+    reply: mpsc::Sender<Event>,
 }
 
 impl shard::Job for Job {
@@ -274,20 +266,20 @@ impl Shared {
         totals
     }
 
-    /// Books one event into the global tally, the tenant's counters and,
-    /// for an acked pair, the session's `DONE` counts together, so they
-    /// agree by construction. Takes `tenants` before `counters`, the
-    /// order lint.toml declares.
+    /// Books one event into the global tally and the tenant's counters
+    /// together, so they agree by construction. Takes `tenants` before
+    /// `counters`, the order lint.toml declares.
     fn book(
         &self,
         tenant: &str,
-        session: Option<&mut TenantCounters>,
         global: impl FnOnce(&mut ServiceStats),
-        local: impl Fn(&mut TenantCounters),
+        local: impl FnOnce(&mut TenantCounters),
     ) {
         let mut tenants = relock(&self.tenants);
         global(&mut relock(&self.counters));
-        tenants.counters_mut(tenant).into_iter().chain(session).for_each(local);
+        if let Some(counters) = tenants.counters_mut(tenant) {
+            local(counters);
+        }
     }
 
     /// The session store, with poison surfaced as a typed error.
@@ -300,15 +292,6 @@ impl Shared {
     /// this error into an `ERR` frame and tear the connection down.
     fn sessions(&self) -> Result<std::sync::MutexGuard<'_, SessionStore>, AlignError> {
         self.sessions.lock().map_err(|_| AlignError::Internal("session store lock poisoned".into()))
-    }
-}
-
-fn fail_kind(e: &AlignError) -> FailKind {
-    match e {
-        AlignError::DeadlineExceeded { .. } => FailKind::Deadline,
-        AlignError::Cancelled => FailKind::Cancelled,
-        AlignError::IntegrityViolation { .. } => FailKind::Integrity,
-        _ => FailKind::Error,
     }
 }
 
@@ -659,7 +642,7 @@ fn redistribute_queue(shared: &Shared, s: usize) {
 fn finish(job: &Job, done: Done) {
     // A send failure means the connection is gone; the pair's outcome is
     // simply unacked (and therefore recomputable on resume).
-    let _ = job.reply.send(WriterMsg::Done(job.id, done));
+    let _ = job.reply.send(Event::Result(job.id, done));
 }
 
 /// Writes one `ERR` frame to a connection the server will not serve.
@@ -677,7 +660,7 @@ fn timed_out(e: &ProtoError) -> bool {
 /// One connection's admission context, fixed at `HELLO`.
 struct Conn {
     /// The connection's writer: every frame and completion goes here.
-    tx: mpsc::Sender<WriterMsg>,
+    tx: mpsc::Sender<Event>,
     tenant: String,
     priority: Priority,
     /// The deadline each pair gets: the HELLO's, or the server default.
@@ -740,7 +723,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
     relock(&shared.tenants).entry(&tenant, priority);
 
     let outstanding = Arc::new(AtomicUsize::new(0));
-    let (tx, rx) = mpsc::channel::<WriterMsg>();
+    let (tx, rx) = mpsc::channel::<Event>();
     let writer = {
         let shared = Arc::clone(shared);
         let tenant = tenant.clone();
@@ -750,7 +733,7 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
             writer_loop(write_half, rx, session, &shared, &tenant, &outstanding)
         })
     };
-    let _ = tx.send(WriterMsg::Frame(Response::Ok { session: session_id.clone(), resumed }));
+    let _ = tx.send(Event::Frame(Response::Ok { session: session_id.clone(), resumed }));
     let deadline = if deadline_ms == 0 {
         shared.cfg.exec.deadline
     } else {
@@ -758,20 +741,19 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let conn = Conn { tx, tenant, priority, deadline, resume_ids, outstanding };
 
-    // Phase 2: the request loop, until it ends with (`true`) or without
-    // (`false`, the server crashed) a flush and `DONE`.
-    let goodbye = loop {
+    // Phase 2: the request loop, until BYE, a hangup, a protocol error,
+    // a drain or a crash.
+    loop {
         let payload = match read_frame(&mut reader) {
             Ok(Some(p)) => p,
-            Ok(None) => break true, // client hung up without BYE
-            Err(e) if timed_out(&e) => match shared.state() {
-                STATE_RUNNING => continue,
-                STATE_DRAINING => break true, // flush + DONE below
-                _ => break false,             // crashed: vanish without a goodbye
-            },
+            Ok(None) => break, // client hung up without BYE
+            Err(e) if timed_out(&e) && shared.state() == STATE_RUNNING => continue,
+            // Draining (the writer flushes and sends `DONE`) or crashed
+            // (it vanishes without one).
+            Err(e) if timed_out(&e) => break,
             Err(e) => {
-                let _ = conn.tx.send(WriterMsg::Frame(Response::Err(e.to_string())));
-                break true;
+                let _ = conn.tx.send(Event::Frame(Response::Err(e.to_string())));
+                break;
             }
         };
         match Request::parse(&payload) {
@@ -779,24 +761,23 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 admit(shared, &conn, id, &query, &reference);
             }
             Ok(Request::Stats) => {
-                let _ = conn.tx.send(WriterMsg::Frame(Response::Stats(shared.stats_text())));
+                let _ = conn.tx.send(Event::Frame(Response::Stats(shared.stats_text())));
             }
-            Ok(Request::Bye) => break true,
+            Ok(Request::Bye) => break,
             Ok(Request::Hello { .. }) => {
-                let _ = conn.tx.send(WriterMsg::Frame(Response::Err(
+                let _ = conn.tx.send(Event::Frame(Response::Err(
                     "HELLO is only valid as the first frame".into(),
                 )));
-                break true;
+                break;
             }
             Err(e) => {
-                let _ = conn.tx.send(WriterMsg::Frame(Response::Err(e.to_string())));
-                break true;
+                let _ = conn.tx.send(Event::Frame(Response::Err(e.to_string())));
+                break;
             }
         }
-    };
-    if goodbye {
-        let _ = conn.tx.send(WriterMsg::Bye);
     }
+    // The writer's input closes once this sender and every admitted
+    // pair's are gone: it then sends `DONE`, unless the server crashed.
     drop(conn);
     let _ = writer.join();
     // A poisoned store here has nothing left worth tearing down — the
@@ -811,8 +792,8 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
 fn admit(shared: &Shared, conn: &Conn, id: usize, query: &str, reference: &str) {
     let Conn { tx, tenant, priority, deadline, resume_ids, outstanding } = conn;
     let reject = |reason: RejectReason, retry_after_ms: u64| {
-        shared.book(tenant, None, |c| c.rejected += 1, |t| t.reject(reason));
-        let _ = tx.send(WriterMsg::Frame(Response::Reject { id, reason, retry_after_ms }));
+        shared.book(tenant, |c| c.rejected += 1, |t| t.reject(reason));
+        let _ = tx.send(Event::Frame(Response::Reject { id, reason, retry_after_ms }));
     };
     if shared.state() != STATE_RUNNING {
         reject(RejectReason::Draining, 1000);
@@ -821,7 +802,7 @@ fn admit(shared: &Shared, conn: &Conn, id: usize, query: &str, reference: &str) 
     if resume_ids.contains(&id) {
         // Already durable from a previous run of this session: replay
         // without consuming any admission budget.
-        let _ = tx.send(WriterMsg::Replay(id));
+        let _ = tx.send(Event::Replay(id));
         return;
     }
     let wait = {
@@ -849,7 +830,7 @@ fn admit(shared: &Shared, conn: &Conn, id: usize, query: &str, reference: &str) 
         (Err(e), _) | (_, Err(e)) => {
             // A malformed sequence is the client's own failure, typed,
             // without burning a queue slot.
-            let _ = tx.send(WriterMsg::Frame(Response::Fail {
+            let _ = tx.send(Event::Frame(Response::Fail {
                 id,
                 kind: FailKind::Error,
                 detail: e.to_string(),
@@ -879,7 +860,7 @@ fn admit(shared: &Shared, conn: &Conn, id: usize, query: &str, reference: &str) 
         shard.queue.push(j, false).map_err(|back| job = Some(back)).is_ok()
     });
     if target.is_some() {
-        shared.book(tenant, None, |c| c.admitted += 1, |t| t.admitted += 1);
+        shared.book(tenant, |c| c.admitted += 1, |t| t.admitted += 1);
         return;
     }
     // Every live shard was full (or none is live): typed backpressure.
@@ -888,132 +869,95 @@ fn admit(shared: &Shared, conn: &Conn, id: usize, query: &str, reference: &str) 
 }
 
 /// Per-connection writer: the only thread that touches this socket's
-/// write half, and the owner of the session manifest. The crash-safety
-/// ordering lives here: `record` (write + flush + fsync), *then* the
-/// `RESULT` frame.
+/// write half, and the owner of the session manifest. It carries out
+/// what the session's [`Writer`] decides — commits (one `write` per
+/// record, one fsync per batch), books, frame sends — and blocks for
+/// input only while the machine waits for it, then takes everything
+/// already queued: the results that arrive during one fsync form the
+/// next batch.
 fn writer_loop(
     stream: TcpStream,
-    rx: mpsc::Receiver<WriterMsg>,
-    mut session: Session,
+    rx: mpsc::Receiver<Event>,
+    session: Session,
     shared: &Shared,
     tenant: &str,
     outstanding: &AtomicUsize,
 ) {
+    let Session { completed, mut manifest, .. } = session;
+    let mut writer = Writer::new(manifest.is_some(), completed);
     let mut out = BufWriter::new(stream);
-    // Abandoning the connection mid-stream (dead socket, injected torn
-    // write, ack failpoint) must close the *socket*, not just this
-    // clone: the reader thread holds another clone, and the peer should
-    // observe a hard drop — the same thing a process death looks like.
-    let kill_socket = |out: &BufWriter<TcpStream>| {
-        let _ = out.get_ref().shutdown(std::net::Shutdown::Both);
-    };
-    // This session's share of the tally: its `DONE` counts.
-    let mut local = TenantCounters::default();
-    let mut byeing = false;
     loop {
         if shared.state() == STATE_CRASHED {
-            return; // no further acks, exactly like a dead process
+            writer.on(Event::Crash);
         }
-        if byeing && outstanding.load(Ordering::SeqCst) == 0 {
-            let done = Response::Done {
-                completed: local.completed,
-                failed: local.failed,
-                rejected: local.rejected(),
-                resumed: local.resumed,
-            };
-            let _ = write_frame(&mut out, &done.encode());
-            let _ = out.flush();
-            return;
-        }
-        let msg = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(m) => m,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                // Every sender (reader + all in-flight jobs) is gone.
-                byeing = true;
-                continue;
+        let Some(action) = writer.next() else {
+            match rx.recv_timeout(Duration::from_millis(50)) {
+                Ok(first) => {
+                    for event in std::iter::once(first).chain(rx.try_iter()) {
+                        if matches!(event, Event::Result(..)) {
+                            outstanding.fetch_sub(1, Ordering::SeqCst);
+                        }
+                        writer.on(event);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => writer.on(Event::Bye),
+            }
+            continue;
+        };
+        let outcome = match action {
+            Action::Commit(records) => commit(manifest.as_mut(), records),
+            Action::Book(pairs) => {
+                shared.book(tenant, |c| c.absorb(&pairs), |t| t.add(&pairs));
+                Vec::new()
+            }
+            Action::Send(frames) => vec![Event::Sent(send(&mut out, &frames))],
+            Action::Close { kill } => {
+                if kill {
+                    // A dead socket, an injected torn write or the ack
+                    // failpoint must close the *socket*, not just this
+                    // clone: the reader holds another, and the peer
+                    // should see a hard drop, as from a process death.
+                    let _ = out.get_ref().shutdown(std::net::Shutdown::Both);
+                }
+                return;
             }
         };
-        match msg {
-            WriterMsg::Frame(resp) => {
-                if let Response::Reject { reason, .. } = resp {
-                    local.reject(reason);
-                }
-                if write_frame(&mut out, &resp.encode()).is_err() {
-                    // Dead socket (peer gone, or an injected torn
-                    // write): stop acking. Anything recorded but not
-                    // framed is replayed on resume.
-                    kill_socket(&out);
-                    return;
-                }
-            }
-            WriterMsg::Replay(id) => {
-                if let Some(a) = session.completed.get(&id) {
-                    let frame = Response::Result {
-                        id,
-                        score: a.score,
-                        cigar: a.cigar.to_string(),
-                        resumed: true,
-                    };
-                    shared.book(tenant, Some(&mut local), |c| c.resumed += 1, |t| t.resumed += 1);
-                    if write_frame(&mut out, &frame.encode()).is_err() {
-                        kill_socket(&out);
-                        return;
-                    }
-                }
-            }
-            WriterMsg::Done(id, mut done) => {
-                outstanding.fetch_sub(1, Ordering::SeqCst);
-                let frame = match &done.result {
-                    Ok(a) => match session.record(id, a) {
-                        Ok(()) => Response::Result {
-                            id,
-                            score: a.score,
-                            cigar: a.cigar.to_string(),
-                            resumed: false,
-                        },
-                        // The manifest write failed: the pair is NOT
-                        // acked (the client must treat it as lost), so it
-                        // is booked as failed too.
-                        Err(e) => Response::Fail {
-                            id,
-                            kind: FailKind::Error,
-                            detail: format!("checkpoint write failed: {e}"),
-                        },
-                    },
-                    Err(e) => Response::Fail { id, kind: fail_kind(e), detail: e.to_string() },
-                };
-                if let Response::Fail { detail, .. } = &frame {
-                    if done.result.is_ok() {
-                        done.result = Err(AlignError::Internal(detail.clone()));
-                    }
-                }
-                // Booked once, at ack: the global tally, the tenant and
-                // this session's `DONE` counts all take the pair as
-                // `record` classifies it.
-                let mut pair = ServiceStats::default();
-                pair.record(&done);
-                shared.book(tenant, Some(&mut local), |c| c.record(&done), |t| t.add(&pair));
-                let acked = matches!(frame, Response::Result { .. });
-                // Failpoint `session.ack`: die between the fsynced record
-                // and the RESULT frame — the recorded-but-unacked window.
-                // Dropping the connection here must never lose the pair:
-                // resume replays it (at-least-once), which is exactly what
-                // chaos_storm asserts.
-                if acked && smx_failpoint::hit("session.ack").is_some() {
-                    kill_socket(&out);
-                    return;
-                }
-                if write_frame(&mut out, &frame.encode()).is_err() && acked {
-                    // Recorded but the ack never reached the wire: same
-                    // recoverable window as above.
-                    kill_socket(&out);
-                    return;
-                }
-            }
-            WriterMsg::Bye => byeing = true,
+        for event in outcome {
+            writer.on(event);
         }
     }
+}
+
+/// Appends one batch to the session manifest: one `Written` per record,
+/// in order, then the batch's `Synced`.
+fn commit(
+    manifest: Option<&mut CheckpointWriter<SyncFile>>,
+    records: Vec<(usize, &Alignment)>,
+) -> Vec<Event> {
+    let Some(manifest) = manifest else {
+        // Only a durable session commits; never ack without a record.
+        let refuse = |_| Event::Written(Err("session has no manifest".into()));
+        return records.iter().map(refuse).chain([Event::Synced(Ok(()))]).collect();
+    };
+    let BatchOutcome { writes, sync } = manifest.record_batch(records);
+    let written = writes.into_iter().map(|w| Event::Written(w.map_err(|e| e.to_string())));
+    written.chain([Event::Synced(sync.map_err(|e| e.to_string()))]).collect()
+}
+
+/// Writes `frames` in order, each flushed as it goes, so a death before
+/// one ack leaves every earlier ack of its batch on the wire; whether
+/// they all went out.
+fn send(out: &mut BufWriter<TcpStream>, frames: &[Response]) -> bool {
+    frames.iter().all(|frame| {
+        // Failpoint `session.ack`: die between the fsynced record and
+        // the RESULT frame — the recorded-but-unacked window. Dropping
+        // the connection here must never lose the pair: resume replays
+        // it (at-least-once), which is exactly what chaos_storm asserts.
+        let acked = matches!(frame, Response::Result { resumed: false, .. });
+        !(acked && smx_failpoint::hit("session.ack").is_some())
+            && write_frame(out, &frame.encode()).is_ok()
+    })
 }
 
 /// A minimal blocking client for the framed protocol — shared by the
@@ -1095,7 +1039,7 @@ mod tests {
 
     /// A normal-priority connection of tenant `t` with no deadline and
     /// nothing to resume, answering on `tx`.
-    fn test_conn(tx: &mpsc::Sender<WriterMsg>) -> Conn {
+    fn test_conn(tx: &mpsc::Sender<Event>) -> Conn {
         Conn {
             tx: tx.clone(),
             tenant: "t".into(),
@@ -1431,7 +1375,7 @@ mod tests {
         shared.tenants.lock().unwrap().entry("t", Priority::Normal);
         admit(&shared, &test_conn(&tx), 7, "ACGT", "ACGT");
         match rx.recv().unwrap() {
-            WriterMsg::Frame(Response::Reject { id, reason, .. }) => {
+            Event::Frame(Response::Reject { id, reason, .. }) => {
                 assert_eq!((id, reason), (7, RejectReason::Draining));
             }
             _ => panic!("expected a draining reject"),
@@ -1533,7 +1477,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         admit(&shared, &test_conn(&tx), id, "GATTACAGATTACA", "GATTACACATTACA");
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-            WriterMsg::Done(done_id, completion) => {
+            Event::Result(done_id, completion) => {
                 assert_eq!(done_id, id);
                 assert!(completion.result.is_ok(), "{:?}", completion.result);
             }
@@ -1566,7 +1510,7 @@ mod tests {
         };
         shared.shards[0].queue.push(job, false).unwrap_or_else(|_| panic!("queue has room"));
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-            WriterMsg::Done(_, completion) => assert!(completion.result.is_ok()),
+            Event::Result(_, completion) => assert!(completion.result.is_ok()),
             _ => panic!("expected the stolen pair to complete"),
         }
         let snaps = shared.snapshots();
@@ -1589,7 +1533,7 @@ mod tests {
         }
     }
 
-    fn parked_job(id: usize, tx: &mpsc::Sender<WriterMsg>) -> Job {
+    fn parked_job(id: usize, tx: &mpsc::Sender<Event>) -> Job {
         Job {
             id,
             priority: Priority::Normal,
@@ -1680,7 +1624,7 @@ mod tests {
         assert_eq!(shared.shards[0].queue.depth(), 0, "nothing may rot on a dead queue");
         for _ in 0..3 {
             match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                WriterMsg::Done(_, completion) => match completion.result {
+                Event::Result(_, completion) => match completion.result {
                     Err(AlignError::Internal(msg)) => {
                         assert!(msg.contains("quarantined"), "typed for resubmission: {msg}");
                     }

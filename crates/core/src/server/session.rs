@@ -2,12 +2,14 @@
 //!
 //! A persistent session is a checkpoint manifest on disk, one per
 //! session ID, written through [`smx_io::checkpoint::CheckpointWriter`]
-//! — append-only, checksummed, flushed *and fsynced* per record. The
-//! server acks a pair (`RESULT`) only after its record is durable, so
-//! the invariant the storm harness asserts — *no pair acked to a client
-//! but absent after a crash* — holds across `kill -9` at any byte: a
-//! record is either fully on disk (and will be replayed on resume) or
-//! was never acked (and the client re-submits it).
+//! — append-only and checksummed, one `write` per record and one fsync
+//! per batch of records, before any ack of that batch. The server acks a
+//! pair (`RESULT`) only after its record is durable, so the invariant
+//! the storm harness asserts — *no pair acked to a client but absent
+//! after a crash* — holds across `kill -9` at any byte: a record is
+//! either fully on disk (and will be replayed on resume) or was never
+//! acked (and the client re-submits it). The connection's writer
+//! (`writer.rs`) decides the batches.
 //!
 //! Resume is idempotent by construction: re-submitting a completed pair
 //! replays the recorded alignment byte-identically without recomputing,
@@ -29,29 +31,17 @@ pub struct Session {
     pub id: String,
     /// Completed pairs by client pair ID, replayed on re-submission.
     pub completed: HashMap<usize, Alignment>,
-    writer: Option<CheckpointWriter<SyncFile>>,
+    /// The manifest new completions are recorded in, in batches; `None`
+    /// for an ephemeral session. The caller must *not* ack a pair whose
+    /// record or batch sync failed.
+    pub manifest: Option<CheckpointWriter<SyncFile>>,
 }
 
 impl Session {
-    /// Records a completed pair durably (write + flush + fsync), then
-    /// remembers it for replay. Ephemeral sessions only remember.
-    ///
-    /// # Errors
-    ///
-    /// Propagates manifest write failures — the caller must *not* ack
-    /// the pair when this fails.
-    pub fn record(&mut self, id: usize, alignment: &Alignment) -> Result<(), IoError> {
-        if let Some(w) = self.writer.as_mut() {
-            w.record(id, alignment)?;
-        }
-        self.completed.insert(id, alignment.clone());
-        Ok(())
-    }
-
     /// Whether completions are written to a durable manifest.
     #[must_use]
     pub fn durable(&self) -> bool {
-        self.writer.is_some()
+        self.manifest.is_some()
     }
 }
 
@@ -153,7 +143,7 @@ impl SessionStore {
             return Ok(Session {
                 id: session.to_string(),
                 completed: HashMap::new(),
-                writer: None,
+                manifest: None,
             });
         }
         if !self.active.insert(session.to_string()) {
@@ -164,7 +154,7 @@ impl SessionStore {
         let resume = self.resume || self.seen.contains(session);
         self.seen.insert(session.to_string());
         match self.open_durable(&path, resume, warn) {
-            Ok(s) => Ok(Session { id: session.to_string(), completed: s.0, writer: Some(s.1) }),
+            Ok(s) => Ok(Session { id: session.to_string(), completed: s.0, manifest: Some(s.1) }),
             Err(e) => {
                 self.active.remove(session);
                 Err(SessionError::Io(e))
@@ -211,6 +201,10 @@ mod tests {
         Alignment { score, cigar: Cigar::parse(cigar).unwrap() }
     }
 
+    fn record(s: &mut Session, id: usize, alignment: &Alignment) {
+        s.manifest.as_mut().unwrap().record(id, alignment).unwrap();
+    }
+
     fn temp_store(name: &str, resume: bool) -> SessionStore {
         let dir = std::env::temp_dir().join(format!("smx-session-{name}"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -221,10 +215,9 @@ mod tests {
     #[test]
     fn ephemeral_sessions_never_touch_disk() {
         let mut store = SessionStore::new(None, true);
-        let mut s = store.open("anything", &mut |_| panic!("no manifest, no tear")).unwrap();
+        let s = store.open("anything", &mut |_| panic!("no manifest, no tear")).unwrap();
         assert!(!s.durable());
-        s.record(3, &aln(5, "5=")).unwrap();
-        assert_eq!(s.completed[&3], aln(5, "5="));
+        assert!(s.completed.is_empty());
         // `-` is ephemeral even on a durable store.
         let mut durable = temp_store("eph", true);
         assert!(!durable.open("-", &mut |_| ()).unwrap().durable());
@@ -234,8 +227,8 @@ mod tests {
     fn same_process_reconnect_resumes_without_resume_flag() {
         let mut store = temp_store("reconnect", false);
         let mut s = store.open("s1", &mut |_| ()).unwrap();
-        s.record(0, &aln(5, "5=")).unwrap();
-        s.record(1, &aln(2, "1=1X")).unwrap();
+        record(&mut s, 0, &aln(5, "5="));
+        record(&mut s, 1, &aln(2, "1=1X"));
         drop(s);
         store.release("s1");
         let s = store.open("s1", &mut |_| ()).unwrap();
@@ -250,7 +243,7 @@ mod tests {
             let mut store = temp_store("restart", false);
             dir = store.dir.clone().unwrap();
             let mut s = store.open("s1", &mut |_| ()).unwrap();
-            s.record(0, &aln(5, "5=")).unwrap();
+            record(&mut s, 0, &aln(5, "5="));
         }
         // "New process" with resume: prior records replay.
         let mut resumed = SessionStore::new(Some(dir.clone()), true);
@@ -269,8 +262,8 @@ mod tests {
         let path = store.manifest_path("s1").unwrap();
         {
             let mut s = store.open("s1", &mut |_| ()).unwrap();
-            s.record(0, &aln(5, "5=")).unwrap();
-            s.record(1, &aln(2, "1=1X")).unwrap();
+            record(&mut s, 0, &aln(5, "5="));
+            record(&mut s, 1, &aln(2, "1=1X"));
         }
         store.release("s1");
         // Tear the final record mid-line, as kill -9 would.
@@ -295,10 +288,10 @@ mod tests {
         let mut store = temp_store("dupes", true);
         {
             let mut s = store.open("s1", &mut |_| ()).unwrap();
-            s.record(0, &aln(5, "5=")).unwrap();
-            s.record(1, &aln(2, "1=1X")).unwrap();
-            s.record(0, &aln(4, "4=")).unwrap();
-            s.record(1, &aln(3, "3=")).unwrap();
+            record(&mut s, 0, &aln(5, "5="));
+            record(&mut s, 1, &aln(2, "1=1X"));
+            record(&mut s, 0, &aln(4, "4="));
+            record(&mut s, 1, &aln(3, "3="));
         }
         store.release("s1");
         let mut warned = Vec::new();

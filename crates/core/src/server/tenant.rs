@@ -162,13 +162,14 @@ impl TenantCounters {
             + self.rejected_overloaded
     }
 
-    /// Adds one acked pair's outcome, as [`ServiceStats::record`] booked
-    /// it into `pair`.
-    pub(crate) fn add(&mut self, pair: &ServiceStats) {
-        self.completed += pair.completed;
-        self.failed += pair.failed;
-        self.deadline_exceeded += pair.deadline_exceeded;
-        self.degraded_software += pair.degraded_software;
+    /// Adds the outcomes of acked and replayed pairs, as
+    /// [`ServiceStats::record`] booked them into `pairs`.
+    pub(crate) fn add(&mut self, pairs: &ServiceStats) {
+        self.completed += pairs.completed;
+        self.failed += pairs.failed;
+        self.resumed += pairs.resumed;
+        self.deadline_exceeded += pairs.deadline_exceeded;
+        self.degraded_software += pairs.degraded_software;
     }
 
     /// Books one typed rejection under its flavor.

@@ -367,6 +367,10 @@ pub struct ServiceStats {
     /// Device attempts recomputed on the software path after a fault
     /// tile-level recovery could not absorb.
     pub software_alignments: u64,
+    /// Durable checkpoint syncs (server: one per batch of records).
+    pub syncs: u64,
+    /// Checkpoint records those syncs made durable.
+    pub synced_records: u64,
     /// Hedge backups launched for latency-tail pairs.
     pub hedges_launched: u64,
     /// Hedge backups that produced the pair's result.
@@ -424,6 +428,41 @@ impl ServiceStats {
         }
     }
 
+    /// Folds in the pair counts another tally booked: what
+    /// [`ServiceStats::record`] counts, replays, and checkpoint syncs.
+    /// The server's session writer books each batch this way, so the
+    /// global tally, the tenant and the session's `DONE` counts take
+    /// the same delta.
+    pub(crate) fn absorb(&mut self, pairs: &ServiceStats) {
+        let ServiceStats { completed, failed, resumed, deadline_exceeded, cancelled, .. } = pairs;
+        let ServiceStats { device_pairs, software_pairs, probe_pairs, faulted_pairs, .. } = pairs;
+        let ServiceStats { degraded_software, retries, syncs, synced_records, .. } = pairs;
+        self.completed += completed;
+        self.failed += failed;
+        self.resumed += resumed;
+        self.deadline_exceeded += deadline_exceeded;
+        self.cancelled += cancelled;
+        self.device_pairs += device_pairs;
+        self.software_pairs += software_pairs;
+        self.probe_pairs += probe_pairs;
+        self.faulted_pairs += faulted_pairs;
+        self.degraded_software += degraded_software;
+        self.retries += retries;
+        self.syncs += syncs;
+        self.synced_records += synced_records;
+    }
+
+    /// Checkpoint records per durable sync: the group-commit batch
+    /// factor (0 before the first sync).
+    #[must_use]
+    pub fn records_per_sync(&self) -> f64 {
+        if self.syncs == 0 {
+            0.0
+        } else {
+            self.synced_records as f64 / self.syncs as f64
+        }
+    }
+
     /// Folds one device pool into the tally: per-device stats, the pool
     /// counters, and tile recovery. A batch folds its one pool, a server
     /// each shard's.
@@ -472,6 +511,8 @@ impl std::fmt::Display for ServiceStats {
             integrity_violations,
             integrity_recomputed,
             software_alignments,
+            syncs,
+            synced_records,
             hedges_launched,
             hedges_won,
             quarantines,
@@ -493,6 +534,7 @@ impl std::fmt::Display for ServiceStats {
             silent_corruptions,
         } = recovery;
         let devices = per_device.len();
+        let records_per_sync = self.records_per_sync();
         writeln!(
             f,
             "pairs: completed={completed} failed={failed} resumed={resumed} shed={shed} \
@@ -509,7 +551,9 @@ impl std::fmt::Display for ServiceStats {
              faults: injected={faults_injected} detected={faults_detected} \
              retries={tile_retries} fallbacks={fallbacks} \
              software_alignments={software_alignments} \
-             silent_corruptions={silent_corruptions} cycles_lost={cycles_lost}"
+             silent_corruptions={silent_corruptions} cycles_lost={cycles_lost}\n\
+             checkpoint: syncs={syncs} records={synced_records} \
+             records_per_sync={records_per_sync:.2}"
         )?;
         for (id, d) in per_device.iter().enumerate() {
             writeln!(f, "device {id}: {d}")?;
@@ -837,6 +881,47 @@ mod tests {
                 (seq(7, 1), seq(5, p))
             })
             .collect()
+    }
+
+    /// Booking pairs and syncs batch by batch and absorbing each batch's
+    /// delta lands the same tally as booking every pair into one, and
+    /// records per sync is records over syncs (0 before any sync).
+    #[test]
+    fn absorbed_batch_tallies_add_up_and_give_records_per_sync() {
+        use crate::shard::PairMeta;
+        let aligned =
+            || Ok(Alignment { score: 1, cigar: smx_align_core::Cigar::parse("1=").unwrap() });
+        let done = |result, route, retries, software| Done {
+            result,
+            meta: Some(PairMeta { route, faulted: retries > 0 }),
+            retries,
+            software,
+        };
+        let pairs = [
+            done(aligned(), Route::Device(0), 0, false),
+            done(aligned(), Route::Probe { id: 1, epoch: 2 }, 1, false),
+            done(Err(AlignError::Cancelled), Route::Software, 2, true),
+            done(aligned(), Route::Software, 0, true),
+            done(Err(AlignError::DeadlineExceeded { budget_ms: 5 }), Route::Device(1), 0, false),
+        ];
+        let mut whole = ServiceStats::default();
+        pairs.iter().for_each(|d| whole.record(d));
+        whole.resumed = 2;
+        (whole.syncs, whole.synced_records) = (2, 3);
+
+        let mut absorbed = ServiceStats { max_queue_depth: 7, ..ServiceStats::default() };
+        assert_eq!(absorbed.records_per_sync(), 0.0, "no sync yet");
+        for (batch, records) in [(&pairs[..3], 2), (&pairs[3..], 1)] {
+            let mut delta = ServiceStats { resumed: 1, syncs: 1, ..ServiceStats::default() };
+            delta.synced_records = records;
+            batch.iter().for_each(|d| delta.record(d));
+            absorbed.absorb(&delta);
+        }
+        assert_eq!(absorbed.max_queue_depth, 7, "not a pair count: left alone");
+        absorbed.max_queue_depth = 0;
+        assert_eq!(absorbed, whole);
+        assert_eq!(whole.records_per_sync(), 1.5);
+        assert!(whole.to_string().contains("checkpoint: syncs=2 records=3 records_per_sync=1.50"));
     }
 
     fn clean_baseline(config: AlignmentConfig, batch: &[(Sequence, Sequence)]) -> Vec<Alignment> {

@@ -90,7 +90,7 @@ pub(crate) struct PairMeta {
 }
 
 /// One finished pair, handed back to the front end.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Done {
     pub(crate) result: Result<Alignment, AlignError>,
     /// The last pool dispatch; `None` when the pair never reached it.

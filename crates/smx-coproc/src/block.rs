@@ -2,6 +2,8 @@
 //! sweeps the tile grid and keeps only tile borders, from which the
 //! traceback recomputes any tile it crosses.
 
+use std::cell::Cell;
+
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
@@ -89,6 +91,40 @@ impl TileBorderStore {
     }
 }
 
+thread_local! {
+    /// The border planes of this thread's last traceback-mode block,
+    /// handed back when its store dropped: one slot, reused by the next
+    /// block that fits, so a thread aligning pair after pair does not
+    /// map and fault fresh planes every block.
+    static SPARE_PLANES: Cell<Option<(Vec<u8>, Vec<u8>)>> = const { Cell::new(None) };
+}
+
+/// Two zeroed planes of `dv_len` and `dh_len` bytes: this thread's
+/// spare pair when both are large enough, else fresh ones (a spare too
+/// small is freed first, so the two never coexist).
+fn border_planes(dv_len: usize, dh_len: usize) -> (Vec<u8>, Vec<u8>) {
+    let fits = |(dv, dh): &(Vec<u8>, Vec<u8>)| dv.capacity() >= dv_len && dh.capacity() >= dh_len;
+    let spare = SPARE_PLANES.try_with(Cell::take).ok().flatten().filter(fits);
+    let Some((mut dv, mut dh)) = spare else {
+        return (vec![0u8; dv_len], vec![0u8; dh_len]);
+    };
+    dv.clear();
+    dv.resize(dv_len, 0);
+    dh.clear();
+    dh.resize(dh_len, 0);
+    (dv, dh)
+}
+
+impl Drop for TileBorderStore {
+    fn drop(&mut self) {
+        let planes = (std::mem::take(&mut self.dv), std::mem::take(&mut self.dh));
+        if planes.0.capacity() > 0 {
+            // Replacing the slot frees whatever spare it held.
+            let _ = SPARE_PLANES.try_with(|spare| spare.set(Some(planes)));
+        }
+    }
+}
+
 /// The result of a block computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockOutput {
@@ -155,11 +191,8 @@ pub fn compute_block(
     let mut dh_carry: Vec<u8> = borders.top_dh.clone();
     let mut right_dv: Vec<u8> = borders.left_dv.clone();
     let keep = mode == BlockMode::Traceback;
-    let (mut dv_plane, mut dh_plane) = if keep {
-        (vec![0u8; t_cols * m], vec![0u8; t_rows * n])
-    } else {
-        (Vec::new(), Vec::new())
-    };
+    let (mut dv_plane, mut dh_plane) =
+        if keep { border_planes(t_cols * m, t_rows * n) } else { (Vec::new(), Vec::new()) };
     if let Some(session) = session {
         let epoch = session.begin_epoch();
         for ti in 0..t_rows {

@@ -113,3 +113,36 @@ fn traceback_allocations_do_not_grow_with_the_tile_count() {
     let large_faulted = walk(&large_q, &large_r, Some(&mut s_large)).1;
     assert_eq!(large_faulted, small_faulted, "fault session over FaultPlan::none()");
 }
+
+/// A traceback-mode block hands its two border planes back to a
+/// one-slot per-thread spare when its store drops, so the next
+/// traceback-mode block on the thread that fits allocates no planes:
+/// two fewer allocations than the first block on a fresh thread, and
+/// byte-identical borders. A larger block cannot reuse the smaller
+/// spare and allocates fresh planes again.
+#[test]
+fn a_second_traceback_block_on_a_thread_reuses_the_planes() {
+    let e = engine();
+    let mut rng = StdRng::seed_from_u64(0x5BA2E);
+    let (q, r) = pair(&mut rng, 600);
+    let (big_q, big_r) = pair(&mut rng, 900);
+    let run = |q: &[u8], r: &[u8]| {
+        counted(|| compute_block(&e, q, r, None, BlockMode::Traceback, None, None).unwrap())
+    };
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let (first, fresh) = run(&q, &r);
+                let first_borders = first.borders.clone();
+                drop(first);
+                let (second, reused) = run(&q, &r);
+                assert_eq!(reused + 2, fresh, "the second block allocates no planes");
+                assert_eq!(second.borders, first_borders, "recycled planes hold the same borders");
+                drop(second);
+                let (_, bigger) = run(&big_q, &big_r);
+                assert_eq!(bigger, fresh, "a spare too small is not reused");
+            })
+            .join()
+            .unwrap();
+    });
+}

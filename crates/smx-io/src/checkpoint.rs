@@ -1,11 +1,14 @@
 //! Crash-safe batch checkpoint manifests (DESIGN.md §5.4).
 //!
 //! A manifest is an append-only text file with one line per *completed*
-//! pair, written and flushed as results arrive so a crash loses at most
-//! the line being written. Each line carries the pair index, the score,
-//! the CIGAR, and an FNV-1a checksum of the payload, so resuming can
-//! re-emit completed alignments byte-identically without recomputing
-//! them — and can detect a corrupted manifest instead of trusting it.
+//! pair. Records are appended in batches: each record is its own
+//! `write`, and the batch then takes one sync, before the caller acks any
+//! pair of it — so a crash loses at most the records of the batch being
+//! written, none of which was acked. A lone record is a batch of one.
+//! Each line carries the pair index, the score, the CIGAR, and an FNV-1a
+//! checksum of the payload, so resuming can re-emit completed alignments
+//! byte-identically without recomputing them — and can detect a
+//! corrupted manifest instead of trusting it.
 //!
 //! Loading is tolerant of exactly one failure mode: a torn *final* line
 //! (the crash interrupted the last `write`). Anything malformed earlier
@@ -21,9 +24,12 @@
 //! let mut w = CheckpointWriter::new(&mut buf);
 //! let aln = Alignment { score: 3, cigar: Cigar::parse("3=").unwrap() };
 //! w.record(0, &aln)?;
+//! let batch = w.record_batch([(1, &aln), (2, &aln)]);
+//! assert!(batch.sync.is_ok() && batch.writes.iter().all(Result::is_ok));
 //! drop(w); // flush-on-drop releases the borrow
 //! let manifest = Manifest::parse(&buf[..])?;
 //! assert_eq!(manifest.completed[&0], aln);
+//! assert_eq!(manifest.completed.len(), 3);
 //! assert!(!manifest.torn_tail);
 //! # Ok::<(), smx_io::IoError>(())
 //! ```
@@ -52,18 +58,26 @@ fn payload(index: usize, score: i32, cigar: &str) -> String {
     format!("{index}\t{score}\t{cigar}")
 }
 
-/// A sink [`CheckpointWriter`] can roll back after a failed record,
-/// restoring the invariant a resume depends on: the file is a valid
-/// prefix of whole records, at worst followed by one torn *final* line.
-/// Without the rollback, the torn bytes of a failed record would merge
-/// with the next successful one into a corrupt *middle* line — which
-/// [`Manifest::load`] rejects by design, permanently wedging the
-/// session.
+/// A sink [`CheckpointWriter`] can roll back after a failed record or
+/// a failed sync, restoring the invariant a resume depends on: the file
+/// is a valid prefix of whole records, at worst followed by one torn
+/// *final* line. Without the rollback, the torn bytes of a failed record
+/// would merge with the next successful one into a corrupt *middle*
+/// line — which [`Manifest::load`] rejects by design, permanently
+/// wedging the session.
+///
+/// The sink keeps two marks: the end of the last *whole* record (a
+/// record's `write` landed) and the *durable* mark (a sync landed after
+/// it). `flush` is the sync.
 pub trait RecordSink: Write {
-    /// Marks everything written so far as durable (a record landed).
+    /// Marks everything written so far as whole records.
+    fn mark_whole(&mut self) {}
+
+    /// Marks every whole record as durable (the sync after it landed).
     fn mark_durable(&mut self) {}
 
-    /// Discards everything past the last durable mark.
+    /// Discards everything past the last whole record: undoes one
+    /// failed record and keeps the batch's earlier records.
     ///
     /// # Errors
     ///
@@ -72,12 +86,26 @@ pub trait RecordSink: Write {
     fn rollback(&mut self) -> std::io::Result<()> {
         Ok(())
     }
+
+    /// Discards everything past the durable mark: undoes every record
+    /// of a batch whose sync failed.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordSink::rollback`].
+    fn rollback_unsynced(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// In-memory sinks never fail mid-record; nothing to roll back.
 impl RecordSink for Vec<u8> {}
 
 impl<S: RecordSink + ?Sized> RecordSink for &mut S {
+    fn mark_whole(&mut self) {
+        (**self).mark_whole()
+    }
+
     fn mark_durable(&mut self) {
         (**self).mark_durable()
     }
@@ -85,21 +113,45 @@ impl<S: RecordSink + ?Sized> RecordSink for &mut S {
     fn rollback(&mut self) -> std::io::Result<()> {
         (**self).rollback()
     }
+
+    fn rollback_unsynced(&mut self) -> std::io::Result<()> {
+        (**self).rollback_unsynced()
+    }
 }
 
-/// A [`File`] whose `flush` also issues `sync_data`, so every
-/// [`CheckpointWriter::record`] (and the flush-on-drop) pushes the line
-/// through the OS page cache to the device. Without the sync, a *machine*
-/// crash (as opposed to a process crash) could lose lines the writer had
-/// already reported as durable. Tracks its durable length so a failed
-/// record can be truncated away ([`RecordSink::rollback`]).
+/// A [`File`] whose `flush` also issues `sync_data`, so every batch
+/// [`CheckpointWriter::record_batch`] appends (and the flush-on-drop)
+/// goes through the OS page cache to the device before any of it is
+/// acked. Without the sync, a *machine* crash (as opposed to a process
+/// crash) could lose lines the writer had already reported as durable.
+/// Tracks its whole-record and durable lengths so a failed record or a
+/// failed sync can be truncated away.
 #[derive(Debug)]
 pub struct SyncFile {
     file: File,
     /// Bytes written so far, including any torn tail from a failure.
     len: u64,
-    /// Bytes fully recorded, flushed, and synced.
+    /// Bytes that form whole records.
+    whole: u64,
+    /// Bytes fully recorded and synced.
     durable: u64,
+}
+
+impl SyncFile {
+    fn new(file: File, len: u64) -> SyncFile {
+        SyncFile { file, len, whole: len, durable: len }
+    }
+
+    /// Truncates the file back to `to` bytes and appends from there.
+    fn truncate(&mut self, to: u64) -> std::io::Result<()> {
+        self.file.set_len(to)?;
+        // Reposition for the non-append (`create`) case; append-mode
+        // files ignore the cursor and this is a harmless no-op.
+        self.file.seek(SeekFrom::Start(to))?;
+        self.len = to;
+        self.whole = to;
+        Ok(())
+    }
 }
 
 impl Write for SyncFile {
@@ -128,10 +180,10 @@ impl Write for SyncFile {
 
     fn flush(&mut self) -> std::io::Result<()> {
         self.file.flush()?;
-        // Failpoint `ckpt.fsync`: the durability barrier fails after
-        // the page-cache write went through — the OS has the bytes but
-        // the writer must NOT ack them. Partial degrades to Error here
-        // (there is no half of an fsync).
+        // Failpoint `ckpt.fsync` (one hit per batch): the durability
+        // barrier fails after the page-cache writes went through — the
+        // OS has the bytes but the writer must NOT ack them. Partial
+        // degrades to Error here (there is no half of an fsync).
         if smx_failpoint::hit("ckpt.fsync").is_some() {
             return Err(smx_failpoint::injected_io_error());
         }
@@ -140,31 +192,47 @@ impl Write for SyncFile {
 }
 
 impl RecordSink for SyncFile {
+    fn mark_whole(&mut self) {
+        self.whole = self.len;
+    }
+
     fn mark_durable(&mut self) {
-        self.durable = self.len;
+        self.durable = self.whole;
     }
 
     fn rollback(&mut self) -> std::io::Result<()> {
-        self.file.set_len(self.durable)?;
-        // Reposition for the non-append (`create`) case; append-mode
-        // files ignore the cursor and this is a harmless no-op.
-        self.file.seek(SeekFrom::Start(self.durable))?;
-        self.len = self.durable;
-        Ok(())
+        self.truncate(self.whole)
+    }
+
+    fn rollback_unsynced(&mut self) -> std::io::Result<()> {
+        self.truncate(self.durable)
     }
 }
 
-/// Streams completed pairs into a manifest, flushing (and, for
-/// file-backed writers, syncing) after every record so the file is
-/// crash-safe at line granularity.
+/// What one [`CheckpointWriter::record_batch`] did to its records.
+#[derive(Debug)]
+pub struct BatchOutcome {
+    /// Each record's own `write`, in order. A record whose write failed
+    /// was rolled back alone, to the end of the record before it.
+    pub writes: Vec<Result<(), IoError>>,
+    /// The batch's one sync, issued when at least one record was
+    /// written (`Ok` when none was). On failure every record of the
+    /// batch was rolled back to the durable mark: none is durable.
+    pub sync: Result<(), IoError>,
+}
+
+/// Streams completed pairs into a manifest in batches: each record is
+/// its own `write`, and each batch is flushed (and, for file-backed
+/// writers, synced) once, so the file is crash-safe at line granularity.
 ///
-/// The I/O-error contract: `record` either lands the whole line durably
-/// or rolls the sink back to the previous record and returns a typed
-/// error — the file never holds torn bytes *between* valid records. If
-/// the rollback itself fails, the writer poisons itself (every further
-/// `record` errors) and the file ends in at most one torn *final* line,
-/// which [`Manifest::load`] and [`CheckpointWriter::append`] recover
-/// from.
+/// The I/O-error contract: a record whose `write` fails is rolled back
+/// alone, to the previous whole record, and fails only itself; a failed
+/// sync rolls the sink back to the last durable mark and fails every
+/// record of its batch. The file never holds torn bytes *between* valid
+/// records. If a rollback itself fails, the writer poisons itself (every
+/// further write and sync errors) and the file ends in at most one torn
+/// *final* line, which [`Manifest::load`] and [`CheckpointWriter::append`]
+/// recover from.
 #[derive(Debug)]
 pub struct CheckpointWriter<W: RecordSink> {
     out: W,
@@ -178,7 +246,7 @@ impl CheckpointWriter<SyncFile> {
     ///
     /// Propagates file-creation failures.
     pub fn create(path: &Path) -> Result<CheckpointWriter<SyncFile>, IoError> {
-        Ok(CheckpointWriter::new(SyncFile { file: File::create(path)?, len: 0, durable: 0 }))
+        Ok(CheckpointWriter::new(SyncFile::new(File::create(path)?, 0)))
     }
 
     /// Opens `path` for appending (the resume case: completed pairs from
@@ -201,7 +269,7 @@ impl CheckpointWriter<SyncFile> {
         };
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         file.set_len(valid as u64)?;
-        Ok(CheckpointWriter::new(SyncFile { file, len: valid as u64, durable: valid as u64 }))
+        Ok(CheckpointWriter::new(SyncFile::new(file, valid as u64)))
     }
 }
 
@@ -211,29 +279,55 @@ impl<W: RecordSink> CheckpointWriter<W> {
         CheckpointWriter { out, poisoned: false }
     }
 
-    /// Appends one completed pair, flushes, and (when file-backed) syncs
-    /// to the device.
+    /// Appends one completed pair and syncs it: the one-record batch.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`IoError`] on any write or sync failure, after
+    /// Returns a typed [`IoError`] on a write or sync failure, after
     /// rolling the sink back to the previous record (see the type-level
     /// contract). A poisoned writer fails every call without touching
     /// the sink.
     pub fn record(&mut self, index: usize, alignment: &Alignment) -> Result<(), IoError> {
+        let BatchOutcome { writes, sync } = self.record_batch([(index, alignment)]);
+        writes.into_iter().try_for_each(|w| w)?;
+        sync
+    }
+
+    /// Appends a batch of completed pairs, each its own `write`, then
+    /// flushes and (when file-backed) syncs once. A pair of the batch is
+    /// durable exactly when its write and the batch's sync both
+    /// succeeded; see [`BatchOutcome`] and the type-level contract.
+    pub fn record_batch<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = (usize, &'a Alignment)>,
+    ) -> BatchOutcome {
+        let writes: Vec<Result<(), IoError>> = records
+            .into_iter()
+            .map(|(index, alignment)| self.write_record(index, alignment))
+            .collect();
+        let sync = if writes.iter().any(Result::is_ok) { self.sync() } else { Ok(()) };
+        BatchOutcome { writes, sync }
+    }
+
+    fn poison_error() -> IoError {
+        IoError::Io(std::io::Error::other(
+            "checkpoint writer poisoned by an earlier unrecoverable write failure",
+        ))
+    }
+
+    /// One record's `write`; a failure rolls back to the last whole
+    /// record.
+    fn write_record(&mut self, index: usize, alignment: &Alignment) -> Result<(), IoError> {
         if self.poisoned {
-            return Err(IoError::Io(std::io::Error::other(
-                "checkpoint writer poisoned by an earlier unrecoverable write failure",
-            )));
+            return Err(Self::poison_error());
         }
         let cigar = alignment.cigar.to_string();
         let body = payload(index, alignment.score, &cigar);
         let sum = fnv1a64(body.as_bytes());
         let line = format!("{body}\t{sum:016x}\n");
-        let attempt = self.out.write_all(line.as_bytes()).and_then(|()| self.out.flush());
-        match attempt {
+        match self.out.write_all(line.as_bytes()) {
             Ok(()) => {
-                self.out.mark_durable();
+                self.out.mark_whole();
                 Ok(())
             }
             Err(e) => {
@@ -244,12 +338,32 @@ impl<W: RecordSink> CheckpointWriter<W> {
             }
         }
     }
+
+    /// The batch's flush and sync; a failure rolls back to the durable
+    /// mark.
+    fn sync(&mut self) -> Result<(), IoError> {
+        if self.poisoned {
+            return Err(Self::poison_error());
+        }
+        match self.out.flush() {
+            Ok(()) => {
+                self.out.mark_durable();
+                Ok(())
+            }
+            Err(e) => {
+                if self.out.rollback_unsynced().is_err() {
+                    self.poisoned = true;
+                }
+                Err(IoError::Io(e))
+            }
+        }
+    }
 }
 
 impl<W: RecordSink> Drop for CheckpointWriter<W> {
     fn drop(&mut self) {
-        // Every successful `record` already flushed and every failed one
-        // rolled back, so this only matters for a poisoned writer whose
+        // Every successful batch already flushed and every failed record
+        // or sync rolled back, so this only matters for a poisoned writer whose
         // sink may still hold torn bytes the OS has not synced. Errors
         // here have nowhere to go — the next load's checksums catch the
         // damage.
@@ -512,6 +626,46 @@ mod tests {
             assert!(!m.torn_tail, "cut {cut}: the tear must be gone after append");
             assert_eq!(m.completed[&9], aln(4, "4="), "cut {cut}");
             assert!(m.completed.len() > whole, "cut {cut}");
+        }
+    }
+
+    /// The cut-at-every-byte property over a manifest written in
+    /// batches of one, three and two records: every prefix loads as
+    /// exactly its whole records, and flags a torn tail only when the
+    /// cut falls inside a record (a cut just before a record's newline
+    /// leaves that record whole).
+    #[test]
+    fn batched_manifest_survives_cut_at_every_byte() {
+        let dir = std::env::temp_dir().join("smx-checkpoint-batch-cut");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("manifest.tsv");
+        let entries: Vec<(usize, Alignment)> =
+            (0..6).map(|i| (i, aln(i as i32, &format!("{}=1X", i + 1)))).collect();
+        {
+            let mut w = CheckpointWriter::create(&path).unwrap();
+            for batch in [&entries[..1], &entries[1..4], &entries[4..]] {
+                let out = w.record_batch(batch.iter().map(|(i, a)| (*i, a)));
+                assert_eq!(out.writes.len(), batch.len());
+                assert!(out.writes.iter().all(Result::is_ok) && out.sync.is_ok());
+            }
+        }
+        let buf = std::fs::read(&path).unwrap();
+        let ends: Vec<usize> =
+            buf.iter().enumerate().filter(|&(_, &b)| b == b'\n').map(|(at, _)| at + 1).collect();
+        assert_eq!(ends.len(), entries.len());
+        for cut in 0..=buf.len() {
+            let m =
+                Manifest::parse(&buf[..cut]).unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+            let unterminated = ends.contains(&(cut + 1));
+            let whole = ends.iter().filter(|&&e| e <= cut).count() + usize::from(unterminated);
+            let mut ids: Vec<usize> = m.completed.keys().copied().collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..whole).collect::<Vec<_>>(), "cut {cut}");
+            for (i, a) in &entries[..whole] {
+                assert_eq!(&m.completed[i], a, "cut {cut}");
+            }
+            let torn = cut > 0 && !ends.contains(&cut) && !unterminated;
+            assert_eq!(m.torn_tail, torn, "cut {cut}");
         }
     }
 

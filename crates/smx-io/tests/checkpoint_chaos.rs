@@ -104,6 +104,81 @@ fn failed_fsync_is_typed_and_unacked() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The schedule that fires `action` at `site` on hit 1 and on no other
+/// hit: the second record (or sync) under it, never the first.
+fn second_hit_only(site: &str, action: Action) -> FailSchedule {
+    (0..)
+        .map(|seed| FailSchedule::new(seed).rule(site, None, action, 0.5, Some(2)))
+        .find(|s| s.decide(site, 0, 0).is_none() && s.decide(site, 0, 1) == Some(action))
+        .unwrap()
+}
+
+/// A `ckpt.write` Partial on the middle record of a batch tears that
+/// record only: it is rolled back to the end of the record before it
+/// (which was written in the same batch, so not yet durable), the
+/// records after it land, and the batch's one sync makes the rest
+/// durable.
+#[test]
+fn partial_write_inside_a_batch_rolls_back_only_that_record() {
+    let _guard = registry_lock();
+    let path = tmpfile("batch-partial");
+    let _ = std::fs::remove_file(&path);
+
+    let mut w = CheckpointWriter::create(&path).unwrap();
+    w.record(0, &aln(5, "5=")).unwrap();
+    install(second_hit_only("ckpt.write", Action::Partial));
+    let batch = [(1, aln(6, "6=")), (2, aln(7, "3=1X3=")), (3, aln(8, "8="))];
+    let out = w.record_batch(batch.iter().map(|(i, a)| (*i, a)));
+    clear();
+    let verdicts: Vec<bool> = out.writes.iter().map(Result::is_ok).collect();
+    assert_eq!(verdicts, [true, false, true], "only the torn record fails");
+    assert!(out.sync.is_ok(), "the batch still syncs once");
+    drop(w);
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text.lines().count(), 3, "no torn bytes between records:\n{text}");
+    let manifest = Manifest::load(&path).unwrap();
+    assert_eq!(
+        manifest.completed.keys().copied().collect::<std::collections::BTreeSet<_>>(),
+        [0, 1, 3].into_iter().collect(),
+    );
+    assert!(!manifest.torn_tail);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A `ckpt.fsync` Error fails the whole batch: every record of it is
+/// rolled back to the durable mark, so none of the batch is durable (or
+/// left behind to be duplicated), and resubmitting the batch lands one
+/// copy of each.
+#[test]
+fn failed_fsync_leaves_none_of_its_batch_durable() {
+    let _guard = registry_lock();
+    let path = tmpfile("batch-fsync");
+    let _ = std::fs::remove_file(&path);
+
+    let mut w = CheckpointWriter::create(&path).unwrap();
+    w.record(0, &aln(3, "3=")).unwrap();
+    let durable = std::fs::metadata(&path).unwrap().len();
+    install(FailSchedule::new(5).rule("ckpt.fsync", None, Action::Error, 1.0, Some(1)));
+    let batch = [(1, aln(4, "2=1I1=")), (2, aln(5, "5=")), (3, aln(1, "1="))];
+    let out = w.record_batch(batch.iter().map(|(i, a)| (*i, a)));
+    clear();
+    assert!(out.writes.iter().all(Result::is_ok), "every record was written");
+    assert!(matches!(out.sync, Err(IoError::Io(_))), "the sync failure is typed");
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), durable, "rolled back to record 0");
+    assert_eq!(Manifest::load(&path).unwrap().completed.len(), 1);
+
+    let retry = w.record_batch(batch.iter().map(|(i, a)| (*i, a)));
+    assert!(retry.writes.iter().all(Result::is_ok) && retry.sync.is_ok());
+    drop(w);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text.lines().count(), 4, "the retry must not duplicate a rolled-back line");
+    let manifest = Manifest::load(&path).unwrap();
+    assert_eq!(manifest.duplicates, 0);
+    assert_eq!(manifest.completed[&1], aln(4, "2=1I1="));
+    std::fs::remove_file(&path).ok();
+}
+
 /// The full crash-recovery story: a run tears mid-record and dies
 /// without any rollback (simulating `kill -9` between the torn write and
 /// the cleanup), and the next process's `append` + [`Manifest::load`]
