@@ -69,49 +69,42 @@ impl Alphabet {
     /// this alphabet (lowercase nucleotides/amino acids are accepted and
     /// normalized to uppercase).
     pub fn encode(self, symbol: char) -> Result<u8, AlignError> {
-        let up = symbol.to_ascii_uppercase();
-        let err = || AlignError::InvalidSymbol { symbol, alphabet: self.name() };
+        let code = u8::try_from(symbol).map_or(NOT_A_SYMBOL, |b| self.code_table()[usize::from(b)]);
+        if code == NOT_A_SYMBOL {
+            return Err(AlignError::InvalidSymbol { symbol, alphabet: self.name() });
+        }
+        Ok(code)
+    }
+
+    /// The encode table: entry `b` is [`Alphabet::encode_byte`] of byte
+    /// `b`, or [`NOT_A_SYMBOL`] outside the alphabet (every byte past
+    /// ASCII included). Built at compile time.
+    #[must_use]
+    pub(crate) fn code_table(self) -> &'static [u8; 256] {
+        &CODE_TABLES[self as usize]
+    }
+
+    /// Encodes one ASCII byte exactly as [`Alphabet::encode`] encodes the
+    /// character, or `None` when it is not part of this alphabet. A
+    /// `const fn`, so compile-time tables (`smx.pack`'s) derive from it.
+    #[must_use]
+    pub const fn encode_byte(self, byte: u8) -> Option<u8> {
+        let up = byte.to_ascii_uppercase();
         match self {
-            Alphabet::Dna2 => match up {
-                'A' => Ok(0),
-                'C' => Ok(1),
-                'G' => Ok(2),
-                'T' => Ok(3),
-                _ => Err(err()),
-            },
-            Alphabet::Dna4 => match up {
-                'A' => Ok(0),
-                'C' => Ok(1),
-                'G' => Ok(2),
-                'T' => Ok(3),
-                'N' => Ok(4),
-                'R' => Ok(5),
-                'Y' => Ok(6),
-                'S' => Ok(7),
-                'W' => Ok(8),
-                'K' => Ok(9),
-                'M' => Ok(10),
-                'B' => Ok(11),
-                'D' => Ok(12),
-                'H' => Ok(13),
-                'V' => Ok(14),
-                'U' => Ok(15),
-                _ => Err(err()),
-            },
-            Alphabet::Protein => {
-                if up.is_ascii_uppercase() {
-                    Ok(up as u8 - b'A')
-                } else {
-                    Err(err())
+            Alphabet::Dna2 | Alphabet::Dna4 => {
+                let count = if matches!(self, Alphabet::Dna2) { 4 } else { NUCLEOTIDES.len() };
+                let mut code = 0;
+                while code < count {
+                    if NUCLEOTIDES[code] == up {
+                        return Some(code as u8);
+                    }
+                    code += 1;
                 }
+                None
             }
-            Alphabet::Ascii => {
-                if symbol.is_ascii() {
-                    Ok(symbol as u8)
-                } else {
-                    Err(err())
-                }
-            }
+            Alphabet::Protein if up.is_ascii_uppercase() => Some(up - b'A'),
+            Alphabet::Ascii if byte.is_ascii() => Some(byte),
+            _ => None,
         }
     }
 
@@ -121,29 +114,18 @@ impl Alphabet {
     ///
     /// Returns [`AlignError::InvalidCode`] if `code` is out of range.
     pub fn decode(self, code: u8) -> Result<char, AlignError> {
-        let err = || AlignError::InvalidCode { code, alphabet: self.name() };
-        match self {
-            Alphabet::Dna2 => {
-                [b'A', b'C', b'G', b'T'].get(code as usize).map(|&b| b as char).ok_or_else(err)
-            }
-            Alphabet::Dna4 => {
-                b"ACGTNRYSWKMBDHVU".get(code as usize).map(|&b| b as char).ok_or_else(err)
-            }
-            Alphabet::Protein => {
-                if code < 26 {
-                    Ok((b'A' + code) as char)
-                } else {
-                    Err(err())
-                }
-            }
-            Alphabet::Ascii => {
-                if code < 128 {
-                    Ok(code as char)
-                } else {
-                    Err(err())
-                }
-            }
+        if self.is_valid_code(code) {
+            Ok(char::from(self.ascii_table()[usize::from(code)]))
+        } else {
+            Err(AlignError::InvalidCode { code, alphabet: self.name() })
         }
+    }
+
+    /// The decode table: entry `c` is the ASCII byte of code `c`, and `0`
+    /// (NUL) for every code outside the alphabet. Built at compile time.
+    #[must_use]
+    pub fn ascii_table(self) -> &'static [u8; 256] {
+        &ASCII_TABLES[self as usize]
     }
 
     /// Whether `code` is in range for this alphabet.
@@ -151,6 +133,57 @@ impl Alphabet {
     pub fn is_valid_code(self, code: u8) -> bool {
         (code as usize) < self.cardinality()
     }
+}
+
+/// The IUPAC nucleotide letters in `Dna4` code order; `Dna2` codes the
+/// first four.
+const NUCLEOTIDES: &[u8; 16] = b"ACGTNRYSWKMBDHVU";
+
+/// The encode tables' entry for a byte outside the alphabet.
+pub(crate) const NOT_A_SYMBOL: u8 = u8::MAX;
+
+/// Every alphabet's encode table, in [`Alphabet::ALL`] order.
+static CODE_TABLES: [[u8; 256]; 4] = [
+    code_table(Alphabet::Dna2),
+    code_table(Alphabet::Dna4),
+    code_table(Alphabet::Protein),
+    code_table(Alphabet::Ascii),
+];
+
+const fn code_table(alphabet: Alphabet) -> [u8; 256] {
+    let mut table = [NOT_A_SYMBOL; 256];
+    let mut byte = 0;
+    while byte < table.len() {
+        if let Some(code) = alphabet.encode_byte(byte as u8) {
+            table[byte] = code;
+        }
+        byte += 1;
+    }
+    table
+}
+
+/// Every alphabet's decode table, in [`Alphabet::ALL`] order.
+static ASCII_TABLES: [[u8; 256]; 4] = [
+    ascii_table(Alphabet::Dna2),
+    ascii_table(Alphabet::Dna4),
+    ascii_table(Alphabet::Protein),
+    ascii_table(Alphabet::Ascii),
+];
+
+const fn ascii_table(alphabet: Alphabet) -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut code = 0;
+    while code < table.len() {
+        table[code] = match alphabet {
+            Alphabet::Dna2 if code < 4 => NUCLEOTIDES[code],
+            Alphabet::Dna4 if code < NUCLEOTIDES.len() => NUCLEOTIDES[code],
+            Alphabet::Protein if code < 26 => b'A' + code as u8,
+            Alphabet::Ascii if code < 128 => code as u8,
+            _ => 0,
+        };
+        code += 1;
+    }
+    table
 }
 
 impl std::fmt::Display for Alphabet {
@@ -228,6 +261,34 @@ mod tests {
                 if code as usize >= a.cardinality() {
                     break;
                 }
+            }
+        }
+    }
+
+    /// An independent per-character encoding: the reference for
+    /// `encode_byte` and the tables built from it.
+    fn reference_encode(a: Alphabet, symbol: char) -> Option<u8> {
+        let up = symbol.to_ascii_uppercase();
+        match a {
+            Alphabet::Dna2 => "ACGT".find(up).map(|i| i as u8),
+            Alphabet::Dna4 => "ACGTNRYSWKMBDHVU".find(up).map(|i| i as u8),
+            Alphabet::Protein => up.is_ascii_uppercase().then(|| up as u8 - b'A'),
+            Alphabet::Ascii => symbol.is_ascii().then_some(symbol as u8),
+        }
+    }
+
+    #[test]
+    fn byte_encoding_and_decode_table_match_the_char_paths() {
+        for a in Alphabet::ALL {
+            for c in ['é', '→', 'Ā', '\u{ff}'] {
+                assert!(a.encode(c).is_err(), "{a} {c}");
+            }
+            for b in 0u8..=255 {
+                let want = reference_encode(a, char::from(b));
+                assert_eq!(a.encode_byte(b), want, "{a} byte {b}");
+                assert_eq!(a.encode(char::from(b)).ok(), want, "{a} byte {b}");
+                let decoded = a.decode(b).map_or(0, |c| c as u8);
+                assert_eq!(a.ascii_table()[usize::from(b)], decoded, "{a} code {b}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Encoded sequences.
 
-use crate::alphabet::Alphabet;
+use crate::alphabet::{Alphabet, NOT_A_SYMBOL};
 use crate::error::AlignError;
 
 /// A sequence of alphabet-encoded symbols.
@@ -22,8 +22,19 @@ impl Sequence {
     /// Returns [`AlignError::InvalidSymbol`] on the first character that is
     /// not part of `alphabet`.
     pub fn from_text(alphabet: Alphabet, text: &str) -> Result<Sequence, AlignError> {
-        let codes =
-            text.chars().map(|c| alphabet.encode(c)).collect::<Result<Vec<u8>, AlignError>>()?;
+        let table = alphabet.code_table();
+        let mut codes = Vec::with_capacity(text.len());
+        for (at, byte) in text.bytes().enumerate() {
+            match table[usize::from(byte)] {
+                // Every byte past ASCII is outside the table, so the first
+                // refused byte starts the refused character.
+                NOT_A_SYMBOL => {
+                    let symbol = text.get(at..).and_then(|t| t.chars().next()).unwrap_or('\0');
+                    return Err(AlignError::InvalidSymbol { symbol, alphabet: alphabet.name() });
+                }
+                code => codes.push(code),
+            }
+        }
         Ok(Sequence { alphabet, codes })
     }
 
@@ -122,6 +133,20 @@ mod tests {
     #[test]
     fn invalid_text_rejected() {
         assert!(Sequence::from_text(Alphabet::Dna2, "ACGX").is_err());
+    }
+
+    #[test]
+    fn from_text_matches_encoding_each_character() {
+        for a in Alphabet::ALL {
+            for text in
+                ["acgtNRY", "ACGX", "AC\u{e9}GT", "\u{2192}", "HEAGAWGHEE*", "a\tb\u{7f}", ""]
+            {
+                let per_char: Result<Vec<u8>, AlignError> =
+                    text.chars().map(|c| a.encode(c)).collect();
+                let streamed = Sequence::from_text(a, text).map(|s| s.codes().to_vec());
+                assert_eq!(streamed, per_char, "{a} {text:?}");
+            }
+        }
     }
 
     #[test]

@@ -126,20 +126,10 @@ impl SmxDevice {
         self.coproc.control().map_or(Ok(()), CancelToken::check)
     }
 
-    /// Packs a sequence through `smx.pack` (eight ASCII characters per
-    /// instruction) and cross-checks the codes.
-    fn pack(&mut self, s: &Sequence) -> Result<Vec<u8>, AlignError> {
-        let packed = kernels::pack_ascii_sequence(&mut self.unit, s.to_text().as_bytes())?;
-        let codes = packed.unpack();
-        if codes != s.codes() {
-            let position = codes
-                .iter()
-                .zip(s.codes())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| codes.len().min(s.codes().len()));
-            return Err(AlignError::PackDivergence { position });
-        }
-        Ok(codes)
+    /// Streams a sequence's codes through `smx.pack` (eight characters
+    /// per instruction) and cross-checks the packed codes against them.
+    fn pack(&mut self, s: &Sequence) -> Result<(), AlignError> {
+        kernels::pack_codes(&mut self.unit, s.alphabet(), s.codes())
     }
 
     /// Full heterogeneous alignment: pack → offload → traceback with tile
@@ -159,17 +149,18 @@ impl SmxDevice {
         reference: &Sequence,
     ) -> Result<Alignment, AlignError> {
         self.enter(query, reference)?;
-        let q = self.pack(query)?;
-        let r = self.pack(reference)?;
+        self.pack(query)?;
+        self.pack(reference)?;
+        let (q, r) = (query.codes(), reference.codes());
         let (engine, control) = (self.coproc.engine(), self.coproc.control());
         let mode = BlockMode::Traceback;
-        let out = block::compute_block(engine, &q, &r, None, mode, self.faults.as_mut(), control)?;
+        let out = block::compute_block(engine, q, r, None, mode, self.faults.as_mut(), control)?;
         let store = out
             .borders
             .as_ref()
             .ok_or_else(|| AlignError::Internal("block was computed in score-only mode".into()))?;
         let (cigar, stats) =
-            traceback::traceback_block(engine, &q, &r, store, self.faults.as_mut(), control)?;
+            traceback::traceback_block(engine, q, r, store, self.faults.as_mut(), control)?;
         self.recompute.tiles += stats.tiles;
         self.recompute.elements += stats.elements;
         self.recompute.steps += stats.steps;
@@ -180,7 +171,7 @@ impl SmxDevice {
         let cols = stats.elements / vl.max(1);
         self.unit.charge(cols / 4, 0, cols * 2);
         let mut alignment = Alignment { score: out.score, cigar };
-        alignment.verify(&q, &r, &self.scheme)?;
+        alignment.verify(q, r, &self.scheme)?;
         // The result readout is the one hop past every checksum and the
         // device's internal re-verification: a plan with a silent rate
         // corrupts the finished alignment here, and only the service
@@ -198,12 +189,12 @@ impl SmxDevice {
     /// Same conditions as [`SmxDevice::align`].
     pub fn score(&mut self, query: &Sequence, reference: &Sequence) -> Result<i32, AlignError> {
         self.enter(query, reference)?;
-        let q = self.pack(query)?;
-        let r = self.pack(reference)?;
+        self.pack(query)?;
+        self.pack(reference)?;
         let out = block::compute_block(
             self.coproc.engine(),
-            &q,
-            &r,
+            query.codes(),
+            reference.codes(),
             None,
             BlockMode::ScoreOnly,
             self.faults.as_mut(),
@@ -367,6 +358,57 @@ mod tests {
             Sequence::from_codes(config.alphabet(), codes).unwrap()
         };
         (take(7, 1), take(5, 0))
+    }
+
+    /// A pinned `len`-symbol pair of `config`: a seeded random query and
+    /// a reference copied from it with substitutions and short indels.
+    fn related(config: AlignmentConfig, len: usize) -> (Sequence, Sequence) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED ^ len as u64);
+        let symbol = |rng: &mut StdRng| match config {
+            AlignmentConfig::Ascii => rng.gen_range(32..127u8),
+            _ => rng.gen_range(0..config.alphabet().cardinality() as u8),
+        };
+        let q: Vec<u8> = (0..len).map(|_| symbol(&mut rng)).collect();
+        let mut r = Vec::with_capacity(len + len / 8);
+        for &c in &q {
+            match rng.gen_range(0..40u32) {
+                0 => {}
+                1 => r.extend([c, symbol(&mut rng)]),
+                2..=5 => r.push(symbol(&mut rng)),
+                _ => r.push(c),
+            }
+        }
+        let seq = |codes| Sequence::from_codes(config.alphabet(), codes).unwrap();
+        (seq(q), seq(r))
+    }
+
+    /// `(smx_pack, load_words, scalar_ops)` after one `align`, then after
+    /// a `score` of the same pair; every other class stays zero. The
+    /// numbers are those the text-packing ingress charged, so streaming
+    /// the codes changed no count.
+    #[test]
+    fn insn_counts_match_the_pinned_numbers() {
+        let pinned = [
+            (AlignmentConfig::DnaEdit, 150, (38, 89, 1110), (76, 127, 1186)),
+            (AlignmentConfig::DnaGap, 150, (38, 98, 1180), (76, 136, 1256)),
+            (AlignmentConfig::Protein, 370, (94, 241, 2886), (188, 335, 3074)),
+            (AlignmentConfig::Ascii, 150, (38, 97, 1168), (76, 135, 1244)),
+        ];
+        let classes = |c: InsnCounts| {
+            assert_eq!(c.total(), c.smx_pack + c.load_words + c.scalar_ops);
+            (c.smx_pack, c.load_words, c.scalar_ops)
+        };
+        for (config, len, after_align, after_score) in pinned {
+            let (q, r) = related(config, len);
+            let mut dev = SmxDevice::new(config, 2).unwrap();
+            let aln = dev.align(&q, &r).unwrap();
+            assert_eq!(aln, dp::align_codes(q.codes(), r.codes(), &config.scoring()), "{config}");
+            assert_eq!(classes(dev.insn_counts()), after_align, "{config} align");
+            assert_eq!(dev.score(&q, &r).unwrap(), aln.score, "{config}");
+            assert_eq!(classes(dev.insn_counts()), after_score, "{config} score");
+        }
     }
 
     #[test]

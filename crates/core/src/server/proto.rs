@@ -57,7 +57,7 @@ impl From<io::Error> for ProtoError {
     }
 }
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) in one `write` and flushes.
 ///
 /// # Errors
 ///
@@ -85,8 +85,12 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), ProtoError>
         }
         None => {}
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    // Header and payload leave in one `write`, so a raw socket with
+    // `TCP_NODELAY` sends one segment per frame and the reader wakes once.
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

@@ -8,7 +8,7 @@
 
 use crate::insn::rs2_operand;
 use crate::unit::{InsnCounts, Smx1dUnit};
-use smx_align_core::{AlignError, Cigar, ScoringScheme};
+use smx_align_core::{AlignError, Alphabet, Cigar, ScoringScheme};
 use smx_diffenc::boundary::BlockBorders;
 use smx_diffenc::pack::{PackedSeq, PackedVec};
 
@@ -311,6 +311,21 @@ pub fn align_block(
     Ok((smx_align_core::Alignment { score: res.score, cigar }, counts))
 }
 
+/// One word of the `smx.pack` loop both packing kernels share: packs
+/// eight ASCII bytes and charges the word's load and two scalar ops
+/// (address step and loop control).
+fn pack_word(unit: &mut Smx1dUnit, ascii: u64) -> u64 {
+    let packed = unit.exec_pack(ascii);
+    unit.charge(1, 0, 2);
+    packed
+}
+
+/// The ASCII word of up to eight bytes, lane 0 in the low byte and zero
+/// bytes past `bytes`.
+fn ascii_word(bytes: impl DoubleEndedIterator<Item = u8>) -> u64 {
+    bytes.rev().fold(0, |word, b| word << 8 | u64::from(b))
+}
+
 /// Packs an ASCII byte string into the configured EW representation using
 /// `smx.pack`, eight characters per instruction.
 ///
@@ -321,14 +336,50 @@ pub fn pack_ascii_sequence(unit: &mut Smx1dUnit, ascii: &[u8]) -> Result<PackedS
     let ew = unit.config().ew;
     let mut codes = Vec::with_capacity(ascii.len());
     for chunk in ascii.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        let packed = unit.exec_pack(u64::from_le_bytes(word));
-        unit.charge(1, 0, 2);
-        let v = PackedVec::from_word(ew, packed);
-        codes.extend(v.to_lanes(chunk.len()));
+        let packed = PackedVec::from_word(ew, pack_word(unit, ascii_word(chunk.iter().copied())));
+        codes.extend((0..chunk.len()).map(|k| packed.lane(k)));
     }
     PackedSeq::from_codes(ew, &codes)
+}
+
+/// The device's ingress: streams the codes of an `alphabet` sequence
+/// through `smx.pack`, eight per instruction, and checks each packed word
+/// against the codes in place. Each word's ASCII is built from the codes
+/// through the alphabet's decode table, so the unit sees (and the counts
+/// charge) exactly what [`pack_ascii_sequence`] would for the decoded
+/// text.
+///
+/// # Errors
+///
+/// [`AlignError::PackDivergence`] at the first symbol whose packed code
+/// differs from its own code (a code the unit's width cannot hold, or
+/// an alphabet the unit does not pack).
+pub fn pack_codes(
+    unit: &mut Smx1dUnit,
+    alphabet: Alphabet,
+    codes: &[u8],
+) -> Result<(), AlignError> {
+    let table = alphabet.ascii_table();
+    let ew = unit.config().ew;
+    let bits = u32::from(ew.bits());
+    for (w, chunk) in codes.chunks(8).enumerate() {
+        let packed = pack_word(unit, ascii_word(chunk.iter().map(|&c| table[usize::from(c)])));
+        // The codes' own word at EW bits per lane; a code too wide for a
+        // lane bleeds into its neighbour, and the lane check below
+        // still finds it.
+        let (own, fits) = chunk.iter().enumerate().fold((0u64, true), |(own, fits), (k, &c)| {
+            (own | u64::from(c) << (k as u32 * bits), fits && u32::from(c) <= ew.max_value())
+        });
+        let used = chunk.len() as u32 * bits;
+        let mask = if used >= 64 { u64::MAX } else { (1u64 << used) - 1 };
+        if fits && packed & mask == own {
+            continue;
+        }
+        let packed = PackedVec::from_word(ew, packed);
+        let k = (0..chunk.len()).find(|&k| packed.lane(k) != chunk[k]).unwrap_or(chunk.len());
+        return Err(AlignError::PackDivergence { position: w * 8 + k });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -471,6 +522,62 @@ mod tests {
         let packed = pack_ascii_sequence(&mut u, b"ACGTACGTACG").unwrap();
         assert_eq!(packed.unpack(), vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2]);
         assert_eq!(u.counts().smx_pack, 2);
+    }
+
+    /// The text path, `pack_codes`'s reference: decode to text, pack it
+    /// with `pack_ascii_sequence`, unpack, and report the first position
+    /// whose packed code differs.
+    fn text_round_trip(u: &mut Smx1dUnit, alphabet: Alphabet, codes: &[u8]) -> Option<usize> {
+        let text: Vec<u8> = codes.iter().map(|&c| alphabet.decode(c).unwrap() as u8).collect();
+        let packed = pack_ascii_sequence(u, &text).unwrap().unpack();
+        packed.iter().zip(codes).position(|(a, b)| a != b)
+    }
+
+    #[test]
+    fn pack_codes_charges_and_accepts_what_the_text_path_does() {
+        for cfg in AlignmentConfig::ALL {
+            let alphabet = cfg.alphabet();
+            let card = alphabet.cardinality();
+            for len in [1, 7, 8, 9, 150, 371] {
+                let codes: Vec<u8> = (0..len).map(|i| ((i * 7 + i / 5) % card) as u8).collect();
+                let (mut streamed, mut text) = (unit_for(cfg), unit_for(cfg));
+                pack_codes(&mut streamed, alphabet, &codes).unwrap();
+                assert_eq!(text_round_trip(&mut text, alphabet, &codes), None, "{cfg}");
+                assert_eq!(streamed.counts(), text.counts(), "{cfg} len {len}");
+                assert_eq!(streamed.counts().smx_pack, len.div_ceil(8) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn pack_codes_reports_the_text_paths_divergence_position() {
+        // 4-bit DNA codes through the 2-bit unit: `N` (4) and the IUPAC
+        // codes past it do not fit two bits, and `smx.pack` sends their
+        // letters to `A` (0). Protein codes through the 4-bit unit: `G`
+        // is code 6 there and 2 in DNA.
+        let protein: Vec<u8> = b"AAGQ".iter().map(|c| c - b'A').collect();
+        let cases = [
+            (AlignmentConfig::DnaEdit, Alphabet::Dna4, vec![0u8, 1, 2, 3, 4, 0], 4),
+            (
+                AlignmentConfig::DnaEdit,
+                Alphabet::Dna4,
+                [[3u8; 13].as_slice(), &[9, 0]].concat(),
+                13,
+            ),
+            (
+                AlignmentConfig::DnaEdit,
+                Alphabet::Dna4,
+                (0..40).map(|i| (i % 4 + i / 31 * 12) as u8).collect(),
+                31,
+            ),
+            (AlignmentConfig::DnaGap, Alphabet::Protein, protein, 2),
+        ];
+        for (cfg, alphabet, codes, position) in cases {
+            let before = text_round_trip(&mut unit_for(cfg), alphabet, &codes);
+            assert_eq!(before, Some(position), "{cfg} {alphabet}");
+            let got = pack_codes(&mut unit_for(cfg), alphabet, &codes);
+            assert_eq!(got, Err(AlignError::PackDivergence { position }), "{cfg} {alphabet}");
+        }
     }
 
     #[test]

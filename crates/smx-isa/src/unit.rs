@@ -214,18 +214,17 @@ impl Smx1dUnit {
     }
 
     /// Executes `smx.pack`: packs 8 ASCII bytes from `rs1` into EW-width
-    /// codes (lane 0 = least-significant byte).
+    /// codes (lane 0 = least-significant byte), each through the width's
+    /// compile-time table.
     #[must_use]
     pub fn exec_pack(&mut self, rs1: u64) -> u64 {
         self.counts.smx_pack += 1;
         let ew = self.config().ew;
-        let mut out = 0u64;
-        for k in 0..8 {
-            let ascii = ((rs1 >> (k * 8)) & 0xFF) as u8;
-            let code = pack_ascii(ew, ascii);
-            out |= u64::from(code) << (k as u32 * u32::from(ew.bits()));
-        }
-        out
+        let table = &PACK_TABLES[ew as usize];
+        let bits = u32::from(ew.bits());
+        rs1.to_le_bytes().iter().enumerate().fold(0, |out, (k, &ascii)| {
+            out | u64::from(table[usize::from(ascii)]) << (k as u32 * bits)
+        })
     }
 
     /// Dispatches a decoded instruction against explicit operand values.
@@ -241,14 +240,39 @@ impl Smx1dUnit {
     }
 }
 
-/// ASCII → EW-width code conversion used by `smx.pack`.
-fn pack_ascii(ew: ElementWidth, ascii: u8) -> u8 {
-    let c = ascii as char;
-    match ew {
-        ElementWidth::W2 => Alphabet::Dna2.encode(c).unwrap_or(0),
-        ElementWidth::W4 => Alphabet::Dna4.encode(c).unwrap_or(4), // unknown -> N
-        ElementWidth::W6 => Alphabet::Protein.encode(c).unwrap_or(23), // unknown -> X
-        ElementWidth::W8 => ascii,
+/// `smx.pack`'s code for every byte, one table per element width in
+/// [`ElementWidth::ALL`] order, built at compile time. Each width encodes
+/// its configuration's alphabet and sends an unknown byte to its
+/// catch-all code (`A` for 2-bit DNA, `N` for 4-bit, `X` for protein);
+/// 8-bit lanes take the byte as it is.
+static PACK_TABLES: [[u8; 256]; 4] = [
+    pack_table(ElementWidth::W2),
+    pack_table(ElementWidth::W4),
+    pack_table(ElementWidth::W6),
+    pack_table(ElementWidth::W8),
+];
+
+const fn pack_table(ew: ElementWidth) -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut byte = 0;
+    while byte < table.len() {
+        let ascii = byte as u8;
+        table[byte] = match ew {
+            ElementWidth::W2 => unwrap_or(Alphabet::Dna2.encode_byte(ascii), 0),
+            ElementWidth::W4 => unwrap_or(Alphabet::Dna4.encode_byte(ascii), 4),
+            ElementWidth::W6 => unwrap_or(Alphabet::Protein.encode_byte(ascii), 23),
+            ElementWidth::W8 => ascii,
+        };
+        byte += 1;
+    }
+    table
+}
+
+/// `Option::unwrap_or` for the `const` table builder.
+const fn unwrap_or(code: Option<u8>, unknown: u8) -> u8 {
+    match code {
+        Some(code) => code,
+        None => unknown,
     }
 }
 
@@ -256,6 +280,44 @@ fn pack_ascii(ew: ElementWidth, ascii: u8) -> u8 {
 mod tests {
     use super::*;
     use smx_align_core::SubstMatrix;
+
+    /// `smx.pack`'s code for one byte through `Alphabet::encode` on its
+    /// character: the tables' reference.
+    fn pack_ascii(ew: ElementWidth, ascii: u8) -> u8 {
+        let c = ascii as char;
+        match ew {
+            ElementWidth::W2 => Alphabet::Dna2.encode(c).unwrap_or(0),
+            ElementWidth::W4 => Alphabet::Dna4.encode(c).unwrap_or(4), // unknown -> N
+            ElementWidth::W6 => Alphabet::Protein.encode(c).unwrap_or(23), // unknown -> X
+            ElementWidth::W8 => ascii,
+        }
+    }
+
+    #[test]
+    fn pack_tables_match_the_per_character_reference() {
+        for ew in ElementWidth::ALL {
+            for ascii in 0u8..=255 {
+                let want = pack_ascii(ew, ascii);
+                assert_eq!(PACK_TABLES[ew as usize][usize::from(ascii)], want, "{ew} byte {ascii}");
+            }
+        }
+    }
+
+    #[test]
+    fn exec_pack_matches_the_reference_in_every_lane() {
+        for cfg in smx_align_core::AlignmentConfig::ALL {
+            let ew = cfg.element_width();
+            let mut u = Smx1dUnit::configure(ew, &cfg.scoring()).unwrap();
+            for start in (0u8..=255).step_by(8) {
+                let bytes: [u8; 8] =
+                    std::array::from_fn(|k| start.wrapping_add((k as u8).wrapping_mul(37)));
+                let packed = u.exec_pack(u64::from_le_bytes(bytes));
+                let lanes = PackedVec::from_word(ew, packed).to_lanes(8);
+                let want: Vec<u8> = bytes.iter().map(|&b| pack_ascii(ew, b)).collect();
+                assert_eq!(lanes, want, "{ew}");
+            }
+        }
+    }
 
     fn edit_unit() -> Smx1dUnit {
         Smx1dUnit::configure(ElementWidth::W2, &ScoringScheme::edit()).unwrap()

@@ -250,3 +250,38 @@ fn eof_on_frame_boundary_is_clean() {
         other => panic!("stray header byte produced {other:?}"),
     }
 }
+
+/// Writer that counts `write` and `flush` calls and keeps every byte.
+#[derive(Default)]
+struct CountingWriter {
+    data: Vec<u8>,
+    writes: usize,
+    flushes: usize,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.data.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.flushes += 1;
+        Ok(())
+    }
+}
+
+/// Header and payload leave in one `write`, so a raw socket with
+/// `TCP_NODELAY` sends a frame as one segment.
+#[test]
+fn each_frame_is_one_write() {
+    let pair = Request::Pair { id: 7, query: "ACGT".repeat(38), reference: "ACGA".repeat(37) };
+    for payload in [String::new(), "PING".to_string(), pair.encode(), "é".repeat(4096)] {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!((w.writes, w.flushes), (1, 1), "{}-byte payload", payload.len());
+        let header = (payload.len() as u32).to_be_bytes();
+        assert_eq!(w.data, [&header[..], payload.as_bytes()].concat());
+    }
+}
