@@ -77,6 +77,24 @@ fn main() {
         coproc.traceback(&q, &r, &out).unwrap()
     });
 
+    // Serve's shape: a 150 bp DnaEdit pair, whose traceback-mode block
+    // keeps its Myers words and whose traceback walks them.
+    {
+        let q = seq(150, 5, 4);
+        let r: Vec<u8> = (0..150)
+            .filter(|i| i % 50 != 7)
+            .map(|i| if i % 11 == 0 { (q[i] + 1) % 4 } else { q[i] })
+            .collect();
+        let cells = Some((q.len() * r.len()) as u64);
+        bench("block_150x150_edit", "smx2d_score", cells, || {
+            coproc.compute_block(black_box(&q), &r, None, BlockMode::ScoreOnly).unwrap()
+        });
+        bench("block_150x150_edit", "smx2d_traceback", cells, || {
+            let out = coproc.compute_block(black_box(&q), &r, None, BlockMode::Traceback).unwrap();
+            coproc.traceback(&q, &r, &out).unwrap()
+        });
+    }
+
     // The lane kernel (DnaEdit above runs the edit-word kernel).
     for cfg in [AlignmentConfig::DnaGap, AlignmentConfig::Protein] {
         let card = cfg.alphabet().cardinality() as u64;

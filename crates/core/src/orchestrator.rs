@@ -1,8 +1,11 @@
 //! The heterogeneous orchestration of paper §6 (Fig. 8a), functionally:
 //! the core packs sequences with `smx.pack`, offloads the DP-block to the
-//! SMX-2D coprocessor (which keeps only tile borders), and reconstructs
-//! the alignment by tracing back with selective tile recomputation —
-//! the role SMX-1D plays on the core.
+//! SMX-2D coprocessor, and reconstructs the alignment by tracing back.
+//! The coprocessor keeps tile borders, and the traceback recomputes the
+//! tiles its path crosses — the role SMX-1D plays on the core — except
+//! on a small edit block, which also keeps its Myers words (within
+//! `smx_coproc::block::EDIT_WORD_BUDGET`) and is walked with no
+//! recomputation.
 
 use smx_align_core::{
     dp, AlignError, Alignment, AlignmentConfig, Alphabet, Cigar, Op, ScoringScheme, Sequence,
@@ -132,9 +135,9 @@ impl SmxDevice {
         kernels::pack_codes(&mut self.unit, s.alphabet(), s.codes())
     }
 
-    /// Full heterogeneous alignment: pack → offload → traceback with tile
-    /// recomputation, routed through the fault session when one is
-    /// active.
+    /// Full heterogeneous alignment: pack → offload → traceback (over the
+    /// block's kept Myers words, or with tile recomputation), routed
+    /// through the fault session when one is active.
     ///
     /// # Errors
     ///
@@ -155,12 +158,8 @@ impl SmxDevice {
         let (engine, control) = (self.coproc.engine(), self.coproc.control());
         let mode = BlockMode::Traceback;
         let out = block::compute_block(engine, q, r, None, mode, self.faults.as_mut(), control)?;
-        let store = out
-            .borders
-            .as_ref()
-            .ok_or_else(|| AlignError::Internal("block was computed in score-only mode".into()))?;
         let (cigar, stats) =
-            traceback::traceback_block(engine, q, r, store, self.faults.as_mut(), control)?;
+            traceback::traceback_output(engine, q, r, &out, self.faults.as_mut(), control)?;
         self.recompute.tiles += stats.tiles;
         self.recompute.elements += stats.elements;
         self.recompute.steps += stats.steps;
@@ -387,14 +386,17 @@ mod tests {
     /// `(smx_pack, load_words, scalar_ops)` after one `align`, then after
     /// a `score` of the same pair; every other class stays zero. The
     /// numbers are those the text-packing ingress charged, so streaming
-    /// the codes changed no count.
+    /// the codes changed no count. The DnaEdit and ASCII blocks (the edit
+    /// scheme on W2 and W8) keep their Myers words, and their walks
+    /// recompute no tile, so their `align` is charged for packing and
+    /// walk steps only.
     #[test]
     fn insn_counts_match_the_pinned_numbers() {
         let pinned = [
-            (AlignmentConfig::DnaEdit, 150, (38, 89, 1110), (76, 127, 1186)),
+            (AlignmentConfig::DnaEdit, 150, (38, 38, 696), (76, 76, 772)),
             (AlignmentConfig::DnaGap, 150, (38, 98, 1180), (76, 136, 1256)),
             (AlignmentConfig::Protein, 370, (94, 241, 2886), (188, 335, 3074)),
-            (AlignmentConfig::Ascii, 150, (38, 97, 1168), (76, 135, 1244)),
+            (AlignmentConfig::Ascii, 150, (38, 38, 696), (76, 76, 772)),
         ];
         let classes = |c: InsnCounts| {
             assert_eq!(c.total(), c.smx_pack + c.load_words + c.scalar_ops);
@@ -441,7 +443,11 @@ mod tests {
         let c1 = dev.insn_counts().smx_pack;
         let _ = dev.align(&q, &r).unwrap();
         assert!(dev.insn_counts().smx_pack > c1);
-        assert!(dev.recompute_stats().tiles >= 2);
+        // Both alignments walk the block's kept Myers words: no tile is
+        // recomputed, and each walk takes at least 64 steps.
+        let stats = dev.recompute_stats();
+        assert_eq!((stats.tiles, stats.elements), (0, 0));
+        assert!(stats.steps >= 2 * 64, "{stats:?}");
     }
 
     /// Software fallback for `pair` under `config`, with a fresh token.

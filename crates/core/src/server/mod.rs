@@ -17,7 +17,8 @@
 //!   the [`CancelToken`] the coprocessor checks at tile boundaries.
 //! * **Brownout** — overload degrades service in a ladder rather than
 //!   collapsing it: first audit sampling and hedging are shed, then
-//!   low-priority pairs run on the SIMD software baseline directly, and
+//!   low-priority pairs run in software directly
+//!   (`orchestrator::align_in_software`, the golden scalar DP), and
 //!   only near saturation is low-priority work refused outright.
 //! * **Graceful drain** — on drain the listener closes, in-flight pairs
 //!   flush through their checkpoint manifests (one fsync per batch of

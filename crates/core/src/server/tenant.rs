@@ -5,9 +5,9 @@
 //! work queue, so one hot tenant exhausts its own token bucket instead
 //! of the fleet. Brownout converts overload into graduated degradation:
 //! as queue occupancy climbs, the server first sheds its own luxuries
-//! (audit sampling, hedging), then degrades low-priority tenants to the
-//! SIMD software baseline, and only then starts refusing low-priority
-//! work — high-priority traffic keeps its full service until the queue
+//! (audit sampling, hedging), then degrades low-priority tenants to
+//! software (`orchestrator::align_in_software`, the golden scalar DP),
+//! and only then starts refusing low-priority work — high-priority traffic keeps its full service until the queue
 //! is truly saturated.
 
 use std::collections::HashMap;

@@ -90,3 +90,13 @@ fn device_allocations_do_not_grow_with_the_pair() {
         assert_eq!(s, l, "{config}: (align, score) allocations at {short} vs {long} symbols");
     }
 }
+
+/// Serve's 150 bp DnaEdit pair keeps its Myers words in the thread's
+/// recycled buffer, so walking them costs no allocation, and a fresh
+/// block allocates its carried borders once: `align` makes at most four
+/// allocations and `score` two.
+#[test]
+fn a_short_edit_pair_allocates_at_most_four_times_to_align() {
+    let (align, score) = device_allocs(AlignmentConfig::DnaEdit, 150);
+    assert!(align <= 4 && score <= 2, "(align, score) allocations ({align}, {score})");
+}

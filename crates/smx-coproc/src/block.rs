@@ -1,6 +1,8 @@
 //! DP-block computation on the coprocessor (paper §5.1): the SMX-worker
 //! sweeps the tile grid and keeps only tile borders, from which the
-//! traceback recomputes any tile it crosses.
+//! traceback recomputes any tile it crosses. A small edit block whose
+//! strips all ran as Myers words also keeps those words, within
+//! [`EDIT_WORD_BUDGET`], and the traceback walks them instead.
 
 use std::cell::Cell;
 
@@ -9,8 +11,14 @@ use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
 use crate::kernel::{self, LaneKernel, Planes, Strips};
 use crate::worker::{block_transfer_stats, TransferStats};
-use smx_align_core::AlignError;
+use smx_align_core::{AlignError, ScoringScheme};
 use smx_diffenc::boundary::BlockBorders;
+
+/// The most bytes of Myers words a traceback-mode edit block keeps for
+/// its walk: 32 bytes per column per 64-row strip, so a 150 × 150 block
+/// takes 14.4 KB, and any block that fits stays in a core's L2. A larger
+/// block keeps only its border planes, and its traceback recomputes.
+pub const EDIT_WORD_BUDGET: usize = 64 << 10;
 
 /// What the coprocessor retains from a block computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +86,11 @@ impl TileBorderStore {
         (&self.dv[tj * self.m..][rs], &self.dh[ti * self.n..][cs])
     }
 
+    /// The Δh′ entering the block's top row, as it came in.
+    pub(crate) fn top(&self) -> &[u8] {
+        &self.dh[..self.n]
+    }
+
     /// The (row, col) ranges covered by tile `(ti, tj)`.
     #[must_use]
     pub fn tile_span(
@@ -125,6 +138,50 @@ impl Drop for TileBorderStore {
     }
 }
 
+thread_local! {
+    /// The word buffer of this thread's last edit block that kept its
+    /// words, handed back when they dropped: one slot, reused by the next
+    /// such block, which zeroes only what it needs beyond the last one.
+    static SPARE_WORDS: Cell<Option<Vec<[u64; 4]>>> = const { Cell::new(None) };
+}
+
+/// The Myers words of a traceback-mode edit block: `[pv, mv, ph, mh]`
+/// after each column of each `rows`-row strip (the last strip may have
+/// fewer rows), strip `s`'s column `j` at `s · n + j`. The traceback
+/// walks them in place and recomputes no tile
+/// ([`crate::traceback::traceback_output`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct EditWords {
+    pub(crate) rows: usize,
+    n: usize,
+    words: Vec<[u64; 4]>,
+}
+
+impl EditWords {
+    /// Room for `strips` strips of `rows` rows across `n` columns, in
+    /// this thread's spare buffer when it has one.
+    fn new(rows: usize, n: usize, strips: usize) -> EditWords {
+        let mut words = SPARE_WORDS.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        words.resize(strips * n, [0; 4]);
+        EditWords { rows, n, words }
+    }
+
+    /// Strip `s`'s words, one per column.
+    pub(crate) fn strip(&self, s: usize) -> &[[u64; 4]] {
+        &self.words[s * self.n..][..self.n]
+    }
+}
+
+impl Drop for EditWords {
+    fn drop(&mut self) {
+        let words = std::mem::take(&mut self.words);
+        if words.capacity() > 0 {
+            // Replacing the slot frees whatever spare it held.
+            let _ = SPARE_WORDS.try_with(|spare| spare.set(Some(words)));
+        }
+    }
+}
+
 /// The result of a block computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockOutput {
@@ -138,6 +195,10 @@ pub struct BlockOutput {
     pub borders: Option<TileBorderStore>,
     /// Memory-transfer ledger for the timing model.
     pub stats: TransferStats,
+    /// The block's Myers words, kept in traceback mode by an edit block
+    /// without a fault session whose strips all ran as words and fit
+    /// [`EDIT_WORD_BUDGET`].
+    pub(crate) words: Option<EditWords>,
 }
 
 /// Computes an `m × n` DP-block by sweeping the tile grid.
@@ -146,8 +207,10 @@ pub struct BlockOutput {
 /// a `session` the block runs strip by strip on every lane kernel (see
 /// `kernel.rs`): `control` is checked whole before each strip, so its
 /// deadline fires within one strip of at most 64 rows, and its cancel
-/// flag alone every `VL` diagonals inside it. With a `session`, every
-/// tile runs through its checksum/watchdog/retry/fallback machinery (see
+/// flag alone every `VL` diagonals inside it. In traceback mode, an
+/// edit block whose strips all run as Myers words, and whose words fit
+/// [`EDIT_WORD_BUDGET`], keeps them too. With a `session`, every tile
+/// runs through its checksum/watchdog/retry/fallback machinery (see
 /// [`crate::faults`]) and `control` is checked at every tile boundary.
 ///
 /// # Errors
@@ -170,9 +233,7 @@ pub fn compute_block(
     if m == 0 || n == 0 {
         return Err(AlignError::EmptySequence);
     }
-    let fresh = BlockBorders::fresh(m, n);
-    let borders = input.unwrap_or(&fresh);
-    if borders.rows() != m || borders.cols() != n {
+    if let Some(borders) = input.filter(|b| b.rows() != m || b.cols() != n) {
         return Err(AlignError::Internal(format!(
             "block borders ({}, {}) do not match ({m}, {n})",
             borders.rows(),
@@ -187,12 +248,16 @@ pub fn compute_block(
     // The carried borders, advanced in place strip by strip (or tile by
     // tile): `dh_carry` ends as the block's bottom row, and each tile
     // row's slice of `right_dv` starts as the block's left border and
-    // ends as its right.
-    let mut dh_carry: Vec<u8> = borders.top_dh.clone();
-    let mut right_dv: Vec<u8> = borders.left_dv.clone();
+    // ends as its right. Fresh borders are all zero.
+    let (mut dh_carry, mut right_dv) = match input {
+        Some(b) => (b.top_dh.clone(), b.left_dv.clone()),
+        None => (vec![0u8; n], vec![0u8; m]),
+    };
+    let top_sum: i32 = dh_carry.iter().map(|&d| i32::from(d) + scheme.gap_delete()).sum();
     let keep = mode == BlockMode::Traceback;
     let (mut dv_plane, mut dh_plane) =
         if keep { border_planes(t_cols * m, t_rows * n) } else { (Vec::new(), Vec::new()) };
+    let mut words = None;
     if let Some(session) = session {
         let epoch = session.begin_epoch();
         for ti in 0..t_rows {
@@ -226,6 +291,10 @@ pub fn compute_block(
             dh_plane[..n].copy_from_slice(&dh_carry);
             Planes { dv: &mut dv_plane, dh: &mut dh_plane }
         });
+        let (rows, edit) = (kernel::word_rows(vl), matches!(scheme, ScoringScheme::Edit));
+        let strips = m.div_ceil(rows);
+        let fits = strips * n * std::mem::size_of::<[u64; 4]>() <= EDIT_WORD_BUDGET;
+        words = (keep && edit && fits).then(|| EditWords::new(rows, n, strips));
         let mut job = Strips {
             engine,
             q: query,
@@ -233,12 +302,17 @@ pub fn compute_block(
             dv: &mut right_dv,
             dh: &mut dh_carry,
             planes,
+            words: words.as_mut().map(|w| &mut w.words[..]),
             control,
         };
         kernel::block(LaneKernel::current(), &mut job)?;
+        // A strip that ran on lanes cleared the words: the block keeps
+        // none, and its traceback recomputes.
+        if job.words.is_none() {
+            words = None;
+        }
     }
 
-    let top_sum: i32 = borders.top_dh.iter().map(|&d| i32::from(d) + scheme.gap_delete()).sum();
     let right_sum: i32 = right_dv.iter().map(|&d| i32::from(d) + scheme.gap_insert()).sum();
     let stats = block_transfer_stats(m, n, engine.ew(), mode);
 
@@ -256,6 +330,7 @@ pub fn compute_block(
             dh: dh_plane,
         }),
         stats,
+        words,
     })
 }
 
@@ -398,6 +473,7 @@ mod tests {
                         dv: &mut dv,
                         dh: &mut dh,
                         planes,
+                        words: None,
                         control: None,
                     };
                     kernel::block(kernel, &mut job).unwrap_or_else(|err| panic!("{ctx}: {err}"));

@@ -5,7 +5,7 @@
 use crate::block::{compute_block, BlockMode, BlockOutput};
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
-use crate::traceback::{traceback_block, RecomputeStats};
+use crate::traceback::{traceback_output, RecomputeStats};
 use smx_align_core::{AlignError, Cigar, ElementWidth, ScoringScheme};
 use smx_diffenc::boundary::BlockBorders;
 
@@ -82,22 +82,19 @@ impl SmxCoprocessor {
         compute_block(&self.engine, query, reference, input, mode, None, self.control.as_ref())
     }
 
-    /// Traces back a block previously computed in traceback mode.
+    /// Traces back a block previously computed in traceback mode: over
+    /// its kept Myers words when it has them, else by recomputing tiles.
     ///
     /// # Errors
     ///
-    /// See [`traceback_block`].
+    /// See [`traceback_output`].
     pub fn traceback(
         &self,
         query: &[u8],
         reference: &[u8],
         output: &BlockOutput,
     ) -> Result<(Cigar, RecomputeStats), AlignError> {
-        let store = output
-            .borders
-            .as_ref()
-            .ok_or_else(|| AlignError::Internal("block was computed in score-only mode".into()))?;
-        traceback_block(&self.engine, query, reference, store, None, self.control.as_ref())
+        traceback_output(&self.engine, query, reference, output, None, self.control.as_ref())
     }
 }
 

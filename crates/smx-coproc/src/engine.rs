@@ -2,7 +2,7 @@
 //! `VL × VL` DP-tile per cycle, with per-EW geometry (32×32, 16×16,
 //! 10×10, 8×8) and the pipeline depths of the 1 GHz design point.
 
-use crate::kernel::{self, TileCells, MAX_VL};
+use crate::kernel::{self, Cells, TileCells, MAX_VL};
 use smx_align_core::{AlignError, ElementWidth, ScoringScheme};
 use smx_diffenc::delta::DeltaBlock;
 use smx_isa::config::SmxConfig;

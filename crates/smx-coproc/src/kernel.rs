@@ -42,15 +42,22 @@
 //!   character is one Myers/Hyyrö word step. A block strip is one `u64`
 //!   word (two W2 tile rows) across the block, taken when every border
 //!   value it reads is at most θ; otherwise that strip runs the lane
-//!   sweep. Both are exact, so the result is the same either way.
+//!   sweep. Both are exact, so the result is the same either way. The
+//!   column loop ([`EditColumn::sweep`]) only steps and stores each
+//!   column's `[pv, mv, ph, mh]`; everything else reads those words
+//!   after it, so the words stay in scalar registers.
 //! * **Border planes** (traceback mode), in a fixed number of vector
 //!   operations per diagonal ([`PlaneCapture`]): one masked OR gathers
 //!   the Δv′ of the lanes crossing a tile-column boundary into an
 //!   accumulator, which leaves for the planes of `TileBorderStore` with
 //!   one store per tile row at the end of each chunk; each inner tile
 //!   row's entering Δh′ is one byte per diagonal of the sweep's `out`
-//!   store. An edit strip reads the same values from its words at each
-//!   boundary column.
+//!   store. An edit strip reads the same values from the words of each
+//!   tile column once it is swept.
+//! * **Kept words** (traceback mode): an edit block whose strips all
+//!   run as words and fit `EDIT_WORD_BUDGET` stores them in place of
+//!   the per-tile-column scratch, and the traceback walks them ([`Cells`]
+//!   for `[[u64; 4]]`) instead of recomputing tiles.
 //! * **Recompute** (traceback): a tile's interior stays in the layout
 //!   its kernel leaves it in, one fixed [`TileCells`] buffer: lanes by
 //!   diagonal, or an edit tile's Myers words by column.
@@ -94,6 +101,8 @@ const PAD: usize = MAX_START;
 const CHUNK: usize = 32;
 /// Rows of one edit-word strip: the bits of a `u64`.
 const WORD_ROWS: usize = 64;
+/// Smallest tile side (the W8 geometry).
+const MIN_VL: usize = 8;
 /// The edit scheme's θ: borders above it leave the edit-word kernel.
 const EDIT_THETA: u8 = 2;
 /// Letters of a substitution matrix.
@@ -136,28 +145,6 @@ impl TileCells {
         }
     }
 
-    /// Δv′ of row `i` in column `j`.
-    #[inline]
-    pub(crate) fn dv(&self, i: usize, j: usize) -> u8 {
-        if self.words {
-            let [pv, mv, ..] = self.cols[j];
-            shifted(pv, mv, 1 << i)
-        } else {
-            self.dv[self.at(i, j)]
-        }
-    }
-
-    /// Δh′ of row `i` in column `j`.
-    #[inline]
-    pub(crate) fn dh(&self, i: usize, j: usize) -> u8 {
-        if self.words {
-            let [.., ph, mh] = self.cols[j];
-            shifted(ph, mh, 1 << i)
-        } else {
-            self.dh[self.at(i, j)]
-        }
-    }
-
     #[inline]
     fn at(&self, i: usize, j: usize) -> usize {
         (j + usize::from(self.start[i])) * MAX_LANES + i
@@ -167,6 +154,51 @@ impl TileCells {
     fn lanes(&mut self, start: [u8; MAX_VL]) {
         self.words = false;
         self.start = start;
+    }
+}
+
+/// The cells of one region of a block as the traceback walks them: a
+/// recomputed tile ([`TileCells`]), or one strip of an edit block's kept
+/// Myers words, `[pv, mv, ph, mh]` per column, where a cell is two bit
+/// tests.
+pub(crate) trait Cells {
+    /// Δv′ of row `i` in column `j`.
+    fn dv(&self, i: usize, j: usize) -> u8;
+    /// Δh′ of row `i` in column `j`.
+    fn dh(&self, i: usize, j: usize) -> u8;
+}
+
+impl Cells for [[u64; 4]] {
+    #[inline]
+    fn dv(&self, i: usize, j: usize) -> u8 {
+        let [pv, mv, ..] = self[j];
+        shifted(pv, mv, 1 << i)
+    }
+
+    #[inline]
+    fn dh(&self, i: usize, j: usize) -> u8 {
+        let [.., ph, mh] = self[j];
+        shifted(ph, mh, 1 << i)
+    }
+}
+
+impl Cells for TileCells {
+    #[inline]
+    fn dv(&self, i: usize, j: usize) -> u8 {
+        if self.words {
+            self.cols.dv(i, j)
+        } else {
+            self.dv[self.at(i, j)]
+        }
+    }
+
+    #[inline]
+    fn dh(&self, i: usize, j: usize) -> u8 {
+        if self.words {
+            self.cols.dh(i, j)
+        } else {
+            self.dh[self.at(i, j)]
+        }
     }
 }
 
@@ -1702,7 +1734,18 @@ pub(crate) struct Strips<'a> {
     /// and tile row 0 are the block's own borders, which the caller
     /// stores; the sweep fills the rest.
     pub(crate) planes: Option<Planes<'a>>,
+    /// Where each edit-word strip stores its columns' Myers words: one
+    /// `n`-column run per strip of [`word_rows`] rows, in strip order.
+    /// The first strip that runs on lanes clears it, and the block keeps
+    /// no words.
+    pub(crate) words: Option<&'a mut [[u64; 4]]>,
     pub(crate) control: Option<&'a CancelToken>,
+}
+
+/// Rows of a block's edit-word strip for tile side `vl`: `WORD_ROWS`
+/// rounded down to whole tile rows.
+pub(crate) fn word_rows(vl: usize) -> usize {
+    WORD_ROWS / vl * vl
 }
 
 /// Computes a block strip by strip on `kernel`. `control` is checked
@@ -1750,9 +1793,11 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
     dv.iter_mut().chain(dh.iter_mut()).for_each(|x| *x &= mask);
     let edit = matches!(engine.scheme(), ScoringScheme::Edit);
     let lane_rows = if vl <= V::N { V::N / vl * vl } else { V::N };
-    let strip_rows = if edit { WORD_ROWS / vl * vl } else { lane_rows };
+    let strip_rows = if edit { word_rows(vl) } else { lane_rows };
     let subst = Subst::of(engine.scheme());
-    let masks = job.planes.is_some().then(|| boundary_masks::<V>(vl));
+    // Built by the first lane strip in traceback mode: an edit block
+    // whose strips all run as words never needs them.
+    let mut masks = None;
     // Allocated by the first lane strip: the reversed reference, or a
     // matrix scheme's reference profile.
     let mut scratch = Vec::new();
@@ -1774,9 +1819,12 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
             }
             if whole_word {
                 let at = job.planes.as_mut().map(|p| (p, s0, m));
-                edit_strip(qs, r, dvs, dh, at, vl, control)?;
+                let words = job.words.as_deref_mut().map(|w| &mut w[s0 / strip_rows * n..][..n]);
+                edit_strip(qs, r, dvs, dh, (at, words), vl, control)?;
                 continue;
             }
+            // The block keeps no words once a strip runs on lanes.
+            job.words = None;
             if scratch.is_empty() {
                 scratch = match subst {
                     Subst::Uniform { .. } => {
@@ -1792,8 +1840,9 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
                 };
             }
             let every = (control, vl);
-            match job.planes.as_mut().zip(masks.as_ref()) {
-                Some((p, masks)) => {
+            match job.planes.as_mut() {
+                Some(p) => {
+                    let masks = masks.get_or_insert_with(|| boundary_masks::<V>(vl));
                     let mut cap = PlaneCapture::<V>::new(p, masks, s0, h, (m, n, vl));
                     lane_strip::<V, _>(qs, r, subst, &scratch, dvs, dh, &mut cap, every)?;
                 }
@@ -1835,28 +1884,23 @@ unsafe fn lane_strip<V: Vector, C: Capture<V>>(
     }
 }
 
-/// The edit-word kernel on a tile: bit `i` of `(pv, mv)` is the edit
-/// delta of tile row `i` in the current column (`pv`: +1, `mv`: −1), and
-/// each reference character is one Edlib-order step. `cells`, when
-/// given, keeps each column's words, and lends its match-word table: the
-/// tile sets only its query codes' entries and clears them after, so the
-/// table stays zero between tiles and is never refilled whole.
+/// The edit-word kernel on a tile. `cells`, when given, keeps each
+/// column's words, and lends its match-word table: the tile sets only its
+/// query codes' entries and clears them after, so the table stays zero
+/// between tiles and is never refilled whole.
 fn edit_tile(q: &[u8], r: &[u8], dv: &mut [u8], dh: &mut [u8], cells: Option<&mut TileCells>) {
-    let mut fresh = None;
-    let (peq, mut cols) = match cells {
+    let (mut fresh, mut scratch) = (None, [[0u64; 4]; MAX_VL]);
+    let (peq, cols) = match cells {
         Some(c) => {
             c.words = true;
-            (&mut c.peq, Some(&mut c.cols))
+            (&mut c.peq, &mut c.cols)
         }
-        None => (fresh.insert([0u64; 256]), None),
+        None => (fresh.insert([0u64; 256]), &mut scratch),
     };
     add_match_words(peq, q);
-    let done = edit_sweep(r, dv, dh, peq, None, |j, words| {
-        if let Some(cols) = cols.as_deref_mut() {
-            cols[j] = words;
-        }
-    });
-    debug_assert!(done.is_ok(), "a sweep without a token cannot fail");
+    let mut column = EditColumn::enter(dv);
+    column.sweep(r, dh, peq, &mut cols[..r.len()]);
+    column.leave(dv);
     for &a in q {
         peq[usize::from(a)] = 0;
     }
@@ -1877,81 +1921,140 @@ fn add_match_words(peq: &mut [u64; 256], q: &[u8]) {
     }
 }
 
+/// A block's planes, with the first block row of a strip and the block
+/// height.
+type PlanesAt<'p, 'a> = (&'p mut Planes<'a>, usize, usize);
+
 /// One edit-word strip of a block: at most 64 rows `q` across the whole
-/// reference. With `at` (the planes, the strip's first block row and the
-/// block height), each boundary column stores its Δv′ and each inner tile
-/// row its entering Δh′. `control`'s cancel flag is polled every `vl`
-/// columns.
+/// reference, one tile column (`vl` columns) at a time, with `control`'s
+/// cancel flag polled before each. `words`, when given, receives each
+/// column's `[pv, mv, ph, mh]` (one per column of `r`). With `at` (the
+/// planes, the strip's first block row and the block height), each
+/// inner tile row's entering Δh′ and each tile column's entering Δv′ are
+/// read from a tile column's words once it is swept, so the column loop
+/// itself only stores words.
 fn edit_strip(
     q: &[u8],
     r: &[u8],
     dv: &mut [u8],
     dh: &mut [u8],
-    mut at: Option<(&mut Planes<'_>, usize, usize)>,
+    (mut at, mut words): (Option<PlanesAt<'_, '_>>, Option<&mut [[u64; 4]]>),
     vl: usize,
     control: Option<&CancelToken>,
 ) -> Result<(), AlignError> {
     let (rows, n) = (q.len(), r.len());
-    let control = control.map(|t| (t, vl));
-    // Column `j` ends a tile column when `j + 1` reaches `boundary`.
-    let mut boundary = vl;
-    edit_sweep(r, dv, dh, &match_words(q), control, |j, [pv, mv, ph, mh]| {
-        let Some((p, r0, m)) = at.as_mut() else { return };
-        for i in (vl - 1..rows - 1).step_by(vl) {
-            p.dh[(*r0 + i + 1) / vl * n + j] = shifted(ph, mh, 1 << i);
+    // Each inner tile row's entering Δh′ is the bit of the row above it,
+    // stored to its Δh′ plane row. The strip starts on a tile row, so its
+    // tile row `k` starts at block row `r0 + k·vl`.
+    let mut inner = [(0u64, 0usize); WORD_ROWS / MIN_VL];
+    let mut inner_len = 0;
+    if let Some((_, r0, _)) = at.as_ref() {
+        for (slot, i) in inner.iter_mut().zip((vl..rows).step_by(vl)) {
+            *slot = (1 << (i - 1), (r0 + i) / vl * n);
+            inner_len += 1;
         }
-        if j + 1 == boundary && boundary < n {
-            let col = &mut p.dv[boundary / vl * *m + *r0..][..rows];
-            for (i, x) in col.iter_mut().enumerate() {
-                *x = shifted(pv, mv, 1 << i);
-            }
-            boundary += vl;
-        }
-    })
-}
-
-/// The column loop of the edit-word kernel over `dv.len() ≤ 64` rows, with
-/// the match words `peq` ([`match_words`]). After each column `j`,
-/// `on_column(j, [pv, mv, ph, mh])` sees its vertical and horizontal
-/// delta words. `control`'s cancel flag is polled every `every` columns.
-#[inline]
-fn edit_sweep(
-    r: &[u8],
-    dv: &mut [u8],
-    dh: &mut [u8],
-    peq: &[u64; 256],
-    control: Option<(&CancelToken, usize)>,
-    mut on_column: impl FnMut(usize, [u64; 4]),
-) -> Result<(), AlignError> {
-    let rows = dv.len();
-    let (mut pv, mut mv) = (0u64, 0u64);
-    for (i, &x) in dv.iter().enumerate() {
-        pv |= u64::from(x == 0) << i;
-        mv |= u64::from(x == EDIT_THETA) << i;
     }
-    let bottom = 1u64 << (rows - 1);
-    let mut countdown = control.map_or(0, |(_, every)| every);
-    for (j, &c) in r.iter().enumerate() {
-        if let Some((token, every)) = control {
-            countdown -= 1;
-            if countdown == 0 {
-                countdown = every;
-                if token.is_cancelled() {
-                    return Err(AlignError::Cancelled);
-                }
+    let peq = match_words(q);
+    let mut column = EditColumn::enter(dv);
+    let mut scratch = [[0u64; 4]; MAX_VL];
+    for (c0, (rs, dhs)) in (0..n).step_by(vl).zip(r.chunks(vl).zip(dh.chunks_mut(vl))) {
+        if control.is_some_and(CancelToken::is_cancelled) {
+            return Err(AlignError::Cancelled);
+        }
+        let cols = match words.as_deref_mut() {
+            Some(words) => &mut words[c0..c0 + rs.len()],
+            None => &mut scratch[..rs.len()],
+        };
+        column.sweep(rs, dhs, &peq, cols);
+        let Some((p, r0, m)) = at.as_mut() else { continue };
+        for &(bit, row) in &inner[..inner_len] {
+            for (x, &[.., ph, mh]) in p.dh[row + c0..].iter_mut().zip(cols.iter()) {
+                *x = shifted(ph, mh, bit);
             }
         }
-        // Shifted Δh′ = 1 − edit delta.
-        let hin = 1 - i32::from(dh[j]);
-        let (ph, mh) = myers_step(&mut pv, &mut mv, peq[usize::from(c)], hin);
-        dh[j] = shifted(ph, mh, bottom);
-        on_column(j, [pv, mv, ph, mh]);
+        let next = c0 + rs.len();
+        if next < n {
+            let [pv, mv, ..] = cols[rs.len() - 1];
+            column_deltas(pv, mv, &mut p.dv[next / vl * *m + *r0..][..rows]);
+        }
     }
-    for (i, x) in dv.iter_mut().enumerate() {
-        *x = shifted(pv, mv, 1 << i);
-    }
+    column.leave(dv);
     Ok(())
 }
+
+/// The running column of the edit-word kernel over at most 64 rows: bit
+/// `i` of `(pv, mv)` is the edit delta of row `i` in the current column
+/// (`pv`: +1, `mv`: −1), and each reference character is one
+/// Edlib-order step.
+struct EditColumn {
+    pv: u64,
+    mv: u64,
+    /// The bit of the bottom row.
+    bottom: u64,
+}
+
+impl EditColumn {
+    /// The column left of the first, from the Δv′ entering each row.
+    fn enter(dv: &[u8]) -> EditColumn {
+        let (mut pv, mut mv) = (0u64, 0u64);
+        for (i, &x) in dv.iter().enumerate() {
+            pv |= u64::from(x == 0) << i;
+            mv |= u64::from(x == EDIT_THETA) << i;
+        }
+        EditColumn { pv, mv, bottom: 1 << (dv.len() - 1) }
+    }
+
+    /// Steps across the reference codes `r`, with the match words `peq`
+    /// ([`match_words`]): `dh` enters as the Δh′ from above each column
+    /// and leaves as the bottom row's, and `cols` gets each column's
+    /// `[pv, mv, ph, mh]`. The loop does nothing else, so the words stay
+    /// in scalar registers.
+    #[inline]
+    fn sweep(&mut self, r: &[u8], dh: &mut [u8], peq: &[u64; 256], cols: &mut [[u64; 4]]) {
+        let (mut pv, mut mv) = (self.pv, self.mv);
+        for ((&c, d), col) in r.iter().zip(dh.iter_mut()).zip(cols.iter_mut()) {
+            // Shifted Δh′ = 1 − edit delta.
+            let hin = 1 - i32::from(*d);
+            let (ph, mh) = myers_step(&mut pv, &mut mv, peq[usize::from(c)], hin);
+            *d = shifted(ph, mh, self.bottom);
+            *col = [pv, mv, ph, mh];
+        }
+        (self.pv, self.mv) = (pv, mv);
+    }
+
+    /// Writes the Δv′ leaving each row to `dv`.
+    fn leave(&self, dv: &mut [u8]) {
+        column_deltas(self.pv, self.mv, dv);
+    }
+}
+
+/// Writes the shifted Δ′ of each row of a `(+1, −1)` word pair to `col`,
+/// eight rows per step: `1 + minus − plus` in every byte at once, with
+/// each byte's bit spread by [`SPREAD`] (the two words never share a
+/// bit, so no byte borrows).
+fn column_deltas(plus: u64, minus: u64, col: &mut [u8]) {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    for (k, out) in col.chunks_mut(8).enumerate() {
+        let byte = |w: u64| SPREAD[usize::from((w >> (8 * k)) as u8)];
+        let deltas = ONES + byte(minus) - byte(plus);
+        out.copy_from_slice(&deltas.to_le_bytes()[..out.len()]);
+    }
+}
+
+/// `SPREAD[b]`: bit `i` of `b` as byte `i` (0 or 1).
+static SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b] |= ((b as u64 >> i) & 1) << (8 * i);
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// The shifted `Δ′` of the edit delta at `bit` of a (+1, −1) word pair.
 #[inline]

@@ -1,25 +1,29 @@
-//! Traceback with selective tile recomputation (paper §6, Fig. 8a).
+//! Traceback with selective tile recomputation (paper §6, Fig. 8a), or
+//! over a small edit block's kept Myers words.
 //!
-//! The coprocessor stores only tile borders; the traceback walks from the
-//! block's bottom-right corner, recomputing the interior of exactly the
-//! tiles the optimal path crosses (green tiles in Fig. 8a) and skipping
-//! the rest. Each recomputed tile is walked with the global tie-break
-//! (diagonal ≻ insert ≻ delete), comparing neighbouring scores through
-//! the tile's deltas.
+//! A block's border store holds only tile borders; the traceback walks
+//! from the block's bottom-right corner, recomputing the interior of
+//! exactly the tiles the optimal path crosses (green tiles in Fig. 8a)
+//! and skipping the rest. An edit block that kept its Myers words
+//! ([`crate::block::EDIT_WORD_BUDGET`]) already holds every cell, so
+//! [`traceback_output`] walks those words strip by strip and recomputes
+//! no tile. Every region, a recomputed tile or a strip of words, is
+//! walked by one loop with the global tie-break (diagonal ≻ insert ≻
+//! delete), comparing neighbouring scores through the region's deltas.
 //!
 //! Every tile is recomputed into one reused, stack-sized buffer, in the
 //! layout its kernel leaves it in: diagonal-major lanes (two vector stores
 //! per diagonal), or an edit tile's per-column Myers words, read by bit
-//! tests. The walk reads either through one accessor, so the traceback
-//! allocates nothing per tile; the CIGAR is sized once for a path of at
-//! most `m + n` steps.
+//! tests. The walk reads tiles and word strips through one accessor
+//! ([`Cells`]), so the traceback allocates nothing per region; the CIGAR
+//! is sized once for a path of at most `m + n` steps.
 
-use crate::block::TileBorderStore;
+use crate::block::{BlockOutput, EditWords, TileBorderStore};
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
-use crate::kernel::{TileCells, MAX_VL};
-use smx_align_core::{AlignError, Cigar, Op};
+use crate::kernel::{Cells, TileCells, MAX_VL};
+use smx_align_core::{AlignError, Cigar, Op, ScoringScheme};
 
 /// Work performed by a traceback (for Fig. 2's cells-computed accounting
 /// and the CPU-side timing of the SMX-2D-only implementation).
@@ -33,8 +37,34 @@ pub struct RecomputeStats {
     pub steps: u64,
 }
 
+/// Traces back through a block's output: over its kept Myers words when
+/// it has them and no `session` is given, recomputing nothing; otherwise
+/// through its border store with [`traceback_block`].
+///
+/// # Errors
+///
+/// Returns [`AlignError::Internal`] if the block was computed score-only;
+/// otherwise as [`traceback_block`].
+pub fn traceback_output(
+    engine: &SmxEngine,
+    query: &[u8],
+    reference: &[u8],
+    output: &BlockOutput,
+    session: Option<&mut FaultSession>,
+    control: Option<&CancelToken>,
+) -> Result<(Cigar, RecomputeStats), AlignError> {
+    let store = output
+        .borders
+        .as_ref()
+        .ok_or_else(|| AlignError::Internal("block was computed in score-only mode".into()))?;
+    match (&output.words, session) {
+        (Some(words), None) => walk_words(engine, query, reference, store, words, control),
+        (_, session) => traceback_block(engine, query, reference, store, session, control),
+    }
+}
+
 /// Traces back through a block computed in [`crate::BlockMode::Traceback`]
-/// mode.
+/// mode, recomputing every tile the path crosses from its stored borders.
 ///
 /// `query`/`reference` must be the same slices the block was computed
 /// from. With a `session`, every stored border the traceback re-reads
@@ -58,43 +88,14 @@ pub fn traceback_block(
     mut session: Option<&mut FaultSession>,
     control: Option<&CancelToken>,
 ) -> Result<(Cigar, RecomputeStats), AlignError> {
-    let (m, n) = store.block_dims();
-    if query.len() != m || reference.len() != n {
-        return Err(AlignError::Internal(format!(
-            "sequences ({}, {}) do not match stored block ({m}, {n})",
-            query.len(),
-            reference.len()
-        )));
-    }
+    check_dims(query, reference, store)?;
     let scheme = engine.scheme();
-    let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
     let vl = store.vl();
     let epoch = session.as_mut().map_or(0, |s| s.begin_epoch());
-    let mut stats = RecomputeStats::default();
-    // A path takes at most `m + n` steps, so this is the CIGAR's only
-    // growth, and the recompute buffer is reused by every tile.
-    let mut cigar = Cigar::with_capacity(m + n);
+    // The recompute buffer is reused by every tile.
     let mut cells = TileCells::new();
-    let mut gi_pos = m; // global row (cells consumed from query)
-    let mut gj_pos = n; // global column
-
-    while gi_pos > 0 || gj_pos > 0 {
-        if gi_pos == 0 {
-            cigar.push_run(Op::Delete, gj_pos as u32);
-            stats.steps += gj_pos as u64;
-            break;
-        }
-        if gj_pos == 0 {
-            cigar.push_run(Op::Insert, gi_pos as u32);
-            stats.steps += gi_pos as u64;
-            break;
-        }
-        // Tile boundary: the cooperative cancellation / deadline hook.
-        if let Some(token) = control {
-            token.check()?;
-        }
-        let ti = (gi_pos - 1) / vl;
-        let tj = (gj_pos - 1) / vl;
+    trace(store.block_dims(), control, |(gi, gj), cigar, stats| {
+        let (ti, tj) = ((gi - 1) / vl, (gj - 1) / vl);
         let (rspan, cspan) = store.tile_span(ti, tj);
         let (rows, cols) = (rspan.len(), cspan.len());
         let (mut dv_read, mut dh_read) = ([0u8; MAX_VL], [0u8; MAX_VL]);
@@ -107,27 +108,122 @@ pub fn traceback_block(
             }
             None => store.input(ti, tj),
         };
-        let q_seg = &query[rspan.clone()];
-        let r_seg = &reference[cspan.clone()];
+        let (q_seg, r_seg) = (&query[rspan.clone()], &reference[cspan.clone()]);
         engine.recompute_tile(q_seg, r_seg, dv_left, dh_top, &mut cells)?;
         stats.tiles += 1;
         stats.elements += (rows * cols) as u64;
+        let region = Region { cells: &cells, q: q_seg, r: r_seg, top: |j| dh_top[j] };
+        let (li, lj) = region.walk(scheme, (gi - rspan.start, gj - cspan.start), cigar, stats)?;
+        Ok((rspan.start + li, cspan.start + lj))
+    })
+}
 
-        // Walk within the tile until we leave through its top or left edge.
-        // The tie-break compares absolute scores, but every comparison is
-        // a difference of neighbours, i.e. the tile's own deltas:
-        // M(i,j) − M(i−1,j) = Δv′ + I, M(i,j) − M(i,j−1) = Δh′ + D, and
-        // M(i,j) − M(i−1,j−1) = (Δv′ + I) + (Δh′ above + D), where the
-        // row above the first is the tile's top border.
-        let mut li = gi_pos - rspan.start;
-        let mut lj = gj_pos - cspan.start;
+/// Traces back through an edit block's kept Myers words: each strip of
+/// words is one region across the whole block, entered from the strip
+/// above it (or, for the first, from the block's top border), and no
+/// tile is recomputed. `control` is checked before every strip.
+fn walk_words(
+    engine: &SmxEngine,
+    query: &[u8],
+    reference: &[u8],
+    store: &TileBorderStore,
+    words: &EditWords,
+    control: Option<&CancelToken>,
+) -> Result<(Cigar, RecomputeStats), AlignError> {
+    check_dims(query, reference, store)?;
+    let (scheme, top, rows) = (engine.scheme(), store.top(), words.rows);
+    trace(store.block_dims(), control, |(gi, gj), cigar, stats| {
+        let s = (gi - 1) / rows;
+        let r0 = s * rows;
+        let above = s.checked_sub(1).map(|s| words.strip(s));
+        let top = |j| above.map_or(top[j], |above| above.dh(rows - 1, j));
+        let q_seg = &query[r0..query.len().min(r0 + rows)];
+        let region = Region { cells: words.strip(s), q: q_seg, r: reference, top };
+        let (li, lj) = region.walk(scheme, (gi - r0, gj), cigar, stats)?;
+        Ok((r0 + li, lj))
+    })
+}
+
+/// Whether `query` and `reference` have the stored block's dimensions.
+fn check_dims(query: &[u8], reference: &[u8], store: &TileBorderStore) -> Result<(), AlignError> {
+    let (m, n) = store.block_dims();
+    if query.len() != m || reference.len() != n {
+        return Err(AlignError::Internal(format!(
+            "sequences ({}, {}) do not match stored block ({m}, {n})",
+            query.len(),
+            reference.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The walk from the bottom-right corner of an `m × n` block: `region`
+/// takes the path through the region holding global cell `(gi, gj)` and
+/// returns where it left it, until the path reaches the top row or left
+/// column; the rest is one gap run. `control` is checked before every
+/// region.
+fn trace(
+    (m, n): (usize, usize),
+    control: Option<&CancelToken>,
+    mut region: impl FnMut(
+        (usize, usize),
+        &mut Cigar,
+        &mut RecomputeStats,
+    ) -> Result<(usize, usize), AlignError>,
+) -> Result<(Cigar, RecomputeStats), AlignError> {
+    let mut stats = RecomputeStats::default();
+    // A path takes at most `m + n` steps, so this is the CIGAR's only
+    // growth.
+    let mut cigar = Cigar::with_capacity(m + n);
+    let (mut gi, mut gj) = (m, n);
+    while gi > 0 && gj > 0 {
+        // Region boundary: the cooperative cancellation / deadline hook.
+        if let Some(token) = control {
+            token.check()?;
+        }
+        (gi, gj) = region((gi, gj), &mut cigar, &mut stats)?;
+    }
+    cigar.push_run(Op::Delete, gj as u32);
+    cigar.push_run(Op::Insert, gi as u32);
+    stats.steps += (gi + gj) as u64;
+    cigar.reverse();
+    Ok((cigar, stats))
+}
+
+/// One region of a walk: its cells, its query rows and reference
+/// columns, and `top(j)`, the Δh′ entering its column `j` from above.
+struct Region<'a, C: ?Sized, T> {
+    cells: &'a C,
+    q: &'a [u8],
+    r: &'a [u8],
+    top: T,
+}
+
+impl<C: Cells + ?Sized, T: Fn(usize) -> u8> Region<'_, C, T> {
+    /// Walks from local cell `(li, lj)` until the path leaves through the
+    /// region's top or left edge, and returns where it left.
+    ///
+    /// The tie-break compares absolute scores, but every comparison is a
+    /// difference of neighbours, i.e. the region's own deltas:
+    /// M(i,j) − M(i−1,j) = Δv′ + I, M(i,j) − M(i,j−1) = Δh′ + D, and
+    /// M(i,j) − M(i−1,j−1) = (Δv′ + I) + (Δh′ above + D), where the row
+    /// above the first is the region's top border.
+    #[inline]
+    fn walk(
+        &self,
+        scheme: &ScoringScheme,
+        (mut li, mut lj): (usize, usize),
+        cigar: &mut Cigar,
+        stats: &mut RecomputeStats,
+    ) -> Result<(usize, usize), AlignError> {
+        let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
         while li > 0 && lj > 0 {
             stats.steps += 1;
-            let (qc, rc) = (q_seg[li - 1], r_seg[lj - 1]);
-            let dv = i32::from(cells.dv(li - 1, lj - 1));
-            let dh = i32::from(cells.dh(li - 1, lj - 1));
+            let (qc, rc) = (self.q[li - 1], self.r[lj - 1]);
+            let dv = i32::from(self.cells.dv(li - 1, lj - 1));
+            let dh = i32::from(self.cells.dh(li - 1, lj - 1));
             let dh_above =
-                i32::from(if li == 1 { dh_top[lj - 1] } else { cells.dh(li - 2, lj - 1) });
+                i32::from(if li == 1 { (self.top)(lj - 1) } else { self.cells.dh(li - 2, lj - 1) });
             if dv + gi + dh_above + gd == scheme.score(qc, rc) {
                 cigar.push(if qc == rc { Op::Match } else { Op::Mismatch });
                 li -= 1;
@@ -140,15 +236,12 @@ pub fn traceback_block(
                 lj -= 1;
             } else {
                 return Err(AlignError::Internal(format!(
-                    "broken tile traceback at global ({gi_pos}, {gj_pos})"
+                    "broken traceback at region cell ({li}, {lj})"
                 )));
             }
-            gi_pos = rspan.start + li;
-            gj_pos = cspan.start + lj;
         }
+        Ok((li, lj))
     }
-    cigar.reverse();
-    Ok((cigar, stats))
 }
 
 #[cfg(test)]

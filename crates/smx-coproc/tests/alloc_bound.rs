@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smx_align_core::AlignmentConfig;
 use smx_coproc::block::{compute_block, BlockMode};
-use smx_coproc::traceback::traceback_block;
+use smx_coproc::traceback::{traceback_block, traceback_output};
 use smx_coproc::{FaultPlan, FaultSession, RecoveryPolicy, SmxEngine};
 
 struct Counting;
@@ -141,6 +141,37 @@ fn a_second_traceback_block_on_a_thread_reuses_the_planes() {
                 drop(second);
                 let (_, bigger) = run(&big_q, &big_r);
                 assert_eq!(bigger, fresh, "a spare too small is not reused");
+            })
+            .join()
+            .unwrap();
+    });
+}
+
+/// A traceback-mode edit block that keeps its Myers words takes them in
+/// a per-thread spare buffer, handed back when its output drops: the
+/// second 150 × 150 DnaEdit block on a thread makes three allocations
+/// fewer than the first (two planes and the word buffer), and walks its
+/// words to the same CIGAR with no tile recomputed.
+#[test]
+fn a_second_small_edit_block_on_a_thread_reuses_the_word_buffer() {
+    let cfg = AlignmentConfig::DnaEdit;
+    let e = SmxEngine::new(cfg.element_width(), &cfg.scoring()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xED17);
+    let (q, r) = pair(&mut rng, 150);
+    let run = || {
+        counted(|| {
+            let out = compute_block(&e, &q, &r, None, BlockMode::Traceback, None, None).unwrap();
+            traceback_output(&e, &q, &r, &out, None, None).unwrap()
+        })
+    };
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let ((first, first_stats), fresh) = run();
+                let ((second, second_stats), reused) = run();
+                assert_eq!(reused + 3, fresh, "the second block allocates no planes and no words");
+                assert_eq!(second, first, "recycled words walk to the same CIGAR");
+                assert_eq!((first_stats.tiles, second_stats.tiles), (0, 0), "no tile recomputed");
             })
             .join()
             .unwrap();

@@ -13,14 +13,18 @@
 //! CIGAR.
 //! Every instantiation, the portable lanes included, runs the same strip
 //! sweep; under `SMX_FORCE_SCALAR=1` the unpinned blocks, tiles and
-//! fault sessions run on the portable lanes too.
+//! fault sessions run on the portable lanes too. Small DnaEdit blocks
+//! keep their Myers words, and their traceback walks them to the
+//! reference CIGAR with no tile recomputed; a block with a strip on
+//! lanes, over the word budget or under a fault session recomputes as
+//! before.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smx_align_core::{AlignmentConfig, Cigar, ElementWidth, Op, ScoringScheme, SubstMatrix};
-use smx_coproc::block::{compute_block, BlockMode};
+use smx_coproc::block::{compute_block, BlockMode, EDIT_WORD_BUDGET};
 use smx_coproc::lane_kernels::{pinned, supported};
-use smx_coproc::traceback::traceback_block;
+use smx_coproc::traceback::{traceback_block, traceback_output, RecomputeStats};
 use smx_coproc::{FaultPlan, FaultSession, RecoveryPolicy, SmxEngine, TileBorderStore};
 use smx_diffenc::boundary::BlockBorders;
 use smx_diffenc::delta::DeltaBlock;
@@ -336,4 +340,121 @@ fn protein_blocks_with_every_code_match_reference_on_every_lane_kernel() {
             }
         }
     }
+}
+
+/// The borders of a block in [`edit_blocks_walk_their_words_on_every_lane_kernel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EditBorders {
+    /// An origin-anchored block.
+    Fresh,
+    /// Random borders in `[0, θ]`.
+    InTheta,
+    /// In-θ borders, except one left-border value of `θ + 1` that sends
+    /// one 64-row strip to lanes.
+    OneStripOnLanes,
+}
+
+/// A DnaEdit block keeps its Myers words in traceback mode, and its
+/// traceback walks them: on every instantiation, for shapes on both
+/// sides of the 64-row strip and 32-column tile edges, with fresh or
+/// random in-θ borders, the border planes and the CIGAR equal the
+/// reference's and no tile is recomputed, in the same steps as the
+/// recompute walk. A block with one strip on lanes keeps no words and
+/// traces back with `traceback_block`'s stats, and so does a block one
+/// column over `EDIT_WORD_BUDGET`, while one exactly at it walks its
+/// words. Under a fault session the block keeps no words either.
+#[test]
+fn edit_blocks_walk_their_words_on_every_lane_kernel() {
+    let mut rng = StdRng::seed_from_u64(0x3D17_3A1C);
+    let config = AlignmentConfig::DnaEdit;
+    let (ew, scheme) = (config.element_width(), config.scoring());
+    let engine = SmxEngine::new(ew, &scheme).unwrap();
+    let theta = scheme.theta() as u8;
+    // A strip's words take 32 bytes per column.
+    let budget_cols = EDIT_WORD_BUDGET / 32;
+    let mut shapes = Vec::new();
+    for m in [1, 63, 64, 65, 128, 129, 150, 192] {
+        for n in [1, 31, 32, 33, 150, 300] {
+            for borders in [EditBorders::Fresh, EditBorders::InTheta, EditBorders::OneStripOnLanes]
+            {
+                shapes.push((m, n, borders));
+            }
+        }
+    }
+    shapes.push((64, budget_cols, EditBorders::Fresh));
+    shapes.push((64, budget_cols + 1, EditBorders::Fresh));
+    let (mut walked, mut recomputed) = (0, 0);
+    for (case, &(m, n, borders)) in shapes.iter().enumerate() {
+        let q = codes(&mut rng, m, 4);
+        let r: Vec<u8> = q
+            .iter()
+            .cycle()
+            .take(n)
+            .map(|&c| if rng.gen_range(0..6) == 0 { 3 - c } else { c })
+            .collect();
+        let (top, left) = match borders {
+            EditBorders::Fresh => DeltaBlock::fresh_borders(m, n),
+            _ => {
+                let top = (0..n).map(|_| rng.gen_range(0..=theta)).collect();
+                let mut left: Vec<u8> = (0..m).map(|_| rng.gen_range(0..=theta)).collect();
+                if borders == EditBorders::OneStripOnLanes {
+                    left[rng.gen_range(0..m)] = theta + 1;
+                }
+                (top, left)
+            }
+        };
+        let whole = DeltaBlock::compute(ew, &q, &r, &scheme, &top, &left).unwrap();
+        let cigar = reference_cigar_within(&whole, &q, &r, &scheme, (&top, &left));
+        let bb = BlockBorders::from_neighbors(top.clone(), left.clone());
+        let words = borders != EditBorders::OneStripOnLanes && m.div_ceil(64) * n <= budget_cols;
+        if words {
+            walked += 1;
+        } else {
+            recomputed += 1;
+        }
+        for kernel in supported() {
+            let ctx = format!("{kernel:?} case {case} ({m}×{n}) {borders:?}");
+            let (out, (path, stats), recompute) = pinned(kernel, || {
+                let out =
+                    compute_block(&engine, &q, &r, Some(&bb), BlockMode::Traceback, None, None)
+                        .unwrap();
+                let walk = traceback_output(&engine, &q, &r, &out, None, None).unwrap();
+                let store = out.borders.as_ref().unwrap();
+                let recompute = traceback_block(&engine, &q, &r, store, None, None).unwrap();
+                (out, walk, recompute)
+            });
+            assert_store_matches(out.borders.as_ref().unwrap(), &whole, (&top, &left), &ctx);
+            assert_eq!(path, cigar, "{ctx} CIGAR");
+            assert_eq!(recompute.0, cigar, "{ctx} recomputed CIGAR");
+            let want = match words {
+                true => RecomputeStats { tiles: 0, elements: 0, steps: recompute.1.steps },
+                false => recompute.1,
+            };
+            assert_eq!(stats, want, "{ctx} RecomputeStats");
+            assert!(words || stats.tiles > 0, "{ctx}: the recompute path recomputes");
+        }
+        if borders == EditBorders::Fresh && n <= 300 {
+            // A fault session's block keeps no words: its traceback
+            // recomputes through the session, as the clean store does.
+            let mut session =
+                FaultSession::new(FaultPlan::new(case as u64, 0.3), RecoveryPolicy::default());
+            let out = compute_block(
+                &engine,
+                &q,
+                &r,
+                None,
+                BlockMode::Traceback,
+                Some(&mut session),
+                None,
+            )
+            .unwrap();
+            let (path, stats) =
+                traceback_output(&engine, &q, &r, &out, Some(&mut session), None).unwrap();
+            let store = out.borders.as_ref().unwrap();
+            let clean = traceback_block(&engine, &q, &r, store, None, None).unwrap();
+            assert_eq!((path, stats), clean, "case {case} ({m}×{n}) under faults");
+            assert!(session.stats().invariants_hold(), "case {case}: {:?}", session.stats());
+        }
+    }
+    assert_eq!((walked, recomputed), (97, 49), "word-path and recompute cases");
 }
