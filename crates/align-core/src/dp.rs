@@ -140,9 +140,19 @@ pub fn score_only(query: &[u8], reference: &[u8], scheme: &ScoringScheme) -> i32
 /// This is the primitive Hirschberg's algorithm is built from.
 #[must_use]
 pub fn last_row(query: &[u8], reference: &[u8], scheme: &ScoringScheme) -> Vec<i32> {
+    let mut row = Vec::new();
+    last_row_into(query, reference, scheme, &mut row);
+    row
+}
+
+/// [`last_row`] into a caller's buffer: `row` is overwritten with the
+/// `n + 1` entries of `M_{m, 0..=n}`, and grows only when its capacity
+/// is short, so a reused buffer makes repeated calls allocation-free.
+pub fn last_row_into(query: &[u8], reference: &[u8], scheme: &ScoringScheme, row: &mut Vec<i32>) {
     let n = reference.len();
     let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
-    let mut row: Vec<i32> = (0..=n as i32).map(|j| j.saturating_mul(gd)).collect();
+    row.clear();
+    row.extend((0..=n as i32).map(|j| j.saturating_mul(gd)));
     for (i, &q) in query.iter().enumerate() {
         let mut prev_diag = row[0];
         row[0] = (i as i32 + 1).saturating_mul(gi);
@@ -154,28 +164,6 @@ pub fn last_row(query: &[u8], reference: &[u8], scheme: &ScoringScheme) -> Vec<i
             row[j] = diag.max(up).max(left);
         }
     }
-    row
-}
-
-/// The last-needle-row scoring contract shared by the streaming kernels:
-/// the maximum over a final DP row and the **leftmost** column attaining
-/// it (the natural prefix-alignment end position).
-///
-/// # Panics
-///
-/// Panics if `row` is empty (a DP row always has `n + 1` entries).
-#[must_use]
-pub fn last_row_best(row: &[i32]) -> (i32, usize) {
-    assert!(!row.is_empty(), "a DP row has at least the border column");
-    let mut best = row[0];
-    let mut end = 0;
-    for (j, &v) in row.iter().enumerate().skip(1) {
-        if v > best {
-            best = v;
-            end = j;
-        }
-    }
-    (best, end)
 }
 
 /// Traces back through a full DP matrix, producing the optimal path.
@@ -345,6 +333,23 @@ mod tests {
         let row = last_row(q.codes(), r.codes(), &scheme);
         for (j, &v) in row.iter().enumerate() {
             assert_eq!(v, dp.get(q.len(), j), "column {j}");
+        }
+        // One reused buffer across inputs, a longer reference before a
+        // shorter one included: each fill must equal `last_row` exactly,
+        // with no stale tail left from the previous fill.
+        let mut buf = Vec::new();
+        let inputs = [
+            ("ACGTAC", "AGTACC"),
+            ("ACGTACGTTA", "AGTACCGATTGCA"),
+            ("GA", "TAC"),
+            ("", "ACG"),
+            ("ACG", ""),
+            ("T", "T"),
+        ];
+        for (qt, rt) in inputs {
+            let (q, r) = (dna(qt), dna(rt));
+            last_row_into(q.codes(), r.codes(), &scheme, &mut buf);
+            assert_eq!(buf, last_row(q.codes(), r.codes(), &scheme), "{qt} vs {rt}");
         }
     }
 

@@ -2,14 +2,14 @@
 //! kernels on storm-shaped traffic.** Uses the same `Dataset::synthetic`
 //! pairs that feed the service/integrity storms, across the DNA-edit,
 //! DNA-gap, and protein configurations. Before any timing, every pair is
-//! checked byte-identical across kernels: the scalar, SIMD, and auto
-//! [`ScoreProfile`]s must be equal to each other, to the golden DP score,
-//! to the golden last-row best, and to the golden CIGAR's operation
-//! counts. Then three engines are timed on the identical inputs:
+//! checked: [`simd::score`] under the scalar, SIMD, and auto baselines
+//! must equal the golden DP score. Then three engines are timed on the
+//! identical inputs:
 //!
 //! * `full-dp` — [`dp::align_codes`] (O(mn) matrix + traceback), the
 //!   recompute the streaming score pass lets the audit path avoid;
-//! * `scalar`  — the allocation-free streaming row kernel;
+//! * `scalar`  — the golden model's rolling row
+//!   ([`dp::last_row_into`]) in the kernel workspace, allocation-free;
 //! * `simd`    — the vectorized anti-diagonal kernel (AVX2 when the CPU
 //!   has it, portable-autovectorized otherwise).
 //!
@@ -20,7 +20,7 @@
 
 use std::hint::black_box;
 
-use smx::algos::simd::{self, Baseline, ScoreProfile, SimdWorkspace};
+use smx::algos::simd::{self, Baseline, SimdWorkspace};
 use smx::align::dp;
 use smx::datagen::{Dataset, ErrorProfile};
 use smx::prelude::*;
@@ -61,32 +61,15 @@ fn main() {
             ds.pairs.iter().map(|p| (p.query.codes(), p.reference.codes())).collect();
         let cells: u64 = pairs.iter().map(|(q, r)| q.len() as u64 * r.len() as u64).sum();
 
-        // Byte-identity gate: all three baselines must produce the same
-        // profile, matching the golden DP on every component. A harness
-        // that times diverging kernels measures nothing.
+        // Identity gate: every baseline must reproduce the golden DP
+        // score. A harness that times diverging kernels measures nothing.
         let mut ws = SimdWorkspace::new();
         for (k, (q, r)) in pairs.iter().enumerate() {
-            let golden = dp::align_codes(q, r, &scheme);
-            let scalar = simd::score_profile(q, r, &scheme, Baseline::Scalar, &mut ws);
-            let vector = simd::score_profile(q, r, &scheme, Baseline::Simd, &mut ws);
-            let auto = simd::score_profile(q, r, &scheme, Baseline::Auto, &mut ws);
-            assert_eq!(scalar, vector, "{config} pair {k}: scalar vs simd profile diverged");
-            assert_eq!(scalar, auto, "{config} pair {k}: scalar vs auto profile diverged");
-            assert_eq!(scalar.score, golden.score, "{config} pair {k}: global score diverged");
-            let score = simd::score(q, r, &scheme, Baseline::Simd, &mut ws);
-            assert_eq!(score, golden.score, "{config} pair {k}: score-only kernel diverged");
-            let (best, end) = dp::last_row_best(&dp::last_row(q, r, &scheme));
-            assert_eq!(
-                (scalar.best_score, scalar.best_end),
-                (best, end),
-                "{config} pair {k}: last-row best diverged"
-            );
-            let stats = golden.cigar.stats();
-            assert_eq!(
-                (scalar.matches, scalar.mismatches, scalar.gap_inserts, scalar.gap_deletes),
-                (stats.matches, stats.mismatches, stats.insertions, stats.deletions),
-                "{config} pair {k}: operation counts diverged"
-            );
+            let golden = dp::align_codes(q, r, &scheme).score;
+            for baseline in Baseline::ALL {
+                let score = simd::score(q, r, &scheme, baseline, &mut ws);
+                assert_eq!(score, golden, "{config} pair {k}: {baseline} score diverged");
+            }
         }
 
         let t_full = time(reps, || {
@@ -99,15 +82,14 @@ fn main() {
         let t_scalar = time(reps, || {
             let mut acc = 0i64;
             for (q, r) in &pairs {
-                acc +=
-                    i64::from(simd::score_profile(q, r, &scheme, Baseline::Scalar, &mut ws).score);
+                acc += i64::from(simd::score(q, r, &scheme, Baseline::Scalar, &mut ws));
             }
             black_box(acc)
         });
         let t_simd = time(reps, || {
             let mut acc = 0i64;
             for (q, r) in &pairs {
-                acc += i64::from(simd::score_profile(q, r, &scheme, Baseline::Simd, &mut ws).score);
+                acc += i64::from(simd::score(q, r, &scheme, Baseline::Simd, &mut ws));
             }
             black_box(acc)
         });
@@ -158,7 +140,5 @@ fn main() {
             "{config}: simd {vs_full:.1}x over full-dp ({vs_scalar:.1}x over scalar) — {verdict}"
         );
     }
-    println!("\nall kernel profiles byte-identical to the golden DP on every pair");
-    // Keep the type in the public signature exercised so doc moves get caught.
-    let _: ScoreProfile = ScoreProfile::default();
+    println!("\nall kernel scores identical to the golden DP on every pair");
 }

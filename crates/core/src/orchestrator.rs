@@ -461,7 +461,7 @@ mod tests {
 
     #[test]
     fn streaming_kernels_match_device_score_and_golden() {
-        use smx_algos::simd::{score_profile, Baseline, SimdWorkspace};
+        use smx_algos::simd::{score, Baseline, SimdWorkspace};
         for config in AlignmentConfig::ALL {
             let (q, r) = seqs(config, 90);
             let mut dev = SmxDevice::new(config, 2).unwrap();
@@ -470,7 +470,7 @@ mod tests {
             assert_eq!(dev.score(&q, &r).unwrap(), golden, "{config} device");
             let mut ws = SimdWorkspace::new();
             for b in Baseline::ALL {
-                let streamed = score_profile(q.codes(), r.codes(), &scheme, b, &mut ws).score;
+                let streamed = score(q.codes(), r.codes(), &scheme, b, &mut ws);
                 assert_eq!(streamed, golden, "{config} {b}");
             }
         }

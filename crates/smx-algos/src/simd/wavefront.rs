@@ -20,36 +20,24 @@
 //! every other operand.
 //!
 //! The inner loop is written branchlessly over exact pre-sliced ranges so
-//! LLVM auto-vectorizes it. The body is written once and specialised
-//! three ways:
+//! LLVM auto-vectorizes it. It sweeps scores only, since the audit
+//! reads nothing else. The body is written once and specialised two
+//! ways:
 //!
 //! - over its [`Lane`] type: `i16` (16 lanes per AVX2 register) or `i32`
 //!   (8). Arithmetic is *wrapping* (saturating lane ops don't
 //!   vectorize); the dispatcher in [`super`] routes a pair to a width
 //!   only when the no-overflow bound behind [`super::selected_kernel`]
 //!   proves wrapping and saturating arithmetic coincide at that width,
-//!   which makes every instantiation byte-identical to the scalar
-//!   reference wherever both run;
-//! - over `STATS`: with it, the path counters and match flags ride
-//!   along ([`super::score_profile`]); without it, they are compiled out
-//!   and only the scores are swept ([`super::score`], the audit);
+//!   which makes every instantiation byte-identical to the golden row
+//!   ([`smx_align_core::dp::last_row_into`]) wherever both run;
 //! - over the ISA: a baseline instantiation and one under
 //!   `#[target_feature(enable = "avx2")]`, whose matrix schemes fill
 //!   each diagonal's substitution scores with hardware gathers. The
 //!   dispatcher decides which one runs, once, through the cached
 //!   `avx2_available()`; nothing here probes the CPU again.
-//!
-//! Stats ride along as one lockstep `u32` diagonal packing the winning
-//! path's matches and query-insertions as `(matches << 16 |
-//! gap_inserts)`, selected with the same golden tie-break as the scalar
-//! kernel; both fields are bounded by the query length, and the dispatch
-//! bound `m < 2^15` (implied by the `i16` bound) keeps the packing
-//! carry-free. The other two counts are implied by the path shape. The
-//! counters stay `u32` under `i16` scores too: the compiler vectorizes
-//! that mixed-width loop, but not one with two `u16` counter diagonals
-//! (measured at four to five times the packed loop's time per pair).
 
-use super::{finish, ScoreProfile, SimdWorkspace};
+use super::SimdWorkspace;
 use smx_align_core::{ScoringScheme, SubstMatrix};
 
 /// The score lane an instantiation sweeps in.
@@ -178,17 +166,13 @@ fn flat_index(a: u8, b: u8) -> usize {
     ((a as usize & 31) << 5) | (b as usize & 31)
 }
 
-/// Rolling state of one lane width: three anti-diagonals of scores and
-/// of packed `(matches << 16 | gap_inserts)` counters, the reversed
-/// reference, and one diagonal's prefilled substitution scores and match
-/// flags.
+/// Rolling state of one lane width: three anti-diagonals of scores, the
+/// reversed reference, and one diagonal's prefilled substitution scores.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Diagonals<L: Lane> {
     pub(crate) v: [Vec<L>; 3],
-    pub(crate) c: [Vec<u32>; 3],
     pub(crate) rrev: Vec<u8>,
     pub(crate) subs: Vec<L>,
-    pub(crate) eqs: Vec<u32>,
 }
 
 /// A substitution matrix flattened to a power-of-two stride: `(a << 5 |
@@ -251,7 +235,7 @@ impl SubScore for Uniform {
 
 /// Substitution-matrix scoring through a [`MatrixTable`]. Codes are `<
 /// 26` for any validated [`smx_align_core::Sequence`]; out-of-range codes
-/// would read a padding entry here where the scalar kernel's checked
+/// would read a padding entry here where the golden row's checked
 /// lookup panics.
 #[derive(Clone, Copy)]
 struct Table<'a> {
@@ -280,31 +264,9 @@ impl SubScore for Table<'_> {
     }
 }
 
-/// Score, path counts, and last-row contract produced by one kernel run.
-#[derive(Debug, Clone, Copy)]
-struct KernelOut {
-    score: i32,
-    cm: u32,
-    ci: u32,
-    best_score: i32,
-    best_end: usize,
-}
-
-/// Anti-diagonal score+stats pass in lanes of `L`, on AVX2 when `avx2`.
-/// Caller guarantees non-empty slices and `L`'s no-overflow bound.
-pub(crate) fn profile<L: Lane>(
-    avx2: bool,
-    query: &[u8],
-    reference: &[u8],
-    scheme: &ScoringScheme,
-    ws: &mut SimdWorkspace,
-) -> ScoreProfile {
-    let out = run::<L, true>(avx2, query, reference, scheme, ws);
-    finish(query.len(), reference.len(), out.score, out.cm, out.ci, out.best_score, out.best_end)
-}
-
-/// The global score alone: the same pass with the counter and match-flag
-/// diagonals compiled out.
+/// The global score `M[m][n]` by an anti-diagonal pass in lanes of `L`,
+/// on AVX2 when `avx2`. Caller guarantees non-empty slices and `L`'s
+/// no-overflow bound.
 pub(crate) fn score<L: Lane>(
     avx2: bool,
     query: &[u8],
@@ -312,16 +274,6 @@ pub(crate) fn score<L: Lane>(
     scheme: &ScoringScheme,
     ws: &mut SimdWorkspace,
 ) -> i32 {
-    run::<L, false>(avx2, query, reference, scheme, ws).score
-}
-
-fn run<L: Lane, const STATS: bool>(
-    avx2: bool,
-    query: &[u8],
-    reference: &[u8],
-    scheme: &ScoringScheme,
-    ws: &mut SimdWorkspace,
-) -> KernelOut {
     let (gi, gd) = (scheme.gap_insert(), scheme.gap_delete());
     let table = match scheme {
         ScoringScheme::Matrix { matrix, .. } => {
@@ -333,104 +285,87 @@ fn run<L: Lane, const STATS: bool>(
     st.rrev.clear();
     st.rrev.extend(reference.iter().rev());
     let len = query.len() + 1;
-    let counters = if STATS { len } else { 0 };
     for buf in &mut st.v {
         buf.clear();
         buf.resize(len, L::default());
     }
-    for buf in &mut st.c {
-        buf.clear();
-        buf.resize(counters, 0);
-    }
     st.subs.clear();
     st.subs.resize(len, L::default());
-    st.eqs.clear();
-    st.eqs.resize(counters, 0);
     // Only a matrix scheme has a table; only the edit scheme reaches the
     // last arm.
-    let out = match (scheme, &table) {
-        (_, Some(t)) => on_isa::<L, _, STATS>(avx2, query, st, gi, gd, Table { flat: &t.flat }),
+    let score = match (scheme, &table) {
+        (_, Some(t)) => on_isa::<L, _>(avx2, query, st, gi, gd, Table { flat: &t.flat }),
         (ScoringScheme::Linear { match_score, mismatch, .. }, None) => {
             let sub = Uniform { matched: *match_score, differs: *mismatch };
-            on_isa::<L, _, STATS>(avx2, query, st, gi, gd, sub)
+            on_isa::<L, _>(avx2, query, st, gi, gd, sub)
         }
-        _ => on_isa::<L, _, STATS>(avx2, query, st, gi, gd, Uniform { matched: 0, differs: -1 }),
+        _ => on_isa::<L, _>(avx2, query, st, gi, gd, Uniform { matched: 0, differs: -1 }),
     };
     if table.is_some() {
         ws.table = table;
     }
-    out
+    score
 }
 
 /// Runs the instantiation `avx2` names.
-fn on_isa<L: Lane, S: SubScore, const STATS: bool>(
+fn on_isa<L: Lane, S: SubScore>(
     avx2: bool,
     query: &[u8],
     st: &mut Diagonals<L>,
     gi: i32,
     gd: i32,
     sub: S,
-) -> KernelOut {
+) -> i32 {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if avx2 {
         // SAFETY: the dispatcher names the AVX2 kernel only where
         // `avx2_available()` holds.
-        return unsafe { run_avx2::<L, S, STATS>(query, st, gi, gd, sub) };
+        return unsafe { run_avx2::<L, S>(query, st, gi, gd, sub) };
     }
     let _ = avx2;
-    run_body::<L, S, STATS, false>(query, st, gi, gd, sub)
+    run_body::<L, S, false>(query, st, gi, gd, sub)
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 // SAFETY: callers must hold AVX2; the body is safe code that the
 // attribute recompiles with AVX2 codegen enabled.
-unsafe fn run_avx2<L: Lane, S: SubScore, const STATS: bool>(
+unsafe fn run_avx2<L: Lane, S: SubScore>(
     query: &[u8],
     st: &mut Diagonals<L>,
     gi: i32,
     gd: i32,
     sub: S,
-) -> KernelOut {
-    run_body::<L, S, STATS, true>(query, st, gi, gd, sub)
+) -> i32 {
+    run_body::<L, S, true>(query, st, gi, gd, sub)
 }
 
-/// The one kernel body, for every lane width, with or without stats, on
-/// either ISA.
+/// The one kernel body, for every lane width, on either ISA.
 #[inline(always)]
-fn run_body<L: Lane, S: SubScore, const STATS: bool, const AVX2: bool>(
+fn run_body<L: Lane, S: SubScore, const AVX2: bool>(
     query: &[u8],
     st: &mut Diagonals<L>,
     gi: i32,
     gd: i32,
     sub: S,
-) -> KernelOut {
+) -> i32 {
     let m = query.len();
     let n = st.rrev.len();
     let rrev: &[u8] = &st.rrev;
     let [v0, v1, v2] = &mut st.v;
-    let [c0, c1, c2] = &mut st.c;
-    let (subs, eqs) = (&mut st.subs, &mut st.eqs);
+    let subs = &mut st.subs;
     let (lgi, lgd) = (L::of(gi), L::of(gd));
     // The d = 0 diagonal lives in the "1" slot (already zeroed): cell
-    // (0, 0) = 0 with zero counts.
-    let mut best_row = i32::MIN;
-    let mut best_end = 0usize;
+    // (0, 0) = 0.
     for d in 1..=(m + n) {
         let ilo = if d > n { d - n } else { 1 };
         let ihi = if d - 1 < m { d - 1 } else { m };
         if d <= n {
             v0[0] = L::of((d as i32).wrapping_mul(gd));
-            if STATS {
-                c0[0] = 0;
-            }
         }
         if d <= m {
-            // Border cell (d, 0): d query insertions, zero matches.
+            // Border cell (d, 0): d query insertions.
             v0[d] = L::of((d as i32).wrapping_mul(gi));
-            if STATS {
-                c0[d] = d as u32;
-            }
         }
         if ilo <= ihi {
             let w = ihi - ilo + 1;
@@ -448,61 +383,18 @@ fn run_body<L: Lane, S: SubScore, const STATS: bool, const AVX2: bool>(
             // schemes this also keeps the table gather out of the
             // auto-vectorized loop.
             sub.fill::<L, AVX2>(qs, rs, sv);
-            if STATS {
-                let dgc = &c2[ilo - 1..ilo - 1 + w];
-                let (upc, lfc) = (&c1[ilo - 1..ilo - 1 + w], &c1[ilo..ilo + w]);
-                let oc = &mut c0[ilo..ilo + w];
-                let ev = &mut eqs[..w];
-                for t in 0..w {
-                    ev[t] = u32::from(qs[t] == rs[t]);
-                }
-                for t in 0..w {
-                    let diag = dgv[t].add(sv[t]);
-                    let up = upv[t].add(lgi);
-                    let left = lfv[t].add(lgd);
-                    let best = diag.max(up).max(left);
-                    // Golden tie-break, branchless: diagonal ≻ up ≻ left.
-                    // Counters ride packed as (matches << 16 |
-                    // gap_inserts); both fields are < 2^15 (dispatch
-                    // bound), so the +1 on the insert field can never
-                    // carry across.
-                    let d_win = diag >= up && diag >= left;
-                    let u_win = up >= left;
-                    let pk_d = dgc[t].wrapping_add(ev[t] << 16);
-                    let pk_g = if u_win { upc[t].wrapping_add(1) } else { lfc[t] };
-                    ov[t] = best;
-                    oc[t] = if d_win { pk_d } else { pk_g };
-                }
-            } else {
-                for t in 0..w {
-                    let diag = dgv[t].add(sv[t]);
-                    let up = upv[t].add(lgi);
-                    let left = lfv[t].add(lgd);
-                    ov[t] = diag.max(up).max(left);
-                }
-            }
-        }
-        // Last-needle-row contract: cell (m, d-m) is this diagonal's
-        // entry of row m. Strictly-greater keeps the leftmost maximum.
-        if STATS && d >= m {
-            let v = v0[m].get();
-            if v > best_row {
-                best_row = v;
-                best_end = d - m;
+            for t in 0..w {
+                let diag = dgv[t].add(sv[t]);
+                let up = upv[t].add(lgi);
+                let left = lfv[t].add(lgd);
+                ov[t] = diag.max(up).max(left);
             }
         }
         // Rotate (A, B, C) -> (B, C, A): the oldest diagonal's storage
         // is reused for the next one.
         std::mem::swap(v2, v1);
         std::mem::swap(v1, v0);
-        if STATS {
-            std::mem::swap(c2, c1);
-            std::mem::swap(c1, c0);
-        }
     }
     // After the final rotation the d = m+n diagonal sits in the "1" slot.
-    let score = v1[m].get();
-    let packed = if STATS { c1[m] } else { 0 };
-    let (cm, ci) = (packed >> 16, packed & 0xFFFF);
-    KernelOut { score, cm, ci, best_score: best_row, best_end }
+    v1[m].get()
 }
