@@ -3,7 +3,7 @@
 //! golden-model DP they are all validated against, and the host SIMD
 //! score kernel the pool's audit runs. Run with `cargo bench
 //! -p smx-bench`; each row prints as `group/name: N ns/iter  X Melem/s`,
-//! the best mean over three rounds of five calls.
+//! the best mean over `ROUNDS` rounds of five calls.
 
 use std::hint::black_box;
 
@@ -15,17 +15,23 @@ use smx::align::{dp, AlignmentConfig, ElementWidth, ScoringScheme};
 use smx::coproc::affine::AffineEngine;
 use smx::coproc::block::BlockMode;
 use smx::coproc::SmxCoprocessor;
+use smx::datagen::Dataset;
 use smx::diffenc::affine::AffinePenalties;
 use smx::diffenc::{pack::PackedSeq, pe};
 use smx::isa::{kernels, Smx1dUnit};
 use smx::sim::coproc::{BlockShape, CoprocSim, CoprocTimingConfig};
 use smx_bench::time;
 
+/// Rounds of each row. With three, the protein rows were bimodal on a
+/// shared 2-vCPU host (one run in five read ~1.5× slower); with 25, two
+/// runs of a row agree within ~10%.
+const ROUNDS: usize = 25;
+
 /// Times `f` and prints its row; `elems` (elements processed per call)
 /// adds the throughput column.
 fn bench<T>(group: &str, name: &str, elems: Option<u64>, mut f: impl FnMut() -> T) {
     const ITERS: u32 = 5;
-    let secs = time(3, || {
+    let secs = time(ROUNDS, || {
         for _ in 0..ITERS {
             black_box(f());
         }
@@ -106,6 +112,23 @@ fn main() {
         bench(&format!("block_512x512_{cfg}"), "smx2d_traceback", cells, || {
             let out = coproc.compute_block(black_box(&q), &r, None, BlockMode::Traceback).unwrap();
             coproc.traceback(&q, &r, &out).unwrap()
+        });
+    }
+
+    // One related uniprot_like pair (batch-protein-audited's shape): its
+    // traceback-mode block keeps its Δ′ lanes and the traceback walks them.
+    {
+        let cfg = AlignmentConfig::Protein;
+        let pair = &Dataset::uniprot_like(1, 35).pairs[0];
+        let (q, r) = (pair.query.codes(), pair.reference.codes());
+        let cells = Some((q.len() * r.len()) as u64);
+        let coproc = SmxCoprocessor::new(cfg.element_width(), &cfg.scoring(), 4).unwrap();
+        bench("block_uniprot", "smx2d_score", cells, || {
+            coproc.compute_block(black_box(q), r, None, BlockMode::ScoreOnly).unwrap()
+        });
+        bench("block_uniprot", "smx2d_traceback", cells, || {
+            let out = coproc.compute_block(black_box(q), r, None, BlockMode::Traceback).unwrap();
+            coproc.traceback(q, r, &out).unwrap()
         });
     }
 

@@ -3,8 +3,9 @@
 //! SMX-2D coprocessor, and reconstructs the alignment by tracing back.
 //! The coprocessor keeps tile borders, and the traceback recomputes the
 //! tiles its path crosses — the role SMX-1D plays on the core — except
-//! on a small edit block, which also keeps its Myers words (within
-//! `smx_coproc::block::EDIT_WORD_BUDGET`) and is walked with no
+//! on a small block, which keeps its cells (an edit block's Myers words
+//! or a lane block's Δ′ lanes, within
+//! `smx_coproc::block::KEPT_CELL_BUDGET`) and is walked with no
 //! recomputation.
 
 use smx_align_core::{
@@ -136,7 +137,7 @@ impl SmxDevice {
     }
 
     /// Full heterogeneous alignment: pack → offload → traceback (over the
-    /// block's kept Myers words, or with tile recomputation), routed
+    /// block's kept cells, or with tile recomputation), routed
     /// through the fault session when one is active.
     ///
     /// # Errors
@@ -386,16 +387,17 @@ mod tests {
     /// `(smx_pack, load_words, scalar_ops)` after one `align`, then after
     /// a `score` of the same pair; every other class stays zero. The
     /// numbers are those the text-packing ingress charged, so streaming
-    /// the codes changed no count. The DnaEdit and ASCII blocks (the edit
-    /// scheme on W2 and W8) keep their Myers words, and their walks
-    /// recompute no tile, so their `align` is charged for packing and
-    /// walk steps only.
+    /// the codes changed no count. Every block here keeps its cells: the
+    /// DnaEdit and ASCII blocks (the edit scheme on W2 and W8) their Myers
+    /// words, the DnaGap and protein blocks their Δ′ lanes. No walk
+    /// recomputes a tile, so each `align` is charged for packing and walk
+    /// steps only.
     #[test]
     fn insn_counts_match_the_pinned_numbers() {
         let pinned = [
             (AlignmentConfig::DnaEdit, 150, (38, 38, 696), (76, 76, 772)),
-            (AlignmentConfig::DnaGap, 150, (38, 98, 1180), (76, 136, 1256)),
-            (AlignmentConfig::Protein, 370, (94, 241, 2886), (188, 335, 3074)),
+            (AlignmentConfig::DnaGap, 150, (38, 38, 696), (76, 76, 772)),
+            (AlignmentConfig::Protein, 370, (94, 94, 1704), (188, 188, 1892)),
             (AlignmentConfig::Ascii, 150, (38, 38, 696), (76, 76, 772)),
         ];
         let classes = |c: InsnCounts| {

@@ -1,24 +1,30 @@
 //! DP-block computation on the coprocessor (paper §5.1): the SMX-worker
 //! sweeps the tile grid and keeps only tile borders, from which the
-//! traceback recomputes any tile it crosses. A small edit block whose
-//! strips all ran as Myers words also keeps those words, within
-//! [`EDIT_WORD_BUDGET`], and the traceback walks them instead.
+//! traceback recomputes any tile it crosses. A small block keeps its
+//! cells instead, within [`KEPT_CELL_BUDGET`], and the traceback walks
+//! them: an edit block whose strips all ran as Myers words keeps those
+//! words, and a lane block (every other scheme) its strips' Δ′ lanes, in
+//! place of its border planes, which a reader derives from the lanes.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
-use crate::kernel::{self, LaneKernel, Planes, Strips};
+use crate::kernel::{self, KeptLanes, LaneKernel, Planes, Strips};
 use crate::worker::{block_transfer_stats, TransferStats};
 use smx_align_core::{AlignError, ScoringScheme};
 use smx_diffenc::boundary::BlockBorders;
 
-/// The most bytes of Myers words a traceback-mode edit block keeps for
-/// its walk: 32 bytes per column per 64-row strip, so a 150 × 150 block
-/// takes 14.4 KB, and any block that fits stays in a core's L2. A larger
-/// block keeps only its border planes, and its traceback recomputes.
-pub const EDIT_WORD_BUDGET: usize = 64 << 10;
+/// The most bytes of cells a traceback-mode block without a fault
+/// session keeps for its walk. Myers words take 32 bytes per column of a
+/// 64-row strip, so serve's 150 × 150 edit block keeps 14.4 KB; Δ′ lanes
+/// are charged two bytes a cell (Δv′ and Δh′; the buffer also holds each
+/// strip's ramp diagonals), so a ~350 aa protein block of up to ~190 000
+/// cells keeps ~0.4 MB, and a 512 × 512 block is exactly at the budget.
+/// A larger block, such as a 2 kbp DnaGap pair's (~8 MB of lanes), keeps
+/// only its border planes, and its traceback recomputes.
+pub const KEPT_CELL_BUDGET: usize = 512 << 10;
 
 /// What the coprocessor retains from a block computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,21 +37,49 @@ pub enum BlockMode {
 }
 
 /// Stored tile input borders enabling selective recomputation (paper
-/// Fig. 8a), as two flat border planes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Fig. 8a), as two flat border planes, and the cells a small block kept
+/// for its walk.
+///
+/// A block that kept its lanes captures no planes: they are derived from
+/// the lanes when first read ([`TileBorderStore::input`], `==`), and
+/// [`crate::traceback::traceback_block`] reads each tile's input borders
+/// from the lanes directly. Every reader sees the bytes the sweep would
+/// have stored.
+#[derive(Debug, Clone)]
 pub struct TileBorderStore {
     vl: usize,
     m: usize,
     n: usize,
     t_rows: usize,
     t_cols: usize,
-    /// `t_cols × m`: the Δv′ entering each tile column, one block-height
-    /// column per tile column.
-    dv: Vec<u8>,
-    /// `t_rows × n`: the Δh′ entering each tile row, one block-width row
-    /// per tile row.
-    dh: Vec<u8>,
+    /// `(dv, dh)`. `dv` is `t_cols × m`: the Δv′ entering each tile
+    /// column, one block-height column per tile column. `dh` is `t_rows ×
+    /// n`: the Δh′ entering each tile row, one block-width row per tile
+    /// row.
+    planes: OnceCell<(Vec<u8>, Vec<u8>)>,
+    /// The cells the block kept for its walk.
+    kept: Option<Kept>,
 }
+
+/// The cells a traceback-mode block without a fault session keeps within
+/// [`KEPT_CELL_BUDGET`].
+#[derive(Debug, Clone)]
+pub(crate) enum Kept {
+    /// An edit block's Myers words; its planes are captured too.
+    Words(EditWords),
+    /// A lane block's Δ′ lanes, in place of its planes.
+    Lanes(KeptLanes),
+}
+
+impl PartialEq for TileBorderStore {
+    /// Stores are equal when their geometry and plane bytes are, however
+    /// they keep them.
+    fn eq(&self, other: &TileBorderStore) -> bool {
+        (self.vl, self.m, self.n) == (other.vl, other.m, other.n) && self.planes() == other.planes()
+    }
+}
+
+impl Eq for TileBorderStore {}
 
 impl TileBorderStore {
     /// Tile grid rows.
@@ -83,12 +117,50 @@ impl TileBorderStore {
     pub fn input(&self, ti: usize, tj: usize) -> (&[u8], &[u8]) {
         assert!(ti < self.t_rows && tj < self.t_cols);
         let (rs, cs) = self.tile_span(ti, tj);
-        (&self.dv[tj * self.m..][rs], &self.dh[ti * self.n..][cs])
+        let (dv, dh) = self.planes();
+        (&dv[tj * self.m..][rs], &dh[ti * self.n..][cs])
+    }
+
+    /// Writes the input borders of tile `(ti, tj)` ([`Self::input`]) to
+    /// `dv` and `dh`: from the kept lanes where the planes were never
+    /// derived, so a traceback over them allocates nothing.
+    pub(crate) fn read_input(&self, ti: usize, tj: usize, dv: &mut [u8], dh: &mut [u8]) {
+        match (&self.kept, self.planes.get()) {
+            (Some(Kept::Lanes(lanes)), None) => lanes.input(self.tile_span(ti, tj), dv, dh),
+            _ => {
+                let (stored_dv, stored_dh) = self.input(ti, tj);
+                dv.copy_from_slice(stored_dv);
+                dh.copy_from_slice(stored_dh);
+            }
+        }
+    }
+
+    /// The two planes, derived from the kept lanes on first use.
+    fn planes(&self) -> &(Vec<u8>, Vec<u8>) {
+        self.planes.get_or_init(|| {
+            let (mut dv, mut dh) = border_planes(self.t_cols * self.m, self.t_rows * self.n);
+            for ti in 0..self.t_rows {
+                for tj in 0..self.t_cols {
+                    let (rs, cs) = self.tile_span(ti, tj);
+                    let (dv, dh) = (&mut dv[tj * self.m..][rs], &mut dh[ti * self.n..][cs]);
+                    self.read_input(ti, tj, dv, dh);
+                }
+            }
+            (dv, dh)
+        })
+    }
+
+    /// The cells the block kept for its walk, if any.
+    pub(crate) fn kept(&self) -> Option<&Kept> {
+        self.kept.as_ref()
     }
 
     /// The Δh′ entering the block's top row, as it came in.
     pub(crate) fn top(&self) -> &[u8] {
-        &self.dh[..self.n]
+        match &self.kept {
+            Some(Kept::Lanes(lanes)) => lanes.top(),
+            _ => &self.planes().1[..self.n],
+        }
     }
 
     /// The (row, col) ranges covered by tile `(ti, tj)`.
@@ -130,8 +202,7 @@ fn border_planes(dv_len: usize, dh_len: usize) -> (Vec<u8>, Vec<u8>) {
 
 impl Drop for TileBorderStore {
     fn drop(&mut self) {
-        let planes = (std::mem::take(&mut self.dv), std::mem::take(&mut self.dh));
-        if planes.0.capacity() > 0 {
+        if let Some(planes) = self.planes.take().filter(|(dv, _)| dv.capacity() > 0) {
             // Replacing the slot frees whatever spare it held.
             let _ = SPARE_PLANES.try_with(|spare| spare.set(Some(planes)));
         }
@@ -150,7 +221,7 @@ thread_local! {
 /// fewer rows), strip `s`'s column `j` at `s · n + j`. The traceback
 /// walks them in place and recomputes no tile
 /// ([`crate::traceback::traceback_output`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct EditWords {
     pub(crate) rows: usize,
     n: usize,
@@ -191,14 +262,11 @@ pub struct BlockOutput {
     pub bottom_dh: Vec<u8>,
     /// Δv′ outputs of the rightmost column.
     pub right_dv: Vec<u8>,
-    /// Tile border store ([`BlockMode::Traceback`] only).
+    /// Tile border store ([`BlockMode::Traceback`] only), with the cells
+    /// a small block kept for its walk.
     pub borders: Option<TileBorderStore>,
     /// Memory-transfer ledger for the timing model.
     pub stats: TransferStats,
-    /// The block's Myers words, kept in traceback mode by an edit block
-    /// without a fault session whose strips all ran as words and fit
-    /// [`EDIT_WORD_BUDGET`].
-    pub(crate) words: Option<EditWords>,
 }
 
 /// Computes an `m × n` DP-block by sweeping the tile grid.
@@ -207,9 +275,10 @@ pub struct BlockOutput {
 /// a `session` the block runs strip by strip on every lane kernel (see
 /// `kernel.rs`): `control` is checked whole before each strip, so its
 /// deadline fires within one strip of at most 64 rows, and its cancel
-/// flag alone every `VL` diagonals inside it. In traceback mode, an
-/// edit block whose strips all run as Myers words, and whose words fit
-/// [`EDIT_WORD_BUDGET`], keeps them too. With a `session`, every tile
+/// flag alone every `VL` diagonals inside it. In traceback mode, a block
+/// within [`KEPT_CELL_BUDGET`] keeps its cells too: an edit block whose
+/// strips all run as Myers words keeps them, and a lane block keeps its
+/// Δ′ lanes and captures no planes. With a `session`, every tile
 /// runs through its checksum/watchdog/retry/fallback machinery (see
 /// [`crate::faults`]) and `control` is checked at every tile boundary.
 ///
@@ -253,10 +322,20 @@ pub fn compute_block(
         Some(b) => (b.top_dh.clone(), b.left_dv.clone()),
         None => (vec![0u8; n], vec![0u8; m]),
     };
-    let top_sum: i32 = dh_carry.iter().map(|&d| i32::from(d) + scheme.gap_delete()).sum();
+    let top_sum = match input {
+        Some(b) => b.top_dh.iter().map(|&d| i32::from(d) + scheme.gap_delete()).sum(),
+        None => n as i32 * scheme.gap_delete(),
+    };
     let keep = mode == BlockMode::Traceback;
-    let (mut dv_plane, mut dh_plane) =
-        if keep { border_planes(t_cols * m, t_rows * n) } else { (Vec::new(), Vec::new()) };
+    let edit = matches!(scheme, ScoringScheme::Edit);
+    // A lane block within the budget keeps its lanes in place of planes.
+    let lane_kernel = LaneKernel::current();
+    let mut lanes = (keep && session.is_none() && !edit && 2 * m * n <= KEPT_CELL_BUDGET)
+        .then(|| KeptLanes::new(lane_kernel, vl, &right_dv, &dh_carry));
+    let (mut dv_plane, mut dh_plane) = match keep && lanes.is_none() {
+        true => border_planes(t_cols * m, t_rows * n),
+        false => (Vec::new(), Vec::new()),
+    };
     let mut words = None;
     if let Some(session) = session {
         let epoch = session.begin_epoch();
@@ -284,16 +363,18 @@ pub fn compute_block(
         }
     } else {
         // Tile column 0 and tile row 0 of the planes are the block's
-        // own borders as they came in, before the sweep masks them; the
-        // sweep fills the rest.
-        let planes = keep.then(|| {
-            dv_plane[..m].copy_from_slice(&right_dv);
-            dh_plane[..n].copy_from_slice(&dh_carry);
+        // own borders as they came in, before the sweep masks them (fresh
+        // planes are zero already); the sweep fills the rest.
+        let planes = (keep && lanes.is_none()).then(|| {
+            if input.is_some() {
+                dv_plane[..m].copy_from_slice(&right_dv);
+                dh_plane[..n].copy_from_slice(&dh_carry);
+            }
             Planes { dv: &mut dv_plane, dh: &mut dh_plane }
         });
-        let (rows, edit) = (kernel::word_rows(vl), matches!(scheme, ScoringScheme::Edit));
+        let rows = kernel::word_rows(vl);
         let strips = m.div_ceil(rows);
-        let fits = strips * n * std::mem::size_of::<[u64; 4]>() <= EDIT_WORD_BUDGET;
+        let fits = strips * n * std::mem::size_of::<[u64; 4]>() <= KEPT_CELL_BUDGET;
         words = (keep && edit && fits).then(|| EditWords::new(rows, n, strips));
         let mut job = Strips {
             engine,
@@ -303,9 +384,10 @@ pub fn compute_block(
             dh: &mut dh_carry,
             planes,
             words: words.as_mut().map(|w| &mut w.words[..]),
+            lanes: lanes.as_mut(),
             control,
         };
-        kernel::block(LaneKernel::current(), &mut job)?;
+        kernel::block(lane_kernel, &mut job)?;
         // A strip that ran on lanes cleared the words: the block keeps
         // none, and its traceback recomputes.
         if job.words.is_none() {
@@ -315,22 +397,18 @@ pub fn compute_block(
 
     let right_sum: i32 = right_dv.iter().map(|&d| i32::from(d) + scheme.gap_insert()).sum();
     let stats = block_transfer_stats(m, n, engine.ew(), mode);
+    let planes = match lanes {
+        Some(_) => OnceCell::new(),
+        None => OnceCell::from((dv_plane, dh_plane)),
+    };
+    let kept = words.map(Kept::Words).or(lanes.map(Kept::Lanes));
 
     Ok(BlockOutput {
         score: top_sum + right_sum,
         bottom_dh: dh_carry,
         right_dv,
-        borders: keep.then_some(TileBorderStore {
-            vl,
-            m,
-            n,
-            t_rows,
-            t_cols,
-            dv: dv_plane,
-            dh: dh_plane,
-        }),
+        borders: keep.then_some(TileBorderStore { vl, m, n, t_rows, t_cols, planes, kept }),
         stats,
-        words,
     })
 }
 
@@ -474,6 +552,7 @@ mod tests {
                         dh: &mut dh,
                         planes,
                         words: None,
+                        lanes: None,
                         control: None,
                     };
                     kernel::block(kernel, &mut job).unwrap_or_else(|err| panic!("{ctx}: {err}"));

@@ -83,7 +83,7 @@ impl SmxCoprocessor {
     }
 
     /// Traces back a block previously computed in traceback mode: over
-    /// its kept Myers words when it has them, else by recomputing tiles.
+    /// its kept cells when it has them, else by recomputing tiles.
     ///
     /// # Errors
     ///

@@ -46,21 +46,28 @@
 //!   column loop ([`EditColumn::sweep`]) only steps and stores each
 //!   column's `[pv, mv, ph, mh]`; everything else reads those words
 //!   after it, so the words stay in scalar registers.
-//! * **Border planes** (traceback mode), in a fixed number of vector
-//!   operations per diagonal ([`PlaneCapture`]): one masked OR gathers
-//!   the Δv′ of the lanes crossing a tile-column boundary into an
-//!   accumulator, which leaves for the planes of `TileBorderStore` with
-//!   one store per tile row at the end of each chunk; each inner tile
-//!   row's entering Δh′ is one byte per diagonal of the sweep's `out`
-//!   store. An edit strip reads the same values from the words of each
-//!   tile column once it is swept.
-//! * **Kept words** (traceback mode): an edit block whose strips all
-//!   run as words and fit `EDIT_WORD_BUDGET` stores them in place of
-//!   the per-tile-column scratch, and the traceback walks them ([`Cells`]
-//!   for `[[u64; 4]]`) instead of recomputing tiles.
+//! * **Border planes** (traceback mode, a block that keeps no lanes), in
+//!   a fixed number of vector operations per diagonal ([`PlaneCapture`]):
+//!   one masked OR gathers the Δv′ of the lanes crossing a tile-column
+//!   boundary into an accumulator, which leaves for the planes of
+//!   `TileBorderStore` with one store per tile row at the end of each
+//!   chunk; each inner tile row's entering Δh′ is one byte per diagonal
+//!   of the sweep's `out` store. An edit strip reads the same values from
+//!   the words of each tile column once it is swept.
+//! * **Kept cells** (traceback mode, within `KEPT_CELL_BUDGET`): an edit
+//!   block whose strips all run as words stores them in place of the
+//!   per-tile-column scratch, and a lane block stores every diagonal's
+//!   Δv′ and Δh′ lanes ([`Diagonals`], two vector stores per diagonal)
+//!   into [`KeptLanes`] and captures no planes. The traceback walks either
+//!   ([`Cells`] for `[[u64; 4]]` and [`LaneStrip`]) instead of recomputing
+//!   tiles; a reader of a kept-lane block's planes derives them from the
+//!   lanes.
 //! * **Recompute** (traceback): a tile's interior stays in the layout
 //!   its kernel leaves it in, one fixed [`TileCells`] buffer: lanes by
 //!   diagonal, or an edit tile's Myers words by column.
+//! * **Match words.** Every edit strip and tile sets its query codes'
+//!   entries in one per-thread table and clears them after
+//!   ([`with_match_words`]), so no block or tile fills the 2 KB table.
 //! * **Cancellation.** A block checks its whole token (flag and
 //!   deadline) before each strip, and polls only the cancel flag every
 //!   `VL` diagonals (or columns) inside it, so the clock is read once
@@ -80,7 +87,7 @@ use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use smx_align_core::{AlignError, ElementWidth, ScoringScheme, SubstMatrix};
 use smx_diffenc::pe::{myers_step, pe_reference};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 #[cfg(target_arch = "x86_64")]
 use smx_align_core::dispatch::{avx2_available, force_scalar};
@@ -129,8 +136,6 @@ pub(crate) struct TileCells {
     dh: [u8; TILE_DIAGS * MAX_LANES],
     /// `[pv, mv, ph, mh]` of each column.
     cols: [[u64; 4]; MAX_VL],
-    /// An edit tile's match words; all zero between tiles.
-    peq: [u64; 256],
 }
 
 impl TileCells {
@@ -141,7 +146,6 @@ impl TileCells {
             dv: [0; TILE_DIAGS * MAX_LANES],
             dh: [0; TILE_DIAGS * MAX_LANES],
             cols: [[0; 4]; MAX_VL],
-            peq: [0; 256],
         }
     }
 
@@ -158,14 +162,26 @@ impl TileCells {
 }
 
 /// The cells of one region of a block as the traceback walks them: a
-/// recomputed tile ([`TileCells`]), or one strip of an edit block's kept
+/// recomputed tile ([`TileCells`]), one strip of an edit block's kept
 /// Myers words, `[pv, mv, ph, mh]` per column, where a cell is two bit
-/// tests.
+/// tests, or one strip of a lane block's kept lanes ([`LaneStrip`]).
 pub(crate) trait Cells {
     /// Δv′ of row `i` in column `j`.
     fn dv(&self, i: usize, j: usize) -> u8;
     /// Δh′ of row `i` in column `j`.
     fn dh(&self, i: usize, j: usize) -> u8;
+}
+
+impl<C: Cells + ?Sized> Cells for &C {
+    #[inline]
+    fn dv(&self, i: usize, j: usize) -> u8 {
+        (**self).dv(i, j)
+    }
+
+    #[inline]
+    fn dh(&self, i: usize, j: usize) -> u8 {
+        (**self).dh(i, j)
+    }
 }
 
 impl Cells for [[u64; 4]] {
@@ -202,6 +218,156 @@ impl Cells for TileCells {
     }
 }
 
+thread_local! {
+    /// The lane buffers of this thread's last block that kept its lanes,
+    /// handed back when they dropped: one slot, reused by the next such
+    /// block, which zeroes only what it needs beyond the last one.
+    static SPARE_LANES: Cell<Option<(Vec<u8>, Vec<u8>)>> = const { Cell::new(None) };
+}
+
+/// A traceback-mode lane block's kept cells: its left and top borders as
+/// they came in, then every strip's Δv′ and Δh′ lanes as the sweep left
+/// them, one whole register per diagonal ([`Diagonals`]). Strip `s`
+/// starts at `s · lanes · (n + start[rows − 1])` past `dv0` (`dh0`), and
+/// its row `i`'s cell in column `j` sits at `(j + start[i]) · lanes + i`
+/// from there. The traceback walks the strips in place ([`LaneStrip`])
+/// and recomputes no tile.
+#[derive(Debug, Clone)]
+pub(crate) struct KeptLanes {
+    /// The lane start of each strip row, the rows of a strip, and the
+    /// lanes of a register (the bytes from one diagonal to the next).
+    start: [u8; MAX_LANES],
+    rows: usize,
+    lanes: usize,
+    /// The block's width.
+    n: usize,
+    /// The left border (`m` bytes), then, from `dv0` (aligned to
+    /// `MAX_LANES` bytes), the strips' Δv′ lanes.
+    dv: Vec<u8>,
+    dv0: usize,
+    /// The top border (`n` bytes), then, from `dh0`, the strips' Δh′
+    /// lanes.
+    dh: Vec<u8>,
+    dh0: usize,
+}
+
+impl KeptLanes {
+    /// A block's `left` and `top` borders as they came in, with room
+    /// after them for the lane strips `kernel` sweeps on tiles of side
+    /// `vl` (and up to `MAX_LANES` bytes to align them), in this thread's
+    /// spare buffers when it has them.
+    pub(crate) fn new(kernel: LaneKernel, vl: usize, left: &[u8], top: &[u8]) -> KeptLanes {
+        let (start, rows, lanes) = kernel.strip_layout(vl);
+        let (dv, dh) = SPARE_LANES.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        let (m, n) = (left.len(), top.len());
+        let mut kept = KeptLanes { start, rows, lanes, n, dv, dh, dv0: 0, dh0: 0 };
+        let len = kept.base(m.div_ceil(rows)) + MAX_LANES;
+        let runs = [(&mut kept.dv, &mut kept.dv0, left), (&mut kept.dh, &mut kept.dh0, top)];
+        for (buf, at, border) in runs {
+            grow(buf, border.len() + len);
+            buf[..border.len()].copy_from_slice(border);
+            // Aligned, so that no vector store splits a cache line: with
+            // the lanes 30 bytes apart, the AVX2 protein block's stores
+            // split half the time and it ran ~7% slower.
+            let lead = buf[border.len()..].as_ptr().align_offset(MAX_LANES).min(MAX_LANES);
+            *at = border.len() + lead;
+        }
+        kept
+    }
+
+    /// Where strip `s`'s lanes start, past `dv0` and `dh0`.
+    fn base(&self, s: usize) -> usize {
+        s * self.lanes * (self.n + usize::from(self.start[self.rows - 1]))
+    }
+
+    /// Where the sweep of strip `s` stores its lanes.
+    fn capture(&mut self, s: usize) -> Diagonals<'_> {
+        let at = self.base(s);
+        let (dv, dh) = (&mut self.dv[self.dv0 + at..], &mut self.dh[self.dh0 + at..]);
+        Diagonals { dv, dh, stride: self.lanes }
+    }
+
+    /// Rows of a strip (the last may have fewer).
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The block's top border, as it came in.
+    pub(crate) fn top(&self) -> &[u8] {
+        &self.dh[..self.n]
+    }
+
+    /// Strip `s`'s cells.
+    pub(crate) fn strip(&self, s: usize) -> LaneStrip<'_> {
+        let at = self.base(s);
+        LaneStrip {
+            dv: &self.dv[self.dv0 + at..],
+            dh: &self.dh[self.dh0 + at..],
+            start: &self.start,
+            stride: self.lanes,
+        }
+    }
+
+    /// Writes the Δv′ entering the block rows `rows` from column `c0`
+    /// to `dv`, and the Δh′ entering the block columns `cols` from row
+    /// `r0` to `dh`: the block's own borders at column or row 0, else
+    /// the cells left of or above them. These are the border planes'
+    /// bytes, so a kept-lane block needs no planes.
+    pub(crate) fn input(
+        &self,
+        (rows, cols): (std::ops::Range<usize>, std::ops::Range<usize>),
+        dv: &mut [u8],
+        dh: &mut [u8],
+    ) {
+        let (c0, r0, h) = (cols.start, rows.start, self.rows);
+        for (x, i) in dv.iter_mut().zip(rows) {
+            *x = if c0 == 0 { self.dv[i] } else { self.strip(i / h).dv(i % h, c0 - 1) };
+        }
+        for (x, j) in dh.iter_mut().zip(cols) {
+            *x = if r0 == 0 { self.dh[j] } else { self.strip((r0 - 1) / h).dh((r0 - 1) % h, j) };
+        }
+    }
+}
+
+/// `buf` at least `len` bytes long; bytes it already had keep their
+/// (stale) values, so only the growth is zeroed.
+fn grow(buf: &mut Vec<u8>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+}
+
+impl Drop for KeptLanes {
+    fn drop(&mut self) {
+        let lanes = (std::mem::take(&mut self.dv), std::mem::take(&mut self.dh));
+        if lanes.0.capacity() > 0 {
+            // Replacing the slot frees whatever spare it held.
+            let _ = SPARE_LANES.try_with(|spare| spare.set(Some(lanes)));
+        }
+    }
+}
+
+/// One strip of a block's [`KeptLanes`]: its cells sit by diagonal,
+/// `stride` bytes apart.
+pub(crate) struct LaneStrip<'a> {
+    dv: &'a [u8],
+    dh: &'a [u8],
+    start: &'a [u8; MAX_LANES],
+    stride: usize,
+}
+
+impl Cells for LaneStrip<'_> {
+    #[inline]
+    fn dv(&self, i: usize, j: usize) -> u8 {
+        self.dv[(j + usize::from(self.start[i])) * self.stride + i]
+    }
+
+    #[inline]
+    fn dh(&self, i: usize, j: usize) -> u8 {
+        self.dh[(j + usize::from(self.start[i])) * self.stride + i]
+    }
+}
+
 /// The instantiation of the lane kernel a thread runs. Every one sweeps
 /// the same strips; the x86 ones exist only on x86_64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,6 +399,28 @@ impl LaneKernel {
             return if avx2_available() { LaneKernel::Avx2 } else { LaneKernel::Sse2 };
         }
         LaneKernel::Scalar
+    }
+
+    /// The lane starts and the rows of this instantiation's lane strips
+    /// for tiles of side `vl`.
+    fn strip_layout(self, vl: usize) -> ([u8; MAX_LANES], usize, usize) {
+        match self {
+            LaneKernel::Scalar => (Portable::START, lane_rows::<Portable>(vl), Portable::N),
+            #[cfg(target_arch = "x86_64")]
+            LaneKernel::Sse2 => (Sse2::START, lane_rows::<Sse2>(vl), Sse2::N),
+            #[cfg(target_arch = "x86_64")]
+            LaneKernel::Avx2 => (Avx2::START, lane_rows::<Avx2>(vl), Avx2::N),
+        }
+    }
+}
+
+/// Rows of a lane strip of `V` for tiles of side `vl`: whole tile rows,
+/// or a register's worth of a tile row taller than it.
+fn lane_rows<V: Vector>(vl: usize) -> usize {
+    if vl <= V::N {
+        V::N / vl * vl
+    } else {
+        V::N
     }
 }
 
@@ -327,8 +515,8 @@ pub(crate) fn tile(
         return;
     }
     let mask = ew.max_value() as u8;
-    dv.iter_mut().chain(dh.iter_mut()).for_each(|x| *x &= mask);
-    if matches!(scheme, ScoringScheme::Edit) && in_theta(dv) && in_theta(dh) {
+    let in_theta = mask_in_theta(dv, mask) & mask_in_theta(dh, mask);
+    if matches!(scheme, ScoringScheme::Edit) && in_theta {
         edit_tile(q, r, dv, dh, cells);
         return;
     }
@@ -348,6 +536,15 @@ pub(crate) fn tile(
 /// Whether every value is a valid edit-word delta.
 fn in_theta(border: &[u8]) -> bool {
     border.iter().all(|&x| x <= EDIT_THETA)
+}
+
+/// Masks `border` to EW bits (`mask`) in place and returns whether every
+/// value is then a valid edit-word delta: one pass for both.
+fn mask_in_theta(border: &mut [u8], mask: u8) -> bool {
+    border.iter_mut().fold(true, |ok, x| {
+        *x &= mask;
+        ok & (*x <= EDIT_THETA)
+    })
 }
 
 /// One lane register of [`sweep`]: `N` unsigned byte lanes. Lane `i`
@@ -917,12 +1114,14 @@ impl<V: Vector> Capture<V> for Borders {
     }
 }
 
-/// Stores a one-tile strip's lanes to a [`TileCells`] as they are: two
-/// vector stores per diagonal.
+/// Stores a strip's lanes as they are, two vector stores per diagonal:
+/// diagonal `d`'s Δv′ and Δh′ lanes at `d · stride` of `dv` and `dh`. A
+/// one-tile strip stores to a [`TileCells`] plane, a block strip to its
+/// [`KeptLanes`] run.
 struct Diagonals<'c> {
-    cells: &'c mut TileCells,
-    /// The strip's first tile row.
-    row0: usize,
+    dv: &'c mut [u8],
+    dh: &'c mut [u8],
+    stride: usize,
 }
 
 impl<V: Vector> Capture<V> for Diagonals<'_> {
@@ -938,9 +1137,9 @@ impl<V: Vector> Capture<V> for Diagonals<'_> {
         let mut out = [0u8; MAX_LANES];
         for d in ds {
             let (v, h) = step.diagonal::<V, LIVE>(&mut regs, d, &mut out);
-            let k = d * MAX_LANES + self.row0;
-            v.store(&mut self.cells.dv[k..]);
-            h.store(&mut self.cells.dh[k..]);
+            let k = d * self.stride;
+            v.store(&mut self.dv[k..]);
+            h.store(&mut self.dh[k..]);
         }
         regs
     }
@@ -1676,7 +1875,9 @@ unsafe fn tile_on<V: Vector>(
         Some(cells) => {
             cells.lanes(V::TILE_START);
             for (b, (qb, dvb)) in q.chunks(V::N).zip(dv.chunks_mut(V::N)).enumerate() {
-                let mut cap = Diagonals { cells: &mut *cells, row0: b * V::N };
+                let row0 = b * V::N;
+                let (cells_dv, cells_dh) = (&mut cells.dv[row0..], &mut cells.dh[row0..]);
+                let mut cap = Diagonals { dv: cells_dv, dh: cells_dh, stride: MAX_LANES };
                 tile_strip::<V, _>(qb, r, subst, dvb, dh, &mut cap);
             }
         }
@@ -1723,7 +1924,8 @@ pub(crate) struct Planes<'a> {
 }
 
 /// One block for [`block`]: `dv` (left border in, right border out) and
-/// `dh` (top border in, bottom row out) are carried in place.
+/// `dh` (top border in, bottom row out) are carried in place, and masked
+/// to EW bits on the way in.
 pub(crate) struct Strips<'a> {
     pub(crate) engine: &'a SmxEngine,
     pub(crate) q: &'a [u8],
@@ -1739,6 +1941,9 @@ pub(crate) struct Strips<'a> {
     /// The first strip that runs on lanes clears it, and the block keeps
     /// no words.
     pub(crate) words: Option<&'a mut [[u64; 4]]>,
+    /// Where each lane strip stores its lanes, in place of the planes
+    /// (a lane scheme's block that keeps its cells).
+    pub(crate) lanes: Option<&'a mut KeptLanes>,
     pub(crate) control: Option<&'a CancelToken>,
 }
 
@@ -1790,10 +1995,13 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
     let (dv, dh) = (&mut *job.dv, &mut *job.dh);
     let (m, n, vl) = (q.len(), r.len(), engine.tile_dim());
     let mask = engine.ew().max_value() as u8;
-    dv.iter_mut().chain(dh.iter_mut()).for_each(|x| *x &= mask);
     let edit = matches!(engine.scheme(), ScoringScheme::Edit);
-    let lane_rows = if vl <= V::N { V::N / vl * vl } else { V::N };
+    let lane_rows = lane_rows::<V>(vl);
     let strip_rows = if edit { word_rows(vl) } else { lane_rows };
+    debug_assert!(job.lanes.as_ref().is_none_or(|kept| kept.rows == lane_rows));
+    // Each border is masked and θ-checked in one pass: the top here, the
+    // left a strip at a time. A word strip leaves the carried Δh′ in θ.
+    let mut top_in_theta = mask_in_theta(dh, mask);
     let subst = Subst::of(engine.scheme());
     // Built by the first lane strip in traceback mode: an edit block
     // whose strips all run as words never needs them.
@@ -1804,7 +2012,7 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
     let row_len = n + 2 * PAD + CHUNK;
     for r0 in (0..m).step_by(strip_rows) {
         let rows = strip_rows.min(m - r0);
-        let whole_word = edit && in_theta(&dv[r0..r0 + rows]) && in_theta(dh);
+        let whole_word = mask_in_theta(&mut dv[r0..r0 + rows], mask) && top_in_theta && edit;
         let substrip = if whole_word { rows } else { lane_rows };
         for s0 in (r0..r0 + rows).step_by(substrip) {
             if let Some(t) = control {
@@ -1840,14 +2048,23 @@ unsafe fn block_on<V: Vector>(job: &mut Strips<'_>) -> Result<(), AlignError> {
                 };
             }
             let every = (control, vl);
-            match job.planes.as_mut() {
-                Some(p) => {
+            match (job.lanes.as_deref_mut(), job.planes.as_mut()) {
+                (Some(kept), _) => {
+                    let mut cap = kept.capture(s0 / lane_rows);
+                    lane_strip::<V, _>(qs, r, subst, &scratch, dvs, dh, &mut cap, every)?;
+                }
+                (None, Some(p)) => {
                     let masks = masks.get_or_insert_with(|| boundary_masks::<V>(vl));
                     let mut cap = PlaneCapture::<V>::new(p, masks, s0, h, (m, n, vl));
                     lane_strip::<V, _>(qs, r, subst, &scratch, dvs, dh, &mut cap, every)?;
                 }
-                None => lane_strip::<V, _>(qs, r, subst, &scratch, dvs, dh, &mut Borders, every)?,
+                (None, None) => {
+                    lane_strip::<V, _>(qs, r, subst, &scratch, dvs, dh, &mut Borders, every)?;
+                }
             }
+        }
+        if edit && !whole_word {
+            top_in_theta = in_theta(dh);
         }
     }
     Ok(())
@@ -1885,40 +2102,49 @@ unsafe fn lane_strip<V: Vector, C: Capture<V>>(
 }
 
 /// The edit-word kernel on a tile. `cells`, when given, keeps each
-/// column's words, and lends its match-word table: the tile sets only its
-/// query codes' entries and clears them after, so the table stays zero
-/// between tiles and is never refilled whole.
+/// column's words.
 fn edit_tile(q: &[u8], r: &[u8], dv: &mut [u8], dh: &mut [u8], cells: Option<&mut TileCells>) {
-    let (mut fresh, mut scratch) = (None, [[0u64; 4]; MAX_VL]);
-    let (peq, cols) = match cells {
+    let mut scratch = [[0u64; 4]; MAX_VL];
+    let cols = match cells {
         Some(c) => {
             c.words = true;
-            (&mut c.peq, &mut c.cols)
+            &mut c.cols
         }
-        None => (fresh.insert([0u64; 256]), &mut scratch),
+        None => &mut scratch,
     };
-    add_match_words(peq, q);
     let mut column = EditColumn::enter(dv);
-    column.sweep(r, dh, peq, &mut cols[..r.len()]);
+    with_match_words(q, |peq| column.sweep(r, dh, peq, &mut cols[..r.len()]));
     column.leave(dv);
-    for &a in q {
-        peq[usize::from(a)] = 0;
-    }
 }
 
-/// The match word of every byte against the rows `q` (at most 64): bit
-/// `i` of `[c]` is set when `q[i] == c`.
-fn match_words(q: &[u8]) -> [u64; 256] {
-    let mut peq = [0u64; 256];
-    add_match_words(&mut peq, q);
-    peq
+thread_local! {
+    /// This thread's match-word table ([`with_match_words`]): all zero
+    /// between edit strips and tiles.
+    static MATCH_WORDS: RefCell<[u64; 256]> = const { RefCell::new([0; 256]) };
 }
 
-/// Sets `q`'s bits in a zeroed match-word table ([`match_words`]).
-fn add_match_words(peq: &mut [u64; 256], q: &[u8]) {
-    for (i, &a) in q.iter().enumerate() {
-        peq[usize::from(a)] |= 1 << i;
+/// Runs `f` over this thread's match-word table with the rows `q` (at
+/// most 64) set: bit `i` of `[c]` is set when `q[i] == c`. Only `q`'s
+/// entries are set, and they are cleared after `f`, also when it fails
+/// or unwinds, so the table stays zero between calls and no strip or
+/// tile fills its 2 KB whole.
+fn with_match_words<T>(q: &[u8], f: impl FnOnce(&[u64; 256]) -> T) -> T {
+    /// Clears the entries of `q` on drop.
+    struct Clear<'a>(&'a mut [u64; 256], &'a [u8]);
+    impl Drop for Clear<'_> {
+        fn drop(&mut self) {
+            for &a in self.1 {
+                self.0[usize::from(a)] = 0;
+            }
+        }
     }
+    MATCH_WORDS.with_borrow_mut(|peq| {
+        for (i, &a) in q.iter().enumerate() {
+            peq[usize::from(a)] |= 1 << i;
+        }
+        let table = Clear(peq, q);
+        f(table.0)
+    })
 }
 
 /// A block's planes, with the first block row of a strip and the block
@@ -1954,30 +2180,32 @@ fn edit_strip(
             inner_len += 1;
         }
     }
-    let peq = match_words(q);
     let mut column = EditColumn::enter(dv);
     let mut scratch = [[0u64; 4]; MAX_VL];
-    for (c0, (rs, dhs)) in (0..n).step_by(vl).zip(r.chunks(vl).zip(dh.chunks_mut(vl))) {
-        if control.is_some_and(CancelToken::is_cancelled) {
-            return Err(AlignError::Cancelled);
-        }
-        let cols = match words.as_deref_mut() {
-            Some(words) => &mut words[c0..c0 + rs.len()],
-            None => &mut scratch[..rs.len()],
-        };
-        column.sweep(rs, dhs, &peq, cols);
-        let Some((p, r0, m)) = at.as_mut() else { continue };
-        for &(bit, row) in &inner[..inner_len] {
-            for (x, &[.., ph, mh]) in p.dh[row + c0..].iter_mut().zip(cols.iter()) {
-                *x = shifted(ph, mh, bit);
+    with_match_words(q, |peq| {
+        for (c0, (rs, dhs)) in (0..n).step_by(vl).zip(r.chunks(vl).zip(dh.chunks_mut(vl))) {
+            if control.is_some_and(CancelToken::is_cancelled) {
+                return Err(AlignError::Cancelled);
+            }
+            let cols = match words.as_deref_mut() {
+                Some(words) => &mut words[c0..c0 + rs.len()],
+                None => &mut scratch[..rs.len()],
+            };
+            column.sweep(rs, dhs, peq, cols);
+            let Some((p, r0, m)) = at.as_mut() else { continue };
+            for &(bit, row) in &inner[..inner_len] {
+                for (x, &[.., ph, mh]) in p.dh[row + c0..].iter_mut().zip(cols.iter()) {
+                    *x = shifted(ph, mh, bit);
+                }
+            }
+            let next = c0 + rs.len();
+            if next < n {
+                let [pv, mv, ..] = cols[rs.len() - 1];
+                column_deltas(pv, mv, &mut p.dv[next / vl * *m + *r0..][..rows]);
             }
         }
-        let next = c0 + rs.len();
-        if next < n {
-            let [pv, mv, ..] = cols[rs.len() - 1];
-            column_deltas(pv, mv, &mut p.dv[next / vl * *m + *r0..][..rows]);
-        }
-    }
+        Ok(())
+    })?;
     column.leave(dv);
     Ok(())
 }
@@ -2005,7 +2233,7 @@ impl EditColumn {
     }
 
     /// Steps across the reference codes `r`, with the match words `peq`
-    /// ([`match_words`]): `dh` enters as the Δh′ from above each column
+    /// ([`with_match_words`]): `dh` enters as the Δh′ from above each column
     /// and leaves as the bottom row's, and `cols` gets each column's
     /// `[pv, mv, ph, mh]`. The loop does nothing else, so the words stay
     /// in scalar registers.

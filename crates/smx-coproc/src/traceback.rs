@@ -1,24 +1,25 @@
 //! Traceback with selective tile recomputation (paper §6, Fig. 8a), or
-//! over a small edit block's kept Myers words.
+//! over a small block's kept cells.
 //!
 //! A block's border store holds only tile borders; the traceback walks
 //! from the block's bottom-right corner, recomputing the interior of
 //! exactly the tiles the optimal path crosses (green tiles in Fig. 8a)
-//! and skipping the rest. An edit block that kept its Myers words
-//! ([`crate::block::EDIT_WORD_BUDGET`]) already holds every cell, so
-//! [`traceback_output`] walks those words strip by strip and recomputes
-//! no tile. Every region, a recomputed tile or a strip of words, is
+//! and skipping the rest. A block that kept its cells
+//! ([`crate::block::KEPT_CELL_BUDGET`]: an edit block's Myers words or a
+//! lane block's Δ′ lanes) already holds every one, so
+//! [`traceback_output`] walks them strip by strip and recomputes no
+//! tile. Every region, a recomputed tile or a strip of kept cells, is
 //! walked by one loop with the global tie-break (diagonal ≻ insert ≻
 //! delete), comparing neighbouring scores through the region's deltas.
 //!
 //! Every tile is recomputed into one reused, stack-sized buffer, in the
 //! layout its kernel leaves it in: diagonal-major lanes (two vector stores
 //! per diagonal), or an edit tile's per-column Myers words, read by bit
-//! tests. The walk reads tiles and word strips through one accessor
+//! tests. The walk reads tiles and kept strips through one accessor
 //! ([`Cells`]), so the traceback allocates nothing per region; the CIGAR
 //! is sized once for a path of at most `m + n` steps.
 
-use crate::block::{BlockOutput, EditWords, TileBorderStore};
+use crate::block::{BlockOutput, Kept, TileBorderStore};
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
 use crate::faults::FaultSession;
@@ -37,9 +38,10 @@ pub struct RecomputeStats {
     pub steps: u64,
 }
 
-/// Traces back through a block's output: over its kept Myers words when
-/// it has them and no `session` is given, recomputing nothing; otherwise
-/// through its border store with [`traceback_block`].
+/// Traces back through a block's output: over its kept cells (Myers
+/// words or Δ′ lanes) when it has them and no `session` is given,
+/// recomputing nothing; otherwise through its border store with
+/// [`traceback_block`].
 ///
 /// # Errors
 ///
@@ -57,8 +59,8 @@ pub fn traceback_output(
         .borders
         .as_ref()
         .ok_or_else(|| AlignError::Internal("block was computed in score-only mode".into()))?;
-    match (&output.words, session) {
-        (Some(words), None) => walk_words(engine, query, reference, store, words, control),
+    match (store.kept(), session) {
+        (Some(kept), None) => walk_kept(engine, query, reference, store, kept, control),
         (_, session) => traceback_block(engine, query, reference, store, session, control),
     }
 }
@@ -98,15 +100,17 @@ pub fn traceback_block(
         let (ti, tj) = ((gi - 1) / vl, (gj - 1) / vl);
         let (rspan, cspan) = store.tile_span(ti, tj);
         let (rows, cols) = (rspan.len(), cspan.len());
+        let (mut dv_stored, mut dh_stored) = ([0u8; MAX_VL], [0u8; MAX_VL]);
+        let (dv, dh) = (&mut dv_stored[..rows], &mut dh_stored[..cols]);
+        store.read_input(ti, tj, dv, dh);
         let (mut dv_read, mut dh_read) = ([0u8; MAX_VL], [0u8; MAX_VL]);
         let (dv_left, dh_top) = match session.as_mut() {
             Some(s) => {
-                let (dv, dh) = store.input(ti, tj);
                 let (dv_read, dh_read) = (&mut dv_read[..rows], &mut dh_read[..cols]);
                 s.fetch_input(epoch, ti, tj, dv, dh, dv_read, dh_read)?;
                 (&*dv_read, &*dh_read)
             }
-            None => store.input(ti, tj),
+            None => (&*dv, &*dh),
         };
         let (q_seg, r_seg) = (&query[rspan.clone()], &reference[cspan.clone()]);
         engine.recompute_tile(q_seg, r_seg, dv_left, dh_top, &mut cells)?;
@@ -118,30 +122,55 @@ pub fn traceback_block(
     })
 }
 
-/// Traces back through an edit block's kept Myers words: each strip of
-/// words is one region across the whole block, entered from the strip
-/// above it (or, for the first, from the block's top border), and no
-/// tile is recomputed. `control` is checked before every strip.
-fn walk_words(
+/// Traces back through a block's kept cells, recomputing no tile.
+fn walk_kept(
     engine: &SmxEngine,
     query: &[u8],
     reference: &[u8],
     store: &TileBorderStore,
-    words: &EditWords,
+    kept: &Kept,
     control: Option<&CancelToken>,
 ) -> Result<(Cigar, RecomputeStats), AlignError> {
     check_dims(query, reference, store)?;
-    let (scheme, top, rows) = (engine.scheme(), store.top(), words.rows);
-    trace(store.block_dims(), control, |(gi, gj), cigar, stats| {
-        let s = (gi - 1) / rows;
-        let r0 = s * rows;
-        let above = s.checked_sub(1).map(|s| words.strip(s));
-        let top = |j| above.map_or(top[j], |above| above.dh(rows - 1, j));
-        let q_seg = &query[r0..query.len().min(r0 + rows)];
-        let region = Region { cells: words.strip(s), q: q_seg, r: reference, top };
-        let (li, lj) = region.walk(scheme, (gi - r0, gj), cigar, stats)?;
-        Ok((r0 + li, lj))
-    })
+    let walk = Strips { scheme: engine.scheme(), query, reference, top: store.top(), control };
+    match kept {
+        Kept::Words(words) => walk.walk(words.rows, |s| words.strip(s)),
+        Kept::Lanes(lanes) => walk.walk(lanes.rows(), |s| lanes.strip(s)),
+    }
+}
+
+/// A walk over a block's kept strips.
+struct Strips<'a> {
+    scheme: &'a ScoringScheme,
+    query: &'a [u8],
+    reference: &'a [u8],
+    /// The block's top border.
+    top: &'a [u8],
+    control: Option<&'a CancelToken>,
+}
+
+impl Strips<'_> {
+    /// Walks strips of `rows` rows (the last may have fewer), strip `s`'s
+    /// cells `strip(s)`: each strip is one region across the whole block,
+    /// entered from the strip above it (or, for the first, from the
+    /// block's top border). `control` is checked before every strip.
+    fn walk<C: Cells>(
+        &self,
+        rows: usize,
+        strip: impl Fn(usize) -> C,
+    ) -> Result<(Cigar, RecomputeStats), AlignError> {
+        let (m, n) = (self.query.len(), self.reference.len());
+        trace((m, n), self.control, |(gi, gj), cigar, stats| {
+            let s = (gi - 1) / rows;
+            let r0 = s * rows;
+            let above = s.checked_sub(1).map(&strip);
+            let top = |j| above.as_ref().map_or(self.top[j], |above| above.dh(rows - 1, j));
+            let q_seg = &self.query[r0..m.min(r0 + rows)];
+            let region = Region { cells: &strip(s), q: q_seg, r: self.reference, top };
+            let (li, lj) = region.walk(self.scheme, (gi - r0, gj), cigar, stats)?;
+            Ok((r0 + li, lj))
+        })
+    }
 }
 
 /// Whether `query` and `reference` have the stored block's dimensions.

@@ -1,4 +1,5 @@
-//! Allocation bounds of the border-only block path.
+//! Allocation bounds of the border-only block path, and of the small
+//! blocks that keep their cells in recycled per-thread buffers.
 //!
 //! The block sweep keeps its tile borders in two flat planes and its
 //! strip scratch in one buffer, so a block allocates the same number of
@@ -171,6 +172,37 @@ fn a_second_small_edit_block_on_a_thread_reuses_the_word_buffer() {
                 let ((second, second_stats), reused) = run();
                 assert_eq!(reused + 3, fresh, "the second block allocates no planes and no words");
                 assert_eq!(second, first, "recycled words walk to the same CIGAR");
+                assert_eq!((first_stats.tiles, second_stats.tiles), (0, 0), "no tile recomputed");
+            })
+            .join()
+            .unwrap();
+    });
+}
+
+/// A traceback-mode lane block within the kept-cell budget keeps its Δ′
+/// lanes in a per-thread spare pair of buffers, handed back when its
+/// output drops, and captures no planes: the second 150 × 150 DnaGap
+/// block on a thread makes two allocations fewer than the first (the two
+/// lane buffers), and walks its lanes to the same CIGAR with no tile
+/// recomputed.
+#[test]
+fn a_second_small_lane_block_on_a_thread_reuses_the_lane_buffer() {
+    let e = engine();
+    let mut rng = StdRng::seed_from_u64(0x1A4E);
+    let (q, r) = pair(&mut rng, 150);
+    let run = || {
+        counted(|| {
+            let out = compute_block(&e, &q, &r, None, BlockMode::Traceback, None, None).unwrap();
+            traceback_output(&e, &q, &r, &out, None, None).unwrap()
+        })
+    };
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let ((first, first_stats), fresh) = run();
+                let ((second, second_stats), reused) = run();
+                assert_eq!(reused + 2, fresh, "the second block allocates no lane buffers");
+                assert_eq!(second, first, "recycled lanes walk to the same CIGAR");
                 assert_eq!((first_stats.tiles, second_stats.tiles), (0, 0), "no tile recomputed");
             })
             .join()

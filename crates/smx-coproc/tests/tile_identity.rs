@@ -16,13 +16,15 @@
 //! fault sessions run on the portable lanes too. Small DnaEdit blocks
 //! keep their Myers words, and their traceback walks them to the
 //! reference CIGAR with no tile recomputed; a block with a strip on
-//! lanes, over the word budget or under a fault session recomputes as
-//! before.
+//! lanes, over the kept-cell budget or under a fault session recomputes
+//! as before. Small DnaGap and protein blocks keep their Δ′ lanes the
+//! same way, and their planes, derived from the lanes when read, equal
+//! the reference's.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smx_align_core::{AlignmentConfig, Cigar, ElementWidth, Op, ScoringScheme, SubstMatrix};
-use smx_coproc::block::{compute_block, BlockMode, EDIT_WORD_BUDGET};
+use smx_coproc::block::{compute_block, BlockMode, KEPT_CELL_BUDGET};
 use smx_coproc::lane_kernels::{pinned, supported};
 use smx_coproc::traceback::{traceback_block, traceback_output, RecomputeStats};
 use smx_coproc::{FaultPlan, FaultSession, RecoveryPolicy, SmxEngine, TileBorderStore};
@@ -361,7 +363,7 @@ enum EditBorders {
 /// reference's and no tile is recomputed, in the same steps as the
 /// recompute walk. A block with one strip on lanes keeps no words and
 /// traces back with `traceback_block`'s stats, and so does a block one
-/// column over `EDIT_WORD_BUDGET`, while one exactly at it walks its
+/// column over `KEPT_CELL_BUDGET`, while one exactly at it walks its
 /// words. Under a fault session the block keeps no words either.
 #[test]
 fn edit_blocks_walk_their_words_on_every_lane_kernel() {
@@ -371,7 +373,7 @@ fn edit_blocks_walk_their_words_on_every_lane_kernel() {
     let engine = SmxEngine::new(ew, &scheme).unwrap();
     let theta = scheme.theta() as u8;
     // A strip's words take 32 bytes per column.
-    let budget_cols = EDIT_WORD_BUDGET / 32;
+    let budget_cols = KEPT_CELL_BUDGET / 32;
     let mut shapes = Vec::new();
     for m in [1, 63, 64, 65, 128, 129, 150, 192] {
         for n in [1, 31, 32, 33, 150, 300] {
@@ -457,4 +459,125 @@ fn edit_blocks_walk_their_words_on_every_lane_kernel() {
         }
     }
     assert_eq!((walked, recomputed), (97, 49), "word-path and recompute cases");
+}
+
+/// A lane block (DnaGap, and protein with every code) keeps its Δ′ lanes
+/// in traceback mode, and its traceback walks them: on every
+/// instantiation, for shapes on both sides of the strip and tile edges
+/// (DnaGap: 16-row tiles in 16- or 32-row strips; protein: 10-row tiles
+/// in 10- or 30-row strips), with fresh or random in-θ borders, the CIGAR
+/// equals the reference's and no tile is recomputed, in the same steps as
+/// the recompute walk, which reads its tile borders from the lanes; the
+/// planes derived from the lanes afterwards equal the reference's. A
+/// block exactly at `KEPT_CELL_BUDGET` (two bytes a cell) walks its lanes,
+/// one a column over it recomputes. Under a fault session the block keeps
+/// no lanes: its border store equals the clean one, and its traceback
+/// recomputes through the session.
+#[test]
+fn small_lane_blocks_walk_their_lanes_on_every_lane_kernel() {
+    let mut rng = StdRng::seed_from_u64(0x1A4E_5EED);
+    // Two kept bytes a cell: a 512 × 512 block is exactly at the budget.
+    let side = 512;
+    assert_eq!(2 * side * side, KEPT_CELL_BUDGET);
+    let dna = [1, 15, 16, 17, 31, 32, 33, 70];
+    let protein = [1, 9, 10, 11, 29, 30, 31, 61];
+    let mut cases = Vec::new();
+    for (config, sides) in [(AlignmentConfig::DnaGap, dna), (AlignmentConfig::Protein, protein)] {
+        for m in sides {
+            for n in sides.iter().map(|&s| s + 3 * (s % 2)) {
+                for fresh in [true, false] {
+                    cases.push((config, m, n, fresh));
+                }
+            }
+        }
+    }
+    cases.push((AlignmentConfig::DnaGap, side, side, true));
+    cases.push((AlignmentConfig::DnaGap, side, side + 1, true));
+    let (mut walked, mut recomputed) = (0, 0);
+    for (case, &(config, m, n, fresh)) in cases.iter().enumerate() {
+        let (ew, scheme) = (config.element_width(), config.scoring());
+        let engine = SmxEngine::new(ew, &scheme).unwrap();
+        let card = config.alphabet().cardinality() as u8;
+        // The query takes every code of the alphabet once it is long
+        // enough, in a shuffled order.
+        let mut q: Vec<u8> = (0..m).map(|i| (i % usize::from(card)) as u8).collect();
+        for i in (1..m).rev() {
+            q.swap(i, rng.gen_range(0..=i));
+        }
+        let r: Vec<u8> = q
+            .iter()
+            .cycle()
+            .take(n)
+            .map(|&c| if rng.gen_range(0..5) == 0 { rng.gen_range(0..card) } else { c })
+            .collect();
+        let theta = scheme.theta() as u8;
+        let (top, left) = match fresh {
+            true => DeltaBlock::fresh_borders(m, n),
+            false => (
+                (0..n).map(|_| rng.gen_range(0..=theta)).collect(),
+                (0..m).map(|_| rng.gen_range(0..=theta)).collect(),
+            ),
+        };
+        let whole = DeltaBlock::compute(ew, &q, &r, &scheme, &top, &left).unwrap();
+        let cigar = reference_cigar_within(&whole, &q, &r, &scheme, (&top, &left));
+        let bb = BlockBorders::from_neighbors(top.clone(), left.clone());
+        let lanes = 2 * m * n <= KEPT_CELL_BUDGET;
+        if lanes {
+            walked += 1;
+        } else {
+            recomputed += 1;
+        }
+        for kernel in supported() {
+            let ctx = format!("{kernel:?} {config} case {case} ({m}×{n}) fresh {fresh}");
+            let (out, (path, stats), recompute) = pinned(kernel, || {
+                let out =
+                    compute_block(&engine, &q, &r, Some(&bb), BlockMode::Traceback, None, None)
+                        .unwrap();
+                let walk = traceback_output(&engine, &q, &r, &out, None, None).unwrap();
+                let store = out.borders.as_ref().unwrap();
+                let recompute = traceback_block(&engine, &q, &r, store, None, None).unwrap();
+                (out, walk, recompute)
+            });
+            assert_eq!(out.right_dv, whole.right_dv(), "{ctx}");
+            assert_eq!(out.bottom_dh, whole.bottom_dh(), "{ctx}");
+            assert_eq!(path, cigar, "{ctx} CIGAR");
+            assert_eq!(recompute.0, cigar, "{ctx} recomputed CIGAR");
+            let want = match lanes {
+                true => RecomputeStats { tiles: 0, elements: 0, steps: recompute.1.steps },
+                false => recompute.1,
+            };
+            assert_eq!(stats, want, "{ctx} RecomputeStats");
+            assert!(lanes || stats.tiles > 0, "{ctx}: the recompute path recomputes");
+            assert_store_matches(out.borders.as_ref().unwrap(), &whole, (&top, &left), &ctx);
+        }
+        if fresh && n < side {
+            // A fault session's block keeps no lanes: its planes equal
+            // those the clean block's lanes give, and its traceback
+            // recomputes through the session, as the clean store does.
+            let mut session =
+                FaultSession::new(FaultPlan::new(case as u64, 0.3), RecoveryPolicy::default());
+            let clean = compute_block(&engine, &q, &r, None, BlockMode::Traceback, None, None)
+                .unwrap()
+                .borders;
+            let out = compute_block(
+                &engine,
+                &q,
+                &r,
+                None,
+                BlockMode::Traceback,
+                Some(&mut session),
+                None,
+            )
+            .unwrap();
+            assert_eq!(out.borders, clean, "case {case} ({m}×{n}) store under faults");
+            let (path, stats) =
+                traceback_output(&engine, &q, &r, &out, Some(&mut session), None).unwrap();
+            let store = out.borders.as_ref().unwrap();
+            let recompute = traceback_block(&engine, &q, &r, store, None, None).unwrap();
+            assert_eq!((path, stats), recompute, "case {case} ({m}×{n}) under faults");
+            assert!(stats.tiles > 0, "case {case}: the session's traceback recomputes");
+            assert!(session.stats().invariants_hold(), "case {case}: {:?}", session.stats());
+        }
+    }
+    assert_eq!((walked, recomputed), (257, 1), "lane-walk and recompute cases");
 }
