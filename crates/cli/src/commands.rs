@@ -52,26 +52,15 @@ impl From<&str> for CliError {
 }
 
 /// The switches the CLI knows: `--key`, no value.
-pub const SWITCHES: &[&str] = &[
-    "score-only",
-    "pretty",
-    "help",
-    "strict",
-    "no-degrade",
-    "shed",
-    "breaker",
-    "quarantine",
-    "resume-sessions",
-];
+pub const SWITCHES: &[&str] =
+    &["pretty", "help", "strict", "no-degrade", "shed", "breaker", "quarantine", "resume-sessions"];
 
 /// The options the CLI knows: `--key value`.
 pub const OPTIONS: &[&str] = &[
     "addr",
-    "algorithm",
     "audit-rate",
     "audit-seed",
     "backoff",
-    "band",
     "blocks",
     "breaker-cooldown",
     "breaker-probes",
@@ -87,7 +76,6 @@ pub const OPTIONS: &[&str] = &[
     "count",
     "deadline-ms",
     "devices",
-    "engine",
     "fault-rate",
     "fault-seed",
     "hedge-after-ms",
@@ -98,7 +86,6 @@ pub const OPTIONS: &[&str] = &[
     "max-retries",
     "name",
     "out",
-    "overlap",
     "parse",
     "port",
     "profile",
@@ -119,9 +106,7 @@ pub const OPTIONS: &[&str] = &[
     "supervisor-stale",
     "sv",
     "watchdog",
-    "window",
     "workers",
-    "xdrop",
 ];
 
 /// Top-level usage text.
@@ -129,9 +114,7 @@ pub const USAGE: &str = "\
 smx-cli: SMX heterogeneous sequence alignment (reproduction)
 
 commands:
-  align    --config <cfg> [--algorithm <algo>] [--engine <eng>] [--band N]
-           [--window N --overlap N] [--xdrop F] [--workers N] [--score-only]
-           [--pretty]
+  align    --config <cfg> [--workers N] [--pretty]
            [--fault-rate F] [--fault-seed N] [--max-retries N] [--backoff N]
            [--watchdog N] [--strict] [--no-degrade]
            [--jobs N] [--queue-cap N] [--shed] [--deadline-ms N]
@@ -160,22 +143,24 @@ commands:
   info
 
 configs:    dna-edit | dna-gap | protein | ascii
-algorithms: full | banded | adaptive | xdrop | hirschberg | window
-engines:    software | simd | dpx | gmx | smx-1d | smx-2d | smx | gact
 
-fault injection (align): --fault-rate > 0 runs the batch through the
-batch executor (one job, in input order, unless --jobs says otherwise)
-on a functional SMX device with a seeded deterministic fault plan;
-faulty tiles are retried (--max-retries, --backoff cycles) and then
-recomputed in software unless --strict; a pair whose device attempt
-still fails is recomputed whole on the software path. --no-degrade
-makes the executor fail closed instead: such a pair fails with its
-structured device error, and so does a pair whose audit retry also
-fails (integrity violation). A failed pair prints `failed: <error>`; stderr
-carries the service footer — `# pairs:`, `# failures:`, `# routing:`,
-`# defenses:`, `# pool:`, `# faults:` and one `# device N:` line per
-device, the format `serve` prints at drain. --strict also exits
-non-zero when any pair in a batch fails.
+align: every run aligns on the functional SMX device through the batch
+executor (one inline job, in input order, unless --jobs says otherwise).
+Each pair prints one tab-separated line (query, reference, score=S,
+cigar=C), followed by its rendered rows under --pretty.
+
+fault injection (align): --fault-rate > 0 gives the device a seeded
+deterministic fault plan; faulty tiles are retried (--max-retries,
+--backoff cycles) and then recomputed in software unless --strict; a
+pair whose device attempt still fails is recomputed whole on the
+software path. --no-degrade makes the executor fail closed instead:
+such a pair fails with its structured device error, and so does a pair
+whose audit retry also fails (integrity violation). A failed pair
+prints `failed: <error>`; stderr carries the service footer —
+`# pairs:`, `# failures:`, `# routing:`, `# defenses:`, `# pool:`,
+`# faults:` and one `# device N:` line per device, the format `serve`
+prints at drain. --strict also exits non-zero when any pair in a batch
+fails.
 
 batch service (align): --jobs N runs the batch on N worker threads that
 share the --devices pool (default 1 device), fed from a bounded queue
@@ -245,38 +230,6 @@ fn parse_config(name: &str) -> Result<AlignmentConfig, String> {
         .ok_or_else(|| format!("unknown config {name:?} (try dna-edit, dna-gap, protein, ascii)"))
 }
 
-fn parse_engine(name: &str) -> Result<EngineKind, String> {
-    [
-        EngineKind::Software,
-        EngineKind::Simd,
-        EngineKind::Dpx,
-        EngineKind::Gmx,
-        EngineKind::Smx1d,
-        EngineKind::Smx2d,
-        EngineKind::Smx,
-        EngineKind::Gact,
-    ]
-    .into_iter()
-    .find(|e| e.name() == name)
-    .ok_or_else(|| format!("unknown engine {name:?}"))
-}
-
-fn parse_algorithm(args: &Args) -> Result<Algorithm, String> {
-    let band = args.get_num("band", 64usize).map_err(|e| e.to_string())?;
-    let window = args.get_num("window", 320usize).map_err(|e| e.to_string())?;
-    let overlap = args.get_num("overlap", 128usize).map_err(|e| e.to_string())?;
-    let xdrop = args.get_num("xdrop", 0.08f64).map_err(|e| e.to_string())?;
-    match args.get_or("algorithm", "full") {
-        "full" => Ok(Algorithm::Full),
-        "banded" => Ok(Algorithm::Banded { band }),
-        "adaptive" => Ok(Algorithm::AdaptiveBanded { width: 2 * band + 1 }),
-        "xdrop" => Ok(Algorithm::Xdrop { band, fraction: xdrop }),
-        "hirschberg" => Ok(Algorithm::Hirschberg),
-        "window" => Ok(Algorithm::Window { w: window, o: overlap }),
-        other => Err(format!("unknown algorithm {other:?}")),
-    }
-}
-
 /// Loads records from a FASTA or FASTQ file (by extension).
 fn load_records(path: &str) -> Result<Vec<fasta::Record>, String> {
     let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -288,17 +241,13 @@ fn load_records(path: &str) -> Result<Vec<fasta::Record>, String> {
     }
 }
 
-/// `smx-cli align`: align FASTA/FASTQ files record-by-record.
+/// `smx-cli align`: align FASTA/FASTQ files record by record on the SMX
+/// device, through the batch executor (`align_service`).
 pub fn align(args: &Args) -> Result<(), CliError> {
     let [_, query_path, ref_path] = args.positional.as_slice() else {
         return Err("align needs <query.fa> <reference.fa>".into());
     };
     let config = parse_config(args.get_or("config", "dna-edit"))?;
-    let engine = parse_engine(args.get_or("engine", "smx"))?;
-    let algorithm = parse_algorithm(args)?;
-    let workers = args.get_num("workers", 4usize).map_err(|e| e.to_string())?;
-    let score_only = args.switch("score-only");
-
     let queries = load_records(query_path)?;
     let references = load_records(ref_path)?;
     let named =
@@ -306,65 +255,7 @@ pub fn align(args: &Args) -> Result<(), CliError> {
     if named.is_empty() {
         return Err("no record pairs to align".into());
     }
-
-    let fault_rate = args.get_num("fault-rate", 0.0f64).map_err(|e| e.to_string())?;
-    if service_requested(args) || fault_rate > 0.0 {
-        return align_service(args, &named, config, workers, fault_rate);
-    }
-
-    let mut aligner = SmxAligner::new(config);
-    aligner.algorithm(algorithm).engine(engine).workers(workers).score_only(score_only);
-    let pairs: Vec<SeqPair> = named
-        .iter()
-        .map(|p| SeqPair { query: p.query.clone(), reference: p.reference.clone() })
-        .collect();
-    let report = aligner.run_batch(&pairs).map_err(|e| e.to_string())?;
-
-    let pretty = args.switch("pretty");
-    for (p, o) in named.iter().zip(&report.outcomes) {
-        match (&o.score, &o.alignment) {
-            (Some(s), Some(a)) => {
-                println!("{}\t{}\tscore={s}\tcigar={}", p.query_id, p.reference_id, a.cigar);
-                if pretty {
-                    match smx::align::pretty::render(&a.cigar, &p.query, &p.reference, 60) {
-                        Ok(text) => print!("{text}"),
-                        Err(e) => eprintln!("# render failed: {e}"),
-                    }
-                }
-            }
-            (Some(s), None) => println!("{}\t{}\tscore={s}", p.query_id, p.reference_id),
-            (None, _) => println!("{}\t{}\tdropped", p.query_id, p.reference_id),
-        }
-    }
-    eprintln!(
-        "# engine={engine} cycles={:.0} ({:.3} GCUPS at 1 GHz, {} pairs)",
-        report.timing.cycles,
-        report.gcups(),
-        pairs.len()
-    );
-    Ok(())
-}
-
-/// Whether any batch-service flag was given, routing `align` through the
-/// [`BatchExecutor`] instead of the plain [`SmxAligner`] path.
-fn service_requested(args: &Args) -> bool {
-    args.get("jobs").is_some()
-        || args.get("queue-cap").is_some()
-        || args.get("deadline-ms").is_some()
-        || args.get("checkpoint").is_some()
-        || args.get("resume").is_some()
-        || args.switch("shed")
-        || args.switch("breaker")
-        || args.get("breaker-window").is_some()
-        || args.get("breaker-threshold").is_some()
-        || args.get("breaker-cooldown").is_some()
-        || args.get("breaker-probes").is_some()
-        || args.get("devices").is_some()
-        || args.get("silent-rate").is_some()
-        || args.get("audit-rate").is_some()
-        || args.get("audit-seed").is_some()
-        || args.get("hedge-after-ms").is_some()
-        || quarantine_requested(args)
+    align_service(args, &named, config)
 }
 
 /// Whether any quarantine flag was given, enabling health scoring and
@@ -387,14 +278,11 @@ fn recovery_policy(args: &Args) -> Result<RecoveryPolicy, String> {
     })
 }
 
-/// Builds the (possibly fault-injected) template device shared by the
-/// batch-service path and the server.
-fn service_device(
-    args: &Args,
-    config: AlignmentConfig,
-    workers: usize,
-    fault_rate: f64,
-) -> Result<SmxDevice, String> {
+/// Builds the (possibly fault-injected) template device shared by
+/// `align` and `serve`.
+fn service_device(args: &Args, config: AlignmentConfig) -> Result<SmxDevice, String> {
+    let workers = args.get_num("workers", 4usize).map_err(|e| e.to_string())?;
+    let fault_rate = args.get_num("fault-rate", 0.0f64).map_err(|e| e.to_string())?;
     let silent_rate = args.get_num("silent-rate", 0.0f64).map_err(|e| e.to_string())?;
     let mut dev = SmxDevice::new(config, workers).map_err(|e| e.to_string())?;
     if fault_rate > 0.0 || silent_rate > 0.0 {
@@ -405,7 +293,7 @@ fn service_device(
     Ok(dev)
 }
 
-/// Parses the executor flags shared by `align --jobs ...` and `serve`.
+/// Parses the executor flags shared by `align` and `serve`.
 fn executor_config(args: &Args) -> Result<ExecutorConfig, String> {
     use std::time::Duration;
 
@@ -509,21 +397,20 @@ enum StrictFailure<'a> {
     Shed,
 }
 
-/// Batch-service path for `align`, taken for every fault-injected run
-/// too: worker pool, backpressure, deadlines, circuit breaker, fault
-/// recovery, and crash-safe checkpoint/resume.
+/// The one `align` path: the batch executor over the SMX device, with
+/// worker pool, backpressure, deadlines, circuit breaker, fault
+/// recovery, and crash-safe checkpoint/resume. The default `--jobs 1`
+/// runs the pairs inline, in input order.
 fn align_service(
     args: &Args,
     named: &[smx_io::pairs::NamedPair],
     config: AlignmentConfig,
-    workers: usize,
-    fault_rate: f64,
 ) -> Result<(), CliError> {
     use smx::service::{PairOutcome, RunOptions};
     use smx_io::checkpoint::{CheckpointWriter, Manifest};
     use std::path::Path;
 
-    let dev = service_device(args, config, workers, fault_rate)?;
+    let dev = service_device(args, config)?;
     let cfg = executor_config(args)?;
     let exec = BatchExecutor::new(dev, cfg).map_err(|e| e.to_string())?;
 
@@ -570,10 +457,20 @@ fn align_service(
     );
     (report.stats.syncs, report.stats.synced_records) = (synced, synced);
 
+    let pretty = args.switch("pretty");
     for (p, outcome) in named.iter().zip(&report.outcomes) {
         match outcome {
             PairOutcome::Aligned(a) => {
-                println!("{}\t{}\tscore={}\tcigar={}", p.query_id, p.reference_id, a.score, a.cigar)
+                println!(
+                    "{}\t{}\tscore={}\tcigar={}",
+                    p.query_id, p.reference_id, a.score, a.cigar
+                );
+                if pretty {
+                    match smx::align::pretty::render(&a.cigar, &p.query, &p.reference, 60) {
+                        Ok(text) => print!("{text}"),
+                        Err(e) => eprintln!("# render failed: {e}"),
+                    }
+                }
             }
             PairOutcome::Failed(e) => {
                 println!("{}\t{}\tfailed: {e}", p.query_id, p.reference_id)
@@ -678,9 +575,7 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     use std::time::Duration;
 
     let config = parse_config(args.get_or("config", "dna-edit"))?;
-    let workers = args.get_num("workers", 4usize).map_err(|e| e.to_string())?;
-    let fault_rate = args.get_num("fault-rate", 0.0f64).map_err(|e| e.to_string())?;
-    let dev = service_device(args, config, workers, fault_rate)?;
+    let dev = service_device(args, config)?;
     let exec = executor_config(args)?;
 
     // The bucket is off (infinite rate) unless --rate is given; --burst
@@ -920,31 +815,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_and_engine_parsing() {
+    fn config_parsing() {
         assert_eq!(parse_config("protein").unwrap(), AlignmentConfig::Protein);
         assert!(parse_config("dna").is_err());
-        assert_eq!(parse_engine("smx-1d").unwrap(), EngineKind::Smx1d);
-        assert!(parse_engine("tpu").is_err());
-    }
-
-    #[test]
-    fn algorithm_parsing_with_params() {
-        let a = Args::parse(
-            ["--algorithm", "banded", "--band", "32"].iter().map(|s| s.to_string()),
-            SWITCHES,
-            OPTIONS,
-        )
-        .unwrap();
-        assert_eq!(parse_algorithm(&a).unwrap(), Algorithm::Banded { band: 32 });
-        let w = Args::parse(
-            ["--algorithm", "window", "--window", "64", "--overlap", "16"]
-                .iter()
-                .map(|s| s.to_string()),
-            SWITCHES,
-            OPTIONS,
-        )
-        .unwrap();
-        assert_eq!(parse_algorithm(&w).unwrap(), Algorithm::Window { w: 64, o: 16 });
     }
 
     #[test]
@@ -974,17 +847,9 @@ mod tests {
         fasta::write(File::create(&rp).unwrap(), &rs).unwrap();
 
         let align_args = Args::parse(
-            [
-                "align",
-                "--config",
-                "dna-edit",
-                "--algorithm",
-                "hirschberg",
-                qp.to_str().unwrap(),
-                rp.to_str().unwrap(),
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+            ["align", "--config", "dna-edit", qp.to_str().unwrap(), rp.to_str().unwrap()]
+                .iter()
+                .map(|s| s.to_string()),
             SWITCHES,
             OPTIONS,
         )

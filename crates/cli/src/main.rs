@@ -1,14 +1,16 @@
 //! `smx-cli`: command-line front end for the SMX reproduction.
 //!
 //! ```text
-//! smx-cli align    --config dna-edit [--algorithm full|banded|xdrop|hirschberg|window]
-//!                  [--engine simd|smx-1d|smx-2d|smx] [--band N] [--score-only]
-//!                  <query.fa> <reference.fa>
+//! smx-cli align    --config dna-edit [--jobs N] [--pretty] <query.fa> <reference.fa>
 //! smx-cli serve    --config dna-edit --port 0 [--jobs N] [--checkpoint-dir DIR]
 //! smx-cli datagen  --config dna-gap --len 1000 --count 4 --profile ont --seed 7 --out pairs.fa
 //! smx-cli simulate --config protein --len 1000 --blocks 8 --workers 4
 //! smx-cli info
 //! ```
+//!
+//! `align` always aligns on the SMX device through the batch executor
+//! (one inline job unless `--jobs` says otherwise); `serve` runs the
+//! same executor behind a TCP front door.
 //!
 //! ## Exit codes
 //!

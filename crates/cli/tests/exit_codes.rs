@@ -1,7 +1,9 @@
 //! End-to-end exit-code contract for `--strict` batches: shed, deadline,
 //! and integrity failures each get a distinct process exit code so
 //! pipelines can branch without parsing stderr, and a torn checkpoint
-//! tail is reported with its byte offset on resume.
+//! tail is reported with its byte offset on resume. Also `align`'s one
+//! path: a plain run prints what a parallel batch prints, `--pretty`
+//! adds rows under each result line, and removed flags fail.
 
 use std::fs;
 use std::path::Path;
@@ -211,15 +213,90 @@ fn strict_tile_policy_degrades_whole_pairs_byte_identically() {
     );
 }
 
+/// One `align` path: a plain run and a `--jobs 2` batch print the same
+/// bytes, on a DnaGap pair over 16 M cells too, where a dense DP would
+/// hand off to a co-optimal linear-memory path.
+#[test]
+fn plain_align_prints_what_a_parallel_batch_prints() {
+    let dir = tempdir("onepath");
+    let pairs = dir.join("pairs.fa");
+    let pairs_s = pairs.to_string_lossy().into_owned();
+    let gen = run(&[
+        "datagen",
+        "--config",
+        "dna-gap",
+        "--len",
+        "4100",
+        "--count",
+        "1",
+        "--profile",
+        "ont",
+        "--seed",
+        "5",
+        "--out",
+        &pairs_s,
+    ]);
+    assert!(gen.status.success(), "stderr: {}", String::from_utf8_lossy(&gen.stderr));
+    // Split the interleaved q0, r0, ... records into two files.
+    let text = fs::read_to_string(&pairs).unwrap();
+    let (mut q, mut r, mut lens) = (String::new(), String::new(), Vec::new());
+    for (i, record) in text.split('>').skip(1).enumerate() {
+        lens.push(record.lines().skip(1).map(str::len).sum::<usize>());
+        [&mut q, &mut r][i % 2].push_str(&format!(">{record}"));
+    }
+    assert!(lens[0] * lens[1] > 16_000_000, "pair too small to pin: {lens:?}");
+    let (qp, rp) = (dir.join("q.fa"), dir.join("r.fa"));
+    fs::write(&qp, q).unwrap();
+    fs::write(&rp, r).unwrap();
+    let (qp, rp) = (qp.to_string_lossy().into_owned(), rp.to_string_lossy().into_owned());
+
+    let plain = run(&["align", "--config", "dna-gap", &qp, &rp]);
+    assert!(plain.status.success(), "stderr: {}", String::from_utf8_lossy(&plain.stderr));
+    let batch = run(&["align", "--config", "dna-gap", "--jobs", "2", &qp, &rp]);
+    assert!(batch.status.success(), "stderr: {}", String::from_utf8_lossy(&batch.stderr));
+    assert!(!plain.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&plain.stdout),
+        String::from_utf8_lossy(&batch.stdout),
+        "plain align and the --jobs 2 batch disagree"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `--pretty` keeps each pair's result line and renders the alignment
+/// rows under it.
+#[test]
+fn pretty_align_renders_rows_under_the_result_line() {
+    let dir = tempdir("pretty");
+    let (q, r) = write_pairs(&dir, 2, 120);
+    let plain = run(&["align", &q, &r]);
+    let pretty = run(&["align", "--pretty", &q, &r]);
+    assert!(pretty.status.success(), "stderr: {}", String::from_utf8_lossy(&pretty.stderr));
+    let plain = String::from_utf8_lossy(&plain.stdout);
+    let pretty = String::from_utf8_lossy(&pretty.stdout);
+    let first = pretty.lines().next();
+    assert!(first.is_some_and(|l| l.starts_with("q0\tr0\tscore=")), "stdout: {pretty}");
+    assert_eq!(first, plain.lines().next(), "stdout: {pretty}");
+    let rows: Vec<&str> = pretty.lines().skip(1).take_while(|l| !l.starts_with("q1\t")).collect();
+    assert!(rows.first().is_some_and(|l| l.starts_with("query ")), "stdout: {pretty}");
+    assert!(rows.iter().any(|l| l.starts_with("reference ")), "stdout: {pretty}");
+    assert!(pretty.lines().any(|l| Some(l) == plain.lines().nth(1)), "stdout: {pretty}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_options_fail_with_the_usage_error_code() {
     let dir = tempdir("unknown");
     let (q, r) = write_pairs(&dir, 1, 50);
-    // A removed option, a typo'd switch, and a removed serve switch: each
-    // fails before any work, naming the key, instead of being ignored or
-    // swallowing the next token.
-    let cases: [(&[&str], &str); 3] = [
+    // Removed options and switches (the model's algorithm, engine and
+    // score-only flags among them), a typo'd switch, and a removed serve
+    // switch: each fails before any work, naming the key, instead of
+    // being ignored or swallowing the next token.
+    let cases: [(&[&str], &str); 6] = [
         (&["align", "--baseline", "simd", &q, &r], "--baseline"),
+        (&["align", "--algorithm", "banded", &q, &r], "--algorithm"),
+        (&["align", "--engine", "simd", &q, &r], "--engine"),
+        (&["align", "--score-only", &q, &r], "--score-only"),
         (&["align", "--stirct", &q, &r], "--stirct"),
         (&["serve", "--steal", "off"], "--steal"),
     ];
