@@ -3,7 +3,9 @@
 //! golden-model DP they are all validated against, and the host SIMD
 //! score kernel the pool's audit runs. Run with `cargo bench
 //! -p smx-bench`; each row prints as `group/name: N ns/iter  X Melem/s`,
-//! the best mean over `ROUNDS` rounds of five calls.
+//! the best mean over `ROUNDS` rounds of five calls. The first golden
+//! row runs again last, and its end/start ratio flags a run whose host
+//! changed pace between the two ([`DRIFT_BAND`]).
 
 use std::hint::black_box;
 
@@ -27,9 +29,15 @@ use smx_bench::time;
 /// runs of a row agree within ~10%.
 const ROUNDS: usize = 25;
 
-/// Times `f` and prints its row; `elems` (elements processed per call)
-/// adds the throughput column.
-fn bench<T>(group: &str, name: &str, elems: Option<u64>, mut f: impl FnMut() -> T) {
+/// The end/start ratio of the repeated golden row outside which a run is
+/// flagged: a shared host can fall into a slow phase in which every row
+/// reads ~1.5× slower, unchanged ones included, and rows compare only
+/// within one run.
+const DRIFT_BAND: (f64, f64) = (0.8, 1.25);
+
+/// Times `f`, prints its row and returns its ns per call; `elems`
+/// (elements processed per call) adds the throughput column.
+fn bench<T>(group: &str, name: &str, elems: Option<u64>, mut f: impl FnMut() -> T) -> u64 {
     const ITERS: u32 = 5;
     let secs = time(ROUNDS, || {
         for _ in 0..ITERS {
@@ -40,6 +48,7 @@ fn bench<T>(group: &str, name: &str, elems: Option<u64>, mut f: impl FnMut() -> 
     let rate =
         elems.map_or(String::new(), |n| format!("  {:.3} Melem/s", n as f64 * 1e3 / ns as f64));
     println!("{group}/{name}: {ns} ns/iter{rate}");
+    ns
 }
 
 fn seq(len: usize, seed: u64, card: u64) -> Vec<u8> {
@@ -69,7 +78,8 @@ fn main() {
     let (q, r) = (seq(512, 3, 4), seq(512, 11, 4));
     let cells = Some((q.len() * r.len()) as u64);
     let g = "block_512x512";
-    bench(g, "golden_score", cells, || dp::score_only(black_box(&q), &r, &scheme));
+    let golden = || dp::score_only(black_box(&q), &r, &scheme);
+    let golden_start = bench(g, "golden_score", cells, golden);
     let mut unit = Smx1dUnit::configure(cfg.element_width(), &scheme).unwrap();
     bench(g, "smx1d_score", cells, || {
         kernels::score_block(&mut unit, black_box(&q), &r, None).unwrap()
@@ -176,4 +186,13 @@ fn main() {
         let sim = CoprocSim::new(CoprocTimingConfig::for_ew(ew2, 4));
         bench("timing_sim", "coproc_10k_block", None, || sim.simulate_uniform(black_box(shape), 4));
     }
+
+    let drift = bench(g, "golden_score_end", cells, golden) as f64 / golden_start as f64;
+    let (lo, hi) = DRIFT_BAND;
+    let verdict = if (lo..=hi).contains(&drift) {
+        "steady"
+    } else {
+        "FLAGGED: the host changed pace during this run; rerun before comparing its rows"
+    };
+    println!("{g}/golden_score end/start: {drift:.3} (band {lo}–{hi}) {verdict}");
 }

@@ -48,7 +48,7 @@ fn main() {
 
 #[cfg(feature = "failpoints")]
 mod armed {
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
     use std::io::Write as _;
     use std::time::Duration;
 
@@ -56,13 +56,14 @@ mod armed {
     use rand::SeedableRng;
     use smx::failpoint::{self, Action, FailSchedule};
     use smx::prelude::*;
-    use smx::server::proto::{read_frame, write_frame, Request, Response};
+    use smx::server::proto::{ProtoError, Request, Response};
     use smx::server::tenant::{Priority, TenantPolicy};
     use smx::service::ServiceStats;
     use smx::{
-        RetryConfig, Server, ServerConfig, ServerHandle, ShardSnapshot, SmxDevice, SupervisorConfig,
+        Client, RetryConfig, Server, ServerConfig, ServerHandle, ShardSnapshot, SmxDevice,
+        SupervisorConfig,
     };
-    use smx_bench::{header, make_pair, percentile, quick_mode, scaled, storm_device, Session};
+    use smx_bench::{header, make_pair, percentile, quick_mode, scaled, storm_device};
 
     const CONFIG: AlignmentConfig = AlignmentConfig::DnaEdit;
     const PAIR_LEN: usize = 64;
@@ -193,19 +194,39 @@ mod armed {
         s
     }
 
-    /// Opens a session, retrying: the HELLO exchange itself runs through
-    /// the proto failpoints, and a just-dropped predecessor connection
-    /// may still hold the session busy for a beat. Short timeouts make an
-    /// injected dead connection surface as an error, never a hang.
-    fn try_open(addr: std::net::SocketAddr, session: &str) -> Option<Session> {
+    /// One client round: opens `session`, submits `pairs`, sends BYE and
+    /// hands each reply to `each` as it arrives, until DONE or the
+    /// connection ends. The open retries: the HELLO exchange itself runs
+    /// through the proto failpoints, and a just-dropped predecessor
+    /// connection may still hold the session busy for a beat. A failed
+    /// submit ends the submission, not the round: the pairs already sent
+    /// still get their replies. Short timeouts make an injected dead
+    /// connection end the round, never hang it. Returns whether a
+    /// session opened.
+    fn round<'a>(
+        addr: std::net::SocketAddr,
+        session: &str,
+        pairs: impl IntoIterator<Item = &'a Request>,
+        each: impl FnMut(Response),
+    ) -> bool {
         let timeout = Duration::from_secs(2);
-        for _ in 0..40 {
-            if let Ok(sess) = Session::open(addr, session, "chaos", Priority::Normal, timeout) {
-                return Some(sess);
+        let open = || -> Result<Client, ProtoError> {
+            let mut client = Client::connect(addr, timeout)?;
+            client.hello(session, "chaos", Priority::Normal, 0)?;
+            Ok(client)
+        };
+        let opened = (0..40)
+            .find_map(|_| open().map_err(|_| std::thread::sleep(Duration::from_millis(25))).ok());
+        let Some(mut client) = opened else { return false };
+        for req in pairs {
+            if client.send(req).is_err() {
+                break;
             }
-            std::thread::sleep(Duration::from_millis(25));
         }
-        None
+        // A round that ends on a connection error is a chaos outcome:
+        // its unacked pairs stay pending for the next round.
+        let _ = client.bye(each);
+        true
     }
 
     struct RunSummary {
@@ -240,10 +261,10 @@ mod armed {
 
         let mut handle = Some(chaos_server(&dir, false));
         let mut addr = must_some(handle.as_ref(), "live handle").addr();
-        // First-ack values; byte-identity is checked against `reference`
-        // on every RESULT, so re-acks are transitively identical too.
-        let mut acked: HashMap<usize, ()> = HashMap::new();
-        let mut acked_before_crash: Vec<usize> = Vec::new();
+        // Byte-identity is checked against `reference` on every RESULT,
+        // so re-acks are transitively identical too.
+        let mut acked: HashSet<usize> = HashSet::new();
+        let mut acked_before_crash: HashSet<usize> = HashSet::new();
         let mut crashed = false;
         let mut resubmit_all = false;
         let mut rounds = 0usize;
@@ -273,7 +294,7 @@ mod armed {
                 // manifest — recomputing one means its fsynced record
                 // was lost.
                 crashed = true;
-                acked_before_crash = acked.keys().copied().collect();
+                acked_before_crash = acked.clone();
                 if let Some(h) = handle.take() {
                     h.crash();
                 }
@@ -281,60 +302,60 @@ mod armed {
                 addr = must_some(handle.as_ref(), "live handle").addr();
                 resubmit_all = true;
             }
-            let Some(mut sess) = try_open(addr, "chaos") else { continue };
-            let mut submitted = 0usize;
-            for req in workload {
-                let Request::Pair { id, .. } = req else { continue };
-                if !resubmit_all && acked.contains_key(id) {
-                    continue;
-                }
-                // A crash run must actually crash with acks at stake:
-                // hold back half the workload until the kill has fired,
-                // so the run can never complete in a single pre-crash
-                // round.
-                if crash_mid && !crashed && submitted >= workload.len() / 2 {
-                    break;
-                }
-                if write_frame(&mut sess.wr, &req.encode()).is_err() {
-                    break;
-                }
-                submitted += 1;
-            }
-            let _ = write_frame(&mut sess.wr, &Request::Bye.encode());
-            while let Ok(Some(frame)) = read_frame(&mut sess.rd) {
-                match Response::parse(&frame) {
-                    Ok(Response::Result { id, score, cigar, resumed }) => {
-                        let Some((want_score, want_cigar)) = reference.get(id) else {
-                            return finish(Err(format!("RESULT for unknown pair {id}")));
-                        };
-                        if score != *want_score || cigar != *want_cigar {
-                            return finish(Err(format!(
+            // A crash run must actually crash with acks at stake: hold
+            // back half the workload until the kill has fired, so the run
+            // can never complete in a single pre-crash round.
+            let cap = if crash_mid && !crashed { workload.len() / 2 } else { workload.len() };
+            let pending: Vec<&Request> = workload
+                .iter()
+                .filter(|req| {
+                    resubmit_all || !matches!(req, Request::Pair { id, .. } if acked.contains(id))
+                })
+                .take(cap)
+                .collect();
+            // The first violation ends the run once the round is read.
+            let mut violation = None;
+            let opened = round(addr, "chaos", pending, |frame| match frame {
+                _ if violation.is_some() => {}
+                Response::Result { id, score, cigar, resumed } => {
+                    violation = match reference.get(id) {
+                        None => Some(format!("RESULT for unknown pair {id}")),
+                        Some((want_score, want_cigar))
+                            if score != *want_score || cigar != *want_cigar =>
+                        {
+                            Some(format!(
                                 "pair {id} diverged from fault-free reference: got \
                                  {score}/{cigar}, want {want_score}/{want_cigar}"
-                            )));
+                            ))
                         }
-                        if crashed && !resumed && acked_before_crash.contains(&id) {
-                            return finish(Err(format!(
+                        Some(_) if crashed && !resumed && acked_before_crash.contains(&id) => {
+                            Some(format!(
                                 "acked-but-lost: pair {id} was acked before the crash but \
                                  recomputed (not replayed) after resume"
-                            )));
+                            ))
                         }
-                        acked.insert(id, ());
-                    }
-                    Ok(Response::Reject { id, reason, .. }) => {
-                        return finish(Err(format!(
-                            "unexpected REJECT for pair {id} ({reason:?}) under a generous \
-                             admission policy"
-                        )));
-                    }
-                    // Typed FAILs are legitimate chaos outcomes (e.g.
-                    // "checkpoint write failed"); the pair stays pending
-                    // and is resubmitted next round.
-                    Ok(Response::Fail { .. }) => {}
-                    Ok(Response::Done { .. }) => break,
-                    Ok(_) => {}
-                    Err(_) => break,
+                        Some(_) => {
+                            acked.insert(id);
+                            None
+                        }
+                    };
                 }
+                Response::Reject { id, reason, .. } => {
+                    violation = Some(format!(
+                        "unexpected REJECT for pair {id} ({reason:?}) under a generous \
+                         admission policy"
+                    ));
+                }
+                // Typed FAILs are legitimate chaos outcomes (e.g.
+                // "checkpoint write failed"); the pair stays pending and
+                // is resubmitted next round.
+                _ => {}
+            });
+            if let Some(v) = violation {
+                return finish(Err(v));
+            }
+            if !opened {
+                continue;
             }
             resubmit_all = false;
             stale = if acked.len() > acked_at_round_start { 0 } else { stale + 1 };
@@ -537,7 +558,7 @@ mod armed {
         reference: &[(i32, String)],
         tag: &str,
     ) -> Vec<f64> {
-        let mut acked: HashMap<usize, ()> = HashMap::new();
+        let mut acked: HashSet<usize> = HashSet::new();
         let mut lat_ms: Vec<f64> = Vec::new();
         let t0 = std::time::Instant::now();
         let mut rounds = 0usize;
@@ -549,34 +570,21 @@ mod armed {
                 acked.len(),
                 workload.len()
             );
-            let Some(mut sess) = try_open(addr, session) else { continue };
-            for req in workload {
-                let Request::Pair { id, .. } = req else { continue };
-                if acked.contains_key(id) {
-                    continue;
-                }
-                if write_frame(&mut sess.wr, &req.encode()).is_err() {
-                    break;
-                }
-            }
-            let _ = write_frame(&mut sess.wr, &Request::Bye.encode());
-            while let Ok(Some(frame)) = read_frame(&mut sess.rd) {
-                match Response::parse(&frame) {
-                    Ok(Response::Result { id, score, cigar, .. }) => {
-                        check_reference(id, score, &cigar, reference, tag);
-                        if acked.insert(id, ()).is_none() {
-                            lat_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                        }
+            let pending: Vec<&Request> = workload
+                .iter()
+                .filter(|req| !matches!(req, Request::Pair { id, .. } if acked.contains(id)))
+                .collect();
+            // Stranded-on-a-dead-shard pairs fail typed and are
+            // resubmitted next round; anything else mid-failover stays
+            // pending the same way.
+            round(addr, session, pending, |frame| {
+                if let Response::Result { id, score, cigar, .. } = frame {
+                    check_reference(id, score, &cigar, reference, tag);
+                    if acked.insert(id) {
+                        lat_ms.push(t0.elapsed().as_secs_f64() * 1e3);
                     }
-                    // Stranded-on-a-dead-shard pairs fail typed and are
-                    // resubmitted next round; anything else mid-failover
-                    // stays pending the same way.
-                    Ok(Response::Fail { .. }) => {}
-                    Ok(Response::Done { .. }) => break,
-                    Ok(_) => {}
-                    Err(_) => break,
                 }
-            }
+            });
         }
         lat_ms.sort_by(f64::total_cmp);
         lat_ms
@@ -790,33 +798,19 @@ mod armed {
             // rounds replay completed pairs from the manifest (no worker
             // involved), so a free-running site accrues hits on idle
             // beats alone — bound the wait by wall clock, not rounds.
-            let mut acked: Vec<usize> = Vec::new();
+            let mut acked: HashSet<usize> = HashSet::new();
             let kill_deadline = std::time::Instant::now() + Duration::from_secs(60);
             loop {
                 assert!(
                     std::time::Instant::now() < kill_deadline,
                     "child outlived kill={site}:{hit} for 60 s (seed {seed})"
                 );
-                if let Some(mut sess) = try_open(addr, "kchaos") {
-                    for req in workload {
-                        if write_frame(&mut sess.wr, &req.encode()).is_err() {
-                            break;
-                        }
+                round(addr, "kchaos", workload, |frame| {
+                    if let Response::Result { id, score, cigar, .. } = frame {
+                        check_reference(id, score, &cigar, reference, "pre-kill");
+                        acked.insert(id);
                     }
-                    let _ = write_frame(&mut sess.wr, &Request::Bye.encode());
-                    while let Ok(Some(frame)) = read_frame(&mut sess.rd) {
-                        match Response::parse(&frame) {
-                            Ok(Response::Result { id, score, cigar, .. }) => {
-                                check_reference(id, score, &cigar, reference, "pre-kill");
-                                if !acked.contains(&id) {
-                                    acked.push(id);
-                                }
-                            }
-                            Ok(Response::Done { .. }) => break,
-                            _ => {}
-                        }
-                    }
-                }
+                });
                 if must(child.try_wait(), "poll killed child").is_some() {
                     break;
                 }
@@ -836,23 +830,12 @@ mod armed {
             let mut rounds = 0usize;
             while replayed.len() < workload.len() && rounds < MAX_ROUNDS {
                 rounds += 1;
-                let Some(mut sess) = try_open(addr, "kchaos") else { continue };
-                for req in workload {
-                    if write_frame(&mut sess.wr, &req.encode()).is_err() {
-                        break;
+                round(addr, "kchaos", workload, |frame| {
+                    if let Response::Result { id, score, cigar, resumed } = frame {
+                        check_reference(id, score, &cigar, reference, "post-kill");
+                        replayed.insert(id, resumed);
                     }
-                }
-                let _ = write_frame(&mut sess.wr, &Request::Bye.encode());
-                while let Ok(Some(frame)) = read_frame(&mut sess.rd) {
-                    match Response::parse(&frame) {
-                        Ok(Response::Result { id, score, cigar, resumed }) => {
-                            check_reference(id, score, &cigar, reference, "post-kill");
-                            replayed.insert(id, resumed);
-                        }
-                        Ok(Response::Done { .. }) => break,
-                        _ => {}
-                    }
-                }
+                });
             }
             let mut lost = 0usize;
             for id in &acked {

@@ -5,15 +5,13 @@
 //! them with `cargo run -p smx-bench --release --bin <name>`.
 
 use std::fmt::Display;
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use smx::align::{AlignError, AlignmentConfig};
 use smx::coproc::faults::{FaultPlan, RecoveryPolicy};
-use smx::server::proto::{read_frame, write_frame, ProtoError, Request, Response};
-use smx::server::tenant::Priority;
+use smx::server::proto::Request;
 use smx::SmxDevice;
 
 /// Prints a section header.
@@ -106,59 +104,6 @@ pub fn storm_device(config: AlignmentConfig) -> Result<SmxDevice, AlignError> {
     Ok(dev)
 }
 
-/// One framed-protocol session, split into a writer half and a reader
-/// half so a submitter never blocks on responses.
-#[derive(Debug)]
-pub struct Session {
-    /// Request half.
-    pub wr: TcpStream,
-    /// Response half.
-    pub rd: TcpStream,
-}
-
-impl Session {
-    /// Connects to `addr`, sends HELLO for `session` (`-` for none) as
-    /// `tenant` at `priority`, and expects `OK`. `timeout` bounds the
-    /// connect and every read and write on both halves, so a dead or
-    /// draining server surfaces as an error, never a hang. Never panics.
-    ///
-    /// # Errors
-    ///
-    /// Socket and framing errors; a connection closed before the reply
-    /// as [`ProtoError::Io`]; any reply other than `OK` as
-    /// [`ProtoError::Malformed`].
-    pub fn open(
-        addr: SocketAddr,
-        session: &str,
-        tenant: &str,
-        priority: Priority,
-        timeout: Duration,
-    ) -> Result<Session, ProtoError> {
-        let mut wr = TcpStream::connect_timeout(&addr, timeout)?;
-        wr.set_nodelay(true)?;
-        wr.set_write_timeout(Some(timeout))?;
-        let mut rd = wr.try_clone()?;
-        rd.set_read_timeout(Some(timeout))?;
-        let hello = Request::Hello {
-            session: session.to_string(),
-            tenant: tenant.to_string(),
-            priority,
-            deadline_ms: 0,
-        };
-        write_frame(&mut wr, &hello.encode())?;
-        let reply = read_frame(&mut rd)?.ok_or_else(|| {
-            ProtoError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before the HELLO reply",
-            ))
-        })?;
-        match Response::parse(&reply)? {
-            Response::Ok { .. } => Ok(Session { wr, rd }),
-            other => Err(ProtoError::Malformed(format!("expected OK to HELLO, got {other:?}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,46 +160,5 @@ mod tests {
         let mut once = 0;
         time(0, || once += 1);
         assert_eq!(once, 1, "zero reps still runs once");
-    }
-
-    #[test]
-    fn session_aligns_then_fails_fast_after_drain() {
-        use smx::align::{Alphabet, Sequence};
-        use smx::{Server, ServerConfig};
-
-        let config = AlignmentConfig::DnaEdit;
-        let handle = Server::bind(
-            SmxDevice::new(config, 2).unwrap(),
-            ServerConfig::default(),
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let addr = handle.addr();
-        let timeout = Duration::from_secs(5);
-        let mut sess = Session::open(addr, "-", "unit", Priority::Normal, timeout).unwrap();
-        let (query, reference) = ("GATTACAGATTACA", "GATTACACATTACA");
-        let pair = Request::Pair { id: 7, query: query.into(), reference: reference.into() };
-        write_frame(&mut sess.wr, &pair.encode()).unwrap();
-        let reply = read_frame(&mut sess.rd).unwrap().expect("a RESULT frame");
-        let golden = SmxDevice::new(config, 2)
-            .unwrap()
-            .align(
-                &Sequence::from_text(Alphabet::Dna2, query).unwrap(),
-                &Sequence::from_text(Alphabet::Dna2, reference).unwrap(),
-            )
-            .unwrap();
-        match Response::parse(&reply).unwrap() {
-            Response::Result { id, score, cigar, .. } => {
-                assert_eq!((id, score, cigar), (7, golden.score, golden.cigar.to_string()));
-            }
-            other => panic!("expected RESULT, got {other:?}"),
-        }
-        drop(sess);
-
-        let _ = handle.drain();
-        let t0 = Instant::now();
-        let refused = Session::open(addr, "-", "unit", Priority::Normal, timeout);
-        assert!(refused.is_err(), "a drained server accepted a session");
-        assert!(t0.elapsed() < timeout + Duration::from_secs(1), "open outlived its timeout");
     }
 }

@@ -18,6 +18,8 @@ extern "C" {
 }
 
 const SIGTERM: i32 = 15;
+/// Bounds every test client's connect, reads and writes.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
 struct ServeProc {
     child: Child,
@@ -47,23 +49,6 @@ fn spawn_serve(extra: &[&str]) -> ServeProc {
     ServeProc { child, addr }
 }
 
-fn connect(proc_: &ServeProc, session: &str) -> (Client, u64) {
-    let mut client = Client::connect(proc_.addr).expect("connect");
-    client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    client
-        .send(&Request::Hello {
-            session: session.to_string(),
-            tenant: "itest".to_string(),
-            priority: Priority::Normal,
-            deadline_ms: 0,
-        })
-        .expect("send hello");
-    match client.recv().expect("recv hello reply") {
-        Some(Response::Ok { resumed, .. }) => (client, resumed),
-        other => panic!("expected OK, got {other:?}"),
-    }
-}
-
 fn pair(id: usize) -> Request {
     // Distinct per-id sequences so a cross-wired replay would be caught
     // by the score/cigar comparison.
@@ -81,7 +66,8 @@ fn kill_dash_nine_then_resume_replays_every_acked_pair_byte_identically() {
     let dir_s = dir.to_string_lossy().into_owned();
 
     let mut proc_ = spawn_serve(&["--checkpoint-dir", &dir_s]);
-    let (mut client, resumed) = connect(&proc_, "crashy");
+    let mut client = Client::connect(proc_.addr, TIMEOUT).expect("connect");
+    let resumed = client.hello("crashy", "itest", Priority::Normal, 0).expect("hello");
     assert_eq!(resumed, 0, "fresh session must have nothing to resume");
 
     const PAIRS: usize = 6;
@@ -107,7 +93,8 @@ fn kill_dash_nine_then_resume_replays_every_acked_pair_byte_identically() {
     drop(client);
 
     let mut proc_ = spawn_serve(&["--checkpoint-dir", &dir_s, "--resume-sessions"]);
-    let (mut client, resumed) = connect(&proc_, "crashy");
+    let mut client = Client::connect(proc_.addr, TIMEOUT).expect("connect");
+    let resumed = client.hello("crashy", "itest", Priority::Normal, 0).expect("hello");
     // Zero acked-but-lost: everything the client saw acked must be in
     // the manifest the restart loaded (the server may have recorded a
     // few more whose acks were still in flight).
@@ -135,9 +122,8 @@ fn kill_dash_nine_then_resume_replays_every_acked_pair_byte_identically() {
         assert!(was_resumed, "acked pair {id} should replay from the manifest, not recompute");
     }
 
-    client.send(&Request::Bye).unwrap();
-    match client.recv().expect("recv done") {
-        Some(Response::Done { resumed, .. }) => assert!(resumed >= acked.len() as u64),
+    match client.bye(|frame| panic!("expected DONE, got {frame:?}")).expect("bye") {
+        Response::Done { resumed, .. } => assert!(resumed >= acked.len() as u64),
         other => panic!("expected DONE, got {other:?}"),
     }
     proc_.child.kill().ok();
@@ -147,7 +133,8 @@ fn kill_dash_nine_then_resume_replays_every_acked_pair_byte_identically() {
 #[test]
 fn sigterm_drains_gracefully_and_reports_per_tenant_counts() {
     let mut proc_ = spawn_serve(&[]);
-    let (mut client, _) = connect(&proc_, "-");
+    let mut client = Client::connect(proc_.addr, TIMEOUT).expect("connect");
+    client.hello("-", "itest", Priority::Normal, 0).expect("hello");
 
     client.send(&pair(0)).unwrap();
     match client.recv().expect("recv result") {
@@ -219,7 +206,8 @@ fn sigterm_drains_gracefully_and_reports_per_tenant_counts() {
 #[test]
 fn second_sigterm_mid_drain_forces_exit_with_distinct_code() {
     let mut proc_ = spawn_serve(&["--jobs", "1"]);
-    let (mut client, _) = connect(&proc_, "-");
+    let mut client = Client::connect(proc_.addr, TIMEOUT).expect("connect");
+    client.hello("-", "itest", Priority::Normal, 0).expect("hello");
 
     // A backlog big enough that the single worker cannot drain it
     // before the second signal lands: long sequences make each pair an

@@ -33,6 +33,7 @@
 //! brownout, retries, and routing decide *where* and *whether* a pair
 //! runs — never *what* it computes.
 
+mod client;
 mod fleet;
 pub mod proto;
 pub mod session;
@@ -63,6 +64,7 @@ use tenant::{BrownoutConfig, BrownoutLevel, Priority, TenantCounters, TenantPoli
 use writer::{Action, Event, Writer};
 
 pub use crate::shard::RetryConfig;
+pub use client::Client;
 pub use fleet::{ShardSnapshot, SupervisorConfig};
 
 /// Server tuning on top of the executor configuration it fronts.
@@ -961,81 +963,18 @@ fn send(out: &mut BufWriter<TcpStream>, frames: &[Response]) -> bool {
     })
 }
 
-/// A minimal blocking client for the framed protocol — shared by the
-/// server's own tests and the workspace and CLI integration tests, so
-/// every consumer speaks through the same encoder.
-#[derive(Debug)]
-pub struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    /// Connects to `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures as `std::io::Error`.
-    pub fn connect(addr: SocketAddr) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client { stream })
-    }
-
-    /// Sends one request frame.
-    ///
-    /// # Errors
-    ///
-    /// Framing/socket errors as [`ProtoError`].
-    pub fn send(&mut self, req: &Request) -> Result<(), ProtoError> {
-        write_frame(&mut self.stream, &req.encode())
-    }
-
-    /// Receives one response frame (`None` on clean EOF).
-    ///
-    /// # Errors
-    ///
-    /// Framing/socket errors as [`ProtoError`].
-    pub fn recv(&mut self) -> Result<Option<Response>, ProtoError> {
-        match read_frame(&mut self.stream)? {
-            Some(payload) => Response::parse(&payload).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Sets the socket read timeout (for storm clients that must not
-    /// block forever on a crashed server).
-    ///
-    /// # Errors
-    ///
-    /// Socket option failures as `std::io::Error`.
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use smx_align_core::AlignmentConfig;
     use std::collections::HashMap;
 
+    /// Bounds every test client's connect, reads and writes.
+    const TIMEOUT: Duration = Duration::from_secs(30);
+
     fn server(cfg: ServerConfig) -> ServerHandle {
         let dev = SmxDevice::new(AlignmentConfig::DnaEdit, 4).unwrap();
         Server::bind(dev, cfg, "127.0.0.1:0").unwrap()
-    }
-
-    fn hello(c: &mut Client, session: &str, tenant: &str, pri: Priority, dl: u64) -> u64 {
-        c.send(&Request::Hello {
-            session: session.into(),
-            tenant: tenant.into(),
-            priority: pri,
-            deadline_ms: dl,
-        })
-        .unwrap();
-        match c.recv().unwrap().unwrap() {
-            Response::Ok { resumed, .. } => resumed,
-            other => panic!("expected OK, got {other:?}"),
-        }
     }
 
     /// A normal-priority connection of tenant `t` with no deadline and
@@ -1063,8 +1002,8 @@ mod tests {
             exec: ExecutorConfig { jobs: 2, ..ExecutorConfig::default() },
             ..ServerConfig::default()
         });
-        let mut c = Client::connect(h.addr()).unwrap();
-        assert_eq!(hello(&mut c, "-", "acme", Priority::Normal, 0), 0);
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        assert_eq!(c.hello("-", "acme", Priority::Normal, 0).unwrap(), 0);
         let pairs = [("GATTACAGATTACA", "GATTACACATTACA"), ("ACGTACGT", "ACGTACGA")];
         for (i, (q, r)) in pairs.iter().enumerate() {
             c.send(&Request::Pair { id: i, query: (*q).into(), reference: (*r).into() }).unwrap();
@@ -1089,13 +1028,8 @@ mod tests {
                 .unwrap();
             assert_eq!(got[&i], (golden.score, golden.cigar.to_string()), "pair {i}");
         }
-        c.send(&Request::Bye).unwrap();
-        match c.recv().unwrap().unwrap() {
-            Response::Done { completed, failed, rejected, resumed } => {
-                assert_eq!((completed, failed, rejected, resumed), (2, 0, 0, 0));
-            }
-            other => panic!("expected DONE, got {other:?}"),
-        }
+        let done = c.bye(|frame| panic!("expected DONE, got {frame:?}")).unwrap();
+        assert_eq!(done, Response::Done { completed: 2, failed: 0, rejected: 0, resumed: 0 });
         let report = h.drain();
         assert_eq!(report.totals.completed, 2);
         assert_eq!(report.per_tenant.len(), 1);
@@ -1107,10 +1041,9 @@ mod tests {
     fn ended_connection_threads_are_reaped() {
         let h = server(ServerConfig::default());
         for k in 0..6 {
-            let mut c = Client::connect(h.addr()).unwrap();
-            hello(&mut c, "-", "acme", Priority::Normal, 0);
-            c.send(&Request::Bye).unwrap();
-            assert!(matches!(c.recv().unwrap().unwrap(), Response::Done { .. }), "conn {k}");
+            let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+            c.hello("-", "acme", Priority::Normal, 0).unwrap();
+            c.bye(|frame| panic!("conn {k}: expected DONE, got {frame:?}")).unwrap();
             drop(c);
             let t0 = Instant::now();
             while h.shared.conns.load(Ordering::SeqCst) > 0 {
@@ -1122,6 +1055,53 @@ mod tests {
         // the last connection and the one before it can still be registered.
         let registered = relock(&h.shared.conn_threads).len();
         assert!(registered <= 2, "{registered} connection threads still registered");
+        h.drain();
+    }
+
+    #[test]
+    fn pair_before_hello_gets_one_err_then_the_connection_closes() {
+        let h = server(ServerConfig::default());
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.send(&Request::Pair { id: 0, query: "ACGT".into(), reference: "ACGT".into() }).unwrap();
+        match c.recv().unwrap() {
+            Some(Response::Err(detail)) => {
+                assert_eq!(detail, "expected HELLO as the first frame");
+            }
+            other => panic!("expected ERR, got {other:?}"),
+        }
+        assert_eq!(c.recv().unwrap(), None, "the server closes after its ERR");
+        h.drain();
+    }
+
+    #[test]
+    fn second_hello_gets_err_then_done() {
+        let h = server(ServerConfig::default());
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.hello("-", "t", Priority::Normal, 0).unwrap();
+        match c.hello("-", "t", Priority::Normal, 0) {
+            Err(ProtoError::Malformed(detail)) => {
+                assert!(detail.contains("HELLO is only valid as the first frame"), "{detail}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        let done = Response::Done { completed: 0, failed: 0, rejected: 0, resumed: 0 };
+        assert_eq!(c.recv().unwrap(), Some(done));
+        assert_eq!(c.recv().unwrap(), None);
+        h.drain();
+    }
+
+    #[test]
+    fn unparseable_request_gets_err_then_done() {
+        let h = server(ServerConfig::default());
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.hello("-", "t", Priority::Normal, 0).unwrap();
+        // A tab in the query splits the frame into one field too many.
+        c.send(&Request::Pair { id: 0, query: "AC\tGT".into(), reference: "ACGT".into() }).unwrap();
+        match c.recv().unwrap() {
+            Some(Response::Err(detail)) => assert!(detail.contains("unrecognized request")),
+            other => panic!("expected ERR, got {other:?}"),
+        }
+        assert!(matches!(c.recv().unwrap(), Some(Response::Done { .. })));
         h.drain();
     }
 
@@ -1150,8 +1130,8 @@ mod tests {
 
         let serve = ServerConfig { exec, shards: 1, ..ServerConfig::default() };
         let h = Server::bind(dev, serve, "127.0.0.1:0").unwrap();
-        let mut c = Client::connect(h.addr()).unwrap();
-        hello(&mut c, "-", "t", Priority::Normal, 0);
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.hello("-", "t", Priority::Normal, 0).unwrap();
         for (i, (q, r)) in pairs.iter().enumerate() {
             c.send(&Request::Pair { id: i, query: q.to_text(), reference: r.to_text() }).unwrap();
         }
@@ -1191,8 +1171,8 @@ mod tests {
             policy: TenantPolicy { rate: 0.001, burst: 1.0 },
             ..ServerConfig::default()
         });
-        let mut c = Client::connect(h.addr()).unwrap();
-        hello(&mut c, "-", "hot", Priority::Normal, 0);
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.hello("-", "hot", Priority::Normal, 0).unwrap();
         c.send(&Request::Pair { id: 0, query: "ACGT".into(), reference: "ACGT".into() }).unwrap();
         c.send(&Request::Pair { id: 1, query: "ACGT".into(), reference: "ACGT".into() }).unwrap();
         let mut rejected = None;
@@ -1226,15 +1206,15 @@ mod tests {
             },
             ..ServerConfig::default()
         });
-        let mut low = Client::connect(h.addr()).unwrap();
-        hello(&mut low, "-", "batch", Priority::Low, 0);
+        let mut low = Client::connect(h.addr(), TIMEOUT).unwrap();
+        low.hello("-", "batch", Priority::Low, 0).unwrap();
         low.send(&Request::Pair { id: 0, query: "ACGT".into(), reference: "ACGT".into() }).unwrap();
         match low.recv().unwrap().unwrap() {
             Response::Reject { reason, .. } => assert_eq!(reason, RejectReason::Brownout),
             other => panic!("expected brownout reject, got {other:?}"),
         }
-        let mut high = Client::connect(h.addr()).unwrap();
-        hello(&mut high, "-", "urgent", Priority::High, 0);
+        let mut high = Client::connect(h.addr(), TIMEOUT).unwrap();
+        high.hello("-", "urgent", Priority::High, 0).unwrap();
         high.send(&Request::Pair { id: 0, query: "ACGT".into(), reference: "ACGT".into() })
             .unwrap();
         assert!(matches!(high.recv().unwrap().unwrap(), Response::Result { .. }));
@@ -1247,8 +1227,8 @@ mod tests {
     #[test]
     fn per_pair_deadline_fails_typed_not_hanging() {
         let h = server(ServerConfig::default());
-        let mut c = Client::connect(h.addr()).unwrap();
-        hello(&mut c, "-", "t", Priority::Normal, 1);
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.hello("-", "t", Priority::Normal, 1).unwrap();
         // A pair large enough that 1 ms cannot possibly cover it.
         let q: String = "ACGTTGCA".repeat(800);
         let r: String = "ACGATGCA".repeat(800);
@@ -1268,8 +1248,8 @@ mod tests {
     #[test]
     fn stats_frame_reports_the_ladder() {
         let h = server(ServerConfig::default());
-        let mut c = Client::connect(h.addr()).unwrap();
-        hello(&mut c, "-", "obs", Priority::Normal, 0);
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.hello("-", "obs", Priority::Normal, 0).unwrap();
         c.send(&Request::Stats).unwrap();
         match c.recv().unwrap().unwrap() {
             Response::Stats(text) => {
@@ -1296,8 +1276,8 @@ mod tests {
         };
         let h = mk(false);
         let addr = h.addr();
-        let mut c = Client::connect(addr).unwrap();
-        assert_eq!(hello(&mut c, "s1", "acme", Priority::Normal, 0), 0);
+        let mut c = Client::connect(addr, TIMEOUT).unwrap();
+        assert_eq!(c.hello("s1", "acme", Priority::Normal, 0).unwrap(), 0);
         let pairs: Vec<(String, String)> = (0..6)
             .map(|i| {
                 (
@@ -1319,8 +1299,8 @@ mod tests {
         h.crash();
         // Restart over the same manifests, resume, resubmit everything.
         let h2 = mk(true);
-        let mut c2 = Client::connect(h2.addr()).unwrap();
-        let resumed = hello(&mut c2, "s1", "acme", Priority::Normal, 0);
+        let mut c2 = Client::connect(h2.addr(), TIMEOUT).unwrap();
+        let resumed = c2.hello("s1", "acme", Priority::Normal, 0).unwrap();
         assert!(
             resumed >= acked.len() as u64,
             "every ack must be durable: {resumed} acked={}",
@@ -1353,8 +1333,8 @@ mod tests {
     #[test]
     fn drain_sends_done_to_connected_sessions() {
         let h = server(ServerConfig::default());
-        let mut c = Client::connect(h.addr()).unwrap();
-        hello(&mut c, "-", "t", Priority::Normal, 0);
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.hello("-", "t", Priority::Normal, 0).unwrap();
         let drainer = std::thread::spawn(move || h.drain());
         // The reader notices the drain on its next timeout and flushes.
         match c.recv().unwrap() {
@@ -1411,8 +1391,8 @@ mod tests {
             shards: 3,
             ..ServerConfig::default()
         });
-        let mut c = Client::connect(h.addr()).unwrap();
-        hello(&mut c, "-", "acme", Priority::Normal, 0);
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.hello("-", "acme", Priority::Normal, 0).unwrap();
         let pairs: Vec<(String, String)> = (0..12)
             .map(|i| {
                 (
@@ -1677,8 +1657,8 @@ mod tests {
             "127.0.0.1:0",
         )
         .unwrap();
-        let mut c = Client::connect(h.addr()).unwrap();
-        hello(&mut c, "-", "t", Priority::Normal, 300);
+        let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+        c.hello("-", "t", Priority::Normal, 300).unwrap();
         let t0 = Instant::now();
         let q = "GATTACA".repeat(16);
         let r = "GATTACC".repeat(16);

@@ -6,7 +6,7 @@
 //! words, and a lane block (every other scheme) its strips' Δ′ lanes, in
 //! place of its border planes, which a reader derives from the lanes.
 
-use std::cell::{Cell, OnceCell};
+use std::cell::OnceCell;
 
 use crate::control::CancelToken;
 use crate::engine::SmxEngine;
@@ -176,20 +176,12 @@ impl TileBorderStore {
     }
 }
 
-thread_local! {
-    /// The border planes of this thread's last traceback-mode block,
-    /// handed back when its store dropped: one slot, reused by the next
-    /// block that fits, so a thread aligning pair after pair does not
-    /// map and fault fresh planes every block.
-    static SPARE_PLANES: Cell<Option<(Vec<u8>, Vec<u8>)>> = const { Cell::new(None) };
-}
-
 /// Two zeroed planes of `dv_len` and `dh_len` bytes: this thread's
 /// spare pair when both are large enough, else fresh ones (a spare too
 /// small is freed first, so the two never coexist).
 fn border_planes(dv_len: usize, dh_len: usize) -> (Vec<u8>, Vec<u8>) {
     let fits = |(dv, dh): &(Vec<u8>, Vec<u8>)| dv.capacity() >= dv_len && dh.capacity() >= dh_len;
-    let spare = SPARE_PLANES.try_with(Cell::take).ok().flatten().filter(fits);
+    let spare = kernel::take_spare(kernel::PLANES).filter(fits);
     let Some((mut dv, mut dh)) = spare else {
         return (vec![0u8; dv_len], vec![0u8; dh_len]);
     };
@@ -203,17 +195,9 @@ fn border_planes(dv_len: usize, dh_len: usize) -> (Vec<u8>, Vec<u8>) {
 impl Drop for TileBorderStore {
     fn drop(&mut self) {
         if let Some(planes) = self.planes.take().filter(|(dv, _)| dv.capacity() > 0) {
-            // Replacing the slot frees whatever spare it held.
-            let _ = SPARE_PLANES.try_with(|spare| spare.set(Some(planes)));
+            kernel::return_spare(kernel::PLANES, planes);
         }
     }
-}
-
-thread_local! {
-    /// The word buffer of this thread's last edit block that kept its
-    /// words, handed back when they dropped: one slot, reused by the next
-    /// such block, which zeroes only what it needs beyond the last one.
-    static SPARE_WORDS: Cell<Option<Vec<[u64; 4]>>> = const { Cell::new(None) };
 }
 
 /// The Myers words of a traceback-mode edit block: `[pv, mv, ph, mh]`
@@ -232,7 +216,7 @@ impl EditWords {
     /// Room for `strips` strips of `rows` rows across `n` columns, in
     /// this thread's spare buffer when it has one.
     fn new(rows: usize, n: usize, strips: usize) -> EditWords {
-        let mut words = SPARE_WORDS.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        let mut words = kernel::take_spare(kernel::WORDS).unwrap_or_default();
         words.resize(strips * n, [0; 4]);
         EditWords { rows, n, words }
     }
@@ -247,8 +231,7 @@ impl Drop for EditWords {
     fn drop(&mut self) {
         let words = std::mem::take(&mut self.words);
         if words.capacity() > 0 {
-            // Replacing the slot frees whatever spare it held.
-            let _ = SPARE_WORDS.try_with(|spare| spare.set(Some(words)));
+            kernel::return_spare(kernel::WORDS, words);
         }
     }
 }

@@ -218,11 +218,42 @@ impl Cells for TileCells {
     }
 }
 
+/// This thread's spare block buffers, one slot per kind, each handed
+/// back when its owner drops and reused by the next block that needs
+/// one, so a thread aligning pair after pair does not map and fault
+/// fresh buffers every block. An edit block that keeps its words also
+/// holds planes, so the kinds never share a slot.
+pub(crate) struct Scratch {
+    /// The border planes of the last traceback-mode block.
+    planes: Cell<Option<(Vec<u8>, Vec<u8>)>>,
+    /// The Δv′ and Δh′ buffers of the last block that kept its lanes;
+    /// the next such block zeroes only what it needs beyond them.
+    lanes: Cell<Option<(Vec<u8>, Vec<u8>)>>,
+    /// The word buffer of the last edit block that kept its words; the
+    /// next such block zeroes only what it needs beyond it.
+    words: Cell<Option<Vec<[u64; 4]>>>,
+}
+
 thread_local! {
-    /// The lane buffers of this thread's last block that kept its lanes,
-    /// handed back when they dropped: one slot, reused by the next such
-    /// block, which zeroes only what it needs beyond the last one.
-    static SPARE_LANES: Cell<Option<(Vec<u8>, Vec<u8>)>> = const { Cell::new(None) };
+    static SCRATCH: Scratch = const {
+        Scratch { planes: Cell::new(None), lanes: Cell::new(None), words: Cell::new(None) }
+    };
+}
+
+/// One slot of the thread's [`Scratch`].
+pub(crate) type Slot<T> = fn(&Scratch) -> &Cell<Option<T>>;
+pub(crate) const PLANES: Slot<(Vec<u8>, Vec<u8>)> = |s| &s.planes;
+const LANES: Slot<(Vec<u8>, Vec<u8>)> = |s| &s.lanes;
+pub(crate) const WORDS: Slot<Vec<[u64; 4]>> = |s| &s.words;
+
+/// Takes the spare in `slot`, if this thread holds one.
+pub(crate) fn take_spare<T>(slot: Slot<T>) -> Option<T> {
+    SCRATCH.try_with(|s| slot(s).take()).ok().flatten()
+}
+
+/// Hands `spare` back to `slot`, freeing whatever spare it held.
+pub(crate) fn return_spare<T>(slot: Slot<T>, spare: T) {
+    let _ = SCRATCH.try_with(|s| slot(s).set(Some(spare)));
 }
 
 /// A traceback-mode lane block's kept cells: its left and top borders as
@@ -258,7 +289,7 @@ impl KeptLanes {
     /// spare buffers when it has them.
     pub(crate) fn new(kernel: LaneKernel, vl: usize, left: &[u8], top: &[u8]) -> KeptLanes {
         let (start, rows, lanes) = kernel.strip_layout(vl);
-        let (dv, dh) = SPARE_LANES.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        let (dv, dh) = take_spare(LANES).unwrap_or_default();
         let (m, n) = (left.len(), top.len());
         let mut kept = KeptLanes { start, rows, lanes, n, dv, dh, dv0: 0, dh0: 0 };
         let len = kept.base(m.div_ceil(rows)) + MAX_LANES;
@@ -341,8 +372,7 @@ impl Drop for KeptLanes {
     fn drop(&mut self) {
         let lanes = (std::mem::take(&mut self.dv), std::mem::take(&mut self.dh));
         if lanes.0.capacity() > 0 {
-            // Replacing the slot frees whatever spare it held.
-            let _ = SPARE_LANES.try_with(|spare| spare.set(Some(lanes)));
+            return_spare(LANES, lanes);
         }
     }
 }

@@ -220,6 +220,9 @@ use smx::{Client, Server, ServerConfig, SupervisorConfig};
 use std::collections::HashMap;
 use std::time::Duration;
 
+/// Bounds every test client's connect, reads and writes.
+const TIMEOUT: Duration = Duration::from_secs(30);
+
 fn shard_server(supervisor: SupervisorConfig) -> smx::ServerHandle {
     let dev = SmxDevice::new(AlignmentConfig::DnaEdit, 4).unwrap();
     Server::bind(
@@ -233,20 +236,6 @@ fn shard_server(supervisor: SupervisorConfig) -> smx::ServerHandle {
         "127.0.0.1:0",
     )
     .unwrap()
-}
-
-fn shard_hello(c: &mut Client) {
-    c.send(&Request::Hello {
-        session: "-".into(),
-        tenant: "acme".into(),
-        priority: Priority::Normal,
-        deadline_ms: 0,
-    })
-    .unwrap();
-    match c.recv().unwrap().unwrap() {
-        Response::Ok { .. } => {}
-        other => panic!("expected OK, got {other:?}"),
-    }
 }
 
 fn chaos_pairs(n: usize) -> Vec<(String, String)> {
@@ -298,8 +287,8 @@ fn transient_wedge_is_restarted_and_the_shard_returns_to_live() {
         // the hit limit runs dry, and that must never reach quarantine.
         max_restarts: 10_000,
     });
-    let mut c = Client::connect(h.addr()).unwrap();
-    shard_hello(&mut c);
+    let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+    c.hello("-", "acme", Priority::Normal, 0).unwrap();
     let pairs = chaos_pairs(24);
     let golden = golden_for(&pairs);
     for (i, (q, r)) in pairs.iter().enumerate() {
@@ -362,8 +351,8 @@ fn permanent_wedge_is_quarantined_and_the_fleet_keeps_serving() {
         stale_intervals: 8,
         max_restarts: 1,
     });
-    let mut c = Client::connect(h.addr()).unwrap();
-    shard_hello(&mut c);
+    let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+    c.hello("-", "acme", Priority::Normal, 0).unwrap();
     let pairs = chaos_pairs(24);
     let golden = golden_for(&pairs);
     for (i, (q, r)) in pairs.iter().enumerate() {
@@ -473,8 +462,8 @@ fn failed_restart_is_not_healed_by_a_retired_workers_late_beat() {
     }
     assert!(failed_restart_seen, "shard 0 never sat degraded after its failed restart");
     // The respawned generation serves byte-identically.
-    let mut c = Client::connect(h.addr()).unwrap();
-    shard_hello(&mut c);
+    let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+    c.hello("-", "acme", Priority::Normal, 0).unwrap();
     let pairs = chaos_pairs(8);
     let golden = golden_for(&pairs);
     for (i, (q, r)) in pairs.iter().enumerate() {
@@ -510,8 +499,8 @@ fn failed_home_dispatch_spills_to_the_sibling_byte_identically() {
         Some(SPILLED),
     ));
     let h = shard_server(SupervisorConfig::default());
-    let mut c = Client::connect(h.addr()).unwrap();
-    shard_hello(&mut c);
+    let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+    c.hello("-", "acme", Priority::Normal, 0).unwrap();
     let pairs = chaos_pairs(24);
     let golden = golden_for(&pairs);
     for (i, (q, r)) in pairs.iter().enumerate() {
@@ -566,15 +555,8 @@ fn failed_checkpoint_write_books_the_pair_failed_everywhere() {
         "127.0.0.1:0",
     )
     .unwrap();
-    let mut c = Client::connect(h.addr()).unwrap();
-    c.send(&Request::Hello {
-        session: "books".into(),
-        tenant: "acme".into(),
-        priority: Priority::Normal,
-        deadline_ms: 0,
-    })
-    .unwrap();
-    assert!(matches!(c.recv().unwrap().unwrap(), Response::Ok { .. }));
+    let mut c = Client::connect(h.addr(), TIMEOUT).unwrap();
+    c.hello("books", "acme", Priority::Normal, 0).unwrap();
     let pairs = chaos_pairs(12);
     for (i, (q, r)) in pairs.iter().enumerate() {
         c.send(&Request::Pair { id: i, query: q.clone(), reference: r.clone() }).unwrap();
@@ -591,8 +573,7 @@ fn failed_checkpoint_write_books_the_pair_failed_everywhere() {
         }
     }
     assert_eq!(fails, ARMED, "every armed checkpoint write must fail its pair");
-    c.send(&Request::Bye).unwrap();
-    match c.recv().unwrap().unwrap() {
+    match c.bye(|frame| panic!("expected DONE, got {frame:?}")).unwrap() {
         Response::Done { completed, failed, .. } => {
             assert_eq!((completed, failed), (results, fails), "DONE vs client frames");
         }
